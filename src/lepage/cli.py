@@ -30,7 +30,7 @@ from . import diagnostics as diag
 from . import paths as paths_mod
 from . import series as series_mod
 from . import stable_checks as checks
-from .parallel import chunk_runner, resolve_threads
+from .parallel import resolve_threads
 from .random_inputs import CdfGrid, ConfigurationError, EpsilonSpec, JumpHeightDist
 from .random_inputs import poisson_counts, unit_jump, user_paths, weighted_jumps
 from .rng import RngStream
@@ -191,14 +191,9 @@ def _user_from_dir(directory: str, dimension: int, text: str):
     if not files:
         _fail(text, "paths_dir", f"no step-path CSV files in {directory!r}")
     cached = [paths_mod.path_from_csv(f.read_text()) for f in files]
-    state = {"i": 0}
-
-    def sampler(gen):
-        path = cached[state["i"] % len(cached)]
-        state["i"] += 1
-        return path
-
-    return user_paths(sampler, dimension)
+    # a pure function of the sampler's stream, so results never depend on
+    # which replicates, chunks or threads drew before
+    return user_paths(lambda gen: cached[gen.integers(len(cached))], dimension)
 
 
 def _envelope_from(obj, text: str) -> diag.MomentEnvelope:
@@ -449,14 +444,13 @@ def run(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _Writer(cfg, out_dir)
-    mapper = chunk_runner(cfg.threads)
     started = time.perf_counter()
-    code = _DISPATCH[cfg.command](cfg, writer, mapper)
+    code = _DISPATCH[cfg.command](cfg, writer)
     writer.manifest(time.perf_counter() - started)
     return code
 
 
-def _cmd_simulate(cfg, writer, mapper) -> int:
+def _cmd_simulate(cfg, writer) -> int:
     per_term = cfg.extras["per_term_norms"]
     spec = cfg.series_spec()
     index_rows = []
@@ -480,12 +474,12 @@ def _cmd_simulate(cfg, writer, mapper) -> int:
     return 0
 
 
-def _cmd_check_conditions(cfg, writer, mapper) -> int:
+def _cmd_check_conditions(cfg, writer) -> int:
     env = cfg.extras["envelope"]
     env1, env2 = (env, env) if env is not None else diag.default_envelopes(cfg.y_gen)
     stream = RngStream(cfg.seed)
-    rep1 = diag.estimate_c1(cfg.y_gen, cfg.extras["pairs"], cfg.replicates, env1, stream, mapper)
-    rep2 = diag.estimate_c2(cfg.y_gen, cfg.extras["triples"], cfg.replicates, env2, stream, mapper)
+    rep1 = diag.estimate_c1(cfg.y_gen, cfg.extras["pairs"], cfg.replicates, env1, stream, cfg.threads)
+    rep2 = diag.estimate_c2(cfg.y_gen, cfg.extras["triples"], cfg.replicates, env2, stream, cfg.threads)
     cols = ["t1", "t", "t2", "estimate", "se", "envelope", "verdict"]
     writer.emit("c1_report", rep1.rows(), cols,
                 {"kind": rep1.kind, "replicates": rep1.replicates, "meta": rep1.meta,
@@ -496,7 +490,7 @@ def _cmd_check_conditions(cfg, writer, mapper) -> int:
     return 2 if (rep1.violated or rep2.violated) else 0
 
 
-def _cmd_constants(cfg, writer, mapper) -> int:
+def _cmd_constants(cfg, writer) -> int:
     rows = []
     for m in cfg.extras["m_values"]:
         mc = diag.moment_constant(cfg.alpha, m, cfg.epsilon, cfg.extras["n_max"])
@@ -516,7 +510,7 @@ def _cmd_constants(cfg, writer, mapper) -> int:
     return 0
 
 
-def _cmd_partitions(cfg, writer, mapper) -> int:
+def _cmd_partitions(cfg, writer) -> int:
     report = diag.partition_report(cfg.alpha, cfg.epsilon, cfg.extras["n_grid"],
                                    cfg.extras["constant_n_max"])
     rows = report.rows()
@@ -532,7 +526,7 @@ def _cmd_partitions(cfg, writer, mapper) -> int:
     return 0
 
 
-def _cmd_tightness(cfg, writer, mapper) -> int:
+def _cmd_tightness(cfg, writer) -> int:
     env = cfg.extras["envelope"]
     envelopes = (env, env) if env is not None else None
     spec = cfg.series_spec(weight_mode="deterministic", epsilon_mode="truncated")
@@ -540,7 +534,7 @@ def _cmd_tightness(cfg, writer, mapper) -> int:
     violated = False
     for triple in cfg.extras["triples"]:
         res = diag.tightness_functional(spec, cfg.extras["n"], triple, cfg.replicates,
-                                        envelopes, mapper)
+                                        envelopes, cfg.threads)
         rows.append(res.row())
         violated = violated or res.verdict == "violated"
     writer.emit("tightness", rows, ["t1", "t", "t2", "n", "estimate", "se", "envelope", "verdict"],
@@ -549,9 +543,9 @@ def _cmd_tightness(cfg, writer, mapper) -> int:
     return 2 if violated else 0
 
 
-def _cmd_stability(cfg, writer, mapper) -> int:
+def _cmd_stability(cfg, writer) -> int:
     spec = cfg.series_spec()
-    marginals = series_mod.sample_marginals(spec, cfg.extras["t"], cfg.extras["samples"], mapper)
+    marginals = series_mod.sample_marginals(spec, cfg.extras["t"], cfg.extras["samples"], cfg.threads)
     result = checks.sum_stability_test(marginals[:, 0], cfg.alpha, RngStream(cfg.seed))
     row = result.row()
     writer.emit("stability", [row], list(row.keys()),
@@ -560,9 +554,9 @@ def _cmd_stability(cfg, writer, mapper) -> int:
     return 0 if result.passed else 2
 
 
-def _cmd_spectral(cfg, writer, mapper) -> int:
+def _cmd_spectral(cfg, writer) -> int:
     est = checks.spectral_estimate(cfg.epsilon, cfg.y_gen, cfg.alpha, cfg.extras["events"],
-                                   cfg.replicates, RngStream(cfg.seed), mapper)
+                                   cfg.replicates, RngStream(cfg.seed), cfg.threads)
     rows = est.rows()
     writer.emit("spectral", rows, ["event", "mass", "se"],
                 {"alpha": est.alpha, "replicates": est.replicates, "meta": est.meta,
@@ -570,11 +564,11 @@ def _cmd_spectral(cfg, writer, mapper) -> int:
     return 0
 
 
-def _cmd_regvar(cfg, writer, mapper) -> int:
+def _cmd_regvar(cfg, writer) -> int:
     spec = cfg.series_spec()
-    stats = series_mod.sample_path_stats(spec, cfg.extras["samples"], mapper)
+    stats = series_mod.sample_path_stats(spec, cfg.extras["samples"], cfg.threads)
     sigma = checks.spectral_estimate(cfg.epsilon, cfg.y_gen, cfg.alpha, cfg.extras["events"],
-                                     cfg.extras["sigma_replicates"], RngStream(cfg.seed), mapper)
+                                     cfg.extras["sigma_replicates"], RngStream(cfg.seed), cfg.threads)
     table = checks.regular_variation_table(stats, cfg.extras["events"], cfg.extras["r_grid"],
                                            cfg.extras["n"], cfg.alpha, sigma)
     rows = [r.row() for r in table.rows]

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .parallel import map_replicates
 from .paths import DomainError
 from .random_inputs import CdfGrid, ConfigurationError, EpsilonSpec, YGeneratorSpec, interval_increments
 from .rng import RngStream
 from .series import SeriesSpec, sample_weighted_increments
-from . import series as _series
 
 __all__ = [
     "MomentEnvelope",
@@ -230,26 +230,27 @@ def _verdict(estimate: float, se: float, envelope: float) -> str:
     return "inconclusive"
 
 
-def _moment_mc(y_spec, statistics, tag, replicates, stream, map_chunks):
-    """Accumulate per-entry (sum, sumsq) of a statistic over i.i.d. paths.
+def _moment_mc(y_spec, statistics, tag, replicates, stream, threads):
+    """Per-entry mean and standard error of a statistic over i.i.d. paths.
 
-    ``statistics(increments)`` maps per-replicate interval increments of
-    shape (m, n_intervals, d) to per-entry values (m, n_entries).
+    ``statistics(events)`` maps a block of m paths to per-entry values
+    (m, n_entries).  The variance pools per-chunk ``(count, mean, M2)``
+    (Chan, Golub & LeVeque, Amer. Statist. 1983), so it does not cancel
+    when the mean is large against the spread.
     """
-    size = _series._chunk_size(1)
-    ranges = _series._chunk_ranges(replicates, size)
 
-    def one_chunk(c: int, m: int):
-        sampler = y_spec.block_sampler(stream.substream(tag, c))
-        vals = statistics(sampler.take(m))
-        return np.sum(vals, axis=0), np.sum(vals * vals, axis=0)
+    def one_chunk(sub, m):
+        vals = statistics(y_spec.block_sampler(sub).take(m))
+        total = np.sum(vals, axis=0)
+        return m, total, np.sum((vals - total / m) ** 2, axis=0)
 
-    runner = map_chunks or _series._serial_map
-    parts = runner(one_chunk, ranges)
-    total = np.array([math.fsum(p[0][j] for p in parts) for j in range(parts[0][0].size)])
-    total_sq = np.array([math.fsum(p[1][j] for p in parts) for j in range(parts[0][0].size)])
-    mean = total / replicates
-    var = np.maximum(total_sq - replicates * mean**2, 0.0) / max(replicates - 1, 1)
+    parts = map_replicates(one_chunk, stream.substream(tag), replicates, 1, threads)
+    counts = np.array([[p[0]] for p in parts], dtype=np.float64)
+    sums = np.array([p[1] for p in parts])
+    mean = np.array([math.fsum(col) for col in sums.T]) / replicates
+    # pooled M2 = sum of chunk M2s + sum of m_c * (chunk mean - mean)^2
+    m2 = np.array([p[2] for p in parts]) + counts * (sums / counts - mean) ** 2
+    var = np.array([math.fsum(col) for col in m2.T]) / max(replicates - 1, 1)
     se = np.sqrt(var / replicates)
     return mean, se
 
@@ -260,7 +261,7 @@ def estimate_c1(
     replicates: int,
     envelope: MomentEnvelope,
     stream: RngStream,
-    map_chunks=None,
+    threads=1,
 ) -> MomentReport:
     """Monte Carlo second moments ``E|Y(t2) - Y(t1)|^2`` against the envelope."""
     pairs = [(float(a), float(b)) for a, b in pairs]
@@ -274,7 +275,7 @@ def estimate_c1(
         inc = interval_increments(events, pairs)
         return np.sum(inc * inc, axis=2)
 
-    mean, se = _moment_mc(y_spec, stats, _TAG_C1, replicates, stream, map_chunks)
+    mean, se = _moment_mc(y_spec, stats, _TAG_C1, replicates, stream, threads)
     entries = tuple(
         MomentEntry(a, None, b, float(mean[j]), float(se[j]),
                     envelope.pair_bound(a, b), _verdict(mean[j], se[j], envelope.pair_bound(a, b)))
@@ -290,7 +291,7 @@ def estimate_c2(
     replicates: int,
     envelope: MomentEnvelope,
     stream: RngStream,
-    map_chunks=None,
+    threads=1,
 ) -> MomentReport:
     """Monte Carlo cross moments ``E|Y(t2)-Y(t)|^2 |Y(t)-Y(t1)|^2``."""
     triples = [(float(a), float(b), float(c)) for a, b, c in triples]
@@ -307,7 +308,7 @@ def estimate_c2(
         sq = np.sum(inc * inc, axis=2)
         return sq[:, :k] * sq[:, k:]
 
-    mean, se = _moment_mc(y_spec, stats, _TAG_C2, replicates, stream, map_chunks)
+    mean, se = _moment_mc(y_spec, stats, _TAG_C2, replicates, stream, threads)
     entries = tuple(
         MomentEntry(a, b, c, float(mean[j]), float(se[j]),
                     envelope.triple_bound(a, c), _verdict(mean[j], se[j], envelope.triple_bound(a, c)))
@@ -654,14 +655,14 @@ def tightness_functional(
     triple,
     replicates: int,
     envelopes: tuple[MomentEnvelope, MomentEnvelope] | None = None,
-    map_chunks=None,
+    threads=1,
 ) -> TightnessResult:
     """Fourth moment of weighted partial-sum increments vs its assembled bound.
 
     Requires ``epsilon_mode='truncated'`` and ``weight_mode='deterministic'``
     (the partial sums whose tightness the bound controls).  The companion
     bound is ``d^2 * sum_tau S_{n,tau} * Dhat_tau(t1, t, t2)`` with the
-    envelope factors of :func:`_envelope_block_factor`.
+    envelope exponents of :func:`partition_envelope_exponents`.
     """
     if spec.epsilon_mode != "truncated" or spec.weight_mode != "deterministic":
         raise ConfigurationError(
@@ -680,7 +681,7 @@ def tightness_functional(
         weight_mode="deterministic",
         epsilon_mode="truncated",
     )
-    inc = sample_weighted_increments(run_spec, [(t1, t_mid), (t_mid, t2)], replicates, map_chunks)
+    inc = sample_weighted_increments(run_spec, [(t1, t_mid), (t_mid, t2)], replicates, threads)
     sq = np.sum(inc * inc, axis=2)
     stat = sq[:, 1] * sq[:, 0]
     estimate = float(np.mean(stat))

@@ -1,10 +1,11 @@
 """Deterministic chunk scheduling for Monte Carlo work.
 
+:func:`map_replicates` is the one place that knows the chunk plan.
 Replicates are partitioned into fixed-size chunks (a pure function of the
-experiment config, never of the thread count); each chunk draws from its
-own substream.  Threads only decide which worker executes a chunk, and
-results are reduced in chunk order, so outputs are byte-identical for any
-``threads`` setting.
+replicate count and the events per replicate, never of the thread count);
+chunk ``c`` draws from ``stream.substream(c)``.  Threads only decide which
+worker executes a chunk, and results come back in chunk order, so outputs
+are byte-identical for any ``threads`` setting.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["resolve_threads", "chunk_runner"]
+__all__ = ["resolve_threads", "chunk_runner", "map_replicates"]
+
+# target number of jump events held in memory per chunk
+_EVENTS_PER_CHUNK = 1 << 22
+_MAX_CHUNK = 4096
 
 
 def resolve_threads(threads) -> int:
@@ -24,11 +29,11 @@ def resolve_threads(threads) -> int:
     return t
 
 
-def chunk_runner(threads) -> "callable | None":
-    """A ``map_chunks(fn, ranges)`` callable, or None for the serial path."""
+def chunk_runner(threads):
+    """A ``run(fn, ranges)`` callable returning ``[fn(c, m) for c, m in ranges]``."""
     t = resolve_threads(threads)
     if t <= 1:
-        return None
+        return lambda fn, ranges: [fn(c, m) for c, m in ranges]
 
     def run(fn, ranges):
         with ThreadPoolExecutor(max_workers=t) as pool:
@@ -36,3 +41,16 @@ def chunk_runner(threads) -> "callable | None":
             return [f.result() for f in futures]
 
     return run
+
+
+def map_replicates(fn, stream, total: int, events_per_replicate: int, threads=1) -> list:
+    """``[fn(stream.substream(c), m) for each chunk c of m replicates]``, in chunk order.
+
+    Chunks hold ``max(1, min(4096, 2**22 // events_per_replicate))``
+    replicates, the last one fewer.  ``total == 0`` still runs one empty
+    chunk, so callers get correctly shaped empty results.
+    """
+    size = max(1, min(_MAX_CHUNK, _EVENTS_PER_CHUNK // max(1, events_per_replicate)))
+    n_chunks = max(1, -(-total // size))
+    ranges = [(c, min(size, total - c * size)) for c in range(n_chunks)]
+    return chunk_runner(threads)(lambda c, m: fn(stream.substream(c), m), ranges)

@@ -336,13 +336,16 @@ def _draw_open_unit(gen: np.random.Generator, n: int) -> np.ndarray:
         u[bad] = gen.random(int(bad.sum()))
 
 
-def _resample_term_collisions(times: np.ndarray, term_index: np.ndarray, redraw) -> np.ndarray:
+def _resample_term_collisions(
+    times: np.ndarray, term_index: np.ndarray, redraw
+) -> tuple[np.ndarray, np.ndarray]:
     """Redraw locations until each term's jump times are pairwise distinct.
 
     Exact collisions have probability ~2^-53 per pair but would break the
     strict-ordering invariant of StepPath, so they are resampled;
     ``redraw(flat_indices)`` must return fresh draws from the law of each
-    colliding location.
+    colliding location.  Returns the times and their order by
+    ``(term_index, time)``.
     """
     while True:
         order = np.lexsort((times, term_index))
@@ -350,7 +353,7 @@ def _resample_term_collisions(times: np.ndarray, term_index: np.ndarray, redraw)
         dup = np.zeros(times.size, dtype=bool)
         same = (np.diff(ts) == 0.0) & (np.diff(ti) == 0)
         if not same.any():
-            return times
+            return times, order
         dup[order[1:][same]] = True
         times[dup] = redraw(np.nonzero(dup)[0])
 
@@ -546,8 +549,7 @@ class _WeightedJumpsSampler(YBlockSampler):
                     out[sel] = spec.cdfs[j].inverse(_draw_open_unit(self._locs[j], int(sel.sum())))
             return out
 
-        flat_times = _resample_term_collisions(flat_times, term_index, redraw)
-        order = np.lexsort((flat_times, term_index))
+        flat_times, order = _resample_term_collisions(flat_times, term_index, redraw)
         return TermEvents(
             n, d,
             term_index[order],
@@ -590,10 +592,9 @@ class _PoissonSampler(YBlockSampler):
         total = int(counts.sum())
         term_index = np.repeat(np.arange(base, base + n, dtype=np.int64), counts)
         times = _draw_open_unit(self._locs, total)
-        times = _resample_term_collisions(
+        times, order = _resample_term_collisions(
             times, term_index, lambda idx: _draw_open_unit(self._locs, idx.size)
         )
-        order = np.lexsort((times, term_index))
         return TermEvents(
             n, 1,
             term_index[order],

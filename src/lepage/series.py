@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paths as _paths
+from .parallel import map_replicates
 from .paths import StepPath
 from .random_inputs import (
     ConfigurationError,
@@ -58,9 +59,6 @@ __all__ = [
 _TAG_MARGINAL = 101
 _TAG_PATH_STATS = 102
 _TAG_INCREMENTS = 103
-
-# target number of jump events held in memory per vectorized chunk
-_CHUNK_TARGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,6 @@ class PartialSumResult:
 
     path: StepPath
     terms_used: int
-    weight_mode: str
-    epsilon_mode: str
     per_term_norms: np.ndarray | None = None
 
 
@@ -255,8 +251,6 @@ def partial_sum(
     return PartialSumResult(
         path=real.path(n),
         terms_used=n,
-        weight_mode=spec.weight_mode,
-        epsilon_mode=spec.epsilon_mode,
         per_term_norms=real.per_term_norms(n) if with_term_norms else None,
     )
 
@@ -277,17 +271,7 @@ def coupled_partial_sums(
     if any(c < 0 for c in checkpoints):
         raise ConfigurationError(f"checkpoints must be nonnegative, got {checkpoints}")
     real = SeriesRealization(spec, stream)
-    out = []
-    for c in checkpoints:
-        out.append(
-            PartialSumResult(
-                path=real.path(c),
-                terms_used=c,
-                weight_mode=spec.weight_mode,
-                epsilon_mode=spec.epsilon_mode,
-            )
-        )
-    return out
+    return [PartialSumResult(path=real.path(c), terms_used=c) for c in checkpoints]
 
 
 def gamma_deterministic_gap(spec: SeriesSpec, stream: RngStream | None = None) -> float:
@@ -311,14 +295,6 @@ def gamma_deterministic_gap(spec: SeriesSpec, stream: RngStream | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _chunk_size(n_terms: int) -> int:
-    return max(1, min(4096, _CHUNK_TARGET // max(1, n_terms)))
-
-
-def _chunk_ranges(total: int, size: int):
-    return [(c, min(size, total - c * size)) for c in range((total + size - 1) // size)]
-
-
 def _chunk_coeffs(spec: SeriesSpec, stream: RngStream, m: int) -> tuple[np.ndarray, TermEvents]:
     """Draw m replicates of n terms at once; returns coeffs (m, n) and events.
 
@@ -338,29 +314,29 @@ def _chunk_coeffs(spec: SeriesSpec, stream: RngStream, m: int) -> tuple[np.ndarr
     return weights * eps, events
 
 
-def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, map_chunks=None) -> np.ndarray:
-    """i.i.d. samples of the partial-sum marginal ``X_n(t)``, shape (n, d).
+def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) -> list[np.ndarray]:
+    """Each field of ``reduce(coeffs, events, m)`` over all chunks, concatenated.
 
-    Replicates are drawn in fixed-size chunks, one substream per chunk, so
-    the output is a pure function of ``(spec, t, n_samples)``.
+    Chunk ``c`` draws from ``RngStream(spec.seed).substream(tag, c)``, so the
+    result is a pure function of ``(spec, tag, n_samples)``.
     """
+    parts = map_replicates(lambda stream, m: reduce(*_chunk_coeffs(spec, stream, m), m),
+                           RngStream(spec.seed).substream(tag), n_samples, spec.truncation_n,
+                           threads)
+    return [np.concatenate(field, axis=0) for field in zip(*parts)]
+
+
+def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, threads=1) -> np.ndarray:
+    """i.i.d. samples of the partial-sum marginal ``X_n(t)``, shape (n, d)."""
     if not 0.0 <= t <= 1.0:
         raise ConfigurationError(f"marginal time must lie in [0, 1], got {t}")
-    n = spec.truncation_n
-    base = RngStream(spec.seed)
-    size = _chunk_size(n)
+    n, d = spec.truncation_n, spec.dimension
 
-    def one_chunk(c: int, m: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros((m, spec.dimension))
-        coeffs, events = _chunk_coeffs(spec, base.substream(_TAG_MARGINAL, c), m)
-        per_term = values_at(events, [t])[:, 0, :].reshape(m, n, spec.dimension)
-        return np.einsum("mi,mid->md", coeffs, per_term)
+    def reduce(coeffs, events, m):
+        per_term = values_at(events, [t])[:, 0, :].reshape(m, n, d)
+        return (np.einsum("mi,mid->md", coeffs, per_term),)
 
-    if n_samples == 0:
-        return np.zeros((0, spec.dimension))
-    runner = map_chunks or _serial_map
-    return np.concatenate(runner(one_chunk, _chunk_ranges(n_samples, size)), axis=0)
+    return _sample_chunks(spec, _TAG_MARGINAL, n_samples, reduce, threads)[0]
 
 
 @dataclass(frozen=True)
@@ -372,65 +348,32 @@ class PathStatsSample:
     vmin: np.ndarray  # smallest segment value over all coordinates
 
 
-def sample_path_stats(spec: SeriesSpec, n_samples: int, map_chunks=None) -> PathStatsSample:
+def sample_path_stats(spec: SeriesSpec, n_samples: int, threads=1) -> PathStatsSample:
     """Norms and extreme segment values of i.i.d. partial-sum paths."""
-    n = spec.truncation_n
-    base = RngStream(spec.seed)
-    size = _chunk_size(n)
+    n, d = spec.truncation_n, spec.dimension
 
-    def one_chunk(c: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if n == 0:
-            z = np.zeros(m)
-            return z, z.copy(), z.copy()
-        coeffs, events = _chunk_coeffs(spec, base.substream(_TAG_PATH_STATS, c), m)
+    def reduce(coeffs, events, m):
         rep = events.term_index // n
         deltas = events.heights * coeffs.reshape(-1)[events.term_index, None]
-        initials = np.einsum("mi,mid->md", coeffs,
-                             events.initials.reshape(m, n, spec.dimension))
+        initials = np.einsum("mi,mid->md", coeffs, events.initials.reshape(m, n, d))
         order = np.lexsort((events.times, rep))
-        rep_events = TermEvents(m, spec.dimension, rep[order], events.times[order],
-                                deltas[order], initials)
+        rep_events = TermEvents(m, d, rep[order], events.times[order], deltas[order], initials)
         vmax, vmin = term_value_extremes(rep_events)
         return term_sup_norms(rep_events), vmax, vmin
 
-    if n_samples == 0:
-        return PathStatsSample(np.zeros(0), np.zeros(0), np.zeros(0))
-    runner = map_chunks or _serial_map
-    parts = runner(one_chunk, _chunk_ranges(n_samples, size))
-    return PathStatsSample(
-        sup=np.concatenate([p[0] for p in parts]),
-        vmax=np.concatenate([p[1] for p in parts]),
-        vmin=np.concatenate([p[2] for p in parts]),
-    )
+    return PathStatsSample(*_sample_chunks(spec, _TAG_PATH_STATS, n_samples, reduce, threads))
 
 
-def sample_weighted_increments(
-    spec: SeriesSpec,
-    intervals,
-    n_samples: int,
-    map_chunks=None,
-) -> np.ndarray:
+def sample_weighted_increments(spec: SeriesSpec, intervals, n_samples: int, threads=1) -> np.ndarray:
     """Joint samples of partial-sum increments over the given intervals.
 
     Returns shape ``(n_samples, len(intervals), d)``.
     """
-    n = spec.truncation_n
-    base = RngStream(spec.seed)
-    size = _chunk_size(n)
+    n, d = spec.truncation_n, spec.dimension
     intervals = [(float(a), float(b)) for a, b in intervals]
 
-    def one_chunk(c: int, m: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros((m, len(intervals), spec.dimension))
-        coeffs, events = _chunk_coeffs(spec, base.substream(_TAG_INCREMENTS, c), m)
-        inc = interval_increments(events, intervals).reshape(m, n, len(intervals), spec.dimension)
-        return np.einsum("mi,mijd->mjd", coeffs, inc)
+    def reduce(coeffs, events, m):
+        inc = interval_increments(events, intervals).reshape(m, n, len(intervals), d)
+        return (np.einsum("mi,mijd->mjd", coeffs, inc),)
 
-    if n_samples == 0:
-        return np.zeros((0, len(intervals), spec.dimension))
-    runner = map_chunks or _serial_map
-    return np.concatenate(runner(one_chunk, _chunk_ranges(n_samples, size)), axis=0)
-
-
-def _serial_map(fn, ranges):
-    return [fn(c, m) for c, m in ranges]
+    return _sample_chunks(spec, _TAG_INCREMENTS, n_samples, reduce, threads)[0]

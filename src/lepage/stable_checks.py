@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .parallel import map_replicates
 from .paths import StepPath, sup_norm
 from .random_inputs import (
     ConfigurationError,
@@ -33,7 +34,6 @@ from .random_inputs import (
     term_value_extremes,
 )
 from .rng import RngStream
-from . import series as _series
 from .series import PathStatsSample
 
 __all__ = [
@@ -443,7 +443,7 @@ def spectral_estimate(
     events,
     replicates: int,
     stream: RngStream,
-    map_chunks=None,
+    threads=1,
 ) -> SpectralEstimate:
     """Monte Carlo spectral masses ``sigma(A)``.
 
@@ -461,11 +461,7 @@ def spectral_estimate(
     names = [ev.name for ev in events]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"event names must be distinct, got {names}")
-    size = _series._chunk_size(1)
-    ranges = _series._chunk_ranges(replicates, size)
-
-    def one_chunk(c: int, m: int):
-        sub = stream.substream(_TAG_SPECTRAL, c)
+    def one_chunk(sub, m):
         eps = eps_spec.sample(sub.substream(0).generator(), m)
         blk = y_spec.block_sampler(sub.substream(1)).take(m)
         sup = term_sup_norms(blk)
@@ -488,8 +484,7 @@ def spectral_estimate(
             acc[name + "/x"] = float(np.sum(wa * w))
         return acc
 
-    runner = map_chunks or _series._serial_map
-    parts = runner(one_chunk, ranges)
+    parts = map_replicates(one_chunk, stream.substream(_TAG_SPECTRAL), replicates, 1, threads)
 
     def total(key: str) -> float:
         return math.fsum(p[key] for p in parts)

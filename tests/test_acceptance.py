@@ -32,6 +32,7 @@ from lepage import (
 import lepage.diagnostics as diag
 import lepage.stable_checks as sc
 from lepage.cli import main as cli_main
+from lepage.paths import StepPath, path_to_csv
 from lepage.series import sample_marginals, sample_path_stats
 
 RAD = EpsilonSpec.rademacher()
@@ -276,7 +277,52 @@ truncation_n: 200
 replicates: 3
 seed: 7
 """,
+        "stability": """
+command: stability
+alpha: 1.5
+epsilon: rademacher
+y: example1
+truncation_n: 200
+samples: 5000
+seed: 7
+""",
+        "regvar": """
+command: regvar
+alpha: 1.5
+epsilon: rademacher
+y: example1
+truncation_n: 100
+samples: 5000
+sigma_replicates: 5000
+n: 50
+seed: 7
+""",
+        "tightness": """
+command: tightness
+alpha: 1.5
+epsilon: rademacher
+y: {variant: example3, lambda: 1.0}
+n: 50
+replicates: 5000
+triples: [[0.1, 0.35, 0.6]]
+seed: 7
+""",
     }
+    # user paths: each replicate must pick its file from its own stream
+    user_dir = tmp_path / "user_paths"
+    user_dir.mkdir()
+    heights = 0.1 * np.random.default_rng(7).normal(size=7)
+    for k, h in enumerate(heights):
+        (user_dir / f"p{k}.csv").write_text(path_to_csv(StepPath(1, [0.0], [0.5], [[h]])))
+    configs["check_user"] = f"""
+command: check-conditions
+alpha: 1.5
+epsilon: rademacher
+y: {{variant: user, paths_dir: "{user_dir}"}}
+replicates: 10000
+envelope: {{kind: identity, beta: 1.0}}
+seed: 7
+"""
     for name, config in configs.items():
         cfg = tmp_path / f"{name}.yaml"
         cfg.write_text(config)

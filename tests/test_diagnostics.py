@@ -139,6 +139,15 @@ class TestEstimateC1:
         assert rep.entries[0].verdict == "violated"
         assert rep.violated
 
+    def test_se_does_not_cancel_at_large_mean(self):
+        # squared increments are 1e12 or about 1e12 + 2e3: a sum of squares
+        # minus R * mean^2 loses the whole spread to rounding
+        lo, hi = (StepPath(1, [0.0], [0.5], [[h]]) for h in (1e6, 1e6 + 1e-3))
+        y = user_paths(lambda gen: hi if gen.random() < 0.5 else lo, dimension=1)
+        rep = estimate_c1(y, [(0.4, 0.6)], 20_000, MomentEnvelope(beta=1.0), RngStream(57))
+        half_spread = ((1e6 + 1e-3) ** 2 - 1e12) / 2.0  # std of the two-point law
+        assert rep.entries[0].se == pytest.approx(half_spread / math.sqrt(20_000), rel=0.03)
+
 
 class TestEstimateC2:
     def test_unit_jump_cross_moment_exactly_zero(self):

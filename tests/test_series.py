@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from lepage.paths import evaluate, linear_combine, sup_norm, zero_path
+from lepage.paths import evaluate, increment, linear_combine, sup_norm, zero_path
 from lepage.random_inputs import ConfigurationError, EpsilonSpec, TermEvents, poisson_counts, unit_jump
 from lepage.rng import RngStream
+import lepage.series as series
 from lepage.series import (
     SeriesRealization,
     SeriesSpec,
+    _chunk_coeffs,
     _combine_term_events,
     coupled_partial_sums,
     gamma_deterministic_gap,
@@ -192,7 +194,43 @@ class TestGammaDeterministicGap:
         assert np.median(tails / heads) < 0.15
 
 
+def chunk_paths(spec, tag, m):
+    """The m paths of chunk 0 of a chunked sampler, rebuilt one replicate at a time."""
+    n = spec.truncation_n
+    coeffs, events = _chunk_coeffs(spec, RngStream(spec.seed).substream(tag, 0), m)
+    rep = events.term_index // n
+    paths = []
+    for r in range(m):
+        sel = rep == r
+        own = TermEvents(n, spec.dimension, events.term_index[sel] - r * n, events.times[sel],
+                         events.heights[sel], events.initials[r * n:(r + 1) * n])
+        paths.append(_combine_term_events(coeffs[r], own))
+    return paths
+
+
 class TestChunkedSamplers:
+    @pytest.mark.parametrize("y", [unit_jump(), poisson_counts(2.0)], ids=["unit", "poisson"])
+    def test_match_per_replicate_paths_on_same_draws(self, y):
+        spec = rademacher_spec(alpha=1.5, n=40, seed=16, y=y)
+        m, t, intervals = 64, 0.7, [(0.1, 0.5), (0.5, 0.9)]
+
+        def close(fast, slow, paths):
+            scale = np.array([sup_norm(p) for p in paths]).reshape(-1, *[1] * (fast.ndim - 1))
+            assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+
+        paths = chunk_paths(spec, series._TAG_MARGINAL, m)
+        close(sample_marginals(spec, t, m), np.array([evaluate(p, t) for p in paths]), paths)
+
+        paths = chunk_paths(spec, series._TAG_INCREMENTS, m)
+        slow = np.array([[increment(p, a, b) for a, b in intervals] for p in paths])
+        close(sample_weighted_increments(spec, intervals, m), slow, paths)
+
+        paths = chunk_paths(spec, series._TAG_PATH_STATS, m)
+        stats = sample_path_stats(spec, m)
+        close(stats.sup, np.array([sup_norm(p) for p in paths]), paths)
+        close(stats.vmax, np.array([p.segment_values().max() for p in paths]), paths)
+        close(stats.vmin, np.array([p.segment_values().min() for p in paths]), paths)
+
     def test_marginals_deterministic(self):
         spec = rademacher_spec(n=100, seed=11)
         a = sample_marginals(spec, 0.7, 1000)
@@ -221,6 +259,16 @@ class TestChunkedSamplers:
         assert abs(np.median(stats.sup) - np.median(direct)) < 0.5
         assert np.all(stats.vmax >= stats.vmin)
         assert np.all(stats.sup >= np.maximum(np.abs(stats.vmax), np.abs(stats.vmin)) - 1e-12)
+
+    @pytest.mark.parametrize("n, n_samples", [(0, 5), (0, 0), (10, 0)])
+    def test_empty_terms_or_samples_give_shaped_zeros(self, n, n_samples):
+        spec = rademacher_spec(n=n, seed=15, y=poisson_counts(1.0))
+        assert np.array_equal(sample_marginals(spec, 0.5, n_samples), np.zeros((n_samples, 1)))
+        stats = sample_path_stats(spec, n_samples)
+        for field in (stats.sup, stats.vmax, stats.vmin):
+            assert np.array_equal(field, np.zeros(n_samples))
+        inc = sample_weighted_increments(spec, [(0.1, 0.4)], n_samples)
+        assert np.array_equal(inc, np.zeros((n_samples, 1, 1)))
 
     def test_weighted_increments_zero_intervals(self):
         spec = SeriesSpec(1.5, 30, EpsilonSpec.rademacher(), poisson_counts(1.0),
