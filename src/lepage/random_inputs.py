@@ -294,7 +294,9 @@ class TermEvents:
 
     ``term_index`` is nondecreasing and, within one term, events are sorted
     by time; ``heights`` are the jump sizes (value deltas), ``initials``
-    the t=0 value of each term's path.
+    the t=0 value of each term's path.  Only the term-level reductions
+    (``term_value_extremes``, ``term_sup_norms``) rely on the time order
+    within a term; ``values_at`` and ``interval_increments`` are masked sums.
     """
 
     n_terms: int
@@ -727,14 +729,9 @@ def _term_running(events: TermEvents):
 
 
 def term_sup_norms(events: TermEvents) -> np.ndarray:
-    """Uniform norm of each term's path, computed from its running values."""
-    sup = np.max(np.abs(events.initials), axis=1)
-    if events.times.size == 0:
-        return sup
-    running, starts, has = _term_running(events)
-    abs_running = np.max(np.abs(running), axis=1)
-    sup[has] = np.maximum(sup[has], np.maximum.reduceat(abs_running, starts[has]))
-    return sup
+    """Uniform norm of each term's path: ``max|v| = max(|max v|, |min v|)`` exactly."""
+    vmax, vmin = term_value_extremes(events)
+    return np.maximum(np.abs(vmax), np.abs(vmin))
 
 
 def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:

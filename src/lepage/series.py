@@ -14,7 +14,9 @@ Cauchy-increment diagnostics measure.
 Replicate ``r`` of any experiment uses the stream ``(seed, r)``; the
 chunked samplers at the bottom vectorize across fixed-size blocks of
 replicates (one substream per block) so large Monte Carlo runs stay fast
-while remaining bit-reproducible for any thread count.
+while remaining bit-reproducible for any thread count.  Path statistics
+lay a block's events out as one padded row per replicate and sort and
+sum each row on its own, so no replicate's arithmetic touches another's.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .random_inputs import (
     _positive_exponentials,
     interval_increments,
     term_sup_norms,
-    term_value_extremes,
     values_at,
 )
 from .rng import RngStream
@@ -349,17 +350,31 @@ class PathStatsSample:
 
 
 def sample_path_stats(spec: SeriesSpec, n_samples: int, threads=1) -> PathStatsSample:
-    """Norms and extreme segment values of i.i.d. partial-sum paths."""
+    """Norms and extreme segment values of i.i.d. partial-sum paths.
+
+    Each chunk's events become one row per replicate, padded to the widest
+    replicate with ``+inf`` times and zero deltas.  A stable row sort puts
+    each replicate's events in time order and a row cumsum gives its running
+    values, so one replicate's rounding or overflow never reaches another.
+    """
     n, d = spec.truncation_n, spec.dimension
 
     def reduce(coeffs, events, m):
-        rep = events.term_index // n
-        deltas = events.heights * coeffs.reshape(-1)[events.term_index, None]
+        rep = events.term_index // n  # nondecreasing: events are grouped by replicate
+        counts = np.bincount(rep, minlength=m)
+        col = np.arange(rep.size) - (np.cumsum(counts) - counts)[rep]
+        width = int(counts.max(initial=0))
+        times = np.full((m, width), np.inf)
+        times[rep, col] = events.times
+        deltas = np.zeros((m, width, d))
+        deltas[rep, col] = events.heights * coeffs.reshape(-1)[events.term_index, None]
+        order = np.argsort(times, axis=1, kind="stable")
         initials = np.einsum("mi,mid->md", coeffs, events.initials.reshape(m, n, d))
-        order = np.lexsort((events.times, rep))
-        rep_events = TermEvents(m, d, rep[order], events.times[order], deltas[order], initials)
-        vmax, vmin = term_value_extremes(rep_events)
-        return term_sup_norms(rep_events), vmax, vmin
+        running = initials[:, None, :] + np.cumsum(
+            np.take_along_axis(deltas, order[:, :, None], axis=1), axis=1)
+        vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf))
+        vmin = np.minimum(initials.min(axis=1), running.min(axis=(1, 2), initial=np.inf))
+        return np.maximum(np.abs(vmax), np.abs(vmin)), vmax, vmin
 
     return PathStatsSample(*_sample_chunks(spec, _TAG_PATH_STATS, n_samples, reduce, threads))
 

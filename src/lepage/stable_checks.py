@@ -30,7 +30,6 @@ from .random_inputs import (
     EpsilonSpec,
     TermEvents,
     YGeneratorSpec,
-    term_sup_norms,
     term_value_extremes,
 )
 from .rng import RngStream
@@ -464,8 +463,8 @@ def spectral_estimate(
     def one_chunk(sub, m):
         eps = eps_spec.sample(sub.substream(0).generator(), m)
         blk = y_spec.block_sampler(sub.substream(1)).take(m)
-        sup = term_sup_norms(blk)
         vmax, vmin = term_value_extremes(blk)
+        sup = np.maximum(np.abs(vmax), np.abs(vmin))
         sign = np.sign(eps)
         w = np.abs(eps) ** alpha * sup**alpha
 

@@ -297,6 +297,18 @@ sigma_replicates: 5000
 n: 50
 seed: 7
 """,
+        # uneven replicate rows: Poisson event counts and small-alpha weights
+        "regvar_uneven": """
+command: regvar
+alpha: 0.3
+epsilon: rademacher
+y: {variant: example3, lambda: 2.0}
+truncation_n: 100
+samples: 5000
+sigma_replicates: 5000
+n: 50
+seed: 7
+""",
         "tightness": """
 command: tightness
 alpha: 1.5

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from lepage.paths import evaluate, increment, linear_combine, sup_norm, zero_path
-from lepage.random_inputs import ConfigurationError, EpsilonSpec, TermEvents, poisson_counts, unit_jump
+from lepage.random_inputs import (
+    CdfGrid,
+    ConfigurationError,
+    EpsilonSpec,
+    JumpHeightDist,
+    TermEvents,
+    poisson_counts,
+    unit_jump,
+    weighted_jumps,
+)
 from lepage.rng import RngStream
 import lepage.series as series
 from lepage.series import (
@@ -208,10 +217,16 @@ def chunk_paths(spec, tag, m):
     return paths
 
 
+WEIGHTED_2D = weighted_jumps([CdfGrid.uniform(), CdfGrid.uniform()],
+                             JumpHeightDist(np.array([[1.0, -0.5], [0.5, 2.0]]), np.array([0.3, 0.7])))
+
+
 class TestChunkedSamplers:
-    @pytest.mark.parametrize("y", [unit_jump(), poisson_counts(2.0)], ids=["unit", "poisson"])
-    def test_match_per_replicate_paths_on_same_draws(self, y):
-        spec = rademacher_spec(alpha=1.5, n=40, seed=16, y=y)
+    @pytest.mark.parametrize("alpha", [1.5, 0.8, 0.3])
+    @pytest.mark.parametrize("y", [unit_jump(), poisson_counts(2.0), WEIGHTED_2D],
+                             ids=["unit", "poisson", "weighted2d"])
+    def test_match_per_replicate_paths_on_same_draws(self, y, alpha):
+        spec = rademacher_spec(alpha=alpha, n=40, seed=16, y=y)
         m, t, intervals = 64, 0.7, [(0.1, 0.5), (0.5, 0.9)]
 
         def close(fast, slow, paths):
@@ -230,6 +245,19 @@ class TestChunkedSamplers:
         close(stats.sup, np.array([sup_norm(p) for p in paths]), paths)
         close(stats.vmax, np.array([p.segment_values().max() for p in paths]), paths)
         close(stats.vmin, np.array([p.segment_values().min() for p in paths]), paths)
+
+    def test_overflow_stays_in_its_replicate(self):
+        # at alpha 0.01 some weights overflow; every replicate whose
+        # coefficients are summable must still get finite path statistics
+        spec = rademacher_spec(alpha=0.01, n=500, seed=3)
+        m = 4096  # 4096 replicates of 500 terms are exactly the sampler's chunk 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs, _ = _chunk_coeffs(spec, RngStream(spec.seed).substream(series._TAG_PATH_STATS, 0), m)
+            finite = np.isfinite(np.abs(coeffs).sum(axis=1))
+            stats = sample_path_stats(spec, m)
+        assert 0 < finite.sum() < m
+        for field in (stats.sup, stats.vmax, stats.vmin):
+            assert np.all(np.isfinite(field[finite]))
 
     def test_marginals_deterministic(self):
         spec = rademacher_spec(n=100, seed=11)
