@@ -3,7 +3,13 @@
 Experiments are described by a strict YAML (or JSON) config document and
 dispatched by the ``command`` key; the CLI writes plot-ready CSV and/or
 JSON artifacts plus a ``manifest.json`` that suffices to reproduce the run.
-Unknown config keys are errors: silent typos corrupt experiment claims.
+
+Every key is declared once, as ``key: (default, parser)``: ``_COMMON``
+holds the keys every command accepts, and ``_COMMANDS`` gives each command
+its handler, its own keys and the common keys it requires or defaults
+differently.  A missing or null key takes its default.  A key the command
+does not read, or a value its parser rejects, is a line-numbered
+:class:`ConfigParseError`: silent typos corrupt experiment claims.
 
 Exit codes: 0 success, 1 operational error, 2 statistical "violated"
 verdict from a check command (a refutation, not a breakage).
@@ -19,7 +25,7 @@ import platform
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+import types
 from pathlib import Path
 
 import numpy as np
@@ -36,302 +42,247 @@ from .random_inputs import poisson_counts, unit_jump, user_paths, weighted_jumps
 from .rng import RngStream
 from .series import SeriesSpec
 
-COMMANDS = (
-    "simulate",
-    "check-conditions",
-    "constants",
-    "partitions",
-    "tightness",
-    "stability",
-    "spectral",
-    "regvar",
-)
-
-_DEFAULT_PAIRS = [(i / 20.0, i / 20.0 + 0.5) for i in range(10)]
-_DEFAULT_TRIPLES = [(i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5) for i in range(10)]
-
-_DEFAULT_REPLICATES = {
-    "simulate": 1,
-    "check-conditions": 100_000,
-    "tightness": 10_000,
-    "spectral": 100_000,
-}
-
 
 class ConfigParseError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    raw: dict
-    seed: int = 0
-    threads: object = 1
-    out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
-    alpha: float | None = None
-    truncation_n: int = 10_000
-    weight_mode: str = "gamma"
-    epsilon_mode: str = "raw"
-    epsilon: EpsilonSpec | None = None
-    y_gen: object = None
-    replicates: int = 1
-    extras: dict = field(default_factory=dict)
+class ExperimentConfig(types.SimpleNamespace):
+    """A parsed config: ``raw`` (the document as given), ``out_dir`` and
+    ``formats`` (from ``output``), and one attribute per other key of the
+    command's table, parsed, in config spelling."""
 
     def series_spec(self, **overrides) -> SeriesSpec:
-        kw = {
-            "alpha": self.alpha,
-            "truncation_n": self.truncation_n,
-            "epsilon": self.epsilon,
-            "y_gen": self.y_gen,
-            "seed": self.seed,
-            "weight_mode": self.weight_mode,
-            "epsilon_mode": self.epsilon_mode,
-        }
-        kw.update(overrides)
-        return SeriesSpec(**kw)
+        kw = {"alpha": self.alpha, "truncation_n": self.truncation_n, "epsilon": self.epsilon,
+              "y_gen": self.y, "seed": self.seed, "weight_mode": self.weight_mode,
+              "epsilon_mode": self.epsilon_mode}
+        return SeriesSpec(**{**kw, **overrides})
 
 
 def _line_of(text: str, key: str) -> str:
-    for i, line in enumerate(text.splitlines(), start=1):
-        if re.match(rf"\s*{re.escape(key)}\s*:", line):
-            return f"line {i}"
-    return "line ?"
+    # the least indented mention: config errors name top-level keys
+    hits = [(len(line) - len(line.lstrip()), i) for i, line in enumerate(text.splitlines(), start=1)
+            if re.match(rf"\s*[\"']?{re.escape(key)}[\"']?\s*:", line)]
+    return f"line {min(hits)[1]}" if hits else "line ?"
 
 
 def _fail(text: str, key: str, message: str) -> None:
     raise ConfigParseError(f"{_line_of(text, key)}: key '{key}': {message}")
 
 
-def _take(raw: dict, key: str, default=None):
-    return raw.get(key, default)
+# value parsers: config value -> parsed value, or ValueError/TypeError
+# (KeyError for a missing nested parameter)
+def _count(v) -> int:
+    n = int(v)
+    if n < 0:
+        raise ValueError(f"must be nonnegative, got {n}")
+    return n
 
 
-def _epsilon_from(obj, text: str) -> EpsilonSpec:
-    if isinstance(obj, str):
-        obj = {"family": obj}
+def _alpha(v) -> float:
+    alpha = float(v)
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in the open interval (0, 2), got {alpha}")
+    return alpha
+
+
+def _threads(v):
+    resolve_threads(v)
+    return v if v == "auto" else int(v)
+
+
+def _choice(*options):
+    def parse(v):
+        if v not in options:
+            raise ValueError(f"must be {' or '.join(map(repr, options))}, got {v!r}")
+        return v
+    return parse
+
+
+def _list_of(item):
+    def parse(v) -> list:
+        if not isinstance(v, list):
+            raise ValueError(f"expected a list, got {v!r}")
+        return [item(x) for x in v]
+    return parse
+
+
+def _times(k: int):
+    def parse(v) -> tuple[float, ...]:
+        times = tuple(map(float, v))
+        if len(times) != k:
+            raise ValueError(f"each entry must hold {k} times, got {v!r}")
+        return times
+    return parse
+
+
+def _fields(obj, what: str, known: tuple[str, ...]) -> dict:
+    """``obj``, once it is a mapping that holds only ``known`` keys."""
     if not isinstance(obj, dict):
-        _fail(text, "epsilon", f"expected a family name or mapping, got {obj!r}")
-    known = {"family", "a", "p", "x_neg", "x_pos", "values", "probabilities", "alpha_moment_hint"}
+        raise ValueError(f"{what} must be a mapping, got {obj!r}")
     for k in obj:
         if k not in known:
-            _fail(text, k, f"unknown epsilon key (known: {sorted(known)})")
+            raise ValueError(f"unknown {what} key {k!r} (known: {sorted(known)})")
+    return obj
+
+
+def _formats(v) -> tuple[str, ...]:
+    formats = tuple(v)
+    if not formats or any(f not in ("csv", "json") for f in formats):
+        raise ValueError(f"formats must be a nonempty subset of ['csv', 'json'], got {formats}")
+    return formats
+
+
+def _output(obj) -> tuple[str, tuple[str, ...]]:
+    obj = _fields(obj, "output", ("directory", "formats"))
+    return obj.get("directory", "out"), _formats(obj.get("formats", ("csv", "json")))
+
+
+def _epsilon(obj) -> EpsilonSpec:
+    obj = _fields({"family": obj} if isinstance(obj, str) else obj, "epsilon",
+                  ("family", "a", "p", "x_neg", "x_pos", "values", "probabilities",
+                   "alpha_moment_hint"))
     family = obj.get("family")
-    spec = None
-    try:
-        if family == "rademacher":
-            spec = EpsilonSpec.rademacher()
-        elif family == "uniform_symmetric":
-            spec = EpsilonSpec.uniform_symmetric(obj.get("a", 1.0))
-        elif family == "two_point":
-            spec = EpsilonSpec.two_point(obj["p"], obj["x_neg"], obj["x_pos"])
-        elif family == "table":
-            spec = EpsilonSpec.table(obj["values"], obj["probabilities"])
-        if spec is not None:
-            hint = obj.get("alpha_moment_hint")
-            if hint is not None:
-                spec = dataclasses.replace(spec, alpha_moment_hint=float(hint))
-            return spec
-    except KeyError as exc:
-        _fail(text, "epsilon", f"{family} family is missing parameter {exc}")
-    except ConfigurationError as exc:
-        _fail(text, "epsilon", str(exc))
-    _fail(text, "epsilon", f"unknown family {family!r}")
+    if family == "rademacher":
+        spec = EpsilonSpec.rademacher()
+    elif family == "uniform_symmetric":
+        spec = EpsilonSpec.uniform_symmetric(obj.get("a", 1.0))
+    elif family == "two_point":
+        spec = EpsilonSpec.two_point(obj["p"], obj["x_neg"], obj["x_pos"])
+    elif family == "table":
+        spec = EpsilonSpec.table(obj["values"], obj["probabilities"])
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    hint = obj.get("alpha_moment_hint")
+    return spec if hint is None else dataclasses.replace(spec, alpha_moment_hint=float(hint))
 
 
-def _cdf_from(obj) -> CdfGrid:
+def _cdf(obj) -> CdfGrid:
     if obj == "uniform":
         return CdfGrid.uniform()
     return CdfGrid(np.asarray(obj["xs"], float), np.asarray(obj["ys"], float))
 
 
-def _y_from(obj, text: str):
-    if isinstance(obj, str):
-        obj = {"variant": obj}
-    if not isinstance(obj, dict):
-        _fail(text, "y", f"expected a variant name or mapping, got {obj!r}")
-    known = {"variant", "lambda", "p", "cdfs", "heights", "fourth_moment_bound", "paths_dir", "dimension"}
-    for k in obj:
-        if k not in known:
-            _fail(text, k, f"unknown y key (known: {sorted(known)})")
+def _y(obj):
+    obj = _fields({"variant": obj} if isinstance(obj, str) else obj, "y",
+                  ("variant", "lambda", "p", "cdfs", "heights", "fourth_moment_bound",
+                   "paths_dir", "dimension"))
     variant = obj.get("variant")
-    try:
-        if variant == "example1":
-            return unit_jump()
-        if variant == "example3":
-            return poisson_counts(obj.get("lambda", 1.0))
-        if variant == "example2":
-            p = int(obj.get("p", 1))
-            cdfs_cfg = obj.get("cdfs", "uniform")
-            if cdfs_cfg == "uniform":
-                cdfs = [CdfGrid.uniform() for _ in range(p)]
-            else:
-                cdfs = [_cdf_from(c) for c in cdfs_cfg]
-                if len(cdfs) != p:
-                    _fail(text, "cdfs", f"expected {p} cdfs, got {len(cdfs)}")
-            h = obj.get("heights", {"constant": [1.0]})
-            if "constant" in h:
-                dist = JumpHeightDist.constant(h["constant"])
-            else:
-                dist = JumpHeightDist(np.atleast_2d(np.asarray(h["values"], float)),
-                                      np.asarray(h["probabilities"], float))
-            return weighted_jumps(cdfs, dist, obj.get("fourth_moment_bound", np.inf))
-        if variant == "user":
-            return _user_from_dir(obj["paths_dir"], int(obj.get("dimension", 1)), text)
-    except KeyError as exc:
-        _fail(text, "y", f"{variant} variant is missing parameter {exc}")
-    except ConfigurationError as exc:
-        _fail(text, "y", str(exc))
-    _fail(text, "y", f"unknown variant {variant!r}")
-
-
-def _user_from_dir(directory: str, dimension: int, text: str):
-    files = sorted(Path(directory).glob("*.csv"))
-    if not files:
-        _fail(text, "paths_dir", f"no step-path CSV files in {directory!r}")
-    cached = [paths_mod.path_from_csv(f.read_text()) for f in files]
-    # a pure function of the sampler's stream, so results never depend on
-    # which replicates, chunks or threads drew before
-    return user_paths(lambda gen: cached[gen.integers(len(cached))], dimension)
-
-
-def _envelope_from(obj, text: str) -> diag.MomentEnvelope:
-    known = {"kind", "beta", "coeffs", "xs", "ys", "scale"}
-    for k in obj:
-        if k not in known:
-            _fail(text, k, f"unknown envelope key (known: {sorted(known)})")
-    try:
-        kind = obj.get("kind", "identity")
-        if kind == "grid":
-            return diag.MomentEnvelope(beta=obj["beta"], kind="grid",
-                                       grid_xs=np.asarray(obj["xs"], float),
-                                       grid_ys=np.asarray(obj["ys"], float))
-        return diag.MomentEnvelope(beta=obj.get("beta", 1.0), kind=kind,
-                                   coeffs=tuple(obj.get("coeffs", ())))
-    except ConfigurationError as exc:
-        _fail(text, "envelope", str(exc))
-
-
-def _events_from(obj, text: str) -> list[checks.SphereEvent]:
-    out = []
-    for item in obj:
-        if item == "full_sphere":
-            out.append(checks.full_sphere())
-        elif item == "nonnegative_path":
-            out.append(checks.nonnegative_path())
-        elif isinstance(item, dict):
-            known = {"kind", "value", "name"}
-            for k in item:
-                if k not in known:
-                    _fail(text, k, f"unknown event key (known: {sorted(known)})")
-            if item.get("kind") != "norm_equals":
-                _fail(text, "events", f"unknown event kind {item.get('kind')!r}")
-            out.append(checks.norm_equals(item["value"], item.get("name")))
+    if variant == "example1":
+        return unit_jump()
+    if variant == "example3":
+        return poisson_counts(obj.get("lambda", 1.0))
+    if variant == "example2":
+        p = int(obj.get("p", 1))
+        cdfs_cfg = obj.get("cdfs", "uniform")
+        if cdfs_cfg == "uniform":
+            cdfs = [CdfGrid.uniform() for _ in range(p)]
         else:
-            _fail(text, "events", f"unknown event {item!r}")
-    return out
+            cdfs = [_cdf(c) for c in cdfs_cfg]
+            if len(cdfs) != p:
+                raise ValueError(f"expected {p} cdfs, got {len(cdfs)}")
+        h = obj.get("heights", {"constant": [1.0]})
+        if "constant" in h:
+            dist = JumpHeightDist.constant(h["constant"])
+        else:
+            dist = JumpHeightDist(np.atleast_2d(np.asarray(h["values"], float)),
+                                  np.asarray(h["probabilities"], float))
+        return weighted_jumps(cdfs, dist, obj.get("fourth_moment_bound", np.inf))
+    if variant == "user":
+        files = sorted(Path(obj["paths_dir"]).glob("*.csv"))
+        if not files:
+            raise ValueError(f"no step-path CSV files in {obj['paths_dir']!r}")
+        cached = [paths_mod.path_from_csv(f.read_text()) for f in files]
+        # a pure function of the sampler's stream, so results never depend on
+        # which replicates, chunks or threads drew before
+        return user_paths(lambda gen: cached[gen.integers(len(cached))],
+                          int(obj.get("dimension", 1)))
+    raise ValueError(f"unknown variant {variant!r}")
 
 
-_TOP_KEYS = {
-    "command", "alpha", "truncation_n", "weight_mode", "epsilon_mode", "epsilon", "y",
-    "replicates", "seed", "threads", "output",
-    # command-specific
-    "per_term_norms", "pairs", "triples", "envelope", "m_values", "n_max", "n_grid",
-    "constant_n_max", "n", "t", "samples", "events", "r_grid", "sigma_replicates",
+def _envelope(obj) -> diag.MomentEnvelope:
+    obj = _fields(obj, "envelope", ("kind", "beta", "coeffs", "xs", "ys"))
+    kind = obj.get("kind", "identity")
+    if kind == "grid":
+        return diag.MomentEnvelope(beta=obj["beta"], kind="grid",
+                                   grid_xs=np.asarray(obj["xs"], float),
+                                   grid_ys=np.asarray(obj["ys"], float))
+    return diag.MomentEnvelope(beta=obj.get("beta", 1.0), kind=kind,
+                               coeffs=tuple(obj.get("coeffs", ())))
+
+
+def _event(obj) -> checks.SphereEvent:
+    if obj == "full_sphere":
+        return checks.full_sphere()
+    if obj == "nonnegative_path":
+        return checks.nonnegative_path()
+    obj = _fields(obj, "event", ("kind", "value", "name"))
+    if obj.get("kind") != "norm_equals":
+        raise ValueError(f"unknown event kind {obj.get('kind')!r}")
+    return checks.norm_equals(obj["value"], obj.get("name"))
+
+
+_REQUIRED = object()  # the default of a key the config must give
+
+# the keys every command accepts; each command's own keys are in _COMMANDS
+_COMMON = {
+    "command": (_REQUIRED, str),
+    "alpha": (_REQUIRED, _alpha),
+    "truncation_n": (10_000, _count),
+    "weight_mode": ("gamma", _choice("gamma", "deterministic")),
+    "epsilon_mode": ("raw", _choice("raw", "truncated")),
+    "epsilon": (None, _epsilon),
+    "y": (None, _y),
+    "replicates": (1, _count),
+    "seed": (0, int),
+    "threads": (1, _threads),
+    "output": ({"directory": "out", "formats": ["csv", "json"]}, _output),
 }
-
-_NEED_SERIES = {"simulate", "tightness", "stability", "regvar"}
-_NEED_EPSILON = _NEED_SERIES | {"constants", "partitions", "spectral"}
-_NEED_Y = _NEED_SERIES | {"check-conditions", "spectral"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document (strict: unknown keys fail)."""
+    """Parse and validate a config document against its command's table of keys."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"config is not valid YAML/JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"config must be a mapping, got {type(raw).__name__}")
+    command = raw.get("command")
+    if not (isinstance(command, str) and command in _COMMANDS):
+        _fail(text, "command", f"must be one of {list(_COMMANDS)}, got {command!r}")
+
+    keys = _KEYS[command]
     for key in raw:
-        if key not in _TOP_KEYS:
-            _fail(text, str(key), f"unknown key (known: {sorted(_TOP_KEYS)})")
+        if key not in keys:
+            _fail(text, str(key), f"unknown key for command {command!r} (known: {sorted(keys)})")
+    values = {}
+    for key, (default, parse) in keys.items():
+        value = default if raw.get(key) is None else raw[key]
+        if value is _REQUIRED:
+            _fail(text, "command", f"command {command!r} requires the key {key!r}")
+        try:
+            values[key] = None if value is None else parse(value)
+        except KeyError as exc:
+            _fail(text, key, f"missing parameter {exc}")
+        except (ValueError, TypeError) as exc:
+            _fail(text, key, str(exc))
+    if values["epsilon"] is not None:
+        try:
+            values["epsilon"].require_mean_zero(values["alpha"])
+        except ConfigurationError as exc:
+            _fail(text, "epsilon", str(exc))
+    values["out_dir"], values["formats"] = values.pop("output")
+    return ExperimentConfig(raw=raw, **values)
 
-    command = _take(raw, "command")
-    if command not in COMMANDS:
-        _fail(text, "command", f"must be one of {list(COMMANDS)}, got {command!r}")
 
-    cfg = ExperimentConfig(command=command, raw=raw)
-    cfg.seed = int(_take(raw, "seed", 0))
-    cfg.threads = _take(raw, "threads", 1)
-    resolve_threads(cfg.threads)
-
-    out = _take(raw, "output", {}) or {}
-    for k in out:
-        if k not in ("directory", "formats"):
-            _fail(text, k, "unknown output key (known: ['directory', 'formats'])")
-    cfg.out_dir = out.get("directory", "out")
-    formats = tuple(out.get("formats", ("csv", "json")))
-    if not formats or any(f not in ("csv", "json") for f in formats):
-        _fail(text, "formats", f"formats must be a nonempty subset of ['csv', 'json'], got {formats}")
-    cfg.formats = formats
-
-    alpha = _take(raw, "alpha")
-    if alpha is None:
-        _fail(text, "command", f"command {command!r} requires the key 'alpha'")
-    alpha = float(alpha)
-    if not 0.0 < alpha < 2.0:
-        _fail(text, "alpha", f"alpha must lie in the open interval (0, 2), got {alpha}")
-    cfg.alpha = alpha
-
-    cfg.truncation_n = int(_take(raw, "truncation_n", 10_000))
-    if cfg.truncation_n < 0:
-        _fail(text, "truncation_n", f"must be nonnegative, got {cfg.truncation_n}")
-    cfg.weight_mode = _take(raw, "weight_mode", "gamma")
-    if cfg.weight_mode not in ("gamma", "deterministic"):
-        _fail(text, "weight_mode", f"must be 'gamma' or 'deterministic', got {cfg.weight_mode!r}")
-    cfg.epsilon_mode = _take(raw, "epsilon_mode", "raw")
-    if cfg.epsilon_mode not in ("raw", "truncated"):
-        _fail(text, "epsilon_mode", f"must be 'raw' or 'truncated', got {cfg.epsilon_mode!r}")
-
-    if "epsilon" in raw or command in _NEED_EPSILON:
-        if "epsilon" not in raw:
-            _fail(text, "command", f"command {command!r} requires the key 'epsilon'")
-        cfg.epsilon = _epsilon_from(_take(raw, "epsilon"), text)
-        if cfg.alpha >= 1.0 and not cfg.epsilon.is_mean_zero:
-            _fail(text, "epsilon",
-                  f"family has mean {cfg.epsilon.mean()!r}; alpha = {cfg.alpha} >= 1 "
-                  "requires mean-zero multipliers")
-    if "y" in raw or command in _NEED_Y:
-        if "y" not in raw:
-            _fail(text, "command", f"command {command!r} requires the key 'y'")
-        cfg.y_gen = _y_from(_take(raw, "y"), text)
-
-    cfg.replicates = int(_take(raw, "replicates", _DEFAULT_REPLICATES.get(command, 1)))
-    if cfg.replicates < 0:
-        _fail(text, "replicates", f"must be nonnegative, got {cfg.replicates}")
-
-    extras = {}
-    extras["per_term_norms"] = bool(_take(raw, "per_term_norms", False))
-    extras["pairs"] = [tuple(map(float, p)) for p in _take(raw, "pairs", _DEFAULT_PAIRS)]
-    extras["triples"] = [tuple(map(float, t)) for t in _take(raw, "triples", _DEFAULT_TRIPLES)]
-    env = _take(raw, "envelope")
-    extras["envelope"] = None if env is None else _envelope_from(env, text)
-    extras["m_values"] = [float(m) for m in _take(raw, "m_values", [2.0, 3.0, 4.0])]
-    extras["n_max"] = int(_take(raw, "n_max", 10**6))
-    extras["n_grid"] = [int(n) for n in _take(raw, "n_grid", [1, 2, 4, 8, 16, 32, 64])]
-    extras["constant_n_max"] = int(_take(raw, "constant_n_max", 10**5))
-    extras["n"] = int(_take(raw, "n", 100))
-    extras["t"] = float(_take(raw, "t", 1.0))
-    extras["samples"] = int(_take(raw, "samples", 30_000))
-    extras["events"] = _events_from(
-        _take(raw, "events", ["full_sphere", "nonnegative_path"]), text
-    )
-    extras["r_grid"] = [float(r) for r in _take(raw, "r_grid", [1.0, 2.0])]
-    extras["sigma_replicates"] = int(_take(raw, "sigma_replicates", 100_000))
-    cfg.extras = extras
-    return cfg
+def _resolved_config(cfg: ExperimentConfig) -> dict:
+    """The config as run, in config spelling: the command's defaults under the given values."""
+    resolved = {k: d for k, (d, _) in _KEYS[cfg.command].items() if d is not _REQUIRED}
+    resolved.update((k, v) for k, v in cfg.raw.items() if v is not None)
+    resolved["threads"] = cfg.threads
+    resolved["output"] = {"directory": str(cfg.out_dir), "formats": list(cfg.formats)}
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +371,7 @@ class _Writer:
             "seed": self.cfg.seed,
             "threads": self.cfg.threads,
             "config": _jsonable(self.cfg.raw),
+            "resolved_config": _jsonable(_resolved_config(self.cfg)),
             "manifest_hash": self.manifest_hash,
             "versions": {
                 "lepage": __version__,
@@ -445,17 +397,17 @@ def run(cfg: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _Writer(cfg, out_dir)
     started = time.perf_counter()
-    code = _DISPATCH[cfg.command](cfg, writer)
+    code = _COMMANDS[cfg.command][0](cfg, writer)
     writer.manifest(time.perf_counter() - started)
     return code
 
 
 def _cmd_simulate(cfg, writer) -> int:
-    per_term = cfg.extras["per_term_norms"]
     spec = cfg.series_spec()
     index_rows = []
     for r in range(cfg.replicates):
-        result = series_mod.partial_sum(spec, RngStream(cfg.seed, r), with_term_norms=per_term)
+        result = series_mod.partial_sum(spec, RngStream(cfg.seed, r),
+                                        with_term_norms=cfg.per_term_norms)
         name = f"path_{r:04d}"
         if "csv" in cfg.formats:
             # the step-path CSV schema is fixed (bit-exact round trip), so the
@@ -466,7 +418,7 @@ def _cmd_simulate(cfg, writer) -> int:
         row = {"replicate": r, "terms_used": result.terms_used,
                "sup_norm": paths_mod.sup_norm(result.path), "file": name}
         index_rows.append(row)
-        if per_term:
+        if cfg.per_term_norms:
             writer.emit_json(f"{name}_term_norms",
                              {"replicate": r, "per_term_norms": result.per_term_norms.tolist()})
     payload = {"spec": spec.echo(), "replicates": cfg.replicates, "samples": index_rows}
@@ -475,11 +427,10 @@ def _cmd_simulate(cfg, writer) -> int:
 
 
 def _cmd_check_conditions(cfg, writer) -> int:
-    env = cfg.extras["envelope"]
-    env1, env2 = (env, env) if env is not None else diag.default_envelopes(cfg.y_gen)
+    env1, env2 = (cfg.envelope,) * 2 if cfg.envelope is not None else diag.default_envelopes(cfg.y)
     stream = RngStream(cfg.seed)
-    rep1 = diag.estimate_c1(cfg.y_gen, cfg.extras["pairs"], cfg.replicates, env1, stream, cfg.threads)
-    rep2 = diag.estimate_c2(cfg.y_gen, cfg.extras["triples"], cfg.replicates, env2, stream, cfg.threads)
+    rep1 = diag.estimate_c1(cfg.y, cfg.pairs, cfg.replicates, env1, stream, cfg.threads)
+    rep2 = diag.estimate_c2(cfg.y, cfg.triples, cfg.replicates, env2, stream, cfg.threads)
     cols = ["t1", "t", "t2", "estimate", "se", "envelope", "verdict"]
     writer.emit("c1_report", rep1.rows(), cols,
                 {"kind": rep1.kind, "replicates": rep1.replicates, "meta": rep1.meta,
@@ -492,27 +443,26 @@ def _cmd_check_conditions(cfg, writer) -> int:
 
 def _cmd_constants(cfg, writer) -> int:
     rows = []
-    for m in cfg.extras["m_values"]:
-        mc = diag.moment_constant(cfg.alpha, m, cfg.epsilon, cfg.extras["n_max"])
+    for m in cfg.m_values:
+        mc = diag.moment_constant(cfg.alpha, m, cfg.epsilon, cfg.n_max)
         rows.append({"quantity": f"C(alpha,{m:g})", "value": mc.value,
                      "converged": mc.converged, "n_max": mc.n_max})
     if cfg.epsilon.is_mean_zero:
-        c1 = diag.centered_first_moment_sum(cfg.alpha, cfg.epsilon, cfg.extras["n_max"])
+        c1 = diag.centered_first_moment_sum(cfg.alpha, cfg.epsilon, cfg.n_max)
         rows.append({"quantity": "C(alpha,1)", "value": c1, "converged": True,
-                     "n_max": cfg.extras["n_max"]})
-    bc = diag.borel_cantelli_sum(cfg.alpha, cfg.epsilon, cfg.extras["n_max"])
+                     "n_max": cfg.n_max})
+    bc = diag.borel_cantelli_sum(cfg.alpha, cfg.epsilon, cfg.n_max)
     rows.append({"quantity": "borel_cantelli_sum", "value": bc.value, "converged": True,
-                 "n_max": cfg.extras["n_max"]})
+                 "n_max": cfg.n_max})
     rows.append({"quantity": "abs_moment_alpha", "value": bc.alpha_moment, "converged": True,
-                 "n_max": cfg.extras["n_max"]})
+                 "n_max": cfg.n_max})
     writer.emit("constants", rows, ["quantity", "value", "converged", "n_max"],
                 {"alpha": cfg.alpha, "epsilon": cfg.epsilon.echo(), "entries": rows})
     return 0
 
 
 def _cmd_partitions(cfg, writer) -> int:
-    report = diag.partition_report(cfg.alpha, cfg.epsilon, cfg.extras["n_grid"],
-                                   cfg.extras["constant_n_max"])
+    report = diag.partition_report(cfg.alpha, cfg.epsilon, cfg.n_grid, cfg.constant_n_max)
     rows = report.rows()
     cols = list(rows[0].keys())
     payload = {
@@ -527,35 +477,33 @@ def _cmd_partitions(cfg, writer) -> int:
 
 
 def _cmd_tightness(cfg, writer) -> int:
-    env = cfg.extras["envelope"]
-    envelopes = (env, env) if env is not None else None
+    envelopes = (cfg.envelope,) * 2 if cfg.envelope is not None else None
     spec = cfg.series_spec(weight_mode="deterministic", epsilon_mode="truncated")
     rows = []
     violated = False
-    for triple in cfg.extras["triples"]:
-        res = diag.tightness_functional(spec, cfg.extras["n"], triple, cfg.replicates,
+    for triple in cfg.triples:
+        res = diag.tightness_functional(spec, cfg.n, triple, cfg.replicates,
                                         envelopes, cfg.threads)
         rows.append(res.row())
         violated = violated or res.verdict == "violated"
     writer.emit("tightness", rows, ["t1", "t", "t2", "n", "estimate", "se", "envelope", "verdict"],
-                {"spec": spec.echo(), "n": cfg.extras["n"], "replicates": cfg.replicates,
+                {"spec": spec.echo(), "n": cfg.n, "replicates": cfg.replicates,
                  "entries": rows})
     return 2 if violated else 0
 
 
 def _cmd_stability(cfg, writer) -> int:
     spec = cfg.series_spec()
-    marginals = series_mod.sample_marginals(spec, cfg.extras["t"], cfg.extras["samples"], cfg.threads)
+    marginals = series_mod.sample_marginals(spec, cfg.t, cfg.samples, cfg.threads)
     result = checks.sum_stability_test(marginals[:, 0], cfg.alpha, RngStream(cfg.seed))
     row = result.row()
     writer.emit("stability", [row], list(row.keys()),
-                {"spec": spec.echo(), "t": cfg.extras["t"], "samples": cfg.extras["samples"],
-                 **row})
+                {"spec": spec.echo(), "t": cfg.t, "samples": cfg.samples, **row})
     return 0 if result.passed else 2
 
 
 def _cmd_spectral(cfg, writer) -> int:
-    est = checks.spectral_estimate(cfg.epsilon, cfg.y_gen, cfg.alpha, cfg.extras["events"],
+    est = checks.spectral_estimate(cfg.epsilon, cfg.y, cfg.alpha, cfg.events,
                                    cfg.replicates, RngStream(cfg.seed), cfg.threads)
     rows = est.rows()
     writer.emit("spectral", rows, ["event", "mass", "se"],
@@ -566,11 +514,10 @@ def _cmd_spectral(cfg, writer) -> int:
 
 def _cmd_regvar(cfg, writer) -> int:
     spec = cfg.series_spec()
-    stats = series_mod.sample_path_stats(spec, cfg.extras["samples"], cfg.threads)
-    sigma = checks.spectral_estimate(cfg.epsilon, cfg.y_gen, cfg.alpha, cfg.extras["events"],
-                                     cfg.extras["sigma_replicates"], RngStream(cfg.seed), cfg.threads)
-    table = checks.regular_variation_table(stats, cfg.extras["events"], cfg.extras["r_grid"],
-                                           cfg.extras["n"], cfg.alpha, sigma)
+    stats = series_mod.sample_path_stats(spec, cfg.samples, cfg.threads)
+    sigma = checks.spectral_estimate(cfg.epsilon, cfg.y, cfg.alpha, cfg.events,
+                                     cfg.sigma_replicates, RngStream(cfg.seed), cfg.threads)
+    table = checks.regular_variation_table(stats, cfg.events, cfg.r_grid, cfg.n, cfg.alpha, sigma)
     rows = [r.row() for r in table.rows]
     cols = list(rows[0].keys()) if rows else []
     payload = {
@@ -585,15 +532,38 @@ def _cmd_regvar(cfg, writer) -> int:
     return 0
 
 
-_DISPATCH = {
-    "simulate": _cmd_simulate,
-    "check-conditions": _cmd_check_conditions,
-    "constants": _cmd_constants,
-    "partitions": _cmd_partitions,
-    "tightness": _cmd_tightness,
-    "stability": _cmd_stability,
-    "spectral": _cmd_spectral,
-    "regvar": _cmd_regvar,
+_SERIES = {"epsilon": _REQUIRED, "y": _REQUIRED}
+_PAIRS = ([[i / 20.0, i / 20.0 + 0.5] for i in range(10)], _list_of(_times(2)))
+_TRIPLES = ([[i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5] for i in range(10)], _list_of(_times(3)))
+_ENVELOPE = (None, _envelope)
+_EVENTS = (["full_sphere", "nonnegative_path"], _list_of(_event))
+_SAMPLES = (30_000, _count)
+_N = (100, _count)
+
+# command -> (handler, defaults of the common keys it requires or defaults
+# differently, its own keys as {key: (default, parser)})
+_COMMANDS = {
+    "simulate": (_cmd_simulate, _SERIES, {"per_term_norms": (False, bool)}),
+    "check-conditions": (_cmd_check_conditions, {"y": _REQUIRED, "replicates": 100_000},
+                         {"pairs": _PAIRS, "triples": _TRIPLES, "envelope": _ENVELOPE}),
+    "constants": (_cmd_constants, {"epsilon": _REQUIRED},
+                  {"m_values": ([2.0, 3.0, 4.0], _list_of(float)), "n_max": (10**6, _count)}),
+    "partitions": (_cmd_partitions, {"epsilon": _REQUIRED},
+                   {"n_grid": ([1, 2, 4, 8, 16, 32, 64], _list_of(_count)),
+                    "constant_n_max": (10**5, _count)}),
+    "tightness": (_cmd_tightness, {**_SERIES, "replicates": 10_000},
+                  {"triples": _TRIPLES, "envelope": _ENVELOPE, "n": _N}),
+    "stability": (_cmd_stability, _SERIES, {"t": (1.0, float), "samples": _SAMPLES}),
+    "spectral": (_cmd_spectral, {**_SERIES, "replicates": 100_000}, {"events": _EVENTS}),
+    "regvar": (_cmd_regvar, _SERIES,
+               {"samples": _SAMPLES, "sigma_replicates": (100_000, _count), "events": _EVENTS,
+                "r_grid": ([1.0, 2.0], _list_of(float)), "n": _N}),
+}
+
+# command -> {key: (default, parser)}: the common keys, then the command's own
+_KEYS = {
+    name: {**{k: (common.get(k, d), p) for k, (d, p) in _COMMON.items()}, **own}
+    for name, (_, common, own) in _COMMANDS.items()
 }
 
 
@@ -623,17 +593,16 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.raw["seed"] = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads if args.threads == "auto" else int(args.threads)
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.format is not None:
-        formats = tuple(f for f in args.format.split(",") if f)
-        if any(f not in ("csv", "json") for f in formats) or not formats:
-            print(f"error: --format must be a subset of csv,json, got {args.format!r}",
-                  file=sys.stderr)
-            return 1
-        cfg.formats = formats
+    try:
+        if args.threads is not None:
+            cfg.threads = _threads(args.threads)
+        if args.format is not None:
+            cfg.formats = _formats(f for f in args.format.split(",") if f)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     try:
         return run(cfg)

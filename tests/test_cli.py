@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,6 +23,116 @@ alpha: 1.5
 epsilon: rademacher
 y: example1
 """
+
+
+# the smallest valid config of each command
+MINIMAL_BY_COMMAND = {
+    "simulate": "command: simulate\nalpha: 1.5\nepsilon: rademacher\ny: example1\n",
+    "check-conditions": "command: check-conditions\nalpha: 1.5\ny: example1\n",
+    "constants": "command: constants\nalpha: 1.5\nepsilon: rademacher\n",
+    "partitions": "command: partitions\nalpha: 1.5\nepsilon: rademacher\n",
+    "tightness": "command: tightness\nalpha: 1.5\nepsilon: rademacher\ny: example1\n",
+    "stability": "command: stability\nalpha: 1.5\nepsilon: rademacher\ny: example1\n",
+    "spectral": "command: spectral\nalpha: 1.5\nepsilon: rademacher\ny: example1\n",
+    "regvar": "command: regvar\nalpha: 1.5\nepsilon: rademacher\ny: example1\n",
+}
+
+DEFAULT_PAIRS = [(i / 20.0, i / 20.0 + 0.5) for i in range(10)]
+DEFAULT_TRIPLES = [(i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5) for i in range(10)]
+DEFAULT_EVENTS = ["full_sphere", "nonnegative_path"]
+COMMON_DEFAULTS = {"truncation_n": 10_000, "weight_mode": "gamma", "epsilon_mode": "raw",
+                   "seed": 0, "threads": 1, "out_dir": "out", "formats": ("csv", "json")}
+COMMAND_DEFAULTS = {
+    "simulate": {"replicates": 1, "per_term_norms": False},
+    "check-conditions": {"replicates": 100_000, "pairs": DEFAULT_PAIRS,
+                         "triples": DEFAULT_TRIPLES, "envelope": None, "epsilon": None},
+    "constants": {"replicates": 1, "m_values": [2.0, 3.0, 4.0], "n_max": 10**6},
+    "partitions": {"replicates": 1, "n_grid": [1, 2, 4, 8, 16, 32, 64],
+                   "constant_n_max": 10**5},
+    "tightness": {"replicates": 10_000, "triples": DEFAULT_TRIPLES, "envelope": None, "n": 100},
+    "stability": {"replicates": 1, "samples": 30_000, "t": 1.0},
+    "spectral": {"replicates": 100_000, "events": DEFAULT_EVENTS},
+    "regvar": {"replicates": 1, "samples": 30_000, "sigma_replicates": 100_000,
+               "events": DEFAULT_EVENTS, "r_grid": [1.0, 2.0], "n": 100},
+}
+
+
+def _with_value(command: str, key: str, value: str) -> tuple[str, int]:
+    """The command's minimal config with ``key: value`` as its last line, and that line's number."""
+    lines = [ln for ln in MINIMAL_BY_COMMAND[command].splitlines() if not ln.startswith(f"{key}:")]
+    lines.append(f"{key}: {value}")
+    return "\n".join(lines) + "\n", len(lines)
+
+
+class TestCommandTables:
+    @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+    def test_defaults(self, command):
+        cfg = parse_config(MINIMAL_BY_COMMAND[command])
+        for key, want in {**COMMON_DEFAULTS, **COMMAND_DEFAULTS[command]}.items():
+            got = getattr(cfg, key)
+            if key == "events":
+                got = [event.name for event in got]
+            assert got == want, key
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "samples", "10"),
+        ("check-conditions", "events", "[full_sphere]"),
+        ("constants", "pairs", "[[0.1, 0.6]]"),  # accepted and ignored before
+        ("partitions", "m_values", "[2.0]"),
+        ("tightness", "pairs", "[[0.1, 0.6]]"),
+        ("stability", "per_term_norms", "true"),
+        ("spectral", "samples", "100"),
+        ("regvar", "triples", "[[0.1, 0.2, 0.3]]"),
+    ])
+    def test_key_the_command_does_not_read_is_rejected(self, tmp_path, capsys, command, key, value):
+        text, line = _with_value(command, key, value)
+        with pytest.raises(ConfigParseError, match=rf"line {line}: key '{key}'"):
+            parse_config(text)
+        code, _ = run_cli(tmp_path, text)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "threads", "0"),
+        ("simulate", "replicates", "abc"),
+        ("simulate", "alpha", "[1]"),
+        ("partitions", "n_grid", "5"),
+        ("stability", "samples", "-5"),
+        ("check-conditions", "pairs", "[[0.1]]"),
+    ])
+    def test_malformed_value_is_a_line_numbered_error(self, tmp_path, capsys, command, key, value):
+        text, line = _with_value(command, key, value)
+        with pytest.raises(ConfigParseError, match=rf"line {line}: key '{key}'"):
+            parse_config(text)
+        code, _ = run_cli(tmp_path, text)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_json_config_errors_carry_line_numbers(self):
+        text = json.dumps({"command": "simulate", "alpha": 1.5, "epsilon": "rademacher",
+                           "y": "example1", "samples": 10}, indent=1)
+        with pytest.raises(ConfigParseError, match=r"line 6: key 'samples'"):
+            parse_config(text)
+
+    def test_error_names_the_top_level_line_of_a_key(self):
+        text = MINIMAL_BY_COMMAND["constants"].replace(
+            "epsilon: rademacher", "epsilon:\n  family: two_point\n  p: 0.8\n  x_neg: -1\n  x_pos: 4"
+        ) + "p: 3\n"
+        with pytest.raises(ConfigParseError, match=r"line 8: key 'p'"):
+            parse_config(text)
+
+    def test_manifest_records_resolved_config(self, tmp_path):
+        code, out = run_cli(tmp_path, MINIMAL_BY_COMMAND["check-conditions"])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        resolved = manifest["resolved_config"]
+        assert resolved["replicates"] == 100_000
+        assert resolved["pairs"] == [list(p) for p in DEFAULT_PAIRS]
+        assert resolved["y"] == "example1"
+        # the hash every result file carries covers the config as written, not the defaults
+        raw = {"command": "check-conditions", "alpha": 1.5, "y": "example1"}
+        echo = json.dumps({"command": "check-conditions", "seed": 0, "config": raw}, sort_keys=True)
+        assert manifest["manifest_hash"] == hashlib.sha256(echo.encode()).hexdigest()[:16]
 
 
 class TestParseConfig:
