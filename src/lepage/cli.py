@@ -91,6 +91,12 @@ def _threads(v):
     return v if v == "auto" else int(v)
 
 
+def _bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"must be true or false, got {v!r}")
+    return v
+
+
 def _choice(*options):
     def parse(v):
         if v not in options:
@@ -202,7 +208,7 @@ def _y(obj):
 
 def _envelope(obj) -> diag.MomentEnvelope:
     obj = _fields(obj, "envelope", ("kind", "beta", "coeffs", "xs", "ys"))
-    kind = obj.get("kind", "identity")
+    kind = _choice("identity", "affine", "poly", "grid")(obj.get("kind", "identity"))
     if kind == "grid":
         return diag.MomentEnvelope(beta=obj["beta"], kind="grid",
                                    grid_xs=np.asarray(obj["xs"], float),
@@ -543,7 +549,7 @@ _N = (100, _count)
 # command -> (handler, defaults of the common keys it requires or defaults
 # differently, its own keys as {key: (default, parser)})
 _COMMANDS = {
-    "simulate": (_cmd_simulate, _SERIES, {"per_term_norms": (False, bool)}),
+    "simulate": (_cmd_simulate, _SERIES, {"per_term_norms": (False, _bool)}),
     "check-conditions": (_cmd_check_conditions, {"y": _REQUIRED, "replicates": 100_000},
                          {"pairs": _PAIRS, "triples": _TRIPLES, "envelope": _ENVELOPE}),
     "constants": (_cmd_constants, {"epsilon": _REQUIRED},

@@ -8,10 +8,12 @@ is a pure function of an :class:`~lepage.rng.RngStream`, so replicate
 
 Path generators hand out their draws in *blocks of terms*
 (:class:`TermEvents`): a flat list of jump events tagged with the index of
-the term they belong to.  Each ingredient consumes its own substream in
-term order, which makes a realization extendable: asking a sampler for
-more terms never changes the terms already drawn.  Partial sums observed
-at several truncation depths therefore share one realization bit for bit.
+the term they belong to, grouped by term but not time-ordered inside a
+term (readers that walk a path in time order sort it with
+:func:`time_ordered`).  Each ingredient consumes its own substream in term
+order, which makes a realization extendable: asking a sampler for more
+terms never changes the terms already drawn.  Partial sums observed at
+several truncation depths therefore share one realization bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "user_paths",
     "gen_path",
     "TermEvents",
+    "time_ordered",
     "interval_increments",
     "values_at",
     "term_sup_norms",
@@ -292,11 +295,11 @@ def draw_epsilons(spec: EpsilonSpec, n: int, stream: RngStream) -> np.ndarray:
 class TermEvents:
     """Flat jump-event view of a block of i.i.d. paths.
 
-    ``term_index`` is nondecreasing and, within one term, events are sorted
-    by time; ``heights`` are the jump sizes (value deltas), ``initials``
-    the t=0 value of each term's path.  Only the term-level reductions
-    (``term_value_extremes``, ``term_sup_norms``) rely on the time order
-    within a term; ``values_at`` and ``interval_increments`` are masked sums.
+    ``term_index`` is nondecreasing; within one term, events keep the order
+    they were drawn in, which need not be time order.  ``heights`` are the
+    jump sizes (value deltas), ``initials`` the t=0 value of each term's
+    path.  Readers that walk a path in time order call :func:`time_ordered`
+    first; ``values_at`` and ``interval_increments`` are masked sums.
     """
 
     n_terms: int
@@ -316,16 +319,9 @@ class TermEvents:
 
     @staticmethod
     def concatenate(blocks: list["TermEvents"]) -> "TermEvents":
-        n = sum(b.n_terms for b in blocks)
-        d = blocks[0].dimension
-        return TermEvents(
-            n,
-            d,
-            np.concatenate([b.term_index for b in blocks]),
-            np.concatenate([b.times for b in blocks]),
-            np.concatenate([b.heights for b in blocks], axis=0),
-            np.concatenate([b.initials for b in blocks], axis=0),
-        )
+        return TermEvents(sum(b.n_terms for b in blocks), blocks[0].dimension,
+                          *(np.concatenate([getattr(b, f) for b in blocks])
+                            for f in ("term_index", "times", "heights", "initials")))
 
 
 def _draw_open_unit(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -338,26 +334,35 @@ def _draw_open_unit(gen: np.random.Generator, n: int) -> np.ndarray:
         u[bad] = gen.random(int(bad.sum()))
 
 
-def _resample_term_collisions(
-    times: np.ndarray, term_index: np.ndarray, redraw
-) -> tuple[np.ndarray, np.ndarray]:
+def time_ordered(events: TermEvents) -> TermEvents:
+    """The block sorted by ``(term, time)``; the block itself if it already is."""
+    ti, t = events.term_index, events.times
+    if np.all((ti[1:] > ti[:-1]) | (t[1:] >= t[:-1])):
+        return events
+    order = np.lexsort((t, ti))
+    return TermEvents(events.n_terms, events.dimension, ti[order], t[order],
+                      events.heights[order], events.initials)
+
+
+def _resample_term_collisions(times: np.ndarray, term_index: np.ndarray, redraw) -> np.ndarray:
     """Redraw locations until each term's jump times are pairwise distinct.
 
     Exact collisions have probability ~2^-53 per pair but would break the
     strict-ordering invariant of StepPath, so they are resampled;
     ``redraw(flat_indices)`` must return fresh draws from the law of each
-    colliding location.  Returns the times and their order by
-    ``(term_index, time)``.
+    colliding location.  A float sort rules out any equal times first; the
+    ``(term, time)`` lexsort runs only if some exist.  Returns ``times``.
     """
     while True:
+        s = np.sort(times)
+        if not np.any(s[1:] == s[:-1]):
+            return times
         order = np.lexsort((times, term_index))
-        ts, ti = times[order], term_index[order]
-        dup = np.zeros(times.size, dtype=bool)
-        same = (np.diff(ts) == 0.0) & (np.diff(ti) == 0)
+        same = (np.diff(times[order]) == 0.0) & (np.diff(term_index[order]) == 0)
         if not same.any():
-            return times, order
-        dup[order[1:][same]] = True
-        times[dup] = redraw(np.nonzero(dup)[0])
+            return times
+        dup = np.sort(order[1:][same])
+        times[dup] = redraw(dup)
 
 
 class YBlockSampler:
@@ -551,14 +556,8 @@ class _WeightedJumpsSampler(YBlockSampler):
                     out[sel] = spec.cdfs[j].inverse(_draw_open_unit(self._locs[j], int(sel.sum())))
             return out
 
-        flat_times, order = _resample_term_collisions(flat_times, term_index, redraw)
-        return TermEvents(
-            n, d,
-            term_index[order],
-            flat_times[order],
-            heights.reshape(-1, d)[order],
-            np.zeros((n, d)),
-        )
+        flat_times = _resample_term_collisions(flat_times, term_index, redraw)
+        return TermEvents(n, d, term_index, flat_times, heights.reshape(-1, d), np.zeros((n, d)))
 
 
 @dataclass(frozen=True)
@@ -594,16 +593,10 @@ class _PoissonSampler(YBlockSampler):
         total = int(counts.sum())
         term_index = np.repeat(np.arange(base, base + n, dtype=np.int64), counts)
         times = _draw_open_unit(self._locs, total)
-        times, order = _resample_term_collisions(
+        times = _resample_term_collisions(
             times, term_index, lambda idx: _draw_open_unit(self._locs, idx.size)
         )
-        return TermEvents(
-            n, 1,
-            term_index[order],
-            times[order],
-            np.ones((total, 1)),
-            np.zeros((n, 1)),
-        )
+        return TermEvents(n, 1, term_index, times, np.ones((total, 1)), np.zeros((n, 1)))
 
 
 @dataclass(frozen=True)
@@ -672,7 +665,7 @@ def user_paths(sampler, dimension: int) -> YGeneratorSpec:
 
 def gen_path(spec: YGeneratorSpec, stream: RngStream) -> StepPath:
     """One i.i.d. path drawn from the generator."""
-    events = spec.block_sampler(stream.substream(_Y_ROLE)).take(1)
+    events = time_ordered(spec.block_sampler(stream.substream(_Y_ROLE)).take(1))
     values = events.initials[0][None, :] + np.cumsum(events.heights, axis=0)
     return StepPath(spec.dimension, events.initials[0], events.times, values)
 
@@ -740,7 +733,7 @@ def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:
     vmin = np.min(events.initials, axis=1)
     if events.times.size == 0:
         return vmax, vmin
-    running, starts, has = _term_running(events)
+    running, starts, has = _term_running(time_ordered(events))
     vmax[has] = np.maximum(vmax[has], np.maximum.reduceat(np.max(running, axis=1), starts[has]))
     vmin[has] = np.minimum(vmin[has], np.minimum.reduceat(np.min(running, axis=1), starts[has]))
     return vmax, vmin

@@ -31,6 +31,7 @@ from .random_inputs import (
     TermEvents,
     YGeneratorSpec,
     term_value_extremes,
+    time_ordered,
 )
 from .rng import RngStream
 from .series import PathStatsSample
@@ -462,7 +463,7 @@ def spectral_estimate(
         raise ConfigurationError(f"event names must be distinct, got {names}")
     def one_chunk(sub, m):
         eps = eps_spec.sample(sub.substream(0).generator(), m)
-        blk = y_spec.block_sampler(sub.substream(1)).take(m)
+        blk = time_ordered(y_spec.block_sampler(sub.substream(1)).take(m))
         vmax, vmin = term_value_extremes(blk)
         sup = np.maximum(np.abs(vmax), np.abs(vmin))
         sign = np.sign(eps)

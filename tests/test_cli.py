@@ -99,6 +99,9 @@ class TestCommandTables:
         ("partitions", "n_grid", "5"),
         ("stability", "samples", "-5"),
         ("check-conditions", "pairs", "[[0.1]]"),
+        ("simulate", "per_term_norms", '"false"'),  # a string, not a boolean
+        ("simulate", "per_term_norms", "1"),
+        ("check-conditions", "envelope", "{kind: sum_of_cdfs, beta: 2.0}"),
     ])
     def test_malformed_value_is_a_line_numbered_error(self, tmp_path, capsys, command, key, value):
         text, line = _with_value(command, key, value)
@@ -107,6 +110,29 @@ class TestCommandTables:
         code, _ = run_cli(tmp_path, text)
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value,written", [("false", False), ("true", True)])
+    def test_per_term_norms_takes_a_boolean(self, tmp_path, value, written):
+        text, _ = _with_value("simulate", "per_term_norms", value)
+        code, out = run_cli(tmp_path, text.replace("alpha: 1.5", "alpha: 1.5\ntruncation_n: 50"))
+        assert code == 0
+        assert (out / "path_0000_term_norms.json").exists() is written
+
+    @pytest.mark.parametrize("kind,params", [
+        ("identity", ""),
+        ("affine", ", coeffs: [2.0, 1.0]"),
+        ("poly", ", coeffs: [1.0, 0.5]"),
+        ("grid", ", xs: [0.0, 1.0], ys: [0.0, 1.0]"),
+    ])
+    def test_envelope_kinds_a_config_can_build(self, kind, params):
+        text, _ = _with_value("check-conditions", "envelope", f"{{kind: {kind}, beta: 1.0{params}}}")
+        assert parse_config(text).envelope.kind == kind
+
+    def test_other_envelope_kinds_name_the_buildable_ones(self):
+        text, line = _with_value("check-conditions", "envelope", "{kind: sum_of_cdfs, beta: 2.0}")
+        with pytest.raises(ConfigParseError, match=rf"line {line}: key 'envelope': must be "
+                           r"'identity' or 'affine' or 'poly' or 'grid', got 'sum_of_cdfs'"):
+            parse_config(text)
 
     def test_json_config_errors_carry_line_numbers(self):
         text = json.dumps({"command": "simulate", "alpha": 1.5, "epsilon": "rademacher",

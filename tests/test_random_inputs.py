@@ -10,6 +10,8 @@ from lepage.random_inputs import (
     EpsilonSpec,
     JumpHeightDist,
     TermEvents,
+    _resample_term_collisions,
+    _Y_ROLE,
     draw_epsilon,
     draw_epsilons,
     gamma_sequence,
@@ -18,12 +20,15 @@ from lepage.random_inputs import (
     poisson_counts,
     term_sup_norms,
     term_value_extremes,
+    time_ordered,
     unit_jump,
     user_paths,
     values_at,
     weighted_jumps,
 )
 from lepage.rng import RngStream
+from lepage.series import SeriesRealization, SeriesSpec
+from lepage.stable_checks import _term_path
 
 
 class TestGammaSequence:
@@ -269,3 +274,127 @@ class TestEventReductions:
         events = self._events(y, 2, 44)
         vals = values_at(events, [0.4999, 0.5, 1.0])
         assert np.array_equal(vals[:, :, 0], [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+
+
+def _lexsort_collisions(times, term_index, redraw):
+    """Reference collision loop: a (term, time) lexsort on every round."""
+    while True:
+        order = np.lexsort((times, term_index))
+        same = (np.diff(times[order]) == 0.0) & (np.diff(term_index[order]) == 0)
+        if not same.any():
+            return times
+        dup = np.zeros(times.size, dtype=bool)
+        dup[order[1:][same]] = True
+        times[dup] = redraw(np.nonzero(dup)[0])
+
+
+class TestCollisionResampling:
+    @staticmethod
+    def _recorder(seed, grid=2**20):
+        gen, calls = np.random.default_rng(seed), []
+
+        def redraw(idx):
+            calls.append(idx.copy())
+            return gen.integers(1, grid + 1, idx.size) / grid
+        return redraw, calls
+
+    def test_only_the_within_term_duplicate_is_redrawn(self):
+        # term 0 holds 0.25 twice; 0.5 is shared by terms 0 and 1
+        term_index = np.array([0, 0, 0, 1, 1, 2])
+        times = np.array([0.25, 0.5, 0.25, 0.5, 0.75, 0.875])
+        before = times.copy()
+        redraw, calls = self._recorder(0)
+        out = _resample_term_collisions(times, term_index, redraw)
+        assert [c.tolist() for c in calls] == [[2]]
+        assert np.array_equal(np.delete(out, 2), np.delete(before, 2))
+        assert out[2] not in (0.25, 0.5)
+
+    def test_cross_term_duplicate_alone_redraws_nothing(self):
+        term_index = np.array([0, 0, 1, 1])
+        times = np.array([0.75, 0.5, 0.5, 0.25])
+        before = times.tobytes()
+        redraw, calls = self._recorder(0)
+        out = _resample_term_collisions(times, term_index, redraw)
+        assert calls == []
+        assert out.tobytes() == before
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_redraws_match_the_lexsort_loop(self, seed):
+        # times and redraws on a grid of sixteenths collide often, within and
+        # across terms, so the loop runs several rounds
+        rng = np.random.default_rng(seed)
+        term_index = np.repeat(np.arange(200), rng.poisson(3.0, 200))
+        times = rng.integers(1, 17, term_index.size) / 16.0
+        got_redraw, got_calls = self._recorder(seed, grid=16)
+        want_redraw, want_calls = self._recorder(seed, grid=16)
+        got = _resample_term_collisions(times.copy(), term_index, got_redraw)
+        want = _lexsort_collisions(times.copy(), term_index, want_redraw)
+        assert len(got_calls) > 1
+        assert [c.tolist() for c in got_calls] == [c.tolist() for c in want_calls]
+        assert got.tobytes() == want.tobytes()
+
+
+def _signed_weighted_jumps():
+    cdfs = [CdfGrid.uniform(), CdfGrid(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.9, 1.0])),
+            CdfGrid.uniform()]
+    heights = JumpHeightDist(np.array([[1.0, -2.0], [-1.5, 0.5], [0.25, 1.0]]),
+                             np.array([0.4, 0.35, 0.25]))
+    return weighted_jumps(cdfs, heights)
+
+
+def _argsort_oracle(events, r):
+    """Times and post-jump values of term r, its events ordered by np.argsort of their times."""
+    idx = np.nonzero(events.term_index == r)[0]
+    idx = idx[np.argsort(events.times[idx])]
+    return events.times[idx], events.initials[r] + np.cumsum(events.heights[idx], axis=0)
+
+
+def _is_time_ordered(events):
+    ti, t = events.term_index, events.times
+    return bool(np.all((ti[1:] > ti[:-1]) | (t[1:] > t[:-1])))
+
+
+class TestTimeOrderedReaders:
+    """Blocks come grouped by term but not time-ordered inside a term; every
+    reader that walks a path in time order must match a per-term argsort oracle."""
+
+    SPECS = {"poisson": lambda: poisson_counts(5.0), "weighted": _signed_weighted_jumps}
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.8, 0.3])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_readers_match_argsort_oracle(self, name, alpha):
+        y = self.SPECS[name]()
+        real = SeriesRealization(SeriesSpec(alpha=alpha, truncation_n=60,
+                                            epsilon=EpsilonSpec.rademacher(), y_gen=y, seed=50))
+        events = real.events(60)
+        assert not _is_time_ordered(events)
+        ordered = time_ordered(events)
+        assert _is_time_ordered(ordered)
+        vmax, vmin = term_value_extremes(events)
+        sups = term_sup_norms(events)
+        for r in range(60):
+            times, values = _argsort_oracle(events, r)
+            init = events.initials[r]
+            assert vmax[r] == max(init.max(), values.max(initial=-np.inf))
+            assert vmin[r] == min(init.min(), values.min(initial=np.inf))
+            assert sups[r] == max(np.abs(init).max(), np.abs(values).max(initial=0.0))
+            assert _term_path(ordered, r) == StepPath(y.dimension, init, times, values)
+        assert np.array_equal(real.per_term_norms(60), np.abs(real.coeffs(60)) * sups)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_gen_path_matches_argsort_oracle(self, name):
+        y = self.SPECS[name]()
+        unordered = 0
+        for seed in range(20):
+            block = y.block_sampler(RngStream(seed).substream(_Y_ROLE)).take(1)
+            unordered += not _is_time_ordered(block)
+            times, values = _argsort_oracle(block, 0)
+            assert gen_path(y, RngStream(seed)) == StepPath(y.dimension, block.initials[0],
+                                                            times, values)
+        assert unordered > 0
+
+    def test_ordered_blocks_are_returned_untouched(self):
+        fixed = StepPath(1, [0.5], [0.25, 0.75], [[1.0], [-2.0]])
+        for y in (unit_jump(), user_paths(lambda gen: fixed, dimension=1)):
+            events = y.block_sampler(RngStream(51)).take(30)
+            assert time_ordered(events) is events
