@@ -23,12 +23,8 @@ from .random_inputs import (
     CdfGrid,
     ConfigurationError,
     EpsilonSpec,
-    GammaSequence,
     JumpHeightDist,
     YGeneratorSpec,
-    draw_epsilon,
-    draw_epsilons,
-    gamma_sequence,
     gen_path,
     poisson_counts,
     unit_jump,
@@ -59,12 +55,8 @@ __all__ = [
     "CdfGrid",
     "ConfigurationError",
     "EpsilonSpec",
-    "GammaSequence",
     "JumpHeightDist",
     "YGeneratorSpec",
-    "draw_epsilon",
-    "draw_epsilons",
-    "gamma_sequence",
     "gen_path",
     "poisson_counts",
     "unit_jump",

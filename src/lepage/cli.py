@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 import re
 import sys
@@ -324,7 +325,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -334,11 +335,37 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of a :func:`_jsonable` value.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder.  This
+    lays out containers the same way, but writes a list of finite floats, or a
+    list of equally long lists of them, through one ``%r`` template (``repr``
+    is the spelling ``json`` uses for a finite float); every other leaf goes
+    through ``json.dumps`` itself.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        return "{" + inner + ("," + inner).join(
+            json.dumps(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)) + indent + "}"
+    if not (isinstance(obj, list) and obj):
+        return json.dumps(obj)
+    floats, item = obj, "%r"
+    if all(type(v) is list and len(v) == len(obj[0]) for v in obj):  # the rows of a matrix
+        floats = [x for v in obj for x in v]
+        item = "[" + inner + "  " + ("," + inner + "  ").join(["%r"] * len(obj[0])) + inner + "]"
+    if floats and all(type(x) is float for x in floats) and all(map(math.isfinite, floats)):
+        items = ("," + inner).join([item] * len(obj)) % tuple(floats)
+    else:
+        items = ("," + inner).join([_json_text(v, inner) for v in obj])
+    return "[" + inner + items + indent + "]"
+
+
 def _write_json(path: Path, payload: dict, manifest_hash: str, seed: int) -> None:
     body = dict(payload)
     body["manifest_hash"] = manifest_hash
     body.setdefault("seed", seed)
-    path.write_text(json.dumps(_jsonable(body), indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(_jsonable(body)) + "\n")
 
 
 class _Writer:
@@ -387,9 +414,7 @@ class _Writer:
             "wall_time_s": wall_time,
             "files": sorted(self.files),
         }
-        (self.out_dir / "manifest.json").write_text(
-            json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-        )
+        (self.out_dir / "manifest.json").write_text(_json_text(_jsonable(payload)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +439,22 @@ def _cmd_simulate(cfg, writer) -> int:
     for r in range(cfg.replicates):
         result = series_mod.partial_sum(spec, RngStream(cfg.seed, r),
                                         with_term_norms=cfg.per_term_norms)
-        name = f"path_{r:04d}"
+        name, path = f"path_{r:04d}", result.path
         if "csv" in cfg.formats:
             # the step-path CSV schema is fixed (bit-exact round trip), so the
             # manifest hash for these files lives in the samples index instead
-            writer.emit_text(f"{name}.csv", paths_mod.path_to_csv(result.path))
+            writer.emit_text(f"{name}.csv", paths_mod.path_to_csv(path))
         if "json" in cfg.formats:
-            writer.emit_json(name, json.loads(paths_mod.path_to_json(result.path)))
+            # the fields of paths.path_to_json, as arrays
+            writer.emit_json(name, {"dimension": path.dimension, "initial_value": path.initial_value,
+                                    "jump_times": path.jump_times,
+                                    "post_jump_values": path.post_jump_values})
         row = {"replicate": r, "terms_used": result.terms_used,
-               "sup_norm": paths_mod.sup_norm(result.path), "file": name}
+               "sup_norm": paths_mod.sup_norm(path), "file": name}
         index_rows.append(row)
         if cfg.per_term_norms:
             writer.emit_json(f"{name}_term_norms",
-                             {"replicate": r, "per_term_norms": result.per_term_norms.tolist()})
+                             {"replicate": r, "per_term_norms": result.per_term_norms})
     payload = {"spec": spec.echo(), "replicates": cfg.replicates, "samples": index_rows}
     writer.emit("samples", index_rows, ["replicate", "terms_used", "sup_norm", "file"], payload)
     return 0

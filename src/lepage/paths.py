@@ -198,23 +198,18 @@ def increment(path: StepPath, t1: float, t2: float) -> np.ndarray:
 # serialization
 #
 # CSV: header "t,value_1,...,value_d", one row per segment start, first row
-# t=0.  Floats are written with 17 significant digits so the round trip is
-# bit-exact; JSON uses native float encoding (shortest round-trip repr).
+# t=0.  Cells are "%.17g" of finite floats (the same text as format(x,
+# ".17g")), so the round trip is bit-exact and no cell needs CSV quoting;
+# the whole body is one template filled from one tolist().
+# JSON uses native float encoding (shortest round-trip repr).
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def path_to_csv(path: StepPath) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + [f"value_{i + 1}" for i in range(path.dimension)])
-    writer.writerow([_fmt(0.0)] + [_fmt(v) for v in path.initial_value])
-    for t, row in zip(path.jump_times, path.post_jump_values):
-        writer.writerow([_fmt(t)] + [_fmt(v) for v in row])
-    return buf.getvalue()
+    header = ",".join(["t"] + [f"value_{i + 1}" for i in range(path.dimension)])
+    table = np.column_stack([np.concatenate([[0.0], path.jump_times]), path.segment_values()])
+    row = ",".join(["%.17g"] * table.shape[1])
+    return header + "\n" + "\n".join([row] * len(table)) % tuple(table.ravel().tolist()) + "\n"
 
 
 def path_from_csv(text: str) -> StepPath:

@@ -28,11 +28,7 @@ from .rng import RngStream
 
 __all__ = [
     "ConfigurationError",
-    "GammaSequence",
-    "gamma_sequence",
     "EpsilonSpec",
-    "draw_epsilon",
-    "draw_epsilons",
     "CdfGrid",
     "JumpHeightDist",
     "YGeneratorSpec",
@@ -64,28 +60,6 @@ class ConfigurationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaSequence:
-    """Strictly increasing arrival times of a unit-rate Poisson process."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.size and (v[0] <= 0.0 or np.any(np.diff(v) <= 0.0)):
-            raise ConfigurationError("arrival times must be positive and strictly increasing")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def increments(self) -> np.ndarray:
-        """The exponential inter-arrival gaps (all positive)."""
-        return np.diff(self.values, prepend=0.0)
-
-
 def _positive_exponentials(gen: np.random.Generator, n: int) -> np.ndarray:
     out = gen.standard_exponential(n)
     # an exactly-zero draw would break strict monotonicity of the cumsum
@@ -94,14 +68,6 @@ def _positive_exponentials(gen: np.random.Generator, n: int) -> np.ndarray:
         if not bad.any():
             return out
         out[bad] = gen.standard_exponential(int(bad.sum()))
-
-
-def gamma_sequence(n: int, stream: RngStream) -> GammaSequence:
-    """First ``n`` arrival times, as cumulative sums of Exp(1) draws."""
-    if n < 0:
-        raise ConfigurationError(f"n must be nonnegative, got {n}")
-    gen = stream.generator()
-    return GammaSequence(np.cumsum(_positive_exponentials(gen, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +240,6 @@ class EpsilonSpec:
         if self.alpha_moment_hint is not None:
             out["alpha_moment_hint"] = self.alpha_moment_hint
         return out
-
-
-def draw_epsilon(spec: EpsilonSpec, stream: RngStream) -> float:
-    """One multiplier draw."""
-    return float(spec.sample(stream.generator(), 1)[0])
-
-
-def draw_epsilons(spec: EpsilonSpec, n: int, stream: RngStream) -> np.ndarray:
-    """``n`` i.i.d. multiplier draws from one stream."""
-    return spec.sample(stream.generator(), n)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from lepage import (
     RngStream,
     SeriesSpec,
     coupled_partial_sums,
-    gamma_sequence,
     linear_combine,
     partial_sum,
     sup_norm,
@@ -33,6 +32,7 @@ import lepage.diagnostics as diag
 import lepage.stable_checks as sc
 from lepage.cli import main as cli_main
 from lepage.paths import StepPath, path_to_csv
+from lepage.random_inputs import _positive_exponentials
 from lepage.series import sample_marginals, sample_path_stats
 
 RAD = EpsilonSpec.rademacher()
@@ -103,9 +103,9 @@ def test_c04_gamma_sequence_law():
     for k in (10, 1_000):
         last = np.empty(reps)
         for r in range(reps):
-            seq = gamma_sequence(k, RngStream(105, r))
-            assert np.all(np.diff(seq.values) > 0.0)
-            last[r] = seq.values[-1]
+            seq = np.cumsum(_positive_exponentials(RngStream(105, r).generator(), k))
+            assert np.all(np.diff(seq) > 0.0)
+            last[r] = seq[-1]
         assert abs(last.mean() - k) <= 4.0 * math.sqrt(k / reps)
 
 
@@ -275,6 +275,17 @@ epsilon: rademacher
 y: example1
 truncation_n: 200
 replicates: 3
+seed: 7
+""",
+        # Poisson paths and the per-term norms file
+        "simulate_norms": """
+command: simulate
+alpha: 0.8
+epsilon: rademacher
+y: {variant: example3, lambda: 2.0}
+truncation_n: 300
+replicates: 2
+per_term_norms: true
 seed: 7
 """,
         "stability": """

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lepage import RngStream, SeriesSpec, EpsilonSpec, unit_jump, partial_sum
-from lepage.cli import ConfigParseError, main, parse_config
+from lepage.cli import ConfigParseError, _json_text, _jsonable, main, parse_config
 from lepage.paths import path_from_csv, path_from_json
+from test_paths import reference_path_csv
 
 
 def run_cli(tmp_path: Path, config: str, *args) -> tuple[int, Path]:
@@ -239,6 +243,32 @@ class TestSimulateCommand:
             spec, RngStream(2, 0)
         ).path
 
+    @pytest.mark.parametrize("y", [
+        "example1",
+        "{variant: example2, p: 2, heights: {values: [[1.0, -0.5], [0.25, 2.0]], "
+        "probabilities: [0.5, 0.5]}}",
+    ])
+    def test_path_files_equal_reference_writers(self, tmp_path, y):
+        config = MINIMAL.replace("y: example1", f"y: {y}")
+        code, out = run_cli(tmp_path, config + "truncation_n: 300\nper_term_norms: true\nseed: 5\n")
+        assert code == 0
+        spec = parse_config(config + "truncation_n: 300\nseed: 5\n").series_spec()
+        result = partial_sum(spec, RngStream(5, 0), with_term_norms=True)
+        path = result.path
+        stamp = {"manifest_hash": json.loads((out / "manifest.json").read_text())["manifest_hash"],
+                 "seed": 5}
+
+        def reference_json(payload: dict) -> str:
+            return json.dumps({**payload, **stamp}, indent=2, sort_keys=True) + "\n"
+
+        assert (out / "path_0000.csv").read_text() == reference_path_csv(path)
+        assert (out / "path_0000.json").read_text() == reference_json(
+            {"dimension": path.dimension, "initial_value": path.initial_value.tolist(),
+             "jump_times": path.jump_times.tolist(),
+             "post_jump_values": path.post_jump_values.tolist()})
+        assert (out / "path_0000_term_norms.json").read_text() == reference_json(
+            {"replicate": 0, "per_term_norms": result.per_term_norms.tolist()})
+
 
 class TestCheckCommands:
     def test_clean_generator_exits_zero(self, tmp_path):
@@ -336,6 +366,51 @@ seed: 4
         assert code == 0
         payload = json.loads((out / "regvar.json").read_text())
         assert "upper-tail" in payload["convention_note"]
+
+
+# JSON payloads: nested lists and dicts over every leaf the result files can hold
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, 1.0 / 3.0,
+                                         math.nan, math.inf, -math.inf])
+_LEAVES = (_FLOATS | st.integers() | st.booleans() | st.none()
+           | st.text() | st.sampled_from(['say "hi"', "back\\slash", "Lévy ✓ α"]))
+# lists of equally long float lists, as nested lists and as 2-d arrays
+_ROWS = st.integers(1, 3).flatmap(lambda w: st.lists(st.lists(_FLOATS, min_size=w, max_size=w),
+                                                     max_size=5))
+_PAYLOADS = st.recursive(
+    _LEAVES | st.lists(_FLOATS) | _ROWS | _ROWS.map(np.array),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text() | st.integers(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @staticmethod
+    def reference(obj) -> str:
+        return json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+
+    @given(_PAYLOADS)
+    @settings(max_examples=300)
+    def test_equals_json_dumps(self, obj):
+        assert _json_text(_jsonable(obj)) == self.reference(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [-0.0, 5e-324, 1e308, 1.0 / 3.0],
+        [1.0, math.nan, -math.inf, math.inf],
+        [1, 2.5, True, None, "x"],
+        [[1.0, 2.0], [3.0]],
+        [[1.0, 2.0], [3.0, math.nan]],
+        [[0.5, -0.0], [1e-300, 2.0]],
+        [[], []],
+        [{}, [], {"a": []}],
+        {2: "b", 10: {"k": [0.1]}, "a": None},
+        {"quote\"": "Lévy", "nested": [[[1.0]], [[2.0]]]},
+        np.arange(6.0).reshape(3, 2),
+        np.array([[1.5], [np.inf]]),
+        np.zeros((0, 2)),
+    ])
+    def test_equals_json_dumps_on_edge_cases(self, obj):
+        assert _json_text(_jsonable(obj)) == self.reference(obj)
 
 
 class TestDeterminism:

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,11 +189,40 @@ def test_serialization_round_trips_bit_exactly(p):
     assert path_from_json(path_to_json(p)) == p
 
 
+AWKWARD = StepPath(2, [1.0 / 3.0, -1e-300], [0.1234567890123456789, 1.0],
+                   [[np.pi, 1e300], [-1.0 / 7.0, 5e-324]])
+
+
 def test_csv_round_trip_awkward_floats():
-    p = StepPath(2, [1.0 / 3.0, -1e-300], [0.1234567890123456789, 1.0],
-                 [[np.pi, 1e300], [-1.0 / 7.0, 5e-324]])
+    p = AWKWARD
     assert path_from_csv(path_to_csv(p)) == p
     assert path_from_json(path_to_json(p)) == p
+
+
+def reference_path_csv(path: StepPath) -> str:
+    """The per-row ``csv.writer`` serializer that ``path_to_csv`` replaced: its oracle."""
+    def fmt(x) -> str:
+        return format(float(x), ".17g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t"] + [f"value_{i + 1}" for i in range(path.dimension)])
+    writer.writerow([fmt(0.0)] + [fmt(v) for v in path.initial_value])
+    for t, row in zip(path.jump_times, path.post_jump_values):
+        writer.writerow([fmt(t)] + [fmt(v) for v in row])
+    return buf.getvalue()
+
+
+@given(step_paths())
+@settings(max_examples=200)
+def test_csv_equals_reference_writer(p):
+    assert path_to_csv(p) == reference_path_csv(p)
+
+
+def test_csv_equals_reference_writer_on_awkward_floats():
+    negative_zero = StepPath(1, [-0.0], [0.5, 1.0], [[-0.0], [1e16]])
+    for p in (AWKWARD, negative_zero, zero_path(3)):
+        assert path_to_csv(p) == reference_path_csv(p)
 
 
 def test_csv_format_shape():

@@ -12,9 +12,7 @@ from lepage.random_inputs import (
     TermEvents,
     _resample_term_collisions,
     _Y_ROLE,
-    draw_epsilon,
-    draw_epsilons,
-    gamma_sequence,
+    _positive_exponentials,
     gen_path,
     interval_increments,
     poisson_counts,
@@ -31,27 +29,32 @@ from lepage.series import SeriesRealization, SeriesSpec
 from lepage.stable_checks import _term_path
 
 
+def arrival_times(n: int, stream: RngStream) -> np.ndarray:
+    """The first ``n`` arrival times ``Gamma_1 < ... < Gamma_n``, as the series draws them."""
+    return np.cumsum(_positive_exponentials(stream.generator(), n))
+
+
 class TestGammaSequence:
     def test_empty(self):
-        assert len(gamma_sequence(0, RngStream(1))) == 0
+        assert arrival_times(0, RngStream(1)).size == 0
 
     def test_strictly_increasing_positive(self):
-        g = gamma_sequence(1000, RngStream(2))
-        assert g.values[0] > 0
-        assert np.all(np.diff(g.values) > 0)
-        assert np.all(g.increments > 0)
+        g = arrival_times(1000, RngStream(2))
+        assert g[0] > 0
+        assert np.all(np.diff(g) > 0)
+        assert np.all(np.diff(g, prepend=0.0) > 0)
 
     def test_bit_reproducible(self):
-        a = gamma_sequence(100, RngStream(3, 7))
-        b = gamma_sequence(100, RngStream(3, 7))
-        assert np.array_equal(a.values, b.values)
-        c = gamma_sequence(100, RngStream(3, 8))
-        assert not np.array_equal(a.values, c.values)
+        a = arrival_times(100, RngStream(3, 7))
+        b = arrival_times(100, RngStream(3, 7))
+        assert np.array_equal(a, b)
+        c = arrival_times(100, RngStream(3, 8))
+        assert not np.array_equal(a, c)
 
     def test_mean_matches_index(self):
         # E Gamma_k = k, Var = k (sum of unit exponentials)
         k, reps = 5, 4000
-        vals = np.array([gamma_sequence(k, RngStream(11, r)).values[-1] for r in range(reps)])
+        vals = np.array([arrival_times(k, RngStream(11, r))[-1] for r in range(reps)])
         assert abs(vals.mean() - k) < 4.0 * math.sqrt(k / reps)
 
     def test_iterated_log_scale_bound(self):
@@ -61,12 +64,12 @@ class TestGammaSequence:
         bound = 2.0 / alpha * k ** (-1 / alpha) * math.sqrt(math.log(math.log(k)) / k)
         hits = 0
         for r in range(reps):
-            gk = gamma_sequence(k, RngStream(12, r)).values[-1]
+            gk = arrival_times(k, RngStream(12, r))[-1]
             hits += abs(gk ** (-1 / alpha) - k ** (-1 / alpha)) <= bound
         assert hits / reps >= 0.99
 
     def test_exponential_gof(self):
-        gaps = gamma_sequence(10**6, RngStream(13)).increments
+        gaps = np.diff(arrival_times(10**6, RngStream(13)), prepend=0.0)
         n = gaps.size
         assert abs(gaps.mean() - 1.0) < 4.0 / math.sqrt(n)  # Var Exp(1) = 1
         p_hat = np.mean(gaps > 1.0)
@@ -76,7 +79,7 @@ class TestGammaSequence:
 
 class TestEpsilonSpec:
     def test_rademacher_frequencies(self):
-        draws = draw_epsilons(EpsilonSpec.rademacher(), 10**6, RngStream(20))
+        draws = EpsilonSpec.rademacher().sample(RngStream(20).generator(), 10**6)
         assert set(np.unique(draws)) == {-1.0, 1.0}
         p_hat = np.mean(draws == 1.0)
         assert abs(p_hat - 0.5) < 4.0 * math.sqrt(0.25 / draws.size)
@@ -101,7 +104,7 @@ class TestEpsilonSpec:
     def test_mean_zero_families_average_to_zero(self):
         for spec in (EpsilonSpec.rademacher(), EpsilonSpec.uniform_symmetric(2.0),
                      EpsilonSpec.two_point(0.8, -1.0, 4.0)):
-            draws = draw_epsilons(spec, 10**6, RngStream(21))
+            draws = spec.sample(RngStream(21).generator(), 10**6)
             se = draws.std() / math.sqrt(draws.size)
             assert abs(draws.mean()) < 4.0 * se
 
@@ -137,7 +140,8 @@ class TestEpsilonSpec:
 
     def test_draw_reproducible(self):
         spec = EpsilonSpec.table([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
-        assert draw_epsilon(spec, RngStream(5, 1)) == draw_epsilon(spec, RngStream(5, 1))
+        first, again = (spec.sample(RngStream(5, 1).generator(), 1)[0] for _ in range(2))
+        assert first == again
 
 
 class TestUnitJumpGenerator:
