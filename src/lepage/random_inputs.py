@@ -9,8 +9,8 @@ is a pure function of an :class:`~lepage.rng.RngStream`, so replicate
 Path generators hand out their draws in *blocks of terms*
 (:class:`TermEvents`): a flat list of jump events tagged with the index of
 the term they belong to, grouped by term but not time-ordered inside a
-term (readers that walk a path in time order sort it with
-:func:`time_ordered`).  Each ingredient consumes its own substream in term
+term, or flat ``(terms, width)`` rows when each term has ``width`` events
+(see :class:`TermEvents`).  Each ingredient consumes its own substream in term
 order, which makes a realization extendable: asking a sampler for more
 terms never changes the terms already drawn.  Partial sums observed at
 several truncation depths therefore share one realization bit for bit.
@@ -223,7 +223,8 @@ class EpsilonSpec:
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         if self.family == "rademacher":
-            return np.where(gen.random(size) < 0.5, -1.0, 1.0)
+            v = gen.random(size) - 0.5  # exact, and u == 0.5 gives +0.0, so sign +1
+            return np.copysign(1.0, v, out=v)
         if self.family == "uniform_symmetric":
             return self.a * (2.0 * gen.random(size) - 1.0)
         cum = np.cumsum(self.atom_probs)
@@ -254,8 +255,10 @@ class TermEvents:
     ``term_index`` is nondecreasing; within one term, events keep the order
     they were drawn in, which need not be time order.  ``heights`` are the
     jump sizes (value deltas), ``initials`` the t=0 value of each term's
-    path.  Readers that walk a path in time order call :func:`time_ordered`
-    first; ``values_at`` and ``interval_increments`` are masked sums.
+    path, either possibly a read-only broadcast.  ``width`` is set when every
+    term has that many events (unit jumps 1, weighted jumps p): masked sums and
+    :func:`_row_extremes` then reshape ``(n_terms, width)`` rows.  Other readers
+    that walk a path in time order call :func:`time_ordered` first.
     """
 
     n_terms: int
@@ -264,20 +267,22 @@ class TermEvents:
     times: np.ndarray  # (k,) float64 in (0, 1]
     heights: np.ndarray  # (k, d)
     initials: np.ndarray  # (n_terms, d)
+    width: int | None = None  # events per term, when fixed
 
     def prefix(self, n: int) -> "TermEvents":
         """Events of the first ``n`` terms (shares the underlying arrays)."""
         if n > self.n_terms:
             raise ValueError(f"prefix of {n} terms requested from {self.n_terms}")
-        k = int(np.searchsorted(self.term_index, n, side="left"))
+        k = int(np.searchsorted(self.term_index, n)) if self.width is None else n * self.width
         return TermEvents(n, self.dimension, self.term_index[:k], self.times[:k],
-                          self.heights[:k], self.initials[:n])
+                          self.heights[:k], self.initials[:n], self.width)
 
     @staticmethod
     def concatenate(blocks: list["TermEvents"]) -> "TermEvents":
         return TermEvents(sum(b.n_terms for b in blocks), blocks[0].dimension,
                           *(np.concatenate([getattr(b, f) for b in blocks])
-                            for f in ("term_index", "times", "heights", "initials")))
+                            for f in ("term_index", "times", "heights", "initials")),
+                          blocks[0].width)
 
 
 def _draw_open_unit(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -297,7 +302,7 @@ def time_ordered(events: TermEvents) -> TermEvents:
         return events
     order = np.lexsort((t, ti))
     return TermEvents(events.n_terms, events.dimension, ti[order], t[order],
-                      events.heights[order], events.initials)
+                      events.heights[order], events.initials, events.width)
 
 
 def _resample_term_collisions(times: np.ndarray, term_index: np.ndarray, redraw) -> np.ndarray:
@@ -432,14 +437,8 @@ class _UnitJumpSampler(YBlockSampler):
     def take(self, n: int) -> TermEvents:
         base = self._next_term
         self._next_term += n
-        times = _draw_open_unit(self._loc, n)
-        return TermEvents(
-            n, 1,
-            np.arange(base, base + n, dtype=np.int64),
-            times,
-            np.ones((n, 1)),
-            np.zeros((n, 1)),
-        )
+        return TermEvents(n, 1, np.arange(base, base + n, dtype=np.int64), _draw_open_unit(self._loc, n),
+                          np.broadcast_to(1.0, (n, 1)), np.broadcast_to(0.0, (n, 1)), 1)
 
 
 @dataclass(frozen=True)
@@ -513,7 +512,8 @@ class _WeightedJumpsSampler(YBlockSampler):
             return out
 
         flat_times = _resample_term_collisions(flat_times, term_index, redraw)
-        return TermEvents(n, d, term_index, flat_times, heights.reshape(-1, d), np.zeros((n, d)))
+        return TermEvents(n, d, term_index, flat_times, heights.reshape(-1, d),
+                          np.broadcast_to(0.0, (n, d)), p)
 
 
 @dataclass(frozen=True)
@@ -632,11 +632,20 @@ def gen_path(spec: YGeneratorSpec, stream: RngStream) -> StepPath:
 
 
 def _masked_term_sums(events: TermEvents, mask: np.ndarray) -> np.ndarray:
-    """Sum of the masked event heights per term, shape (n_terms, d)."""
-    idx = events.term_index[mask]
-    out = np.empty((events.n_terms, events.dimension))
-    for j in range(events.dimension):
-        out[:, j] = np.bincount(idx, weights=events.heights[mask, j], minlength=events.n_terms)
+    """Sum of the masked event heights per term, shape (n_terms, d).
+
+    Heights add in event order from +0.0, as in ``np.bincount``, also across
+    fixed-width row columns (``sum(axis=1)`` adds 8 or more pairwise).
+    """
+    n, d, w = events.n_terms, events.dimension, events.width
+    out = np.zeros((n, d))
+    if w is None:
+        for j in range(d):
+            out[:, j] = np.bincount(events.term_index[mask], events.heights[mask, j], n)
+        return out
+    heights = events.heights.reshape(n, w, d)
+    for j, m in enumerate(mask.reshape(n, w).T):
+        out += np.where(m[:, None], heights[:, j], 0.0)
     return out
 
 
@@ -662,34 +671,47 @@ def values_at(events: TermEvents, ts) -> np.ndarray:
     return out
 
 
-def _term_running(events: TermEvents):
-    """Running segment values after each event, plus per-term row starts."""
-    n = events.n_terms
-    k = events.times.size
-    # running value = initial + segmented cumsum of the term's jump heights
-    cs = np.cumsum(events.heights, axis=0)
-    starts = np.searchsorted(events.term_index, np.arange(n), side="left")
-    counts = np.diff(np.append(starts, k))
-    has = counts > 0
-    offset = np.zeros((n, events.dimension))
-    offset[has] = np.where((starts[has] > 0)[:, None], cs[starts[has] - 1], 0.0)
-    running = events.initials[events.term_index] + cs - np.repeat(offset, counts, axis=0)
-    return running, starts, has
+def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray,
+                  terms_per_row: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sup norm, largest and smallest value (over coords) of each row's path.
+
+    Row ``r`` holds the next ``terms_per_row`` terms: it starts at ``initials[r]``
+    and jumps by ``scale[term] * height`` at each event.  A fixed-width block
+    is reshaped, any other scattered into rows padded with ``+inf`` times and
+    zero jumps.  numpy's default (SIMD) argsort gives the stable row order
+    unless a row holds two equal finite times; then the block is sorted stably.
+    Each row's ``cumsum`` is its own, so its rounding reaches no other row.
+    """
+    rows, d = initials.shape[0], events.dimension
+    if events.width is not None:
+        w = events.width * terms_per_row
+        times = events.times.reshape(rows, w)
+        deltas = (events.heights.reshape(-1, events.width, d) * scale.reshape(-1, 1, 1)).reshape(rows, w, d)
+    else:
+        row = events.term_index // terms_per_row  # nondecreasing
+        counts = np.bincount(row, minlength=rows)
+        col = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+        times = np.full((rows, int(counts.max(initial=0))), np.inf)
+        times[row, col] = events.times
+        deltas = np.zeros(times.shape + (d,))
+        deltas[row, col] = events.heights * scale[events.term_index, None]
+    order = np.argsort(times, axis=1)
+    s = np.take_along_axis(times, order, axis=1)
+    if np.any((s[:, 1:] == s[:, :-1]) & (s[:, 1:] < np.inf)):  # a tie, not padding
+        order = np.argsort(times, axis=1, kind="stable")
+    running = np.take_along_axis(deltas, order[:, :, None], axis=1)
+    np.cumsum(running, axis=1, out=running)
+    running += initials[:, None, :]
+    vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf))
+    vmin = np.minimum(initials.min(axis=1), running.min(axis=(1, 2), initial=np.inf))
+    return np.maximum(np.abs(vmax), np.abs(vmin)), vmax, vmin
 
 
 def term_sup_norms(events: TermEvents) -> np.ndarray:
     """Uniform norm of each term's path: ``max|v| = max(|max v|, |min v|)`` exactly."""
-    vmax, vmin = term_value_extremes(events)
-    return np.maximum(np.abs(vmax), np.abs(vmin))
+    return _row_extremes(events, np.broadcast_to(1.0, events.n_terms), events.initials)[0]
 
 
 def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:
-    """Largest and smallest segment value of each term's path (over coords)."""
-    vmax = np.max(events.initials, axis=1)
-    vmin = np.min(events.initials, axis=1)
-    if events.times.size == 0:
-        return vmax, vmin
-    running, starts, has = _term_running(time_ordered(events))
-    vmax[has] = np.maximum(vmax[has], np.maximum.reduceat(np.max(running, axis=1), starts[has]))
-    vmin[has] = np.minimum(vmin[has], np.minimum.reduceat(np.min(running, axis=1), starts[has]))
-    return vmax, vmin
+    """Largest and smallest segment value of each term's path (over coords), exactly."""
+    return _row_extremes(events, np.broadcast_to(1.0, events.n_terms), events.initials)[1:]

@@ -15,8 +15,9 @@ Replicate ``r`` of any experiment uses the stream ``(seed, r)``; the
 chunked samplers at the bottom vectorize across fixed-size blocks of
 replicates (one substream per block) so large Monte Carlo runs stay fast
 while remaining bit-reproducible for any thread count.  Path statistics
-lay a block's events out as one padded row per replicate and sort and
-sum each row on its own, so no replicate's arithmetic touches another's.
+use the row reducer of per-term extremes (``random_inputs._row_extremes``):
+one row per replicate, sorted (stably only where a row holds a tie) and
+summed on its own, so no replicate's arithmetic touches another's.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .random_inputs import (
     _GAMMA_ROLE,
     _Y_ROLE,
     _positive_exponentials,
+    _row_extremes,
     interval_increments,
     term_sup_norms,
     values_at,
@@ -148,7 +150,7 @@ class SeriesRealization:
         self._gaps = np.empty(0)
         self._gammas = np.empty(0)
         self._eps = np.empty(0)
-        self._blocks: list[TermEvents] = []
+        self._blocks: list[TermEvents] = [self._y_sampler.take(0)]  # draws nothing; shapes events(0)
         self._events: TermEvents | None = None
 
     @property
@@ -178,7 +180,7 @@ class SeriesRealization:
     def events(self, n: int) -> TermEvents:
         self.extend(n)
         if self._events is None or self._events.n_terms < self.n_terms:
-            self._events = TermEvents.concatenate(self._blocks) if self._blocks else None
+            self._events = TermEvents.concatenate(self._blocks)
         return self._events.prefix(n)
 
     def weights(self, n: int) -> np.ndarray:
@@ -198,18 +200,12 @@ class SeriesRealization:
     def path(self, n: int | None = None) -> StepPath:
         """The partial sum as a step path, merged on one jump grid."""
         n = self.spec.truncation_n if n is None else n
-        if n == 0:
-            return _paths.zero_path(self.spec.dimension)
         return _combine_term_events(self.coeffs(n), self.events(n))
 
     def values_at(self, ts, n: int | None = None) -> np.ndarray:
         """Partial-sum values at given times, shape ``(len(ts), d)``."""
         n = self.spec.truncation_n if n is None else n
-        ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        if n == 0:
-            return np.zeros((ts.size, self.spec.dimension))
-        per_term = values_at(self.events(n), ts)
-        return np.einsum("i,ijd->jd", self.coeffs(n), per_term)
+        return np.einsum("i,ijd->jd", self.coeffs(n), values_at(self.events(n), ts))
 
     def per_term_norms(self, n: int | None = None) -> np.ndarray:
         """``|w_i eps_i| * sup_norm(Y_i)`` for each term."""
@@ -283,8 +279,6 @@ def gamma_deterministic_gap(spec: SeriesSpec, stream: RngStream | None = None) -
     """
     real = SeriesRealization(spec, stream)
     n = spec.truncation_n
-    if n == 0:
-        return 0.0
     inv_a = 1.0 / spec.alpha
     det = np.arange(1, n + 1, dtype=np.float64) ** (-inv_a)
     gap = np.abs(real.gammas(n) ** (-inv_a) - det)
@@ -352,29 +346,13 @@ class PathStatsSample:
 def sample_path_stats(spec: SeriesSpec, n_samples: int, threads=1) -> PathStatsSample:
     """Norms and extreme segment values of i.i.d. partial-sum paths.
 
-    Each chunk's events become one row per replicate, padded to the widest
-    replicate with ``+inf`` times and zero deltas.  A stable row sort puts
-    each replicate's events in time order and a row cumsum gives its running
-    values, so one replicate's rounding or overflow never reaches another.
+    Each chunk's replicates are the rows of ``random_inputs._row_extremes``.
     """
     n, d = spec.truncation_n, spec.dimension
 
     def reduce(coeffs, events, m):
-        rep = events.term_index // n  # nondecreasing: events are grouped by replicate
-        counts = np.bincount(rep, minlength=m)
-        col = np.arange(rep.size) - (np.cumsum(counts) - counts)[rep]
-        width = int(counts.max(initial=0))
-        times = np.full((m, width), np.inf)
-        times[rep, col] = events.times
-        deltas = np.zeros((m, width, d))
-        deltas[rep, col] = events.heights * coeffs.reshape(-1)[events.term_index, None]
-        order = np.argsort(times, axis=1, kind="stable")
         initials = np.einsum("mi,mid->md", coeffs, events.initials.reshape(m, n, d))
-        running = initials[:, None, :] + np.cumsum(
-            np.take_along_axis(deltas, order[:, :, None], axis=1), axis=1)
-        vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf))
-        vmin = np.minimum(initials.min(axis=1), running.min(axis=(1, 2), initial=np.inf))
-        return np.maximum(np.abs(vmax), np.abs(vmin)), vmax, vmin
+        return _row_extremes(events, coeffs.reshape(-1), initials, n)
 
     return PathStatsSample(*_sample_chunks(spec, _TAG_PATH_STATS, n_samples, reduce, threads))
 

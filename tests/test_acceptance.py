@@ -249,6 +249,10 @@ def test_c13_cauchy_diagnostic():
         assert np.all(np.diff(medians) < 0.0)
 
 
+WEIGHTED_Y = ("{variant: example2, p: 3, heights: {values: [[1.1, -0.5], [-0.7, 0.25], [0.3, 2.0]], "
+              "probabilities: [0.4, 0.35, 0.25]}}")
+
+
 @criterion(14, "byte-identical outputs across thread counts")
 def test_c14_thread_determinism(tmp_path):
     configs = {
@@ -318,6 +322,37 @@ truncation_n: 100
 samples: 5000
 sigma_replicates: 5000
 n: 50
+seed: 7
+""",
+        # weighted jumps: fixed-width blocks of p = 3 events per term, in 2-d
+        "stability_weighted": f"""
+command: stability
+alpha: 1.5
+epsilon: rademacher
+y: {WEIGHTED_Y}
+truncation_n: 200
+samples: 5000
+seed: 7
+""",
+        "regvar_weighted": f"""
+command: regvar
+alpha: 1.5
+epsilon: rademacher
+y: {WEIGHTED_Y}
+truncation_n: 100
+samples: 5000
+sigma_replicates: 5000
+n: 50
+seed: 7
+""",
+        "simulate_weighted_norms": f"""
+command: simulate
+alpha: 1.5
+epsilon: rademacher
+y: {WEIGHTED_Y}
+truncation_n: 300
+replicates: 2
+per_term_norms: true
 seed: 7
 """,
         "tightness": """

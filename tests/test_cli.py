@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lepage import RngStream, SeriesSpec, EpsilonSpec, unit_jump, partial_sum
 from lepage.cli import ConfigParseError, _json_text, _jsonable, main, parse_config
-from lepage.paths import path_from_csv, path_from_json
+from lepage.paths import path_from_csv, path_from_json, zero_path
 from test_paths import reference_path_csv
 
 
@@ -243,11 +243,22 @@ class TestSimulateCommand:
             spec, RngStream(2, 0)
         ).path
 
-    @pytest.mark.parametrize("y", [
-        "example1",
-        "{variant: example2, p: 2, heights: {values: [[1.0, -0.5], [0.25, 2.0]], "
-        "probabilities: [0.5, 0.5]}}",
-    ])
+    # unit jumps, and 2-d weighted jumps
+    YS = ["example1",
+          "{variant: example2, p: 2, heights: {values: [[1.0, -0.5], [0.25, 2.0]], "
+          "probabilities: [0.5, 0.5]}}"]
+
+    @pytest.mark.parametrize("y", YS)
+    def test_zero_terms_with_per_term_norms(self, tmp_path, y):
+        config = MINIMAL.replace("y: example1", f"y: {y}")
+        code, out = run_cli(tmp_path, config + "truncation_n: 0\nper_term_norms: true\n")
+        assert code == 0
+        norms = json.loads((out / "path_0000_term_norms.json").read_text())
+        assert norms["per_term_norms"] == []
+        dimension = parse_config(config).series_spec().dimension
+        assert path_from_csv((out / "path_0000.csv").read_text()) == zero_path(dimension)
+
+    @pytest.mark.parametrize("y", YS)
     def test_path_files_equal_reference_writers(self, tmp_path, y):
         config = MINIMAL.replace("y: example1", f"y: {y}")
         code, out = run_cli(tmp_path, config + "truncation_n: 300\nper_term_norms: true\nseed: 5\n")

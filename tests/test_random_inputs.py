@@ -84,6 +84,21 @@ class TestEpsilonSpec:
         p_hat = np.mean(draws == 1.0)
         assert abs(p_hat - 0.5) < 4.0 * math.sqrt(0.25 / draws.size)
 
+    def test_rademacher_signs_equal_the_where_form(self):
+        draws = EpsilonSpec.rademacher().sample(RngStream(22).generator(), 10**6)
+        want = np.where(RngStream(22).generator().random(10**6) < 0.5, -1.0, 1.0)
+        assert draws.tobytes() == want.tobytes()
+
+        class Fixed:  # a generator whose uniforms are the edge values
+            def random(self, size):
+                return edges.copy()
+
+        edges = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                          np.nextafter(1.0, 0.0)])
+        draws = EpsilonSpec.rademacher().sample(Fixed(), edges.size)
+        assert draws.tobytes() == np.where(edges < 0.5, -1.0, 1.0).tobytes()
+        assert draws.tolist() == [-1.0, -1.0, 1.0, 1.0, 1.0]
+
     def test_two_point_mean_zero_accepted(self):
         spec = EpsilonSpec.two_point(0.8, -1.0, 4.0)
         # the complement probability 1 - 0.8 is off float(0.2) by one ulp,
@@ -402,3 +417,23 @@ class TestTimeOrderedReaders:
         for y in (unit_jump(), user_paths(lambda gen: fixed, dimension=1)):
             events = y.block_sampler(RngStream(51)).take(30)
             assert time_ordered(events) is events
+
+
+class TestExactTermExtremes:
+    def test_weighted_jumps_match_per_term_cumsum(self):
+        # sums of 1.1, -0.7 and 0.3 round differently in a block-wide cumsum
+        y = weighted_jumps([CdfGrid.uniform()] * 3,
+                           JumpHeightDist(np.array([[1.1], [-0.7], [0.3]]), np.full(3, 1.0 / 3.0)))
+        n = 10**6
+        real = SeriesRealization(SeriesSpec(alpha=1.5, truncation_n=n,
+                                            epsilon=EpsilonSpec.rademacher(), y_gen=y, seed=61))
+        events = real.events(n)
+        order = np.lexsort((events.times, events.term_index))
+        running = np.cumsum(events.heights[order, 0].reshape(n, 3), axis=1)
+        vmax = np.maximum(0.0, running.max(axis=1))
+        vmin = np.minimum(0.0, running.min(axis=1))
+        got_max, got_min = term_value_extremes(events)
+        assert np.array_equal(got_max, vmax)
+        assert np.array_equal(got_min, vmin)
+        sups = np.maximum(np.abs(vmax), np.abs(vmin))
+        assert np.array_equal(real.per_term_norms(n), np.abs(real.coeffs(n)) * sups)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from lepage.paths import evaluate, increment, linear_combine, sup_norm, zero_path
+from lepage.paths import StepPath, evaluate, increment, linear_combine, sup_norm, zero_path
 from lepage.random_inputs import (
     CdfGrid,
     ConfigurationError,
     EpsilonSpec,
     JumpHeightDist,
     TermEvents,
+    interval_increments,
     poisson_counts,
     unit_jump,
+    user_paths,
+    values_at,
     weighted_jumps,
 )
 from lepage.rng import RngStream
@@ -304,3 +307,81 @@ class TestChunkedSamplers:
         inc = sample_weighted_increments(spec, [(0.3, 0.3), (0.2, 0.6)], 500)
         assert inc.shape == (500, 2, 1)
         assert np.all(inc[:, 0, :] == 0.0)
+
+
+# reference copies of the flat reductions that every block used before
+# fixed-width rows; the fast paths must reproduce them bit for bit
+
+def reference_masked_sums(events, mask):
+    idx = events.term_index[mask]
+    out = np.empty((events.n_terms, events.dimension))
+    for j in range(events.dimension):
+        out[:, j] = np.bincount(idx, weights=events.heights[mask, j], minlength=events.n_terms)
+    return out
+
+
+def reference_values_at(events, ts):
+    return np.stack([events.initials + reference_masked_sums(events, events.times <= t)
+                     for t in ts], axis=1)
+
+
+def reference_increments(events, intervals):
+    return np.stack([reference_masked_sums(events, (events.times > a) & (events.times <= b))
+                     for a, b in intervals], axis=1)
+
+
+def reference_path_stats(coeffs, events, m):
+    """The chunk reduction of sample_path_stats: padded rows and a stable row sort."""
+    n, d = coeffs.shape[1], events.dimension
+    rep = events.term_index // n
+    counts = np.bincount(rep, minlength=m)
+    col = np.arange(rep.size) - (np.cumsum(counts) - counts)[rep]
+    width = int(counts.max(initial=0))
+    times = np.full((m, width), np.inf)
+    times[rep, col] = events.times
+    deltas = np.zeros((m, width, d))
+    deltas[rep, col] = events.heights * coeffs.reshape(-1)[events.term_index, None]
+    order = np.argsort(times, axis=1, kind="stable")
+    initials = np.einsum("mi,mid->md", coeffs, events.initials.reshape(m, n, d))
+    running = initials[:, None, :] + np.cumsum(
+        np.take_along_axis(deltas, order[:, :, None], axis=1), axis=1)
+    vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf))
+    vmin = np.minimum(initials.min(axis=1), running.min(axis=(1, 2), initial=np.inf))
+    return np.maximum(np.abs(vmax), np.abs(vmin)), vmax, vmin
+
+
+def _sixteenths_path(gen):
+    """1 to 5 jumps on the grid of sixteenths, so replicate rows hold tied times."""
+    k = int(gen.integers(1, 6))
+    times = np.sort(gen.choice(16, k, replace=False) + 1) / 16.0
+    return StepPath(1, [gen.normal()], times, gen.normal(size=(k, 1)))
+
+
+FAST_PATH_YS = {
+    "unit": unit_jump(),
+    "weighted2d_p3": weighted_jumps(
+        [CdfGrid.uniform()] * 3,
+        JumpHeightDist(np.array([[1.1, -0.5], [-0.7, 0.25], [0.3, 2.0]]), np.array([0.4, 0.35, 0.25]))),
+    # 9 columns: a pairwise row sum would add them in another order
+    "weighted_p9": weighted_jumps(
+        [CdfGrid.uniform()] * 9, JumpHeightDist(np.array([[1.1], [-0.7], [0.3]]), np.full(3, 1.0 / 3.0))),
+    "poisson": poisson_counts(2.0),
+    "user_sixteenths": user_paths(_sixteenths_path, 1),
+}
+
+
+class TestFastPathsMatchFlatReference:
+    @pytest.mark.parametrize("name", sorted(FAST_PATH_YS))
+    def test_bit_for_bit(self, name):
+        spec = rademacher_spec(alpha=0.8, n=40, seed=17, y=FAST_PATH_YS[name])
+        m = 64
+        coeffs, events = _chunk_coeffs(spec, RngStream(17).substream(series._TAG_PATH_STATS, 0), m)
+        ts = [0.0, 0.3, 0.5, 1.0]
+        intervals = [(0.0, 0.5), (0.25, 0.8125), (0.5, 1.0), (0.3, 0.3)]
+        assert values_at(events, ts).tobytes() == reference_values_at(events, ts).tobytes()
+        assert (interval_increments(events, intervals).tobytes()
+                == reference_increments(events, intervals).tobytes())
+        stats = sample_path_stats(spec, m)
+        for got, want in zip((stats.sup, stats.vmax, stats.vmin),
+                             reference_path_stats(coeffs, events, m)):
+            assert got.tobytes() == want.tobytes()
