@@ -374,9 +374,7 @@ class _Writer:
         self.out_dir = out_dir
         self.files: list[str] = []
         echo = {"command": cfg.command, "seed": cfg.seed, "config": _jsonable(cfg.raw)}
-        self.manifest_hash = hashlib.sha256(
-            json.dumps(echo, sort_keys=True).encode()
-        ).hexdigest()[:16]
+        self.manifest_hash = hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()[:16]
 
     def emit(self, name: str, rows: list[dict], columns: list[str], payload: dict) -> None:
         if "csv" in self.cfg.formats:

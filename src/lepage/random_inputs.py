@@ -273,7 +273,7 @@ class TermEvents:
         """Events of the first ``n`` terms (shares the underlying arrays)."""
         if n > self.n_terms:
             raise ValueError(f"prefix of {n} terms requested from {self.n_terms}")
-        k = int(np.searchsorted(self.term_index, n)) if self.width is None else n * self.width
+        k = int(np.searchsorted(self.term_index, n))
         return TermEvents(n, self.dimension, self.term_index[:k], self.times[:k],
                           self.heights[:k], self.initials[:n], self.width)
 
@@ -470,12 +470,8 @@ class _WeightedJumpsSpec(YGeneratorSpec):
         return _WeightedJumpsSampler(self, stream)
 
     def echo(self) -> dict:
-        return {
-            "variant": self.variant,
-            "dimension": self.dimension,
-            "p": self.p,
-            "fourth_moment_bound": self.fourth_moment_bound,
-        }
+        return {"variant": self.variant, "dimension": self.dimension, "p": self.p,
+                "fourth_moment_bound": self.fourth_moment_bound}
 
 
 class _WeightedJumpsSampler(YBlockSampler):
@@ -548,10 +544,8 @@ class _PoissonSampler(YBlockSampler):
         counts = self._counts.poisson(spec.lam, n)
         total = int(counts.sum())
         term_index = np.repeat(np.arange(base, base + n, dtype=np.int64), counts)
-        times = _draw_open_unit(self._locs, total)
-        times = _resample_term_collisions(
-            times, term_index, lambda idx: _draw_open_unit(self._locs, idx.size)
-        )
+        times = _resample_term_collisions(_draw_open_unit(self._locs, total), term_index,
+                                          lambda idx: _draw_open_unit(self._locs, idx.size))
         return TermEvents(n, 1, term_index, times, np.ones((total, 1)), np.zeros((n, 1)))
 
 
@@ -587,15 +581,10 @@ class _UserSampler(YBlockSampler):
             blocks_h.append(deltas)
             blocks_i.append(np.full(path.n_jumps, self._next_term + k, dtype=np.int64))
             initials.append(path.initial_value)
-        base = self._next_term
         self._next_term += n
-        return TermEvents(
-            n, d,
-            np.concatenate(blocks_i) if blocks_i else np.empty(0, np.int64),
-            np.concatenate(blocks_t) if blocks_t else np.empty(0),
-            np.concatenate(blocks_h, axis=0) if blocks_h else np.empty((0, d)),
-            np.stack(initials) if initials else np.empty((0, d)),
-        )
+        return TermEvents(n, d, np.concatenate([np.empty(0, np.int64)] + blocks_i),
+                          np.concatenate([np.empty(0)] + blocks_t),
+                          np.concatenate([np.empty((0, d))] + blocks_h), np.array(initials).reshape(n, d))
 
 
 def unit_jump() -> YGeneratorSpec:
@@ -695,11 +684,13 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray,
         times[row, col] = events.times
         deltas = np.zeros(times.shape + (d,))
         deltas[row, col] = events.heights * scale[events.term_index, None]
-    order = np.argsort(times, axis=1)
-    s = np.take_along_axis(times, order, axis=1)
-    if np.any((s[:, 1:] == s[:, :-1]) & (s[:, 1:] < np.inf)):  # a tie, not padding
-        order = np.argsort(times, axis=1, kind="stable")
-    running = np.take_along_axis(deltas, order[:, :, None], axis=1)
+    running = deltas
+    if times.shape[1] > 1:  # a row of one event is in time order already
+        order = np.argsort(times, axis=1)
+        s = np.take_along_axis(times, order, axis=1)
+        if np.any((s[:, 1:] == s[:, :-1]) & (s[:, 1:] < np.inf)):  # a tie, not padding
+            order = np.argsort(times, axis=1, kind="stable")
+        running = np.take_along_axis(deltas, order[:, :, None], axis=1)
     np.cumsum(running, axis=1, out=running)
     running += initials[:, None, :]
     vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf))
@@ -709,9 +700,30 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray,
 
 def term_sup_norms(events: TermEvents) -> np.ndarray:
     """Uniform norm of each term's path: ``max|v| = max(|max v|, |min v|)`` exactly."""
-    return _row_extremes(events, np.broadcast_to(1.0, events.n_terms), events.initials)[0]
+    vmax, vmin = term_value_extremes(events)
+    return np.maximum(np.abs(vmax), np.abs(vmin))
 
 
 def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:
-    """Largest and smallest segment value of each term's path (over coords), exactly."""
-    return _row_extremes(events, np.broadcast_to(1.0, events.n_terms), events.initials)[1:]
+    """Largest and smallest segment value of each term's path (over coords), exactly.
+
+    A fixed-width block goes through :func:`_row_extremes`; any other is summed
+    flat in time order, one event column per pass, as a per-term ``cumsum`` adds.
+    """
+    if events.width is not None:
+        return _row_extremes(events, np.broadcast_to(1.0, events.n_terms), events.initials)[1:]
+    ev = time_ordered(events)
+    counts = np.bincount(ev.term_index, minlength=ev.n_terms)
+    has = counts > 0
+    starts = (np.cumsum(counts) - counts)[has]  # first event of each term that has one
+    longest_first = starts[np.argsort(-counts[has])]
+    at_least = np.cumsum(np.bincount(counts)[::-1])[::-1]  # terms with >= j events
+    running = np.array(ev.heights, dtype=np.float64)
+    for j in range(1, at_least.size - 1):
+        e = longest_first[:at_least[j + 1]] + j
+        running[e] += running[e - 1]
+    running += ev.initials[ev.term_index]
+    vmax, vmin = ev.initials.max(axis=1), ev.initials.min(axis=1)
+    vmax[has] = np.maximum(vmax[has], np.maximum.reduceat(running.max(axis=1), starts))
+    vmin[has] = np.minimum(vmin[has], np.minimum.reduceat(running.min(axis=1), starts))
+    return vmax, vmin

@@ -84,9 +84,7 @@ class SeriesSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 2.0:
-            raise ConfigurationError(
-                f"alpha must lie in the open interval (0, 2), got {self.alpha}"
-            )
+            raise ConfigurationError(f"alpha must lie in the open interval (0, 2), got {self.alpha}")
         if self.truncation_n < 0:
             raise ConfigurationError(f"truncation_n must be nonnegative, got {self.truncation_n}")
         if self.weight_mode not in ("gamma", "deterministic"):
@@ -245,11 +243,8 @@ def partial_sum(
     """
     real = SeriesRealization(spec, stream)
     n = spec.truncation_n
-    return PartialSumResult(
-        path=real.path(n),
-        terms_used=n,
-        per_term_norms=real.per_term_norms(n) if with_term_norms else None,
-    )
+    return PartialSumResult(path=real.path(n), terms_used=n,
+                            per_term_norms=real.per_term_norms(n) if with_term_norms else None)
 
 
 def coupled_partial_sums(

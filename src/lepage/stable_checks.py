@@ -228,9 +228,7 @@ def estimate_alpha(
     u = np.exp(np.linspace(math.log(u_min), math.log(u_max), grid_size))
     mod = _abs_ecf(x, u)
     if np.any(mod == 0.0) or np.any(mod >= 1.0):
-        raise WindowError(
-            "|ecf| hit 0 or 1 on the window; shrink the window toward moduli in (0.05, 0.95)"
-        )
+        raise WindowError("|ecf| hit 0 or 1 on the window; shrink the window toward moduli in (0.05, 0.95)")
     slope = _loglog_slope(u, mod)
     block = x.size // se_blocks
     slopes = []
@@ -416,10 +414,7 @@ class SpectralEstimate:
         return self.event_masses[name][0]
 
     def rows(self) -> list[dict]:
-        out = [
-            {"event": name, "mass": m, "se": s}
-            for name, (m, s) in self.event_masses.items()
-        ]
+        out = [{"event": name, "mass": m, "se": s} for name, (m, s) in self.event_masses.items()]
         out.append({"event": "__normalizer__", "mass": self.normalizer[0], "se": self.normalizer[1]})
         return out
 
@@ -533,9 +528,7 @@ def tail_quantile_bn(norm_samples, n: int) -> float:
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     if x.size < n:
-        raise ConfigurationError(
-            f"quantile resolution: need at least n = {n} samples, got {x.size}"
-        )
+        raise ConfigurationError(f"quantile resolution: need at least n = {n} samples, got {x.size}")
     if x.size < 10 * n:
         warnings.warn(f"only {x.size} samples for n = {n}; b_n is noisy below 10n", stacklevel=2)
     k = x.size // n

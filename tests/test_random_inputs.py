@@ -419,7 +419,33 @@ class TestTimeOrderedReaders:
             assert time_ordered(events) is events
 
 
+def per_term_cumsum_extremes(events):
+    """Oracle: each term's own time-ordered cumsum, one term at a time."""
+    order = np.lexsort((events.times, events.term_index))
+    ti, heights = events.term_index[order], events.heights[order]
+    bounds = np.searchsorted(ti, np.arange(events.n_terms + 1))
+    vmax, vmin = events.initials.max(axis=1), events.initials.min(axis=1)
+    for i in range(events.n_terms):
+        running = np.cumsum(heights[bounds[i]:bounds[i + 1]], axis=0) + events.initials[i]
+        vmax[i] = max(vmax[i], running.max(initial=-np.inf))
+        vmin[i] = min(vmin[i], running.min(initial=np.inf))
+    return vmax, vmin
+
+
+def _normal_2d_path(gen):
+    """0 to 8 jumps with normal segment values, so running sums round."""
+    k = int(gen.integers(0, 9))
+    return StepPath(2, gen.normal(size=2), np.sort(gen.random(k)) * 0.5 + 0.25, gen.normal(size=(k, 2)))
+
+
 class TestExactTermExtremes:
+    @pytest.mark.parametrize("y", [poisson_counts(1.0), poisson_counts(7.0), user_paths(_normal_2d_path, 2)],
+                             ids=["poisson1", "poisson7", "user2d"])
+    def test_variable_width_blocks_match_per_term_cumsum(self, y):
+        events = y.block_sampler(RngStream(62)).take(3000)
+        for got, want in zip(term_value_extremes(events), per_term_cumsum_extremes(events)):
+            assert got.tobytes() == want.tobytes()
+
     def test_weighted_jumps_match_per_term_cumsum(self):
         # sums of 1.1, -0.7 and 0.3 round differently in a block-wide cumsum
         y = weighted_jumps([CdfGrid.uniform()] * 3,

@@ -12,6 +12,7 @@ from lepage.random_inputs import (
     unit_jump,
     weighted_jumps,
 )
+from lepage import stable_checks
 from lepage.rng import RngStream
 from lepage.series import SeriesSpec, sample_path_stats
 from lepage.stable_checks import (
@@ -33,6 +34,7 @@ from lepage.stable_checks import (
     sum_stability_test,
     tail_quantile_bn,
 )
+from test_random_inputs import per_term_cumsum_extremes
 
 RAD = EpsilonSpec.rademacher()
 
@@ -231,6 +233,22 @@ class TestSpectralEstimate:
     def test_replicate_floor(self):
         with pytest.raises(ConfigurationError):
             spectral_estimate(RAD, unit_jump(), 1.5, [full_sphere()], 999, RngStream(24))
+
+    def test_weighted_jump_extremes_equal_per_term_cumsum(self, monkeypatch):
+        # partial sums of 1.1, -0.7 and 0.3 round differently in a block-wide cumsum
+        y = weighted_jumps([CdfGrid.uniform()] * 3,
+                           JumpHeightDist(np.array([[1.1], [-0.7], [0.3]]), np.full(3, 1.0 / 3.0)))
+        blocks = []
+
+        def recorded(blk):
+            blocks.append(blk)
+            return per_term_cumsum_extremes(blk)
+
+        events = [nonnegative_path(), norm_equals(1.1), norm_equals(0.7)]
+        got = spectral_estimate(RAD, y, 1.5, events, 3000, RngStream(25)).rows()
+        monkeypatch.setattr(stable_checks, "term_value_extremes", recorded)
+        want = spectral_estimate(RAD, y, 1.5, events, 3000, RngStream(25)).rows()
+        assert blocks and got == want
 
 
 class TestTailQuantile:
