@@ -5,7 +5,8 @@ Replicates are partitioned into fixed-size chunks (a pure function of the
 replicate count and the events per replicate, never of the thread count);
 chunk ``c`` draws from ``stream.substream(c)``.  Threads only decide which
 worker executes a chunk, and results come back in chunk order, so outputs
-are byte-identical for any ``threads`` setting.
+are byte-identical for any ``threads`` setting.  The series samplers reduce
+each chunk in small tiles, so each thread adds one tile's memory, not a chunk's.
 """
 
 from __future__ import annotations

@@ -12,12 +12,11 @@ truncation without disturbing the terms already drawn, which is what the
 Cauchy-increment diagnostics measure.
 
 Replicate ``r`` of any experiment uses the stream ``(seed, r)``; the
-chunked samplers at the bottom vectorize across fixed-size blocks of
-replicates (one substream per block) so large Monte Carlo runs stay fast
-while remaining bit-reproducible for any thread count.  Path statistics
-use the row reducer of per-term extremes (``random_inputs._row_extremes``):
-one row per replicate, sorted (stably only where a row holds a tie) and
-summed on its own, so no replicate's arithmetic touches another's.
+chunked samplers at the bottom draw fixed-size chunks of replicates (one
+substream each) and work through each chunk in cache-sized tiles, so memory
+does not grow with the chunk and results are bit-reproducible for any thread
+count.  Path statistics reduce one row per replicate with
+``random_inputs._row_extremes``, so no replicate's arithmetic touches another's.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ __all__ = [
 _TAG_MARGINAL = 101
 _TAG_PATH_STATS = 102
 _TAG_INCREMENTS = 103
+_TILE_EVENTS = 1 << 14  # a chunk is drawn and reduced in tiles of this many events, in cache
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,8 @@ class SeriesRealization:
     def __init__(self, spec: SeriesSpec, stream: RngStream | None = None):
         self.spec = spec
         stream = RngStream(spec.seed) if stream is None else stream
-        self._gamma_gen = stream.substream(_GAMMA_ROLE).generator()
-        self._eps_gen = stream.substream(_EPSILON_ROLE).generator()
-        self._y_sampler = spec.y_gen.block_sampler(stream.substream(_Y_ROLE))
-        self._gaps = np.empty(0)
-        self._gammas = np.empty(0)
-        self._eps = np.empty(0)
+        self._gamma_gen, self._eps_gen, self._y_sampler = _chunk_draws(spec, stream)
+        self._gaps = self._gammas = self._eps = np.empty(0)  # replaced, never written in place
         self._blocks: list[TermEvents] = [self._y_sampler.take(0)]  # draws nothing; shapes events(0)
         self._events: TermEvents | None = None
 
@@ -285,15 +281,25 @@ def gamma_deterministic_gap(spec: SeriesSpec, stream: RngStream | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _chunk_coeffs(spec: SeriesSpec, stream: RngStream, m: int) -> tuple[np.ndarray, TermEvents]:
-    """Draw m replicates of n terms at once; returns coeffs (m, n) and events.
+def _chunk_draws(spec: SeriesSpec, stream: RngStream) -> tuple:
+    """The gamma and epsilon generators and the Y block sampler of a replicate or chunk."""
+    return (stream.substream(_GAMMA_ROLE).generator(), stream.substream(_EPSILON_ROLE).generator(),
+            spec.y_gen.block_sampler(stream.substream(_Y_ROLE)))
 
-    Event term index k encodes (replicate k // n, term k % n).
+
+def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int) -> tuple[np.ndarray, TermEvents]:
+    """One tile: the next m replicates of n terms from a chunk's draws; coeffs (m, n) and events.
+
+    Event term index k encodes (replicate k // n, term k % n) within the tile.
+    Generators consume their streams in sequence, so consecutive tiles get the
+    draws of one call over the whole chunk, save where a 0.0 or a tie is redrawn.
     """
     n = spec.truncation_n
-    gaps = _positive_exponentials(stream.substream(_GAMMA_ROLE).generator(), m * n).reshape(m, n)
-    eps = spec.epsilon.sample(stream.substream(_EPSILON_ROLE).generator(), m * n).reshape(m, n)
-    events = spec.y_gen.block_sampler(stream.substream(_Y_ROLE)).take(m * n)
+    gamma_gen, eps_gen, y_sampler = draws
+    gaps = _positive_exponentials(gamma_gen, m * n).reshape(m, n)
+    eps = spec.epsilon.sample(eps_gen, m * n).reshape(m, n)
+    y_sampler._next_term = 0  # each call numbers its terms from 0; only term_index reads this
+    events = y_sampler.take(m * n)
     idx = np.arange(1, n + 1, dtype=np.float64)
     if spec.weight_mode == "gamma":
         weights = np.cumsum(gaps, axis=1) ** (-1.0 / spec.alpha)
@@ -305,15 +311,22 @@ def _chunk_coeffs(spec: SeriesSpec, stream: RngStream, m: int) -> tuple[np.ndarr
 
 
 def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) -> list[np.ndarray]:
-    """Each field of ``reduce(coeffs, events, m)`` over all chunks, concatenated.
+    """Each field of ``reduce(coeffs, events, k)`` over the tiles of all chunks, concatenated.
 
-    Chunk ``c`` draws from ``RngStream(spec.seed).substream(tag, c)``, so the
-    result is a pure function of ``(spec, tag, n_samples)``.
+    Chunk ``c`` draws from ``RngStream(spec.seed).substream(tag, c)``, so the result is a
+    pure function of ``(spec, tag, n_samples)``; one tile per chunk in flight is alive.
+    No tile holds one replicate unless its chunk does: above 8192 terms einsum
+    sums a single row in another order, and tiles must reduce as whole chunks do.
     """
-    parts = map_replicates(lambda stream, m: reduce(*_chunk_coeffs(spec, stream, m), m),
-                           RngStream(spec.seed).substream(tag), n_samples, spec.truncation_n,
-                           threads)
-    return [np.concatenate(field, axis=0) for field in zip(*parts)]
+
+    def one_chunk(stream, m):
+        draws, tile = _chunk_draws(spec, stream), max(2, _TILE_EVENTS // max(1, spec.truncation_n))
+        bounds = [*range(0, max(m - 1, 1), tile), m]
+        return [reduce(*_chunk_coeffs(spec, draws, b - a), b - a) for a, b in zip(bounds, bounds[1:])]
+
+    parts = map_replicates(one_chunk, RngStream(spec.seed).substream(tag), n_samples,
+                           spec.truncation_n, threads)
+    return [np.concatenate(field, axis=0) for field in zip(*(t for chunk in parts for t in chunk))]
 
 
 def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, threads=1) -> np.ndarray:

@@ -355,6 +355,28 @@ replicates: 2
 per_term_norms: true
 seed: 7
 """,
+        # Poisson paths in tiles of 54 replicates: chunks of 4096 and 904 end in uneven tiles
+        "stability_poisson_tiles": """
+command: stability
+alpha: 1.2
+epsilon: rademacher
+y: {variant: example3, lambda: 2.0}
+truncation_n: 300
+samples: 5000
+seed: 7
+""",
+        # more terms than a tile holds events: tiles of 2 replicates in chunks of 209
+        "regvar_long": """
+command: regvar
+alpha: 1.5
+epsilon: rademacher
+y: example1
+truncation_n: 20000
+samples: 500
+sigma_replicates: 2000
+n: 20
+seed: 7
+""",
         "tightness": """
 command: tightness
 alpha: 1.5

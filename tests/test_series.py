@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,12 +18,14 @@ from lepage.random_inputs import (
     values_at,
     weighted_jumps,
 )
+from lepage.parallel import map_replicates
 from lepage.rng import RngStream
 import lepage.series as series
 from lepage.series import (
     SeriesRealization,
     SeriesSpec,
     _chunk_coeffs,
+    _chunk_draws,
     _combine_term_events,
     coupled_partial_sums,
     gamma_deterministic_gap,
@@ -209,7 +214,8 @@ class TestGammaDeterministicGap:
 def chunk_paths(spec, tag, m):
     """The m paths of chunk 0 of a chunked sampler, rebuilt one replicate at a time."""
     n = spec.truncation_n
-    coeffs, events = _chunk_coeffs(spec, RngStream(spec.seed).substream(tag, 0), m)
+    draws = _chunk_draws(spec, RngStream(spec.seed).substream(tag, 0))
+    coeffs, events = _chunk_coeffs(spec, draws, m)
     rep = events.term_index // n
     paths = []
     for r in range(m):
@@ -255,7 +261,8 @@ class TestChunkedSamplers:
         spec = rademacher_spec(alpha=0.01, n=500, seed=3)
         m = 4096  # 4096 replicates of 500 terms are exactly the sampler's chunk 0
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs, _ = _chunk_coeffs(spec, RngStream(spec.seed).substream(series._TAG_PATH_STATS, 0), m)
+            draws = _chunk_draws(spec, RngStream(spec.seed).substream(series._TAG_PATH_STATS, 0))
+            coeffs, _ = _chunk_coeffs(spec, draws, m)
             finite = np.isfinite(np.abs(coeffs).sum(axis=1))
             stats = sample_path_stats(spec, m)
         assert 0 < finite.sum() < m
@@ -375,7 +382,8 @@ class TestFastPathsMatchFlatReference:
     def test_bit_for_bit(self, name):
         spec = rademacher_spec(alpha=0.8, n=40, seed=17, y=FAST_PATH_YS[name])
         m = 64
-        coeffs, events = _chunk_coeffs(spec, RngStream(17).substream(series._TAG_PATH_STATS, 0), m)
+        draws = _chunk_draws(spec, RngStream(17).substream(series._TAG_PATH_STATS, 0))
+        coeffs, events = _chunk_coeffs(spec, draws, m)
         ts = [0.0, 0.3, 0.5, 1.0]
         intervals = [(0.0, 0.5), (0.25, 0.8125), (0.5, 1.0), (0.3, 0.3)]
         assert values_at(events, ts).tobytes() == reference_values_at(events, ts).tobytes()
@@ -385,3 +393,102 @@ class TestFastPathsMatchFlatReference:
         for got, want in zip((stats.sup, stats.vmax, stats.vmin),
                              reference_path_stats(coeffs, events, m)):
             assert got.tobytes() == want.tobytes()
+
+
+# the chunked samplers before tiles: each chunk drawn by one _chunk_coeffs
+# call and reduced once; tiles must reproduce it bit for bit
+
+def whole_chunk_reference(spec, tag, n_samples, reduce):
+    parts = map_replicates(lambda stream, m: reduce(*_chunk_coeffs(spec, _chunk_draws(spec, stream), m), m),
+                           RngStream(spec.seed).substream(tag), n_samples, spec.truncation_n)
+    return [np.concatenate(field, axis=0) for field in zip(*parts)]
+
+
+def reference_marginals(spec, t, n_samples):
+    def reduce(coeffs, events, m):
+        per_term = values_at(events, [t])[:, 0, :].reshape(m, spec.truncation_n, spec.dimension)
+        return (np.einsum("mi,mid->md", coeffs, per_term),)
+
+    return whole_chunk_reference(spec, series._TAG_MARGINAL, n_samples, reduce)[0]
+
+
+def reference_weighted_increments(spec, intervals, n_samples):
+    def reduce(coeffs, events, m):
+        inc = interval_increments(events, intervals).reshape(m, spec.truncation_n, len(intervals), -1)
+        return (np.einsum("mi,mijd->mjd", coeffs, inc),)
+
+    return whole_chunk_reference(spec, series._TAG_INCREMENTS, n_samples, reduce)[0]
+
+
+# (y, n, samples): 1500 replicates of 24 terms are tiles of 682, 682 and 136;
+# 2100 of 2000 terms are a chunk of 2097 (261 tiles of 8 and one of 9) and
+# one of 3; 5 of 16500 terms are tiles of 2 and 3, and 255 of them a chunk of
+# 254 (tiles of 2) and a chunk of 1
+TILE_CASES = [*((name, 24, 1500) for name in ("unit", "weighted2d_p3", "poisson")),
+              ("user_sixteenths", 24, 700), ("unit", 2000, 2100),
+              *((name, 16500, 5) for name in ("unit", "weighted2d_p3", "poisson")), ("unit", 16500, 255)]
+
+
+class TestTilesEqualWholeChunk:
+    @pytest.mark.parametrize("name, n, n_samples", TILE_CASES)
+    def test_bit_for_bit(self, name, n, n_samples):
+        spec = rademacher_spec(alpha=0.8, n=n, seed=19, y=FAST_PATH_YS[name])
+        assert max(2, series._TILE_EVENTS // n) < n_samples  # more than one tile
+        t, intervals = 0.8125, [(0.0, 0.5), (0.25, 0.8125)]
+        assert (sample_marginals(spec, t, n_samples).tobytes()
+                == reference_marginals(spec, t, n_samples).tobytes())
+        assert (sample_weighted_increments(spec, intervals, n_samples).tobytes()
+                == reference_weighted_increments(spec, intervals, n_samples).tobytes())
+        stats = sample_path_stats(spec, n_samples)
+        want = whole_chunk_reference(spec, series._TAG_PATH_STATS, n_samples, reference_path_stats)
+        for got, ref in zip((stats.sup, stats.vmax, stats.vmin), want):
+            assert got.tobytes() == ref.tobytes()
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestTiledMemory:
+    # whole chunks at once held 196.7, 109.7 and 30.1 MB here
+    @pytest.mark.parametrize("case", ["marginals", "path_stats", "poisson_increments"])
+    def test_peak_stays_within_budget(self, case):
+        run = {
+            "marginals": lambda: sample_marginals(rademacher_spec(n=2000, seed=0), 1.0, 4194),
+            "path_stats": lambda: sample_path_stats(rademacher_spec(n=500, seed=114), 8192),
+            "poisson_increments": lambda: sample_weighted_increments(
+                rademacher_spec(n=100, seed=107, y=poisson_counts(1.0)), [(0.1, 0.35), (0.35, 0.6)], 10_000),
+        }[case]
+        assert traced_peak_mb(run) <= 8.0
+
+
+def truncated_limit_cf(alpha, u, n):
+    """``exp(-|u|^alpha / C_alpha - rho_n(u))``, the characteristic function of
+    ``sum_{i<=n} Gamma_i^(-1/alpha) eps_i`` with Rademacher ``eps``.
+
+    ``C_alpha = (1 - alpha) / (Gamma(2 - alpha) cos(pi alpha / 2))``
+    (Samorodnitsky & Taqqu 1994, Thm 1.4.5) and
+    ``rho_n(u) = int_n^inf (cos(u s^(-1/alpha)) - 1) ds``, summed as its power series.
+    """
+    c_alpha = (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0))
+    rho = sum((-1) ** k * u ** (2 * k) * n ** (1.0 - 2.0 * k / alpha)
+              / (math.factorial(2 * k) * (2.0 * k / alpha - 1.0)) for k in range(1, 30))
+    return math.exp(-abs(u) ** alpha / c_alpha - rho)
+
+
+class TestLimitLawScale:
+    """Pins the scale of the simulated limit, which c08-c10 leave free."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.2, 1.5, 1.8])
+    def test_characteristic_function_at_one(self, alpha):
+        n, samples = 500, 20_000
+        x = sample_marginals(rademacher_spec(alpha=alpha, n=n, seed=4), 1.0, samples)[:, 0]
+        for u in (0.1, 0.3, 1.0):
+            c = np.cos(u * x)
+            se = c.std(ddof=1) / math.sqrt(samples)
+            assert abs(c.mean() - truncated_limit_cf(alpha, u, n)) <= 4.0 * se, (alpha, u)
