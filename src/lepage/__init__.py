@@ -7,6 +7,8 @@ constants controlling the truncated multipliers, tightness functionals,
 and the stable-law / regular-variation properties of the simulated limit.
 """
 
+import types as _types
+
 __version__ = "0.1.0"
 
 from .paths import (
@@ -42,32 +44,6 @@ from .series import (
     truncate_epsilon,
 )
 
-__all__ = [
-    "__version__",
-    "DomainError",
-    "PathValidationError",
-    "StepPath",
-    "evaluate",
-    "increment",
-    "linear_combine",
-    "sup_norm",
-    "zero_path",
-    "CdfGrid",
-    "ConfigurationError",
-    "EpsilonSpec",
-    "JumpHeightDist",
-    "YGeneratorSpec",
-    "gen_path",
-    "poisson_counts",
-    "unit_jump",
-    "user_paths",
-    "weighted_jumps",
-    "RngStream",
-    "PartialSumResult",
-    "SeriesSpec",
-    "coupled_partial_sums",
-    "gamma_deterministic_gap",
-    "partial_sum",
-    "sample_marginals",
-    "truncate_epsilon",
-]
+# every public name imported above
+__all__ = ["__version__", *(name for name, value in list(globals().items())
+                            if not name.startswith("_") and not isinstance(value, _types.ModuleType))]

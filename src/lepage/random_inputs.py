@@ -18,6 +18,7 @@ several truncation depths therefore share one realization bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -60,14 +61,27 @@ class ConfigurationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _positive_exponentials(gen: np.random.Generator, n: int) -> np.ndarray:
-    out = gen.standard_exponential(n)
-    # an exactly-zero draw would break strict monotonicity of the cumsum
-    while True:
+def _buffer(scratch: dict | None, name: str, shape) -> np.ndarray | None:
+    """A float64 ``shape`` view of ``scratch[name]``, grown when too small; None without scratch."""
+    if scratch is None:
+        return None
+    size = math.prod(shape)
+    if name not in scratch or scratch[name].size < size:
+        scratch[name] = np.empty(size)
+    return scratch[name][:size].reshape(shape)
+
+
+def _nonzero_draws(draw, n: int, out: np.ndarray | None) -> np.ndarray:
+    """``draw(n)``, or ``draw(out=out)`` into ``out``, with each exact 0.0 redrawn."""
+    out = draw(n) if out is None else draw(out=out)
+    while out.min(initial=1.0) == 0.0:  # draws are >= 0, so a 0.0 is their minimum
         bad = out == 0.0
-        if not bad.any():
-            return out
-        out[bad] = gen.standard_exponential(int(bad.sum()))
+        out[bad] = draw(int(bad.sum()))
+    return out
+
+
+def _positive_exponentials(gen: np.random.Generator, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    return _nonzero_draws(gen.standard_exponential, n, out)  # a 0.0 gap would tie two arrivals
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +235,19 @@ class EpsilonSpec:
 
     # -- sampling -------------------------------------------------------
 
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, gen: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``size`` multipliers, drawn into ``out`` when given (same draws, same bytes)."""
+        v = gen.random(size) if out is None else gen.random(out=out)
         if self.family == "rademacher":
-            v = gen.random(size) - 0.5  # exact, and u == 0.5 gives +0.0, so sign +1
+            v -= 0.5  # exact, and u == 0.5 gives +0.0, so sign +1
             return np.copysign(1.0, v, out=v)
         if self.family == "uniform_symmetric":
-            return self.a * (2.0 * gen.random(size) - 1.0)
-        cum = np.cumsum(self.atom_probs)
-        idx = np.searchsorted(cum, gen.random(size), side="right")
-        return self.atom_values[np.minimum(idx, self.atom_values.size - 1)]
+            v *= 2.0
+            v -= 1.0
+            v *= self.a
+            return v
+        idx = np.searchsorted(np.cumsum(self.atom_probs), v, side="right")
+        return np.take(self.atom_values, idx, out=v, mode="clip")  # clip: u past the last cum
 
     def echo(self) -> dict:
         out = {"family": self.family}
@@ -252,47 +270,54 @@ class EpsilonSpec:
 class TermEvents:
     """Flat jump-event view of a block of i.i.d. paths.
 
-    ``term_index`` is nondecreasing; within one term, events keep the order
-    they were drawn in, which need not be time order.  ``heights`` are the
-    jump sizes (value deltas), ``initials`` the t=0 value of each term's
-    path, either possibly a read-only broadcast.  ``width`` is set when every
-    term has that many events (unit jumps 1, weighted jumps p): masked sums and
-    :func:`_row_extremes` then reshape ``(n_terms, width)`` rows.  Other readers
-    that walk a path in time order call :func:`time_ordered` first.
+    ``term_index`` counts the block's terms from 0 and is nondecreasing;
+    within one term, events keep the order they were drawn in, which need
+    not be time order.  ``heights`` are the jump sizes (value deltas),
+    ``initials`` the t=0 value of each term's path, either possibly a
+    read-only broadcast.  ``width`` is set when every term has that many
+    events (unit jumps 1, weighted jumps p): masked sums and
+    :func:`_row_extremes` then reshape ``(n_terms, width)`` rows, and no
+    ``index`` is stored.  Readers that walk a path in time order call
+    :func:`time_ordered`.
     """
 
     n_terms: int
     dimension: int
-    term_index: np.ndarray  # (k,) int64, nondecreasing
+    index: np.ndarray | None  # (k,) int64, nondecreasing; None when width is set
     times: np.ndarray  # (k,) float64 in (0, 1]
     heights: np.ndarray  # (k, d)
     initials: np.ndarray  # (n_terms, d)
     width: int | None = None  # events per term, when fixed
 
+    @property
+    def term_index(self) -> np.ndarray:
+        """The term of each event; built on each read for a fixed-width block."""
+        return self.index if self.width is None else np.repeat(np.arange(self.n_terms), self.width)
+
+    def offset(self, n: int) -> int:
+        """Number of events of the first ``n`` terms (the first event of term ``n``)."""
+        return int(np.searchsorted(self.index, n)) if self.width is None else n * self.width
+
     def prefix(self, n: int) -> "TermEvents":
         """Events of the first ``n`` terms (shares the underlying arrays)."""
         if n > self.n_terms:
             raise ValueError(f"prefix of {n} terms requested from {self.n_terms}")
-        k = int(np.searchsorted(self.term_index, n))
-        return TermEvents(n, self.dimension, self.term_index[:k], self.times[:k],
-                          self.heights[:k], self.initials[:n], self.width)
+        k = self.offset(n)
+        return TermEvents(n, self.dimension, None if self.index is None else self.index[:k],
+                          self.times[:k], self.heights[:k], self.initials[:n], self.width)
 
     @staticmethod
     def concatenate(blocks: list["TermEvents"]) -> "TermEvents":
-        return TermEvents(sum(b.n_terms for b in blocks), blocks[0].dimension,
+        starts = np.cumsum([0] + [b.n_terms for b in blocks])  # each block numbers its terms from 0
+        index = None if blocks[0].width else np.concatenate([b.index + s for b, s in zip(blocks, starts)])
+        return TermEvents(int(starts[-1]), blocks[0].dimension, index,
                           *(np.concatenate([getattr(b, f) for b in blocks])
-                            for f in ("term_index", "times", "heights", "initials")),
-                          blocks[0].width)
+                            for f in ("times", "heights", "initials")), blocks[0].width)
 
 
-def _draw_open_unit(gen: np.random.Generator, n: int) -> np.ndarray:
+def _draw_open_unit(gen: np.random.Generator, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform draws in (0, 1): zeros are resampled (a t=0 jump is illegal)."""
-    u = gen.random(n)
-    while True:
-        bad = u == 0.0
-        if not bad.any():
-            return u
-        u[bad] = gen.random(int(bad.sum()))
+    return _nonzero_draws(gen.random, n, out)
 
 
 def time_ordered(events: TermEvents) -> TermEvents:
@@ -301,25 +326,27 @@ def time_ordered(events: TermEvents) -> TermEvents:
     if np.all((ti[1:] > ti[:-1]) | (t[1:] >= t[:-1])):
         return events
     order = np.lexsort((t, ti))
-    return TermEvents(events.n_terms, events.dimension, ti[order], t[order],
+    return TermEvents(events.n_terms, events.dimension, None if events.width else ti[order], t[order],
                       events.heights[order], events.initials, events.width)
 
 
-def _resample_term_collisions(times: np.ndarray, term_index: np.ndarray, redraw) -> np.ndarray:
+def _resample_term_collisions(times: np.ndarray, term_index, redraw) -> np.ndarray:
     """Redraw locations until each term's jump times are pairwise distinct.
 
     Exact collisions have probability ~2^-53 per pair but would break the
     strict-ordering invariant of StepPath, so they are resampled;
     ``redraw(flat_indices)`` must return fresh draws from the law of each
     colliding location.  A float sort rules out any equal times first; the
-    ``(term, time)`` lexsort runs only if some exist.  Returns ``times``.
+    ``(term, time)`` lexsort runs only if some exist, on ``term_index`` (an
+    array, or a function that builds it).  Returns ``times``, redrawn in place.
     """
     while True:
         s = np.sort(times)
         if not np.any(s[1:] == s[:-1]):
             return times
-        order = np.lexsort((times, term_index))
-        same = (np.diff(times[order]) == 0.0) & (np.diff(term_index[order]) == 0)
+        ti = term_index() if callable(term_index) else term_index
+        order = np.lexsort((times, ti))
+        same = (np.diff(times[order]) == 0.0) & (np.diff(ti[order]) == 0)
         if not same.any():
             return times
         dup = np.sort(order[1:][same])
@@ -327,13 +354,13 @@ def _resample_term_collisions(times: np.ndarray, term_index: np.ndarray, redraw)
 
 
 class YBlockSampler:
-    """Stateful per-replicate sampler handing out terms in order."""
+    """Stateful per-replicate sampler handing out terms in order; ``take(n, out)``
+    draws a fixed-width block's jump times into ``out`` when given."""
 
     def __init__(self, spec: "YGeneratorSpec"):
         self.spec = spec
-        self._next_term = 0
 
-    def take(self, n: int) -> TermEvents:
+    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
         raise NotImplementedError
 
 
@@ -410,6 +437,7 @@ class YGeneratorSpec:
 
     variant: str = "base"
     dimension: int = 1
+    width: int | None = None  # events per path, when fixed (see TermEvents)
 
     def block_sampler(self, stream: RngStream) -> YBlockSampler:
         raise NotImplementedError
@@ -424,6 +452,7 @@ class _UnitJumpSpec(YGeneratorSpec):
 
     variant: str = "example1"
     dimension: int = 1
+    width = 1
 
     def block_sampler(self, stream: RngStream) -> YBlockSampler:
         return _UnitJumpSampler(self, stream)
@@ -434,10 +463,8 @@ class _UnitJumpSampler(YBlockSampler):
         super().__init__(spec)
         self._loc = stream.substream(0).generator()
 
-    def take(self, n: int) -> TermEvents:
-        base = self._next_term
-        self._next_term += n
-        return TermEvents(n, 1, np.arange(base, base + n, dtype=np.int64), _draw_open_unit(self._loc, n),
+    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
+        return TermEvents(n, 1, None, _draw_open_unit(self._loc, n, out),
                           np.broadcast_to(1.0, (n, 1)), np.broadcast_to(0.0, (n, 1)), 1)
 
 
@@ -466,6 +493,8 @@ class _WeightedJumpsSpec(YGeneratorSpec):
     def p(self) -> int:
         return len(self.cdfs)
 
+    width = p
+
     def block_sampler(self, stream: RngStream) -> YBlockSampler:
         return _WeightedJumpsSampler(self, stream)
 
@@ -481,12 +510,10 @@ class _WeightedJumpsSampler(YBlockSampler):
         self._locs = [stream.substream(0, j).generator() for j in range(spec.p)]
         self._heights = [stream.substream(1, j).generator() for j in range(spec.p)]
 
-    def take(self, n: int) -> TermEvents:
+    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
         spec: _WeightedJumpsSpec = self.spec
-        base = self._next_term
-        self._next_term += n
         p, d = spec.p, spec.dimension
-        times = np.empty((n, p))
+        times = np.empty((n, p)) if out is None else out.reshape(n, p)
         heights = np.empty((n, p, d))
         for j, cdf in enumerate(spec.cdfs):
             tj = cdf.inverse(_draw_open_unit(self._locs[j], n))
@@ -496,7 +523,6 @@ class _WeightedJumpsSampler(YBlockSampler):
                 tj[zero] = cdf.inverse(_draw_open_unit(self._locs[j], int(zero.sum())))
             times[:, j] = tj
             heights[:, j] = spec.height_dist.sample(self._heights[j], n)
-        term_index = np.repeat(np.arange(base, base + n, dtype=np.int64), p)
         flat_times = times.reshape(-1)  # row-major: flat index k belongs to component k % p
 
         def redraw(flat_idx):
@@ -507,9 +533,9 @@ class _WeightedJumpsSampler(YBlockSampler):
                     out[sel] = spec.cdfs[j].inverse(_draw_open_unit(self._locs[j], int(sel.sum())))
             return out
 
-        flat_times = _resample_term_collisions(flat_times, term_index, redraw)
-        return TermEvents(n, d, term_index, flat_times, heights.reshape(-1, d),
-                          np.broadcast_to(0.0, (n, d)), p)
+        events = TermEvents(n, d, None, flat_times, heights.reshape(-1, d), np.broadcast_to(0.0, (n, d)), p)
+        _resample_term_collisions(flat_times, lambda: events.term_index, redraw)
+        return events
 
 
 @dataclass(frozen=True)
@@ -537,13 +563,11 @@ class _PoissonSampler(YBlockSampler):
         self._counts = stream.substream(0).generator()
         self._locs = stream.substream(1).generator()
 
-    def take(self, n: int) -> TermEvents:
+    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
         spec: _PoissonSpec = self.spec
-        base = self._next_term
-        self._next_term += n
         counts = self._counts.poisson(spec.lam, n)
         total = int(counts.sum())
-        term_index = np.repeat(np.arange(base, base + n, dtype=np.int64), counts)
+        term_index = np.repeat(np.arange(n, dtype=np.int64), counts)
         times = _resample_term_collisions(_draw_open_unit(self._locs, total), term_index,
                                           lambda idx: _draw_open_unit(self._locs, idx.size))
         return TermEvents(n, 1, term_index, times, np.ones((total, 1)), np.zeros((n, 1)))
@@ -566,7 +590,7 @@ class _UserSampler(YBlockSampler):
         super().__init__(spec)
         self._gen = stream.substream(0).generator()
 
-    def take(self, n: int) -> TermEvents:
+    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
         spec: _UserSpec = self.spec
         d = spec.dimension
         blocks_t, blocks_h, blocks_i, initials = [], [], [], []
@@ -579,9 +603,8 @@ class _UserSampler(YBlockSampler):
             deltas = np.diff(path.segment_values(), axis=0)
             blocks_t.append(path.jump_times)
             blocks_h.append(deltas)
-            blocks_i.append(np.full(path.n_jumps, self._next_term + k, dtype=np.int64))
+            blocks_i.append(np.full(path.n_jumps, k, dtype=np.int64))
             initials.append(path.initial_value)
-        self._next_term += n
         return TermEvents(n, d, np.concatenate([np.empty(0, np.int64)] + blocks_i),
                           np.concatenate([np.empty(0)] + blocks_t),
                           np.concatenate([np.empty((0, d))] + blocks_h), np.array(initials).reshape(n, d))
@@ -620,48 +643,51 @@ def gen_path(spec: YGeneratorSpec, stream: RngStream) -> StepPath:
 # ---------------------------------------------------------------------------
 
 
-def _masked_term_sums(events: TermEvents, mask: np.ndarray) -> np.ndarray:
-    """Sum of the masked event heights per term, shape (n_terms, d).
+def _masked_term_sums(events: TermEvents, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of the masked event heights per term, written into ``out`` (n_terms, d).
 
     Heights add in event order from +0.0, as in ``np.bincount``, also across
-    fixed-width row columns (``sum(axis=1)`` adds 8 or more pairwise).
+    fixed-width row columns (``sum(axis=1)`` adds 8 or more pairwise).  A
+    masked-off height is skipped, not added as 0.0; the two agree because a
+    sum that starts at +0.0 never becomes -0.0.
     """
     n, d, w = events.n_terms, events.dimension, events.width
-    out = np.zeros((n, d))
     if w is None:
         for j in range(d):
             out[:, j] = np.bincount(events.term_index[mask], events.heights[mask, j], n)
         return out
+    out[...] = 0.0
     heights = events.heights.reshape(n, w, d)
     for j, m in enumerate(mask.reshape(n, w).T):
-        out += np.where(m[:, None], heights[:, j], 0.0)
+        np.add(out, heights[:, j], out=out, where=m[:, None])
     return out
 
 
-def interval_increments(events: TermEvents, intervals) -> np.ndarray:
+def interval_increments(events: TermEvents, intervals, out: np.ndarray | None = None) -> np.ndarray:
     """Per-term increments ``Y(b) - Y(a)`` for each half-open interval (a, b].
 
-    Returns shape ``(n_terms, len(intervals), d)``.
+    Returns shape ``(n_terms, len(intervals), d)``, written into ``out`` when given.
     """
-    out = np.empty((events.n_terms, len(intervals), events.dimension))
+    out = np.empty((events.n_terms, len(intervals), events.dimension)) if out is None else out
     for j, (a, b) in enumerate(intervals):
         if not 0.0 <= a <= b <= 1.0:
             raise ConfigurationError(f"interval must satisfy 0 <= a <= b <= 1, got ({a}, {b})")
-        out[:, j, :] = _masked_term_sums(events, (events.times > a) & (events.times <= b))
+        _masked_term_sums(events, (events.times > a) & (events.times <= b), out[:, j, :])
     return out
 
 
-def values_at(events: TermEvents, ts) -> np.ndarray:
-    """Per-term path values at each time, shape ``(n_terms, len(ts), d)``."""
+def values_at(events: TermEvents, ts, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-term path values at each time, shape ``(n_terms, len(ts), d)``, into ``out`` when given."""
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    out = np.empty((events.n_terms, ts.size, events.dimension))
+    out = np.empty((events.n_terms, ts.size, events.dimension)) if out is None else out
     for j, t in enumerate(ts):
-        out[:, j, :] = events.initials + _masked_term_sums(events, events.times <= t)
+        _masked_term_sums(events, events.times <= t, out[:, j, :])
+        out[:, j, :] += events.initials
     return out
 
 
-def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray,
-                  terms_per_row: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, terms_per_row: int = 1,
+                  scratch: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sup norm, largest and smallest value (over coords) of each row's path.
 
     Row ``r`` holds the next ``terms_per_row`` terms: it starts at ``initials[r]``
@@ -670,13 +696,10 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray,
     zero jumps.  numpy's default (SIMD) argsort gives the stable row order
     unless a row holds two equal finite times; then the block is sorted stably.
     Each row's ``cumsum`` is its own, so its rounding reaches no other row.
+    A fixed-width block is sorted and summed in the ``scratch`` buffers, if given.
     """
     rows, d = initials.shape[0], events.dimension
-    if events.width is not None:
-        w = events.width * terms_per_row
-        times = events.times.reshape(rows, w)
-        deltas = (events.heights.reshape(-1, events.width, d) * scale.reshape(-1, 1, 1)).reshape(rows, w, d)
-    else:
+    if events.width is None:
         row = events.term_index // terms_per_row  # nondecreasing
         counts = np.bincount(row, minlength=rows)
         col = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
@@ -684,13 +707,25 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray,
         times[row, col] = events.times
         deltas = np.zeros(times.shape + (d,))
         deltas[row, col] = events.heights * scale[events.term_index, None]
-    running = deltas
+    else:
+        times = events.times.reshape(rows, events.width * terms_per_row)
+    order = None
     if times.shape[1] > 1:  # a row of one event is in time order already
+        starts = np.arange(0, times.size, times.shape[1])[:, None]  # each row's order as flat positions
         order = np.argsort(times, axis=1)
-        s = np.take_along_axis(times, order, axis=1)
-        if np.any((s[:, 1:] == s[:, :-1]) & (s[:, 1:] < np.inf)):  # a tie, not padding
+        order += starts
+        s = np.take(times, order, out=_buffer(scratch, "work", times.shape), mode="clip")
+        with np.errstate(invalid="ignore"):  # equal +inf padding gives nan, not 0
+            steps = np.subtract(s[:, 1:], s[:, :-1], out=_buffer(scratch, "running", (rows, times.shape[1] - 1)))
+        if not steps.all():  # a tie
             order = np.argsort(times, axis=1, kind="stable")
-        running = np.take_along_axis(deltas, order[:, :, None], axis=1)
+            order += starts
+    if events.width is not None:  # into the buffer the tie check is done with
+        shape = (events.n_terms, events.width, d)
+        deltas = np.multiply(events.heights.reshape(shape), scale.reshape(-1, 1, 1),
+                             out=_buffer(scratch, "work", shape)).reshape(times.shape + (d,))
+    running = deltas if order is None else np.take(deltas.reshape(-1, d), order, axis=0, mode="clip",
+                                                   out=_buffer(scratch, "running", deltas.shape))
     np.cumsum(running, axis=1, out=running)
     running += initials[:, None, :]
     vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf))

@@ -13,10 +13,10 @@ Cauchy-increment diagnostics measure.
 
 Replicate ``r`` of any experiment uses the stream ``(seed, r)``; the
 chunked samplers at the bottom draw fixed-size chunks of replicates (one
-substream each) and work through each chunk in cache-sized tiles, so memory
-does not grow with the chunk and results are bit-reproducible for any thread
-count.  Path statistics reduce one row per replicate with
-``random_inputs._row_extremes``, so no replicate's arithmetic touches another's.
+substream each) and work through each chunk in cache-sized tiles that reuse
+the chunk's buffers, so memory does not grow with the chunk or churn between
+tiles, and results are bit-reproducible for any thread count.  Path statistics
+reduce each replicate's row on its own (``random_inputs._row_extremes``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .random_inputs import (
     _EPSILON_ROLE,
     _GAMMA_ROLE,
     _Y_ROLE,
+    _buffer,
     _positive_exponentials,
     _row_extremes,
     interval_increments,
@@ -127,8 +128,12 @@ def truncate_epsilon(eps: float, index: int, alpha: float) -> float:
     return float(eps) if abs(eps) ** alpha <= index else 0.0
 
 
-def _truncate_block(eps: np.ndarray, indices: np.ndarray, alpha: float) -> np.ndarray:
-    return np.where(np.abs(eps) ** alpha <= indices, eps, 0.0)
+def _truncate_block(eps: np.ndarray, indices, alpha: float, mag: np.ndarray | None = None) -> np.ndarray:
+    """Sets each ``eps`` with ``|eps|^alpha > index`` to +0.0 in place (``mag`` is work space)."""
+    mag = np.abs(eps, out=mag)
+    mag **= alpha
+    np.copyto(eps, 0.0, where=mag > indices)  # |eps|^alpha is never nan: where(<=, eps, 0.0)
+    return eps
 
 
 class SeriesRealization:
@@ -185,7 +190,7 @@ class SeriesRealization:
     def eps_used(self, n: int) -> np.ndarray:
         eps = self.eps_raw(n)
         if self.spec.epsilon_mode == "truncated":
-            return _truncate_block(eps, np.arange(1, n + 1, dtype=np.float64), self.spec.alpha)
+            return _truncate_block(eps.copy(), np.arange(1, n + 1, dtype=np.float64), self.spec.alpha)
         return eps
 
     def coeffs(self, n: int) -> np.ndarray:
@@ -287,42 +292,46 @@ def _chunk_draws(spec: SeriesSpec, stream: RngStream) -> tuple:
             spec.y_gen.block_sampler(stream.substream(_Y_ROLE)))
 
 
-def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int) -> tuple[np.ndarray, TermEvents]:
+def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int,
+                  scratch: dict | None = None) -> tuple[np.ndarray, TermEvents]:
     """One tile: the next m replicates of n terms from a chunk's draws; coeffs (m, n) and events.
 
     Event term index k encodes (replicate k // n, term k % n) within the tile.
     Generators consume their streams in sequence, so consecutive tiles get the
     draws of one call over the whole chunk, save where a 0.0 or a tie is redrawn.
+    Gaps, multipliers and fixed-width jump times are drawn into the ``scratch``
+    buffers and assembled there in place; without one, into fresh arrays.
     """
-    n = spec.truncation_n
+    n, k, w = spec.truncation_n, m * spec.truncation_n, spec.y_gen.width
     gamma_gen, eps_gen, y_sampler = draws
-    gaps = _positive_exponentials(gamma_gen, m * n).reshape(m, n)
-    eps = spec.epsilon.sample(eps_gen, m * n).reshape(m, n)
-    y_sampler._next_term = 0  # each call numbers its terms from 0; only term_index reads this
-    events = y_sampler.take(m * n)
-    idx = np.arange(1, n + 1, dtype=np.float64)
+    gaps = _positive_exponentials(gamma_gen, k, _buffer(scratch, "gaps", (m, n))).reshape(m, n)
+    eps = spec.epsilon.sample(eps_gen, k, _buffer(scratch, "eps", (m, n))).reshape(m, n)
+    events = y_sampler.take(k, _buffer(scratch, "times", (k * w,)) if w else None)
     if spec.weight_mode == "gamma":
-        weights = np.cumsum(gaps, axis=1) ** (-1.0 / spec.alpha)
+        weights = np.cumsum(gaps, axis=1, out=gaps)
+        weights **= -1.0 / spec.alpha
     else:
-        weights = np.broadcast_to(idx ** (-1.0 / spec.alpha), (m, n))
+        weights = np.broadcast_to(np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / spec.alpha), (m, n))
     if spec.epsilon_mode == "truncated":
-        eps = _truncate_block(eps, idx, spec.alpha)
-    return weights * eps, events
+        _truncate_block(eps, np.arange(1, n + 1, dtype=np.float64), spec.alpha, _buffer(scratch, "mag", (m, n)))
+    return np.multiply(weights, eps, out=eps), events
 
 
 def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) -> list[np.ndarray]:
-    """Each field of ``reduce(coeffs, events, k)`` over the tiles of all chunks, concatenated.
+    """Each field of ``reduce(coeffs, events, k, scratch)`` over the tiles of all chunks, concatenated.
 
     Chunk ``c`` draws from ``RngStream(spec.seed).substream(tag, c)``, so the result is a
-    pure function of ``(spec, tag, n_samples)``; one tile per chunk in flight is alive.
+    pure function of ``(spec, tag, n_samples)``.  Each chunk call owns a ``scratch`` of
+    tile-sized buffers that all its tiles draw, assemble and reduce into, never shared.
     No tile holds one replicate unless its chunk does: above 8192 terms einsum
     sums a single row in another order, and tiles must reduce as whole chunks do.
     """
 
     def one_chunk(stream, m):
         draws, tile = _chunk_draws(spec, stream), max(2, _TILE_EVENTS // max(1, spec.truncation_n))
-        bounds = [*range(0, max(m - 1, 1), tile), m]
-        return [reduce(*_chunk_coeffs(spec, draws, b - a), b - a) for a, b in zip(bounds, bounds[1:])]
+        bounds, scratch = [*range(0, max(m - 1, 1), tile), m], {}
+        return [reduce(*_chunk_coeffs(spec, draws, b - a, scratch), b - a, scratch)
+                for a, b in zip(bounds, bounds[1:])]
 
     parts = map_replicates(one_chunk, RngStream(spec.seed).substream(tag), n_samples,
                            spec.truncation_n, threads)
@@ -335,8 +344,8 @@ def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, threads=1) -> n
         raise ConfigurationError(f"marginal time must lie in [0, 1], got {t}")
     n, d = spec.truncation_n, spec.dimension
 
-    def reduce(coeffs, events, m):
-        per_term = values_at(events, [t])[:, 0, :].reshape(m, n, d)
+    def reduce(coeffs, events, m, scratch):
+        per_term = values_at(events, [t], _buffer(scratch, "values", (m * n, 1, d)))[:, 0, :].reshape(m, n, d)
         return (np.einsum("mi,mid->md", coeffs, per_term),)
 
     return _sample_chunks(spec, _TAG_MARGINAL, n_samples, reduce, threads)[0]
@@ -358,9 +367,9 @@ def sample_path_stats(spec: SeriesSpec, n_samples: int, threads=1) -> PathStatsS
     """
     n, d = spec.truncation_n, spec.dimension
 
-    def reduce(coeffs, events, m):
+    def reduce(coeffs, events, m, scratch):
         initials = np.einsum("mi,mid->md", coeffs, events.initials.reshape(m, n, d))
-        return _row_extremes(events, coeffs.reshape(-1), initials, n)
+        return _row_extremes(events, coeffs.reshape(-1), initials, n, scratch)
 
     return PathStatsSample(*_sample_chunks(spec, _TAG_PATH_STATS, n_samples, reduce, threads))
 
@@ -373,8 +382,8 @@ def sample_weighted_increments(spec: SeriesSpec, intervals, n_samples: int, thre
     n, d = spec.truncation_n, spec.dimension
     intervals = [(float(a), float(b)) for a, b in intervals]
 
-    def reduce(coeffs, events, m):
-        inc = interval_increments(events, intervals).reshape(m, n, len(intervals), d)
-        return (np.einsum("mi,mijd->mjd", coeffs, inc),)
+    def reduce(coeffs, events, m, scratch):
+        inc = interval_increments(events, intervals, _buffer(scratch, "values", (m * n, len(intervals), d)))
+        return (np.einsum("mi,mijd->mjd", coeffs, inc.reshape(m, n, len(intervals), d)),)
 
     return _sample_chunks(spec, _TAG_INCREMENTS, n_samples, reduce, threads)[0]

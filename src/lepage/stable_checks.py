@@ -505,8 +505,7 @@ def spectral_estimate(
 
 
 def _term_path(events: TermEvents, r: int) -> StepPath:
-    lo = int(np.searchsorted(events.term_index, r, side="left"))
-    hi = int(np.searchsorted(events.term_index, r, side="right"))
+    lo, hi = events.offset(r), events.offset(r + 1)
     values = events.initials[r][None, :] + np.cumsum(events.heights[lo:hi], axis=0)
     return StepPath(events.dimension, events.initials[r], events.times[lo:hi], values)
 

@@ -377,6 +377,19 @@ sigma_replicates: 2000
 n: 20
 seed: 7
 """,
+        # deterministic weights and truncated uniform multipliers: |eps|^1.5 > i cuts
+        # large multipliers of the first five terms
+        "stability_deterministic_truncated": """
+command: stability
+alpha: 1.5
+weight_mode: deterministic
+epsilon_mode: truncated
+epsilon: {family: uniform_symmetric, a: 3.0}
+y: example1
+truncation_n: 200
+samples: 5000
+seed: 23
+""",
         "tightness": """
 command: tightness
 alpha: 1.5

@@ -12,6 +12,7 @@ from lepage.random_inputs import (
     TermEvents,
     _resample_term_collisions,
     _Y_ROLE,
+    _draw_open_unit,
     _positive_exponentials,
     gen_path,
     interval_increments,
@@ -157,6 +158,64 @@ class TestEpsilonSpec:
         spec = EpsilonSpec.table([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
         first, again = (spec.sample(RngStream(5, 1).generator(), 1)[0] for _ in range(2))
         assert first == again
+
+
+class ZeroingGenerator:
+    """A numpy generator whose first draw holds an exact 0.0 at ``zeros``, so the
+    callers' redraw loops run; later draws are the generator's own."""
+
+    def __init__(self, seed, zeros):
+        self.gen, self.zeros = np.random.default_rng(seed), list(zeros)
+
+    def _draw(self, method, size=None, out=None):
+        x = getattr(self.gen, method)(size, out=out)
+        x[self.zeros] = 0.0
+        self.zeros = []
+        return x
+
+    def random(self, size=None, out=None):
+        return self._draw("random", size, out)
+
+    def standard_exponential(self, size=None, out=None):
+        return self._draw("standard_exponential", size, out)
+
+
+OUT_DRAWS = {
+    "exponentials": _positive_exponentials,
+    "open_unit": _draw_open_unit,
+    **{f"eps_{name}": spec.sample for name, spec in {
+        "rademacher": EpsilonSpec.rademacher(),
+        "uniform_symmetric": EpsilonSpec.uniform_symmetric(2.5),
+        "two_point": EpsilonSpec.two_point(0.8, -1.0, 4.0),
+        "table": EpsilonSpec.table([-3.0, 0.5, 1.0], [0.1, 0.3, 0.6]),
+    }.items()},
+}
+
+
+class TestDrawsIntoBuffers:
+    """A draw into ``out`` is the fresh draw, byte for byte, and leaves the stream where it does."""
+
+    @pytest.mark.parametrize("name", sorted(OUT_DRAWS))
+    @pytest.mark.parametrize("zeros", [[], [0, 7, 999]], ids=["plain", "zeros"])
+    def test_out_equals_fresh_draw(self, name, zeros):
+        draw, n = OUT_DRAWS[name], 1000
+        fresh_gen, out_gen = ZeroingGenerator(41, zeros), ZeroingGenerator(41, zeros)
+        fresh = draw(fresh_gen, n)
+        buf = np.full(n, np.nan)
+        got = draw(out_gen, n, buf)
+        assert got is buf
+        assert got.tobytes() == fresh.tobytes()
+        assert out_gen.gen.bit_generator.state == fresh_gen.gen.bit_generator.state
+        if name in ("exponentials", "open_unit"):  # any zeros were redrawn
+            assert np.all(got > 0.0)
+
+    @pytest.mark.parametrize("name", ["exponentials", "open_unit"])
+    def test_redraws_consume_the_stream_in_order(self, name):
+        # three zeros in the first draw take the next three draws of the stream
+        got = OUT_DRAWS[name](ZeroingGenerator(43, [2, 5, 8]), 10, np.empty(10))
+        plain = getattr(np.random.default_rng(43), {"exponentials": "standard_exponential",
+                                                    "open_unit": "random"}[name])(13)
+        assert got.tolist() == [*plain[:2], plain[10], *plain[3:5], plain[11], *plain[6:8], plain[12], plain[9]]
 
 
 class TestUnitJumpGenerator:

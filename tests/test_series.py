@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from lepage.random_inputs import (
     EpsilonSpec,
     JumpHeightDist,
     TermEvents,
+    _positive_exponentials,
     interval_increments,
     poisson_counts,
     unit_jump,
@@ -38,8 +43,8 @@ from lepage.series import (
 import lepage.stable_checks as sc
 
 
-def rademacher_spec(alpha=1.5, n=50, seed=7, y=None, **kw):
-    return SeriesSpec(alpha, n, EpsilonSpec.rademacher(), y or unit_jump(), seed=seed, **kw)
+def rademacher_spec(alpha=1.5, n=50, seed=7, y=None, epsilon=None, **kw):
+    return SeriesSpec(alpha, n, epsilon or EpsilonSpec.rademacher(), y or unit_jump(), seed=seed, **kw)
 
 
 class TestTruncateEpsilon:
@@ -395,12 +400,30 @@ class TestFastPathsMatchFlatReference:
             assert got.tobytes() == want.tobytes()
 
 
-# the chunked samplers before tiles: each chunk drawn by one _chunk_coeffs
-# call and reduced once; tiles must reproduce it bit for bit
+# the chunked samplers before tiles: each chunk drawn and assembled at once
+# into fresh arrays and reduced once; tiles must reproduce it bit for bit
+
+def reference_chunk_coeffs(spec, draws, m):
+    """``_chunk_coeffs`` over the whole chunk, with no buffer and no in-place step."""
+    n = spec.truncation_n
+    gamma_gen, eps_gen, y_sampler = draws
+    gaps = _positive_exponentials(gamma_gen, m * n).reshape(m, n)
+    eps = spec.epsilon.sample(eps_gen, m * n).reshape(m, n)
+    events = y_sampler.take(m * n)
+    idx = np.arange(1, n + 1, dtype=np.float64)
+    if spec.weight_mode == "gamma":
+        weights = np.cumsum(gaps, axis=1) ** (-1.0 / spec.alpha)
+    else:
+        weights = np.broadcast_to(idx ** (-1.0 / spec.alpha), (m, n))
+    if spec.epsilon_mode == "truncated":
+        eps = np.where(np.abs(eps) ** spec.alpha <= idx, eps, 0.0)
+    return weights * eps, events
+
 
 def whole_chunk_reference(spec, tag, n_samples, reduce):
-    parts = map_replicates(lambda stream, m: reduce(*_chunk_coeffs(spec, _chunk_draws(spec, stream), m), m),
-                           RngStream(spec.seed).substream(tag), n_samples, spec.truncation_n)
+    parts = map_replicates(
+        lambda stream, m: reduce(*reference_chunk_coeffs(spec, _chunk_draws(spec, stream), m), m),
+        RngStream(spec.seed).substream(tag), n_samples, spec.truncation_n)
     return [np.concatenate(field, axis=0) for field in zip(*parts)]
 
 
@@ -429,11 +452,34 @@ TILE_CASES = [*((name, 24, 1500) for name in ("unit", "weighted2d_p3", "poisson"
               *((name, 16500, 5) for name in ("unit", "weighted2d_p3", "poisson")), ("unit", 16500, 255)]
 
 
+# (y, n, samples, spec keywords): weight and multiplier modes, and every
+# multiplier family; uniform multipliers on [-40, 40] and the table's -30 atom
+# are truncated at the early terms
+MODE_CASES = {
+    "deterministic": ("unit", 24, 1500, {"weight_mode": "deterministic"}),
+    "truncated_weighted": ("weighted2d_p3", 24, 1500, {"epsilon_mode": "truncated",
+                                                        "epsilon": EpsilonSpec.uniform_symmetric(40.0)}),
+    "uniform_symmetric_poisson": ("poisson", 24, 1500, {"epsilon": EpsilonSpec.uniform_symmetric(2.0)}),
+    "two_point": ("unit", 24, 1500, {"epsilon": EpsilonSpec.two_point(0.8, -1.0, 4.0)}),
+    "table_deterministic_truncated": ("unit", 500, 100, {
+        "epsilon": EpsilonSpec.table([-30.0, 0.5, 1.0], [0.1, 0.45, 0.45]),
+        "weight_mode": "deterministic", "epsilon_mode": "truncated"}),
+}
+
+
 class TestTilesEqualWholeChunk:
     @pytest.mark.parametrize("name, n, n_samples", TILE_CASES)
     def test_bit_for_bit(self, name, n, n_samples):
-        spec = rademacher_spec(alpha=0.8, n=n, seed=19, y=FAST_PATH_YS[name])
-        assert max(2, series._TILE_EVENTS // n) < n_samples  # more than one tile
+        self.check(rademacher_spec(alpha=0.8, n=n, seed=19, y=FAST_PATH_YS[name]), n_samples)
+
+    @pytest.mark.parametrize("case", sorted(MODE_CASES))
+    def test_modes_and_multipliers_bit_for_bit(self, case):
+        name, n, n_samples, kw = MODE_CASES[case]
+        self.check(rademacher_spec(alpha=0.8, n=n, seed=19, y=FAST_PATH_YS[name], **kw), n_samples)
+
+    @staticmethod
+    def check(spec, n_samples):
+        assert max(2, series._TILE_EVENTS // spec.truncation_n) < n_samples  # more than one tile
         t, intervals = 0.8125, [(0.0, 0.5), (0.25, 0.8125)]
         assert (sample_marginals(spec, t, n_samples).tobytes()
                 == reference_marginals(spec, t, n_samples).tobytes())
@@ -467,18 +513,28 @@ class TestTiledMemory:
         assert traced_peak_mb(run) <= 8.0
 
 
-def truncated_limit_cf(alpha, u, n):
-    """``exp(-|u|^alpha / C_alpha - rho_n(u))``, the characteristic function of
-    ``sum_{i<=n} Gamma_i^(-1/alpha) eps_i`` with Rademacher ``eps``.
+def truncated_limit_cf(alpha, u, n, y_atoms=(1.0,), y_probs=(1.0,)):
+    """``exp(-E|Y|^alpha |u|^alpha / C_alpha - rho_n(u))``, the characteristic function of
+    ``sum_{i<=n} Gamma_i^(-1/alpha) eps_i Y_i`` with Rademacher ``eps`` and ``Y`` on the
+    given atoms (unit jumps at t = 1: ``Y = 1``).
 
     ``C_alpha = (1 - alpha) / (Gamma(2 - alpha) cos(pi alpha / 2))``
     (Samorodnitsky & Taqqu 1994, Thm 1.4.5) and
-    ``rho_n(u) = int_n^inf (cos(u s^(-1/alpha)) - 1) ds``, summed as its power series.
+    ``rho_n(u) = E int_n^inf (cos(u s^(-1/alpha) Y) - 1) ds``, summed as its power
+    series, whose k-th term carries ``E[Y^(2k)]``.
     """
+    y, p = np.asarray(y_atoms, dtype=float), np.asarray(y_probs, dtype=float)
     c_alpha = (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0))
-    rho = sum((-1) ** k * u ** (2 * k) * n ** (1.0 - 2.0 * k / alpha)
+    rho = sum((-1) ** k * u ** (2 * k) * float(p @ y ** (2 * k)) * n ** (1.0 - 2.0 * k / alpha)
               / (math.factorial(2 * k) * (2.0 * k / alpha - 1.0)) for k in range(1, 30))
-    return math.exp(-abs(u) ** alpha / c_alpha - rho)
+    return math.exp(-float(p @ np.abs(y) ** alpha) * abs(u) ** alpha / c_alpha - rho)
+
+
+def assert_cf_matches(x, alpha, n, y_atoms=(1.0,), y_probs=(1.0,)):
+    for u in (0.1, 0.3, 1.0):
+        c = np.cos(u * x)
+        se = c.std(ddof=1) / math.sqrt(x.size)
+        assert abs(c.mean() - truncated_limit_cf(alpha, u, n, y_atoms, y_probs)) <= 4.0 * se, (alpha, u)
 
 
 class TestLimitLawScale:
@@ -488,7 +544,42 @@ class TestLimitLawScale:
     def test_characteristic_function_at_one(self, alpha):
         n, samples = 500, 20_000
         x = sample_marginals(rademacher_spec(alpha=alpha, n=n, seed=4), 1.0, samples)[:, 0]
-        for u in (0.1, 0.3, 1.0):
-            c = np.cos(u * x)
-            se = c.std(ddof=1) / math.sqrt(samples)
-            assert abs(c.mean() - truncated_limit_cf(alpha, u, n)) <= 4.0 * se, (alpha, u)
+        assert_cf_matches(x, alpha, n)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.8])
+    def test_weighted_jumps_scale_by_the_alpha_moment(self, alpha):
+        # two jumps with heights from {1.1, -0.7, 0.3} have both happened by t = 1,
+        # so Y(1) is the sum of the two heights, on the nine pairs of atoms
+        heights, probs = np.array([1.1, -0.7, 0.3]), np.array([0.4, 0.35, 0.25])
+        y = weighted_jumps([CdfGrid.uniform()] * 2, JumpHeightDist(heights[:, None], probs))
+        n, samples = 200, 20_000
+        x = sample_marginals(rademacher_spec(alpha=alpha, n=n, seed=5, y=y), 1.0, samples)[:, 0]
+        assert_cf_matches(x, alpha, n, np.add.outer(heights, heights).ravel(), np.outer(probs, probs).ravel())
+
+
+FAULT_SCRIPT = """
+import resource, sys
+import lepage.cli  # what the command line imports shapes the heap a run starts from
+from lepage.random_inputs import EpsilonSpec, unit_jump
+from lepage.series import SeriesSpec, sample_marginals, sample_path_stats
+case, n, samples, seed = sys.argv[1], *map(int, sys.argv[2:])
+spec = SeriesSpec(1.5, n, EpsilonSpec.rademacher(), unit_jump(), seed=seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sample_marginals(spec, 1.0, samples) if case == "marginals" else sample_path_stats(spec, samples)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor page faults")
+class TestTiledPageFaults:
+    # each chunk's tiles reuse its buffers, so the heap does not shrink and
+    # regrow between tiles; fresh per-tile temporaries took 81 948 and 47 886
+    # minor faults on these runs, the buffers about 500
+    @pytest.mark.parametrize("case, n, samples, seed", [("marginals", 2000, 4194, 0),
+                                                        ("path_stats", 500, 8192, 114)])
+    def test_minor_faults_stay_low(self, case, n, samples, seed):
+        src = str(Path(series.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, case, str(n), str(samples), str(seed)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert int(run.stdout) < 5000
