@@ -19,13 +19,14 @@ Two families of quantities live here:
 
 ``tightness_functional`` ties the two together: the Monte Carlo fourth
 moment of weighted partial-sum increments is reported next to its
-assembled bound ``d^2 * sum_tau S_{n,tau} * Dhat_tau``.
+assembled bound ``d^2 * sum_tau S_{n,tau} * Dhat_tau``, for every triple
+of a grid from one series run, reduced once per triple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -652,50 +653,56 @@ class TightnessResult:
 def tightness_functional(
     spec: SeriesSpec,
     n: int,
-    triple,
+    triples,
     replicates: int,
     envelopes: tuple[MomentEnvelope, MomentEnvelope] | None = None,
     threads=1,
-) -> TightnessResult:
-    """Fourth moment of weighted partial-sum increments vs its assembled bound.
+) -> list[TightnessResult]:
+    """Fourth moment of weighted partial-sum increments vs its assembled bound, per triple.
 
     Requires ``epsilon_mode='truncated'`` and ``weight_mode='deterministic'``
     (the partial sums whose tightness the bound controls).  The companion
     bound is ``d^2 * sum_tau S_{n,tau} * Dhat_tau(t1, t, t2)`` with the
     envelope exponents of :func:`partition_envelope_exponents`.
+
+    One series run of ``replicates`` paths serves every triple: triple ``k``
+    reads its increments over (t1, t] and (t, t2] from columns ``2k`` and
+    ``2k + 1`` of a single :func:`sample_weighted_increments` call, which
+    sums each interval on its own, so each result is the one a run of that
+    triple alone gives.  Every triple is checked before anything is drawn.
     """
     if spec.epsilon_mode != "truncated" or spec.weight_mode != "deterministic":
         raise ConfigurationError(
             "tightness functional is defined for epsilon_mode='truncated', "
             f"weight_mode='deterministic'; got {spec.epsilon_mode!r}, {spec.weight_mode!r}"
         )
-    t1, t_mid, t2 = (float(x) for x in triple)
-    if not 0.0 <= t1 <= t_mid <= t2 <= 1.0:
-        raise DomainError(f"triple must satisfy 0 <= t1 <= t <= t2 <= 1, got {triple}")
-    run_spec = SeriesSpec(
-        alpha=spec.alpha,
-        truncation_n=int(n),
-        epsilon=spec.epsilon,
-        y_gen=spec.y_gen,
-        seed=spec.seed,
-        weight_mode="deterministic",
-        epsilon_mode="truncated",
-    )
-    inc = sample_weighted_increments(run_spec, [(t1, t_mid), (t_mid, t2)], replicates, threads)
+    checked = []
+    for triple in triples:
+        t1, t_mid, t2 = (float(x) for x in triple)
+        if not 0.0 <= t1 <= t_mid <= t2 <= 1.0:
+            raise DomainError(f"triple must satisfy 0 <= t1 <= t <= t2 <= 1, got {triple}")
+        checked.append((t1, t_mid, t2))
+    if not checked:
+        return []
+    intervals = [iv for t1, t_mid, t2 in checked for iv in ((t1, t_mid), (t_mid, t2))]
+    inc = sample_weighted_increments(replace(spec, truncation_n=int(n)), intervals, replicates, threads)
     sq = np.sum(inc * inc, axis=2)
-    stat = sq[:, 1] * sq[:, 0]
-    estimate = float(np.mean(stat))
-    se = float(np.std(stat, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
 
     env1, env2 = envelopes if envelopes is not None else default_envelopes(spec.y_gen)
-    g1 = env1.pair_bound(t1, t2)
-    g2 = env2.triple_bound(t1, t2) ** 0.5  # |F2(t2)-F2(t1)|^beta2
+    terms = [(partition_sum(tau, spec.alpha, spec.epsilon, int(n)), partition_envelope_exponents(tau))
+             for tau in enumerate_partitions()]
     d = spec.dimension
-    bound = 0.0
-    for tau in enumerate_partitions():
-        s_val = partition_sum(tau, spec.alpha, spec.epsilon, int(n))
-        p, q = partition_envelope_exponents(tau)
-        bound += s_val * g1**p * g2**q
-    bound *= d * d
-    return TightnessResult(t1, t_mid, t2, int(n), estimate, se, float(bound),
-                           _verdict(estimate, se, bound))
+    results = []
+    for k, (t1, t_mid, t2) in enumerate(checked):
+        stat = sq[:, 2 * k + 1] * sq[:, 2 * k]
+        estimate = float(np.mean(stat))
+        se = float(np.std(stat, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
+        g1 = env1.pair_bound(t1, t2)
+        g2 = env2.triple_bound(t1, t2) ** 0.5  # |F2(t2)-F2(t1)|^beta2
+        bound = 0.0
+        for s_val, (p, q) in terms:
+            bound += s_val * g1**p * g2**q
+        bound *= d * d
+        results.append(TightnessResult(t1, t_mid, t2, int(n), estimate, se, float(bound),
+                                       _verdict(estimate, se, bound)))
+    return results

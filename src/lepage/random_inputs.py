@@ -570,7 +570,7 @@ class _PoissonSampler(YBlockSampler):
         term_index = np.repeat(np.arange(n, dtype=np.int64), counts)
         times = _resample_term_collisions(_draw_open_unit(self._locs, total), term_index,
                                           lambda idx: _draw_open_unit(self._locs, idx.size))
-        return TermEvents(n, 1, term_index, times, np.ones((total, 1)), np.zeros((n, 1)))
+        return TermEvents(n, 1, term_index, times, np.broadcast_to(1.0, (total, 1)), np.broadcast_to(0.0, (n, 1)))
 
 
 @dataclass(frozen=True)

@@ -158,8 +158,9 @@ def test_c07_tightness_chain():
     started = time.perf_counter()
     spec = SeriesSpec(1.5, 100, RAD, poisson_counts(1.0), seed=107,
                       weight_mode="deterministic", epsilon_mode="truncated")
-    for triple in TRIPLE_GRID:
-        res = diag.tightness_functional(spec, 100, triple, 10_000)
+    results = diag.tightness_functional(spec, 100, TRIPLE_GRID, 10_000)
+    assert len(results) == len(TRIPLE_GRID)
+    for res in results:
         assert res.estimate <= res.bound + 4.0 * res.se
     assert time.perf_counter() - started < 120.0
 
@@ -398,6 +399,17 @@ y: {variant: example3, lambda: 1.0}
 n: 50
 replicates: 5000
 triples: [[0.1, 0.35, 0.6]]
+seed: 7
+""",
+        # one series run reduced for several triples, one of them degenerate (t1 == t)
+        "tightness_triples": """
+command: tightness
+alpha: 1.5
+epsilon: rademacher
+y: {variant: example3, lambda: 1.0}
+n: 50
+replicates: 5000
+triples: [[0.1, 0.35, 0.6], [0.3, 0.3, 0.8], [0.2, 0.55, 0.9]]
 seed: 7
 """,
     }

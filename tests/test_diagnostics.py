@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import lepage.diagnostics as diagnostics
 from lepage.diagnostics import (
     MomentEnvelope,
     PARTITION_CARDINALITY_NOTE,
+    TightnessResult,
+    _verdict,
     borel_cantelli_sum,
     centered_first_moment_sum,
     default_envelopes,
@@ -15,6 +18,7 @@ from lepage.diagnostics import (
     estimate_c2,
     head_weight_supremum,
     moment_constant,
+    partition_envelope_exponents,
     partition_label,
     partition_report,
     partition_sum,
@@ -22,9 +26,18 @@ from lepage.diagnostics import (
     tightness_functional,
 )
 from lepage.paths import DomainError, StepPath
-from lepage.random_inputs import ConfigurationError, EpsilonSpec, poisson_counts, unit_jump, user_paths
+from lepage.random_inputs import (
+    CdfGrid,
+    ConfigurationError,
+    EpsilonSpec,
+    JumpHeightDist,
+    poisson_counts,
+    unit_jump,
+    user_paths,
+    weighted_jumps,
+)
 from lepage.rng import RngStream
-from lepage.series import SeriesSpec
+from lepage.series import SeriesSpec, sample_weighted_increments
 
 RAD = EpsilonSpec.rademacher()
 TWO_POINT = EpsilonSpec.two_point(0.8, -1.0, 4.0)
@@ -362,25 +375,109 @@ class TestTightnessFunctional:
 
     def test_mode_requirements(self):
         with pytest.raises(ConfigurationError):
-            tightness_functional(self.spec(weight_mode="gamma"), 10, (0.1, 0.2, 0.3), 100)
+            tightness_functional(self.spec(weight_mode="gamma"), 10, [(0.1, 0.2, 0.3)], 100)
         with pytest.raises(ConfigurationError):
-            tightness_functional(self.spec(epsilon_mode="raw"), 10, (0.1, 0.2, 0.3), 100)
+            tightness_functional(self.spec(epsilon_mode="raw"), 10, [(0.1, 0.2, 0.3)], 100)
 
     def test_degenerate_triple_exact_zero(self):
-        res = tightness_functional(self.spec(), 50, (0.3, 0.3, 0.8), 500)
+        res = tightness_functional(self.spec(), 50, [(0.3, 0.3, 0.8)], 500)[0]
         assert res.estimate == 0.0 and res.se == 0.0
 
     def test_single_unit_jump_term_exact_zero(self):
         # one indicator jump cannot hit both intervals
         spec = self.spec(y_gen=unit_jump(), truncation_n=1)
-        res = tightness_functional(spec, 1, (0.2, 0.5, 0.8), 2000)
+        res = tightness_functional(spec, 1, [(0.2, 0.5, 0.8)], 2000)[0]
         assert res.estimate == 0.0
 
     def test_estimate_below_assembled_bound(self):
-        res = tightness_functional(self.spec(), 100, (0.2, 0.5, 0.8), 4000)
+        res = tightness_functional(self.spec(), 100, [(0.2, 0.5, 0.8)], 4000)[0]
         assert res.estimate <= res.bound + 4.0 * res.se
         assert res.verdict == "satisfied"
 
     def test_ordering_validated(self):
         with pytest.raises(DomainError):
-            tightness_functional(self.spec(), 10, (0.5, 0.2, 0.8), 100)
+            tightness_functional(self.spec(), 10, [(0.5, 0.2, 0.8)], 100)
+
+
+# -- tightness over a grid of triples: one series run for all ----------------------
+
+
+def reference_tightness(spec, n, triple, replicates):
+    """The per-triple computation: its own sampler call over [(t1, t), (t, t2)]."""
+    t1, t_mid, t2 = triple
+    run_spec = SeriesSpec(spec.alpha, n, spec.epsilon, spec.y_gen, seed=spec.seed,
+                          weight_mode="deterministic", epsilon_mode="truncated")
+    inc = sample_weighted_increments(run_spec, [(t1, t_mid), (t_mid, t2)], replicates)
+    sq = np.sum(inc * inc, axis=2)
+    stat = sq[:, 1] * sq[:, 0]
+    estimate = float(np.mean(stat))
+    se = float(np.std(stat, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
+    env1, env2 = default_envelopes(spec.y_gen)
+    g1, g2 = env1.pair_bound(t1, t2), env2.triple_bound(t1, t2) ** 0.5
+    bound = 0.0
+    for tau in enumerate_partitions():
+        p, q = partition_envelope_exponents(tau)
+        bound += partition_sum(tau, spec.alpha, spec.epsilon, n) * g1**p * g2**q
+    bound *= spec.dimension**2
+    return TightnessResult(t1, t_mid, t2, n, estimate, se, float(bound), _verdict(estimate, se, bound))
+
+
+WEIGHTED_2D_P3 = weighted_jumps(
+    [CdfGrid.uniform(), CdfGrid(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.9, 1.0])), CdfGrid.uniform()],
+    JumpHeightDist(np.array([[1.1, -0.5], [-0.7, 0.25], [0.3, 2.0]]), np.array([0.4, 0.35, 0.25])),
+)
+# overlapping triples, a repeated one, t1 == t and t == t2
+GRID = [(0.1, 0.35, 0.6), (0.2, 0.45, 0.7), (0.1, 0.35, 0.6), (0.3, 0.3, 0.8), (0.2, 0.6, 0.6)]
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("sampled before every triple was checked")
+
+
+class TestTightnessGrid:
+    def spec(self, y_gen, seed=11):
+        return SeriesSpec(1.5, 100, RAD, y_gen, seed=seed, weight_mode="deterministic", epsilon_mode="truncated")
+
+    # n 60 runs many tiles in two chunks; n 9000 puts more than 8192 terms in a row,
+    # where einsum buffers its sum differently
+    @pytest.mark.parametrize("n,replicates", [(60, 4500), (9000, 5)])
+    @pytest.mark.parametrize("y_gen", [poisson_counts(1.0), unit_jump(), WEIGHTED_2D_P3],
+                             ids=["poisson", "unit_jump", "weighted_2d_p3"])
+    def test_matches_one_run_per_triple(self, y_gen, n, replicates):
+        spec = self.spec(y_gen)
+        got = tightness_functional(spec, n, GRID, replicates)
+        assert len(got) == len(GRID)
+        for triple, res in zip(GRID, got):
+            assert res == reference_tightness(spec, n, triple, replicates), triple
+        assert got[0] == got[2]
+        assert got[3].estimate == 0.0 and got[4].estimate == 0.0
+
+    def test_one_sampler_call_for_all_triples(self, monkeypatch):
+        calls = []
+
+        def counting(run_spec, intervals, replicates, threads=1):
+            calls.append(list(intervals))
+            return sample_weighted_increments(run_spec, intervals, replicates, threads)
+
+        monkeypatch.setattr(diagnostics, "sample_weighted_increments", counting)
+        got = tightness_functional(self.spec(poisson_counts(1.0)), 50, GRID, 300)
+        assert len(got) == len(GRID)
+        assert calls == [[iv for a, b, c in GRID for iv in ((a, b), (b, c))]]
+
+    def test_bad_triple_raises_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
+        spec = self.spec(poisson_counts(1.0))
+        with pytest.raises(DomainError, match=r"\(0\.5, 0\.2, 0\.8\)"):
+            tightness_functional(spec, 50, GRID + [(0.5, 0.2, 0.8)], 300)
+        with pytest.raises(DomainError, match=r"\(0\.1, 0\.2, 1\.5\)"):
+            tightness_functional(spec, 50, [(0.1, 0.2, 1.5)] + GRID, 300)
+
+    def test_mode_checked_before_triples_and_draws(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
+        spec = SeriesSpec(1.5, 100, RAD, unit_jump(), seed=1, weight_mode="gamma", epsilon_mode="truncated")
+        with pytest.raises(ConfigurationError):
+            tightness_functional(spec, 50, [(0.5, 0.2, 0.8)], 300)
+
+    def test_no_triples_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
+        assert tightness_functional(self.spec(poisson_counts(1.0)), 50, [], 300) == []

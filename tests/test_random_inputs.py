@@ -267,6 +267,14 @@ class TestPoissonGenerator:
             assert np.array_equal(path.post_jump_values.ravel(),
                                   np.arange(1, path.n_jumps + 1))
 
+    def test_heights_and_initials_are_read_only_broadcasts(self):
+        # every reader must copy before writing: a block allocates no per-event ones
+        events = poisson_counts(2.0).block_sampler(RngStream(35)).take(500)
+        for arr, value in ((events.heights, 1.0), (events.initials, 0.0)):
+            assert arr.strides == (0, 0) and not arr.flags.writeable
+            assert np.all(arr == value)
+        assert events.heights.shape == (events.times.size, 1) and events.initials.shape == (500, 1)
+
 
 class TestWeightedJumpsGenerator:
     def test_two_sure_jumps_increment(self):
