@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["resolve_threads", "chunk_runner", "map_replicates"]
+__all__ = ["resolve_threads", "chunk_runner", "chunk_size", "map_replicates"]
 
 # target number of jump events held in memory per chunk
 _EVENTS_PER_CHUNK = 1 << 22
@@ -44,14 +44,19 @@ def chunk_runner(threads):
     return run
 
 
+def chunk_size(events_per_replicate: int) -> int:
+    """Replicates per chunk: ``max(1, min(4096, 2**22 // events_per_replicate))``."""
+    return max(1, min(_MAX_CHUNK, _EVENTS_PER_CHUNK // max(1, events_per_replicate)))
+
+
 def map_replicates(fn, stream, total: int, events_per_replicate: int, threads=1) -> list:
     """``[fn(stream.substream(c), m) for each chunk c of m replicates]``, in chunk order.
 
-    Chunks hold ``max(1, min(4096, 2**22 // events_per_replicate))``
-    replicates, the last one fewer.  ``total == 0`` still runs one empty
-    chunk, so callers get correctly shaped empty results.
+    Chunks hold ``chunk_size(events_per_replicate)`` replicates, the last one
+    fewer.  ``total == 0`` still runs one empty chunk, so callers get
+    correctly shaped empty results.
     """
-    size = max(1, min(_MAX_CHUNK, _EVENTS_PER_CHUNK // max(1, events_per_replicate)))
+    size = chunk_size(events_per_replicate)
     n_chunks = max(1, -(-total // size))
     ranges = [(c, min(size, total - c * size)) for c in range(n_chunks)]
     return chunk_runner(threads)(lambda c, m: fn(stream.substream(c), m), ranges)

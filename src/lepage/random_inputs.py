@@ -354,14 +354,18 @@ def _resample_term_collisions(times: np.ndarray, term_index, redraw) -> np.ndarr
 
 
 class YBlockSampler:
-    """Stateful per-replicate sampler handing out terms in order; ``take(n, out)``
-    draws a fixed-width block's jump times into ``out`` when given."""
+    """Stateful per-replicate sampler handing out terms in order; ``take(n, out)`` draws a fixed-width
+    block's jump times into ``out`` when given.  ``values_at_one(n, out)`` writes the next ``n`` terms'
+    ``Y(1)`` into ``out`` (n, d) with the bytes of ``values_at``; built-in paths draw no locations there."""
 
     def __init__(self, spec: "YGeneratorSpec"):
         self.spec = spec
 
     def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
         raise NotImplementedError
+
+    def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
+        return values_at(self.take(n), [1.0], out[:, None, :])[:, 0, :]
 
 
 @dataclass(frozen=True)
@@ -467,6 +471,9 @@ class _UnitJumpSampler(YBlockSampler):
         return TermEvents(n, 1, None, _draw_open_unit(self._loc, n, out),
                           np.broadcast_to(1.0, (n, 1)), np.broadcast_to(0.0, (n, 1)), 1)
 
+    def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
+        return np.add(0.0, 1.0, out=out)  # initial + the jump, wherever it is
+
 
 @dataclass(frozen=True)
 class _WeightedJumpsSpec(YGeneratorSpec):
@@ -537,6 +544,12 @@ class _WeightedJumpsSampler(YBlockSampler):
         _resample_term_collisions(flat_times, lambda: events.term_index, redraw)
         return events
 
+    def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)  # the heights from +0.0 in component order, as _masked_term_sums adds
+        for gen in self._heights:
+            out += self.spec.height_dist.sample(gen, n)
+        return out  # the initial +0.0 added to a sum that is not -0.0 changes no bit
+
 
 @dataclass(frozen=True)
 class _PoissonSpec(YGeneratorSpec):
@@ -571,6 +584,9 @@ class _PoissonSampler(YBlockSampler):
         times = _resample_term_collisions(_draw_open_unit(self._locs, total), term_index,
                                           lambda idx: _draw_open_unit(self._locs, idx.size))
         return TermEvents(n, 1, term_index, times, np.broadcast_to(1.0, (total, 1)), np.broadcast_to(0.0, (n, 1)))
+
+    def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
+        return np.add(self._counts.poisson(self.spec.lam, n)[:, None], 0.0, out=out)  # count + initial
 
 
 @dataclass(frozen=True)

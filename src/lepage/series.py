@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paths as _paths
-from .parallel import map_replicates
+from .parallel import chunk_size, map_replicates
 from .paths import StepPath
 from .random_inputs import (
     ConfigurationError,
@@ -201,11 +201,6 @@ class SeriesRealization:
         n = self.spec.truncation_n if n is None else n
         return _combine_term_events(self.coeffs(n), self.events(n))
 
-    def values_at(self, ts, n: int | None = None) -> np.ndarray:
-        """Partial-sum values at given times, shape ``(len(ts), d)``."""
-        n = self.spec.truncation_n if n is None else n
-        return np.einsum("i,ijd->jd", self.coeffs(n), values_at(self.events(n), ts))
-
     def per_term_norms(self, n: int | None = None) -> np.ndarray:
         """``|w_i eps_i| * sup_norm(Y_i)`` for each term."""
         n = self.spec.truncation_n if n is None else n
@@ -292,9 +287,10 @@ def _chunk_draws(spec: SeriesSpec, stream: RngStream) -> tuple:
             spec.y_gen.block_sampler(stream.substream(_Y_ROLE)))
 
 
-def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int,
-                  scratch: dict | None = None) -> tuple[np.ndarray, TermEvents]:
-    """One tile: the next m replicates of n terms from a chunk's draws; coeffs (m, n) and events.
+def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None = None,
+                  at_one: bool = False) -> tuple:
+    """One tile: the next m replicates of n terms from a chunk's draws; coeffs (m, n) and events,
+    or with ``at_one`` each term's ``Y(1)`` (m * n, d) in ``scratch``, drawing no built-in jump locations.
 
     Event term index k encodes (replicate k // n, term k % n) within the tile.
     Generators consume their streams in sequence, so consecutive tiles get the
@@ -306,7 +302,8 @@ def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int,
     gamma_gen, eps_gen, y_sampler = draws
     gaps = _positive_exponentials(gamma_gen, k, _buffer(scratch, "gaps", (m, n))).reshape(m, n)
     eps = spec.epsilon.sample(eps_gen, k, _buffer(scratch, "eps", (m, n))).reshape(m, n)
-    events = y_sampler.take(k, _buffer(scratch, "times", (k * w,)) if w else None)
+    y = (y_sampler.values_at_one(k, _buffer(scratch, "values", (k, spec.dimension))) if at_one
+         else y_sampler.take(k, _buffer(scratch, "times", (k * w,)) if w else None))
     if spec.weight_mode == "gamma":
         weights = np.cumsum(gaps, axis=1, out=gaps)
         weights **= -1.0 / spec.alpha
@@ -314,11 +311,11 @@ def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int,
         weights = np.broadcast_to(np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / spec.alpha), (m, n))
     if spec.epsilon_mode == "truncated":
         _truncate_block(eps, np.arange(1, n + 1, dtype=np.float64), spec.alpha, _buffer(scratch, "mag", (m, n)))
-    return np.multiply(weights, eps, out=eps), events
+    return np.multiply(weights, eps, out=eps), y
 
 
-def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) -> list[np.ndarray]:
-    """Each field of ``reduce(coeffs, events, k, scratch)`` over the tiles of all chunks, concatenated.
+def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads, at_one=False) -> list[np.ndarray]:
+    """Each field of ``reduce(coeffs, y, k, scratch)`` over the tiles of all chunks, concatenated.
 
     Chunk ``c`` draws from ``RngStream(spec.seed).substream(tag, c)``, so the result is a
     pure function of ``(spec, tag, n_samples)``.  Each chunk call owns a ``scratch`` of
@@ -330,7 +327,7 @@ def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) 
     def one_chunk(stream, m):
         draws, tile = _chunk_draws(spec, stream), max(2, _TILE_EVENTS // max(1, spec.truncation_n))
         bounds, scratch = [*range(0, max(m - 1, 1), tile), m], {}
-        return [reduce(*_chunk_coeffs(spec, draws, b - a, scratch), b - a, scratch)
+        return [reduce(*_chunk_coeffs(spec, draws, b - a, scratch, at_one), b - a, scratch)
                 for a, b in zip(bounds, bounds[1:])]
 
     parts = map_replicates(one_chunk, RngStream(spec.seed).substream(tag), n_samples,
@@ -339,16 +336,23 @@ def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) 
 
 
 def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, threads=1) -> np.ndarray:
-    """i.i.d. samples of the partial-sum marginal ``X_n(t)``, shape (n, d)."""
+    """i.i.d. samples of the partial-sum marginal ``X_n(t)``, shape (n, d); at ``t == 1`` built-in paths
+    draw no jump locations, and a non-finite marginal raises :class:`ConfigurationError`."""
     if not 0.0 <= t <= 1.0:
         raise ConfigurationError(f"marginal time must lie in [0, 1], got {t}")
     n, d = spec.truncation_n, spec.dimension
 
-    def reduce(coeffs, events, m, scratch):
-        per_term = values_at(events, [t], _buffer(scratch, "values", (m * n, 1, d)))[:, 0, :].reshape(m, n, d)
-        return (np.einsum("mi,mid->md", coeffs, per_term),)
+    def reduce(coeffs, y, m, scratch):
+        if t != 1.0:  # y holds the events, else each term's Y(1) in the same buffer
+            y = values_at(y, [t], _buffer(scratch, "values", (m * n, 1, d)))[:, 0, :]
+        return (np.einsum("mi,mid->md", coeffs, y.reshape(m, n, d)),)
 
-    return _sample_chunks(spec, _TAG_MARGINAL, n_samples, reduce, threads)[0]
+    out = _sample_chunks(spec, _TAG_MARGINAL, n_samples, reduce, threads, t == 1.0)[0]
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise ConfigurationError(f"alpha {spec.alpha}: replicate {bad[0]} (chunk {bad[0] // chunk_size(n)}) "
+                                 f"has marginal {out[bad[0]].tolist()}; small alpha overflows Gamma_i^(-1/alpha)")
+    return out
 
 
 @dataclass(frozen=True)

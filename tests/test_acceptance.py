@@ -325,6 +325,16 @@ sigma_replicates: 5000
 n: 50
 seed: 7
 """,
+        # Poisson(1) paths at the default t = 1: the counts, with no jump locations drawn
+        "stability_poisson": """
+command: stability
+alpha: 1.5
+epsilon: rademacher
+y: {variant: example3, lambda: 1.0}
+truncation_n: 200
+samples: 5000
+seed: 7
+""",
         # weighted jumps: fixed-width blocks of p = 3 events per term, in 2-d
         "stability_weighted": f"""
 command: stability

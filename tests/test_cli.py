@@ -321,6 +321,23 @@ triples: [[0.3, 0.5, 0.7]]
         assert main(["--config", str(tmp_path / "missing.yaml")]) == 1
 
 
+    def test_non_finite_marginal_exits_one(self, tmp_path, capsys):
+        # at alpha 0.01 the weights overflow and marginals 251 and 1990 are infinite
+        with np.errstate(over="ignore"):
+            code, _ = run_cli(tmp_path, """
+command: stability
+alpha: 0.01
+epsilon: rademacher
+y: example1
+truncation_n: 200
+samples: 2000
+seed: 1
+""")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "alpha 0.01" in err and "replicate 251 (chunk 0)" in err
+
+
 class TestOutputs:
     def test_csv_files_carry_manifest_hash(self, tmp_path):
         code, out = run_cli(tmp_path, """

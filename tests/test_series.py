@@ -25,6 +25,7 @@ from lepage.random_inputs import (
 )
 from lepage.parallel import map_replicates
 from lepage.rng import RngStream
+import lepage.random_inputs as random_inputs
 import lepage.series as series
 from lepage.series import (
     SeriesRealization,
@@ -483,12 +484,62 @@ class TestTilesEqualWholeChunk:
         t, intervals = 0.8125, [(0.0, 0.5), (0.25, 0.8125)]
         assert (sample_marginals(spec, t, n_samples).tobytes()
                 == reference_marginals(spec, t, n_samples).tobytes())
+        # at t = 1 the built-in paths draw no jump locations; the reference draws and masks them
+        assert (sample_marginals(spec, 1.0, n_samples).tobytes()
+                == reference_marginals(spec, 1.0, n_samples).tobytes())
         assert (sample_weighted_increments(spec, intervals, n_samples).tobytes()
                 == reference_weighted_increments(spec, intervals, n_samples).tobytes())
         stats = sample_path_stats(spec, n_samples)
         want = whole_chunk_reference(spec, series._TAG_PATH_STATS, n_samples, reference_path_stats)
         for got, ref in zip((stats.sup, stats.vmax, stats.vmin), want):
             assert got.tobytes() == ref.tobytes()
+
+
+class TestMarginalsAtOne:
+    @pytest.mark.parametrize("name", ["unit", "poisson", "weighted2d_p3"])
+    def test_built_in_paths_draw_no_locations(self, name, monkeypatch):
+        spec = rademacher_spec(n=40, seed=21, y=FAST_PATH_YS[name])
+        expected = sample_marginals(spec, 1.0, 600)
+
+        def no_location(*args, **kwargs):
+            raise AssertionError("a jump location was drawn")
+
+        monkeypatch.setattr(random_inputs, "_draw_open_unit", no_location)
+        assert sample_marginals(spec, 1.0, 600).tobytes() == expected.tobytes()
+        with pytest.raises(AssertionError, match="jump location"):
+            sample_marginals(spec, 0.999, 600)
+
+    def test_user_paths_are_drawn(self):
+        calls = []
+
+        def path(gen):
+            calls.append(1)
+            return _sixteenths_path(gen)
+
+        sample_marginals(rademacher_spec(n=10, seed=21, y=user_paths(path, 1)), 1.0, 30)
+        assert len(calls) == 300
+
+    def test_non_finite_marginal_names_alpha_replicate_and_chunk(self):
+        # at alpha 0.01 the weights Gamma_i^(-100) overflow: replicates 251 (+inf) and 1990 (-inf)
+        spec = rademacher_spec(alpha=0.01, n=200, seed=1)
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError) as err:
+            sample_marginals(spec, 1.0, 2000)
+        assert "alpha 0.01" in str(err.value) and "replicate 251 (chunk 0)" in str(err.value)
+
+    def test_non_finite_marginal_names_a_later_chunk(self, monkeypatch):
+        # 2000 terms make chunks of 2097 replicates in tiles of 8, the last one 9;
+        # chunk 1 is one tile of 3, and its replicate 2 is replicate 2099
+        original = series._chunk_coeffs
+
+        def overflow_in_chunk_1(*args):
+            coeffs, y = original(*args)
+            if coeffs.shape[0] == 3:
+                coeffs[2, 0] = np.inf
+            return coeffs, y
+
+        monkeypatch.setattr(series, "_chunk_coeffs", overflow_in_chunk_1)
+        with pytest.raises(ConfigurationError, match=r"replicate 2099 \(chunk 1\)"):
+            sample_marginals(rademacher_spec(n=2000, seed=1), 1.0, 2100)
 
 
 def traced_peak_mb(fn):
@@ -555,6 +606,15 @@ class TestLimitLawScale:
         n, samples = 200, 20_000
         x = sample_marginals(rademacher_spec(alpha=alpha, n=n, seed=5, y=y), 1.0, samples)[:, 0]
         assert_cf_matches(x, alpha, n, np.add.outer(heights, heights).ravel(), np.outer(probs, probs).ravel())
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    def test_poisson_counts_scale_by_the_alpha_moment(self, alpha):
+        # Y(1) of a Poisson(1) path is its count, on the atoms 0..30
+        counts = np.arange(31)
+        probs = np.exp(-1.0) / np.array([math.factorial(k) for k in counts], dtype=float)
+        n, samples = 200, 20_000
+        x = sample_marginals(rademacher_spec(alpha=alpha, n=n, seed=7, y=poisson_counts(1.0)), 1.0, samples)[:, 0]
+        assert_cf_matches(x, alpha, n, counts, probs)
 
 
 FAULT_SCRIPT = """
