@@ -27,7 +27,6 @@ from .random_inputs import (
     EpsilonSpec,
     JumpHeightDist,
     YGeneratorSpec,
-    gen_path,
     poisson_counts,
     unit_jump,
     user_paths,
@@ -38,10 +37,8 @@ from .series import (
     PartialSumResult,
     SeriesSpec,
     coupled_partial_sums,
-    gamma_deterministic_gap,
     partial_sum,
     sample_marginals,
-    truncate_epsilon,
 )
 
 # every public name imported above

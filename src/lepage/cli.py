@@ -133,6 +133,15 @@ def _fields(obj, what: str, known: tuple[str, ...]) -> dict:
     return obj
 
 
+def _chosen(obj, what: str, key: str, keys: dict, default=None) -> tuple[str, dict]:
+    """``obj[key]`` (``default`` when missing) and ``obj``, once ``obj`` is a mapping
+    that holds only ``key`` and the keys ``keys`` gives for that value."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a mapping, got {obj!r}")
+    choice = _choice(*keys)(obj.get(key, default))
+    return choice, _fields(obj, f"{choice} {what}", (key, *keys[choice]))
+
+
 def _formats(v) -> tuple[str, ...]:
     formats = tuple(v)
     if not formats or any(f not in ("csv", "json") for f in formats):
@@ -145,21 +154,27 @@ def _output(obj) -> tuple[str, tuple[str, ...]]:
     return obj.get("directory", "out"), _formats(obj.get("formats", ("csv", "json")))
 
 
+# the keys each epsilon family, y variant and envelope kind reads, beside the one naming it
+_EPSILON_KEYS = {"rademacher": ("alpha_moment_hint",), "uniform_symmetric": ("a", "alpha_moment_hint"),
+                 "two_point": ("p", "x_neg", "x_pos", "alpha_moment_hint"),
+                 "table": ("values", "probabilities", "alpha_moment_hint")}
+_Y_KEYS = {"example1": (), "example2": ("p", "cdfs", "heights", "fourth_moment_bound"),
+           "example3": ("lambda",), "user": ("paths_dir", "dimension")}
+_ENVELOPE_KEYS = {"identity": ("beta",), "affine": ("beta", "coeffs"), "poly": ("beta", "coeffs"),
+                  "grid": ("beta", "xs", "ys")}
+
+
 def _epsilon(obj) -> EpsilonSpec:
-    obj = _fields({"family": obj} if isinstance(obj, str) else obj, "epsilon",
-                  ("family", "a", "p", "x_neg", "x_pos", "values", "probabilities",
-                   "alpha_moment_hint"))
-    family = obj.get("family")
+    family, obj = _chosen({"family": obj} if isinstance(obj, str) else obj, "epsilon", "family",
+                          _EPSILON_KEYS)
     if family == "rademacher":
         spec = EpsilonSpec.rademacher()
     elif family == "uniform_symmetric":
         spec = EpsilonSpec.uniform_symmetric(obj.get("a", 1.0))
     elif family == "two_point":
         spec = EpsilonSpec.two_point(obj["p"], obj["x_neg"], obj["x_pos"])
-    elif family == "table":
-        spec = EpsilonSpec.table(obj["values"], obj["probabilities"])
     else:
-        raise ValueError(f"unknown family {family!r}")
+        spec = EpsilonSpec.table(obj["values"], obj["probabilities"])
     hint = obj.get("alpha_moment_hint")
     return spec if hint is None else dataclasses.replace(spec, alpha_moment_hint=float(hint))
 
@@ -167,14 +182,12 @@ def _epsilon(obj) -> EpsilonSpec:
 def _cdf(obj) -> CdfGrid:
     if obj == "uniform":
         return CdfGrid.uniform()
+    obj = _fields(obj, "cdf", ("xs", "ys"))
     return CdfGrid(np.asarray(obj["xs"], float), np.asarray(obj["ys"], float))
 
 
 def _y(obj):
-    obj = _fields({"variant": obj} if isinstance(obj, str) else obj, "y",
-                  ("variant", "lambda", "p", "cdfs", "heights", "fourth_moment_bound",
-                   "paths_dir", "dimension"))
-    variant = obj.get("variant")
+    variant, obj = _chosen({"variant": obj} if isinstance(obj, str) else obj, "y", "variant", _Y_KEYS)
     if variant == "example1":
         return unit_jump()
     if variant == "example3":
@@ -189,27 +202,25 @@ def _y(obj):
             if len(cdfs) != p:
                 raise ValueError(f"expected {p} cdfs, got {len(cdfs)}")
         h = obj.get("heights", {"constant": [1.0]})
+        h = _fields(h, "heights", ("constant",) if "constant" in h else ("values", "probabilities"))
         if "constant" in h:
             dist = JumpHeightDist.constant(h["constant"])
         else:
             dist = JumpHeightDist(np.atleast_2d(np.asarray(h["values"], float)),
                                   np.asarray(h["probabilities"], float))
         return weighted_jumps(cdfs, dist, obj.get("fourth_moment_bound", np.inf))
-    if variant == "user":
-        files = sorted(Path(obj["paths_dir"]).glob("*.csv"))
-        if not files:
-            raise ValueError(f"no step-path CSV files in {obj['paths_dir']!r}")
-        cached = [paths_mod.path_from_csv(f.read_text()) for f in files]
-        # a pure function of the sampler's stream, so results never depend on
-        # which replicates, chunks or threads drew before
-        return user_paths(lambda gen: cached[gen.integers(len(cached))],
-                          int(obj.get("dimension", 1)))
-    raise ValueError(f"unknown variant {variant!r}")
+    files = sorted(Path(obj["paths_dir"]).glob("*.csv"))
+    if not files:
+        raise ValueError(f"no step-path CSV files in {obj['paths_dir']!r}")
+    cached = [paths_mod.path_from_csv(f.read_text()) for f in files]
+    # a pure function of the sampler's stream, so results never depend on
+    # which replicates, chunks or threads drew before
+    return user_paths(lambda gen: cached[gen.integers(len(cached))],
+                      int(obj.get("dimension", 1)))
 
 
 def _envelope(obj) -> diag.MomentEnvelope:
-    obj = _fields(obj, "envelope", ("kind", "beta", "coeffs", "xs", "ys"))
-    kind = _choice("identity", "affine", "poly", "grid")(obj.get("kind", "identity"))
+    kind, obj = _chosen(obj, "envelope", "kind", _ENVELOPE_KEYS, "identity")
     if kind == "grid":
         return diag.MomentEnvelope(beta=obj["beta"], kind="grid",
                                    grid_xs=np.asarray(obj["xs"], float),

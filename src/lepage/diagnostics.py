@@ -48,8 +48,6 @@ __all__ = [
     "centered_first_moment_sum",
     "BorelCantelliSum",
     "borel_cantelli_sum",
-    "tail_weight_supremum",
-    "head_weight_supremum",
     "Partition",
     "enumerate_partitions",
     "partition_label",
@@ -388,23 +386,6 @@ def borel_cantelli_sum(alpha: float, eps: EpsilonSpec, n_max: int) -> BorelCante
     if value > bound * (1.0 + 1e-12):
         raise AssertionError(f"tail-probability sum {value} exceeds E|eps|^alpha = {bound}")
     return BorelCantelliSum(value, bound)
-
-
-def tail_weight_supremum(alpha: float, m: float, n_max: int = 10**5) -> float:
-    """Grid supremum of ``x^(m/alpha - 1) * sum_{i >= x} i^(-m/alpha)``."""
-    if m <= alpha:
-        raise ConfigurationError(f"requires m > alpha, got m = {m}, alpha = {alpha}")
-    i = np.arange(1, n_max + 1, dtype=np.float64)
-    w = i ** (-m / alpha)
-    suffix = np.cumsum(w[::-1])[::-1]
-    return float(np.max(i ** (m / alpha - 1.0) * suffix))
-
-
-def head_weight_supremum(alpha: float, n_max: int = 10**5) -> float:
-    """Grid supremum of ``x^(1/alpha - 1) * sum_{i <= x} i^(-1/alpha)``."""
-    i = np.arange(1, n_max + 1, dtype=np.float64)
-    prefix = np.cumsum(i ** (-1.0 / alpha))
-    return float(np.max(i ** (1.0 / alpha - 1.0) * prefix))
 
 
 # ---------------------------------------------------------------------------

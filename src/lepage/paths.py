@@ -34,7 +34,6 @@ __all__ = [
     "path_to_csv",
     "path_from_csv",
     "path_to_json",
-    "path_from_json",
 ]
 
 
@@ -236,15 +235,3 @@ def path_to_json(path: StepPath) -> str:
         "post_jump_values": path.post_jump_values.tolist(),
     }
     return json.dumps(payload)
-
-
-def path_from_json(text: str) -> StepPath:
-    payload = json.loads(text)
-    return StepPath(
-        int(payload["dimension"]),
-        np.asarray(payload["initial_value"], dtype=np.float64),
-        np.asarray(payload["jump_times"], dtype=np.float64),
-        np.asarray(payload["post_jump_values"], dtype=np.float64).reshape(
-            len(payload["jump_times"]), int(payload["dimension"])
-        ),
-    )

@@ -37,7 +37,6 @@ __all__ = [
     "weighted_jumps",
     "poisson_counts",
     "user_paths",
-    "gen_path",
     "TermEvents",
     "time_ordered",
     "interval_increments",
@@ -645,13 +644,6 @@ def poisson_counts(lam: float) -> YGeneratorSpec:
 def user_paths(sampler, dimension: int) -> YGeneratorSpec:
     """Wrap a callback ``sampler(numpy_generator) -> StepPath``."""
     return _UserSpec(sampler=sampler, dimension=int(dimension))
-
-
-def gen_path(spec: YGeneratorSpec, stream: RngStream) -> StepPath:
-    """One i.i.d. path drawn from the generator."""
-    events = time_ordered(spec.block_sampler(stream.substream(_Y_ROLE)).take(1))
-    values = events.initials[0][None, :] + np.cumsum(events.heights, axis=0)
-    return StepPath(spec.dimension, events.initials[0], events.times, values)
 
 
 # ---------------------------------------------------------------------------

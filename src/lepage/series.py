@@ -49,10 +49,8 @@ __all__ = [
     "SeriesSpec",
     "PartialSumResult",
     "SeriesRealization",
-    "truncate_epsilon",
     "partial_sum",
     "coupled_partial_sums",
-    "gamma_deterministic_gap",
     "sample_marginals",
     "sample_path_stats",
     "PathStatsSample",
@@ -117,15 +115,6 @@ class PartialSumResult:
     path: StepPath
     terms_used: int
     per_term_norms: np.ndarray | None = None
-
-
-def truncate_epsilon(eps: float, index: int, alpha: float) -> float:
-    """``eps`` if ``|eps|^alpha <= index``, else 0."""
-    if index < 1:
-        raise ConfigurationError(f"index must be >= 1, got {index}")
-    if not 0.0 < alpha < 2.0:
-        raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha}")
-    return float(eps) if abs(eps) ** alpha <= index else 0.0
 
 
 def _truncate_block(eps: np.ndarray, indices, alpha: float, mag: np.ndarray | None = None) -> np.ndarray:
@@ -260,20 +249,6 @@ def coupled_partial_sums(
         raise ConfigurationError(f"checkpoints must be nonnegative, got {checkpoints}")
     real = SeriesRealization(spec, stream)
     return [PartialSumResult(path=real.path(c), terms_used=c) for c in checkpoints]
-
-
-def gamma_deterministic_gap(spec: SeriesSpec, stream: RngStream | None = None) -> float:
-    """``sum_{i<=n} |Gamma_i^(-1/a) - i^(-1/a)| |eps_i| sup_norm(Y_i)``.
-
-    The truncated gap between arrival-time weights and their deterministic
-    surrogates, for one realization.
-    """
-    real = SeriesRealization(spec, stream)
-    n = spec.truncation_n
-    inv_a = 1.0 / spec.alpha
-    det = np.arange(1, n + 1, dtype=np.float64) ** (-inv_a)
-    gap = np.abs(real.gammas(n) ** (-inv_a) - det)
-    return float(np.sum(gap * np.abs(real.eps_raw(n)) * term_sup_norms(real.events(n))))
 
 
 # ---------------------------------------------------------------------------

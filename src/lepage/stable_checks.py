@@ -24,15 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .parallel import map_replicates
-from .paths import StepPath, sup_norm
-from .random_inputs import (
-    ConfigurationError,
-    EpsilonSpec,
-    TermEvents,
-    YGeneratorSpec,
-    term_value_extremes,
-    time_ordered,
-)
+from .random_inputs import ConfigurationError, EpsilonSpec, YGeneratorSpec, term_value_extremes
 from .rng import RngStream
 from .series import PathStatsSample
 
@@ -357,7 +349,7 @@ def sum_stability_test(samples, alpha: float, stream: RngStream) -> StabilityRes
 class SphereEvent:
     """Named measurable event on the unit sphere of the path space.
 
-    Builtin kinds evaluate vectorized on per-replicate path reductions:
+    Each kind evaluates vectorized on per-replicate path reductions:
 
     * ``full_sphere`` is always true;
     * ``nonnegative`` asks the largest-magnitude segment value of the
@@ -366,15 +358,11 @@ class SphereEvent:
       symmetry-exact for signed paths;
     * ``norm_equals`` compares the pre-normalization uniform norm to a
       constant (exact float comparison, intended for atom-valued norms).
-
-    A custom predicate ``f(path, sign) -> bool`` may be supplied instead;
-    it is evaluated replicate by replicate.
     """
 
     name: str
-    kind: str = "custom"
+    kind: str
     value: float = math.nan
-    predicate: object = None
 
     def evaluate(self, sign: np.ndarray, sup: np.ndarray, vmax: np.ndarray, vmin: np.ndarray) -> np.ndarray:
         if self.kind == "full_sphere":
@@ -385,7 +373,7 @@ class SphereEvent:
             return smax + smin >= 0.0
         if self.kind == "norm_equals":
             return sup == self.value
-        raise ConfigurationError(f"event {self.name!r} needs per-path evaluation")
+        raise ConfigurationError(f"unknown event kind {self.kind!r}")
 
 
 def full_sphere() -> SphereEvent:
@@ -419,18 +407,6 @@ class SpectralEstimate:
         return out
 
 
-def _event_flags(events, sign, sup, vmax, vmin, builder=None) -> dict:
-    flags = {}
-    for ev in events:
-        if ev.kind != "custom":
-            flags[ev.name] = ev.evaluate(sign, sup, vmax, vmin)
-        else:
-            if builder is None:
-                raise ConfigurationError(f"custom event {ev.name!r} not supported here")
-            flags[ev.name] = builder(ev)
-    return flags
-
-
 def spectral_estimate(
     eps_spec: EpsilonSpec,
     y_spec: YGeneratorSpec,
@@ -458,25 +434,17 @@ def spectral_estimate(
         raise ConfigurationError(f"event names must be distinct, got {names}")
     def one_chunk(sub, m):
         eps = eps_spec.sample(sub.substream(0).generator(), m)
-        blk = time_ordered(y_spec.block_sampler(sub.substream(1)).take(m))
+        blk = y_spec.block_sampler(sub.substream(1)).take(m)
         vmax, vmin = term_value_extremes(blk)
         sup = np.maximum(np.abs(vmax), np.abs(vmin))
         sign = np.sign(eps)
         w = np.abs(eps) ** alpha * sup**alpha
-
-        def builder(ev):
-            out = np.empty(m, dtype=bool)
-            for r in range(m):
-                out[r] = bool(ev.predicate(_term_path(blk, r), float(sign[r])))
-            return out
-
-        flags = _event_flags(events, sign, sup, vmax, vmin, builder)
         acc = {"w": float(np.sum(w)), "w2": float(np.sum(w * w))}
-        for name, flag in flags.items():
-            wa = w * flag
-            acc[name] = float(np.sum(wa))
-            acc[name + "/2"] = float(np.sum(wa * wa))
-            acc[name + "/x"] = float(np.sum(wa * w))
+        for ev in events:
+            wa = w * ev.evaluate(sign, sup, vmax, vmin)
+            acc[ev.name] = float(np.sum(wa))
+            acc[ev.name + "/2"] = float(np.sum(wa * wa))
+            acc[ev.name + "/x"] = float(np.sum(wa * w))
         return acc
 
     parts = map_replicates(one_chunk, stream.substream(_TAG_SPECTRAL), replicates, 1, threads)
@@ -502,12 +470,6 @@ def spectral_estimate(
     d_se = math.sqrt(d_var / r)
     return SpectralEstimate(masses, (float(d_mean), float(d_se)), replicates, alpha,
                             {"epsilon": eps_spec.echo(), "y": y_spec.echo()})
-
-
-def _term_path(events: TermEvents, r: int) -> StepPath:
-    lo, hi = events.offset(r), events.offset(r + 1)
-    values = events.initials[r][None, :] + np.cumsum(events.heights[lo:hi], axis=0)
-    return StepPath(events.dimension, events.initials[r], events.times[lo:hi], values)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +538,7 @@ class RegVarTable:
 
 
 def regular_variation_table(
-    path_samples,
+    stats: PathStatsSample,
     events,
     r_grid,
     n: int,
@@ -585,33 +547,19 @@ def regular_variation_table(
 ) -> RegVarTable:
     """Empirical conditional sphere probabilities above scaled tail thresholds.
 
-    ``path_samples`` is either a sequence of :class:`StepPath` or a
-    precomputed :class:`PathStatsSample`.  Per (r, event): the conditional
+    ``stats`` holds the sup norm and value extremes of each sampled path
+    (:func:`~lepage.series.sample_path_stats`).  Per (r, event): the conditional
     probability ``P(X/|X| in A | |X| > r b_n)`` next to the spectral
     prediction ``sigma(A)``, plus the scaled exceedance probability
     ``n P(|X| > r b_n)`` next to its limit ``r^-alpha``.  Entries with no
     exceedances are marked "no data" rather than failing.
     """
     events = list(events)
-    if isinstance(path_samples, PathStatsSample):
-        sup, vmax, vmin = path_samples.sup, path_samples.vmax, path_samples.vmin
-    else:
-        paths = list(path_samples)
-        sup = np.array([sup_norm(p) for p in paths])
-        vmax = np.array([float(np.max(p.segment_values())) for p in paths])
-        vmin = np.array([float(np.min(p.segment_values())) for p in paths])
+    sup = stats.sup
     n_paths = sup.size
     b_n = tail_quantile_bn(SampleSet(sup, kind="norm"), n)
     sign = np.ones(n_paths)
-
-    def builder(ev):
-        raise ConfigurationError("custom events need materialized paths; pass StepPath samples")
-
-    if not isinstance(path_samples, PathStatsSample):
-        def builder(ev):  # noqa: F811, per-path evaluation when paths are available
-            return np.array([bool(ev.predicate(p, 1.0)) for p in paths])
-
-    flags = _event_flags(events, sign, sup, vmax, vmin, builder)
+    flags = {ev.name: ev.evaluate(sign, sup, stats.vmax, stats.vmin) for ev in events}
     rows = []
     for r in (float(r) for r in r_grid):
         exceed = sup > r * b_n

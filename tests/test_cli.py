@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from lepage import RngStream, SeriesSpec, EpsilonSpec, unit_jump, partial_sum
 from lepage.cli import ConfigParseError, _json_text, _jsonable, main, parse_config
-from lepage.paths import path_from_csv, path_from_json, zero_path
-from test_paths import reference_path_csv
+from lepage.paths import path_from_csv, zero_path
+from test_paths import path_from_json, reference_path_csv
 
 
 def run_cli(tmp_path: Path, config: str, *args) -> tuple[int, Path]:
@@ -106,6 +106,12 @@ class TestCommandTables:
         ("simulate", "per_term_norms", '"false"'),  # a string, not a boolean
         ("simulate", "per_term_norms", "1"),
         ("check-conditions", "envelope", "{kind: sum_of_cdfs, beta: 2.0}"),
+        # a nested key that the chosen variant, family or kind does not read
+        ("simulate", "y", "{variant: example1, lambda: 3.0}"),
+        ("simulate", "epsilon", "{family: rademacher, a: 5.0}"),
+        ("check-conditions", "envelope", "{kind: grid, beta: 1.0, xs: [0, 1], ys: [0, 1], coeffs: [3]}"),
+        ("simulate", "y", "{variant: example2, heights: {constant: [1.0], probabilities: [1.0]}}"),
+        ("simulate", "y", "{variant: example2, cdfs: [{xs: [0, 1], ys: [0, 1], beta: 2}]}"),
     ])
     def test_malformed_value_is_a_line_numbered_error(self, tmp_path, capsys, command, key, value):
         text, line = _with_value(command, key, value)

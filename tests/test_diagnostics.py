@@ -16,13 +16,11 @@ from lepage.diagnostics import (
     enumerate_partitions,
     estimate_c1,
     estimate_c2,
-    head_weight_supremum,
     moment_constant,
     partition_envelope_exponents,
     partition_label,
     partition_report,
     partition_sum,
-    tail_weight_supremum,
     tightness_functional,
 )
 from lepage.paths import DomainError, StepPath
@@ -231,12 +229,6 @@ class TestMomentConstant:
     def test_convergence_flag(self):
         assert moment_constant(1.5, 4.0, RAD, 10**6).converged
         assert not moment_constant(1.9, 2.0, RAD, 100).converged
-
-    def test_suprema_utilities_finite(self):
-        c = tail_weight_supremum(1.5, 4.0, 10_000)
-        # limit of x^(m/a-1) sum_{i>=x} i^(-m/a) is a/(m-a) = 0.6
-        assert 0.6 <= c < 2.0
-        assert head_weight_supremum(1.5, 10_000) > 0.0
 
 
 class TestCenteredFirstMomentSum:

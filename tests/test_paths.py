@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -13,12 +14,24 @@ from lepage.paths import (
     increment,
     linear_combine,
     path_from_csv,
-    path_from_json,
     path_to_csv,
     path_to_json,
     sup_norm,
     zero_path,
 )
+
+
+def path_from_json(text: str) -> StepPath:
+    """The inverse of ``path_to_json``."""
+    payload = json.loads(text)
+    return StepPath(
+        int(payload["dimension"]),
+        np.asarray(payload["initial_value"], dtype=np.float64),
+        np.asarray(payload["jump_times"], dtype=np.float64),
+        np.asarray(payload["post_jump_values"], dtype=np.float64).reshape(
+            len(payload["jump_times"]), int(payload["dimension"])
+        ),
+    )
 
 
 def unit_jump_path(t: float, height: float = 1.0) -> StepPath:

@@ -14,7 +14,6 @@ from lepage.random_inputs import (
     _Y_ROLE,
     _draw_open_unit,
     _positive_exponentials,
-    gen_path,
     interval_increments,
     poisson_counts,
     term_sup_norms,
@@ -27,7 +26,14 @@ from lepage.random_inputs import (
 )
 from lepage.rng import RngStream
 from lepage.series import SeriesRealization, SeriesSpec
-from lepage.stable_checks import _term_path
+
+
+def term_path(events, r: int) -> StepPath:
+    """Term ``r`` of a block as a step path, its events put in time order by ``time_ordered``."""
+    events = time_ordered(events)
+    lo, hi = events.offset(r), events.offset(r + 1)
+    values = events.initials[r][None, :] + np.cumsum(events.heights[lo:hi], axis=0)
+    return StepPath(events.dimension, events.initials[r], events.times[lo:hi], values)
 
 
 def arrival_times(n: int, stream: RngStream) -> np.ndarray:
@@ -221,10 +227,11 @@ class TestDrawsIntoBuffers:
 class TestUnitJumpGenerator:
     def test_bit_reproducible(self):
         for spec in (unit_jump(), poisson_counts(2.0)):
-            assert gen_path(spec, RngStream(45, 2)) == gen_path(spec, RngStream(45, 2))
+            paths = [term_path(spec.block_sampler(RngStream(45, 2)).take(1), 0) for _ in range(2)]
+            assert paths[0] == paths[1]
 
     def test_path_shape(self):
-        path = gen_path(unit_jump(), RngStream(30))
+        path = term_path(unit_jump().block_sampler(RngStream(30)).take(1), 0)
         u = path.jump_times[0]
         assert path.n_jumps == 1
         assert 0.0 < u <= 1.0
@@ -262,7 +269,7 @@ class TestPoissonGenerator:
         assert d < 1.6276 / math.sqrt(n)
 
     def test_counting_path_is_unit_steps(self):
-        path = gen_path(poisson_counts(5.0), RngStream(34))
+        path = term_path(poisson_counts(5.0).block_sampler(RngStream(34)).take(1), 0)
         if path.n_jumps:
             assert np.array_equal(path.post_jump_values.ravel(),
                                   np.arange(1, path.n_jumps + 1))
@@ -309,19 +316,19 @@ class TestUserGenerator:
     def test_round_trips_paths(self):
         fixed = StepPath(1, [0.5], [0.25, 0.75], [[1.0], [-2.0]])
         y = user_paths(lambda gen: fixed, dimension=1)
-        path = gen_path(y, RngStream(37))
+        path = term_path(y.block_sampler(RngStream(37)).take(1), 0)
         assert path == fixed
 
     def test_invalid_return_rejected(self):
         y = user_paths(lambda gen: "not a path", dimension=1)
         with pytest.raises(PathValidationError):
-            gen_path(y, RngStream(38))
+            y.block_sampler(RngStream(38)).take(1)
 
     def test_dimension_checked(self):
         fixed = StepPath(2, [0.0, 0.0], [0.5], [[1.0, 1.0]])
         y = user_paths(lambda gen: fixed, dimension=1)
         with pytest.raises(PathValidationError):
-            gen_path(y, RngStream(39))
+            y.block_sampler(RngStream(39)).take(1)
 
 
 class TestEventReductions:
@@ -454,8 +461,7 @@ class TestTimeOrderedReaders:
                                             epsilon=EpsilonSpec.rademacher(), y_gen=y, seed=50))
         events = real.events(60)
         assert not _is_time_ordered(events)
-        ordered = time_ordered(events)
-        assert _is_time_ordered(ordered)
+        assert _is_time_ordered(time_ordered(events))
         vmax, vmin = term_value_extremes(events)
         sups = term_sup_norms(events)
         for r in range(60):
@@ -464,7 +470,7 @@ class TestTimeOrderedReaders:
             assert vmax[r] == max(init.max(), values.max(initial=-np.inf))
             assert vmin[r] == min(init.min(), values.min(initial=np.inf))
             assert sups[r] == max(np.abs(init).max(), np.abs(values).max(initial=0.0))
-            assert _term_path(ordered, r) == StepPath(y.dimension, init, times, values)
+            assert term_path(events, r) == StepPath(y.dimension, init, times, values)
         assert np.array_equal(real.per_term_norms(60), np.abs(real.coeffs(60)) * sups)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -475,8 +481,7 @@ class TestTimeOrderedReaders:
             block = y.block_sampler(RngStream(seed).substream(_Y_ROLE)).take(1)
             unordered += not _is_time_ordered(block)
             times, values = _argsort_oracle(block, 0)
-            assert gen_path(y, RngStream(seed)) == StepPath(y.dimension, block.initials[0],
-                                                            times, values)
+            assert term_path(block, 0) == StepPath(y.dimension, block.initials[0], times, values)
         assert unordered > 0
 
     def test_ordered_blocks_are_returned_untouched(self):
@@ -499,14 +504,14 @@ def per_term_cumsum_extremes(events):
     return vmax, vmin
 
 
-def _normal_2d_path(gen):
+def _normal_path(gen, d=2):
     """0 to 8 jumps with normal segment values, so running sums round."""
     k = int(gen.integers(0, 9))
-    return StepPath(2, gen.normal(size=2), np.sort(gen.random(k)) * 0.5 + 0.25, gen.normal(size=(k, 2)))
+    return StepPath(d, gen.normal(size=d), np.sort(gen.random(k)) * 0.5 + 0.25, gen.normal(size=(k, d)))
 
 
 class TestExactTermExtremes:
-    @pytest.mark.parametrize("y", [poisson_counts(1.0), poisson_counts(7.0), user_paths(_normal_2d_path, 2)],
+    @pytest.mark.parametrize("y", [poisson_counts(1.0), poisson_counts(7.0), user_paths(_normal_path, 2)],
                              ids=["poisson1", "poisson7", "user2d"])
     def test_variable_width_blocks_match_per_term_cumsum(self, y):
         events = y.block_sampler(RngStream(62)).take(3000)

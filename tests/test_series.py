@@ -18,6 +18,7 @@ from lepage.random_inputs import (
     _positive_exponentials,
     interval_increments,
     poisson_counts,
+    term_sup_norms,
     unit_jump,
     user_paths,
     values_at,
@@ -33,19 +34,38 @@ from lepage.series import (
     _chunk_coeffs,
     _chunk_draws,
     _combine_term_events,
+    _truncate_block,
     coupled_partial_sums,
-    gamma_deterministic_gap,
     partial_sum,
     sample_marginals,
     sample_path_stats,
     sample_weighted_increments,
-    truncate_epsilon,
 )
 import lepage.stable_checks as sc
 
 
 def rademacher_spec(alpha=1.5, n=50, seed=7, y=None, epsilon=None, **kw):
     return SeriesSpec(alpha, n, epsilon or EpsilonSpec.rademacher(), y or unit_jump(), seed=seed, **kw)
+
+
+def truncate_epsilon(eps: float, index: int, alpha: float) -> float:
+    """Scalar oracle of ``_truncate_block``: ``eps`` if ``|eps|^alpha <= index``, else 0."""
+    if index < 1:
+        raise ConfigurationError(f"index must be >= 1, got {index}")
+    if not 0.0 < alpha < 2.0:
+        raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha}")
+    return float(eps) if abs(eps) ** alpha <= index else 0.0
+
+
+def gamma_deterministic_gap(spec: SeriesSpec, stream: RngStream | None = None) -> float:
+    """``sum_{i<=n} |Gamma_i^(-1/a) - i^(-1/a)| |eps_i| sup_norm(Y_i)`` for one realization:
+    the gap between arrival-time weights and their deterministic surrogates."""
+    real = SeriesRealization(spec, stream)
+    n = spec.truncation_n
+    inv_a = 1.0 / spec.alpha
+    det = np.arange(1, n + 1, dtype=np.float64) ** (-inv_a)
+    gap = np.abs(real.gammas(n) ** (-inv_a) - det)
+    return float(np.sum(gap * np.abs(real.eps_raw(n)) * term_sup_norms(real.events(n))))
 
 
 class TestTruncateEpsilon:
@@ -66,6 +86,17 @@ class TestTruncateEpsilon:
             truncate_epsilon(1.0, 0, 1.5)
         with pytest.raises(ConfigurationError):
             truncate_epsilon(1.0, 5, 2.5)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 0.5])
+    def test_block_equals_scalar_oracle(self, alpha):
+        # atoms on the boundary |eps|^alpha == i (eps +-2 at alpha 1 and i = 2, +-4 at
+        # alpha 0.5), both signs of zero, and normal draws over indices 1..6
+        eps = np.concatenate([[2.0, -2.0, 4.0, -4.0, 1.0, -1.0, 0.0, -0.0],
+                              np.random.Generator(np.random.Philox(8)).normal(scale=3.0, size=400)])
+        indices = np.concatenate([[2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0], np.arange(400) % 6 + 1.0])
+        got = _truncate_block(eps.copy(), indices, alpha)
+        want = np.array([truncate_epsilon(e, int(i), alpha) for e, i in zip(eps, indices)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSeriesSpec:

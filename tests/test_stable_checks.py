@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from lepage.paths import StepPath
 from lepage.random_inputs import (
     CdfGrid,
     ConfigurationError,
     EpsilonSpec,
     JumpHeightDist,
+    poisson_counts,
     unit_jump,
+    user_paths,
     weighted_jumps,
 )
 from lepage import stable_checks
 from lepage.rng import RngStream
-from lepage.series import SeriesSpec, sample_path_stats
+from lepage.series import PathStatsSample, SeriesSpec, sample_path_stats
 from lepage.stable_checks import (
     SampleSet,
-    SphereEvent,
     WindowError,
     auto_window,
     ecf,
@@ -34,7 +34,7 @@ from lepage.stable_checks import (
     sum_stability_test,
     tail_quantile_bn,
 )
-from test_random_inputs import per_term_cumsum_extremes
+from test_random_inputs import _normal_path, per_term_cumsum_extremes
 
 RAD = EpsilonSpec.rademacher()
 
@@ -224,31 +224,40 @@ class TestSpectralEstimate:
         # at most an ulp of slack
         assert total == pytest.approx(est.mass("full_sphere"), rel=1e-14)
 
-    def test_custom_predicate_event(self):
-        ev = SphereEvent("late_jump", predicate=lambda path, sign: path.jump_times[0] > 0.5)
-        est = spectral_estimate(RAD, unit_jump(), 1.5, [ev], 2000, RngStream(23))
-        mass, se = est.event_masses["late_jump"]
-        assert abs(mass - 0.5) < 5.0 * se
-
     def test_replicate_floor(self):
         with pytest.raises(ConfigurationError):
             spectral_estimate(RAD, unit_jump(), 1.5, [full_sphere()], 999, RngStream(24))
 
-    def test_weighted_jump_extremes_equal_per_term_cumsum(self, monkeypatch):
-        # partial sums of 1.1, -0.7 and 0.3 round differently in a block-wide cumsum
-        y = weighted_jumps([CdfGrid.uniform()] * 3,
-                           JumpHeightDist(np.array([[1.1], [-0.7], [0.3]]), np.full(3, 1.0 / 3.0)))
+    @staticmethod
+    def check_extremes_equal_per_term_cumsum(monkeypatch, y, events):
+        """Blocks reach ``term_value_extremes`` as drawn, with no time-order pre-sort,
+        and give the masses that the per-term cumsum oracle gives."""
         blocks = []
 
         def recorded(blk):
             blocks.append(blk)
             return per_term_cumsum_extremes(blk)
 
-        events = [nonnegative_path(), norm_equals(1.1), norm_equals(0.7)]
         got = spectral_estimate(RAD, y, 1.5, events, 3000, RngStream(25)).rows()
         monkeypatch.setattr(stable_checks, "term_value_extremes", recorded)
         want = spectral_estimate(RAD, y, 1.5, events, 3000, RngStream(25)).rows()
         assert blocks and got == want
+
+    def test_weighted_jump_extremes_equal_per_term_cumsum(self, monkeypatch):
+        # partial sums of 1.1, -0.7 and 0.3 round differently in a block-wide cumsum
+        y = weighted_jumps([CdfGrid.uniform()] * 3,
+                           JumpHeightDist(np.array([[1.1], [-0.7], [0.3]]), np.full(3, 1.0 / 3.0)))
+        events = [nonnegative_path(), norm_equals(1.1), norm_equals(0.7)]
+        self.check_extremes_equal_per_term_cumsum(monkeypatch, y, events)
+
+    @pytest.mark.parametrize("y,events", [
+        # events unsorted inside each term
+        (poisson_counts(1.0), [nonnegative_path(), norm_equals(1.0), norm_equals(2.0)]),
+        # running values that round
+        (user_paths(lambda gen: _normal_path(gen, 1), 1), [nonnegative_path(), full_sphere()]),
+    ], ids=["poisson1", "user1d"])
+    def test_variable_width_extremes_equal_per_term_cumsum(self, monkeypatch, y, events):
+        self.check_extremes_equal_per_term_cumsum(monkeypatch, y, events)
 
 
 class TestTailQuantile:
@@ -309,8 +318,10 @@ class TestRegularVariationTable:
         assert row.row()["cond_prob"] == "no data"
 
     def test_accepts_step_paths(self):
-        paths = [StepPath(1, [0.0], [0.5], [[float(k + 1)]]) for k in range(50)]
-        table = regular_variation_table(paths, [full_sphere(), nonnegative_path()],
+        # the stats of the 50 paths that start at 0 and jump to k + 1 at t = 0.5
+        tops = np.arange(1.0, 51.0)
+        stats = PathStatsSample(sup=tops, vmax=tops, vmin=np.zeros(50))
+        table = regular_variation_table(stats, [full_sphere(), nonnegative_path()],
                                         [1.0], 5, 1.5)
         for row in table.rows:
             if row.event == "nonnegative_path" and row.exceed_count:
