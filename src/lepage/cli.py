@@ -18,7 +18,6 @@ verdict from a check command (a refutation, not a breakage).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -155,9 +154,8 @@ def _output(obj) -> tuple[str, tuple[str, ...]]:
 
 
 # the keys each epsilon family, y variant and envelope kind reads, beside the one naming it
-_EPSILON_KEYS = {"rademacher": ("alpha_moment_hint",), "uniform_symmetric": ("a", "alpha_moment_hint"),
-                 "two_point": ("p", "x_neg", "x_pos", "alpha_moment_hint"),
-                 "table": ("values", "probabilities", "alpha_moment_hint")}
+_EPSILON_KEYS = {"rademacher": (), "uniform_symmetric": ("a",), "two_point": ("p", "x_neg", "x_pos"),
+                 "table": ("values", "probabilities")}
 _Y_KEYS = {"example1": (), "example2": ("p", "cdfs", "heights", "fourth_moment_bound"),
            "example3": ("lambda",), "user": ("paths_dir", "dimension")}
 _ENVELOPE_KEYS = {"identity": ("beta",), "affine": ("beta", "coeffs"), "poly": ("beta", "coeffs"),
@@ -168,15 +166,12 @@ def _epsilon(obj) -> EpsilonSpec:
     family, obj = _chosen({"family": obj} if isinstance(obj, str) else obj, "epsilon", "family",
                           _EPSILON_KEYS)
     if family == "rademacher":
-        spec = EpsilonSpec.rademacher()
-    elif family == "uniform_symmetric":
-        spec = EpsilonSpec.uniform_symmetric(obj.get("a", 1.0))
-    elif family == "two_point":
-        spec = EpsilonSpec.two_point(obj["p"], obj["x_neg"], obj["x_pos"])
-    else:
-        spec = EpsilonSpec.table(obj["values"], obj["probabilities"])
-    hint = obj.get("alpha_moment_hint")
-    return spec if hint is None else dataclasses.replace(spec, alpha_moment_hint=float(hint))
+        return EpsilonSpec.rademacher()
+    if family == "uniform_symmetric":
+        return EpsilonSpec.uniform_symmetric(obj.get("a", 1.0))
+    if family == "two_point":
+        return EpsilonSpec.two_point(obj["p"], obj["x_neg"], obj["x_pos"])
+    return EpsilonSpec.table(obj["values"], obj["probabilities"])
 
 
 def _cdf(obj) -> CdfGrid:

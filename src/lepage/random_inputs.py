@@ -114,7 +114,6 @@ class EpsilonSpec:
     a: float = 1.0
     atom_values: np.ndarray | None = None
     atom_probs: np.ndarray | None = None
-    alpha_moment_hint: float | None = None
 
     def __post_init__(self) -> None:
         if self.family == "uniform_symmetric":
@@ -255,8 +254,6 @@ class EpsilonSpec:
         elif self.family != "rademacher":
             out["values"] = self.atom_values.tolist()
             out["probabilities"] = self.atom_probs.tolist()
-        if self.alpha_moment_hint is not None:
-            out["alpha_moment_hint"] = self.alpha_moment_hint
         return out
 
 

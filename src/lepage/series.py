@@ -6,10 +6,7 @@ The central object is the partial sum
 
 with weights either ``Gamma_i^(-1/alpha)`` (Poisson arrival times) or the
 deterministic ``i^(-1/alpha)``, and multipliers either raw or truncated to
-``eps_i 1{|eps_i|^alpha <= i}``.  A :class:`SeriesRealization` owns one
-realization of all three ingredient sequences and can be extended to deeper
-truncation without disturbing the terms already drawn, which is what the
-Cauchy-increment diagnostics measure.
+``eps_i 1{|eps_i|^alpha <= i}``.
 
 Replicate ``r`` of any experiment uses the stream ``(seed, r)``; the
 chunked samplers at the bottom draw fixed-size chunks of replicates (one
@@ -21,7 +18,7 @@ reduce each replicate's row on its own (``random_inputs._row_extremes``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +45,6 @@ from .rng import RngStream
 __all__ = [
     "SeriesSpec",
     "PartialSumResult",
-    "SeriesRealization",
     "partial_sum",
     "coupled_partial_sums",
     "sample_marginals",
@@ -125,77 +121,6 @@ def _truncate_block(eps: np.ndarray, indices, alpha: float, mag: np.ndarray | No
     return eps
 
 
-class SeriesRealization:
-    """One realization of (Gamma, eps, Y), extendable term by term.
-
-    All draws come from three ingredient substreams of ``stream`` consumed
-    in term order, so the first ``m`` terms are identical no matter how far
-    the realization has been extended.
-    """
-
-    def __init__(self, spec: SeriesSpec, stream: RngStream | None = None):
-        self.spec = spec
-        stream = RngStream(spec.seed) if stream is None else stream
-        self._gamma_gen, self._eps_gen, self._y_sampler = _chunk_draws(spec, stream)
-        self._gaps = self._gammas = self._eps = np.empty(0)  # replaced, never written in place
-        self._blocks: list[TermEvents] = [self._y_sampler.take(0)]  # draws nothing; shapes events(0)
-        self._events: TermEvents | None = None
-
-    @property
-    def n_terms(self) -> int:
-        return self._gammas.size
-
-    def extend(self, n: int) -> None:
-        """Ensure at least ``n`` terms have been drawn."""
-        new = n - self.n_terms
-        if new <= 0:
-            return
-        self._gaps = np.concatenate([self._gaps, _positive_exponentials(self._gamma_gen, new)])
-        # one full cumsum, so arrival times do not depend on extension granularity
-        self._gammas = np.cumsum(self._gaps)
-        self._eps = np.concatenate([self._eps, self.spec.epsilon.sample(self._eps_gen, new)])
-        self._blocks.append(self._y_sampler.take(new))
-        self._events = None
-
-    def gammas(self, n: int) -> np.ndarray:
-        self.extend(n)
-        return self._gammas[:n]
-
-    def eps_raw(self, n: int) -> np.ndarray:
-        self.extend(n)
-        return self._eps[:n]
-
-    def events(self, n: int) -> TermEvents:
-        self.extend(n)
-        if self._events is None or self._events.n_terms < self.n_terms:
-            self._events = TermEvents.concatenate(self._blocks)
-        return self._events.prefix(n)
-
-    def weights(self, n: int) -> np.ndarray:
-        if self.spec.weight_mode == "gamma":
-            return self.gammas(n) ** (-1.0 / self.spec.alpha)
-        return np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / self.spec.alpha)
-
-    def eps_used(self, n: int) -> np.ndarray:
-        eps = self.eps_raw(n)
-        if self.spec.epsilon_mode == "truncated":
-            return _truncate_block(eps.copy(), np.arange(1, n + 1, dtype=np.float64), self.spec.alpha)
-        return eps
-
-    def coeffs(self, n: int) -> np.ndarray:
-        return self.weights(n) * self.eps_used(n)
-
-    def path(self, n: int | None = None) -> StepPath:
-        """The partial sum as a step path, merged on one jump grid."""
-        n = self.spec.truncation_n if n is None else n
-        return _combine_term_events(self.coeffs(n), self.events(n))
-
-    def per_term_norms(self, n: int | None = None) -> np.ndarray:
-        """``|w_i eps_i| * sup_norm(Y_i)`` for each term."""
-        n = self.spec.truncation_n if n is None else n
-        return np.abs(self.coeffs(n)) * term_sup_norms(self.events(n))
-
-
 def _combine_term_events(coeffs: np.ndarray, events: TermEvents) -> StepPath:
     """n-ary linear combination on one merged jump grid.
 
@@ -216,6 +141,22 @@ def _combine_term_events(coeffs: np.ndarray, events: TermEvents) -> StepPath:
     return _paths._compressed(d, initial, uniq, values)
 
 
+def _replicate_coeffs(spec: SeriesSpec, stream: RngStream | None, n: int) -> tuple[np.ndarray, TermEvents]:
+    """The first ``n`` coefficients and path events of one replicate, from one draw.
+
+    A non-finite coefficient raises :class:`ConfigurationError` naming alpha and the replicate.
+    """
+    stream = RngStream(spec.seed) if stream is None else stream
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its cause
+        coeffs, events = _chunk_coeffs(replace(spec, truncation_n=n), _chunk_draws(spec, stream), 1)
+    bad = np.flatnonzero(~np.isfinite(coeffs[0]))
+    if bad.size:
+        raise ConfigurationError(f"alpha {spec.alpha}: replicate {stream.stream_id} has coefficient "
+                                 f"{coeffs[0, bad[0]]} at term {bad[0] + 1}; small alpha overflows "
+                                 "Gamma_i^(-1/alpha)")
+    return coeffs[0], events
+
+
 def partial_sum(
     spec: SeriesSpec,
     stream: RngStream | None = None,
@@ -226,10 +167,9 @@ def partial_sum(
     ``stream`` defaults to ``RngStream(spec.seed)``; pass
     ``RngStream(spec.seed, r)`` for replicate ``r``.
     """
-    real = SeriesRealization(spec, stream)
-    n = spec.truncation_n
-    return PartialSumResult(path=real.path(n), terms_used=n,
-                            per_term_norms=real.per_term_norms(n) if with_term_norms else None)
+    coeffs, events = _replicate_coeffs(spec, stream, spec.truncation_n)
+    return PartialSumResult(path=_combine_term_events(coeffs, events), terms_used=spec.truncation_n,
+                            per_term_norms=np.abs(coeffs) * term_sup_norms(events) if with_term_norms else None)
 
 
 def coupled_partial_sums(
@@ -239,16 +179,17 @@ def coupled_partial_sums(
 ) -> list[PartialSumResult]:
     """Partial sums of one realization at several truncation depths.
 
-    Later results extend earlier ones term by term: the difference of two
-    checkpoints is exactly the sum of the in-between terms.
+    The largest checkpoint is drawn once and each result reads its prefix, so
+    the difference of two checkpoints is exactly the sum of the in-between terms.
     """
     checkpoints = [int(c) for c in checkpoints]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ConfigurationError(f"checkpoints must be strictly increasing, got {checkpoints}")
     if any(c < 0 for c in checkpoints):
         raise ConfigurationError(f"checkpoints must be nonnegative, got {checkpoints}")
-    real = SeriesRealization(spec, stream)
-    return [PartialSumResult(path=real.path(c), terms_used=c) for c in checkpoints]
+    coeffs, events = _replicate_coeffs(spec, stream, max(checkpoints, default=0))
+    return [PartialSumResult(path=_combine_term_events(coeffs[:c], events.prefix(c)), terms_used=c)
+            for c in checkpoints]
 
 
 # ---------------------------------------------------------------------------

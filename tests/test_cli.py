@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,7 @@ class TestCommandTables:
         # a nested key that the chosen variant, family or kind does not read
         ("simulate", "y", "{variant: example1, lambda: 3.0}"),
         ("simulate", "epsilon", "{family: rademacher, a: 5.0}"),
+        ("simulate", "epsilon", "{family: uniform_symmetric, a: 2.0, alpha_moment_hint: 1.5}"),  # removed key
         ("check-conditions", "envelope", "{kind: grid, beta: 1.0, xs: [0, 1], ys: [0, 1], coeffs: [3]}"),
         ("simulate", "y", "{variant: example2, heights: {constant: [1.0], probabilities: [1.0]}}"),
         ("simulate", "y", "{variant: example2, cdfs: [{xs: [0, 1], ys: [0, 1], beta: 2}]}"),
@@ -342,6 +344,23 @@ seed: 1
         assert code == 1
         err = capsys.readouterr().err
         assert "alpha 0.01" in err and "replicate 251 (chunk 0)" in err
+
+
+    def test_non_finite_partial_sum_exits_one(self, tmp_path, capsys):
+        # at alpha 0.01 and seed 143 the first weight of replicate 0 overflows to -inf;
+        # the run names it, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_cli(tmp_path, """
+command: simulate
+alpha: 0.01
+epsilon: rademacher
+y: example1
+truncation_n: 200
+seed: 143
+""")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: alpha 0.01: replicate 0 has coefficient -inf at term 1")
 
 
 class TestOutputs:

@@ -25,7 +25,8 @@ from lepage.random_inputs import (
     weighted_jumps,
 )
 from lepage.rng import RngStream
-from lepage.series import SeriesRealization, SeriesSpec
+from lepage.series import SeriesSpec, partial_sum
+from test_series import ReplicateOracle
 
 
 def term_path(events, r: int) -> StepPath:
@@ -457,9 +458,9 @@ class TestTimeOrderedReaders:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_readers_match_argsort_oracle(self, name, alpha):
         y = self.SPECS[name]()
-        real = SeriesRealization(SeriesSpec(alpha=alpha, truncation_n=60,
-                                            epsilon=EpsilonSpec.rademacher(), y_gen=y, seed=50))
-        events = real.events(60)
+        spec = SeriesSpec(alpha=alpha, truncation_n=60, epsilon=EpsilonSpec.rademacher(), y_gen=y, seed=50)
+        real = ReplicateOracle(spec)
+        events = real.events
         assert not _is_time_ordered(events)
         assert _is_time_ordered(time_ordered(events))
         vmax, vmin = term_value_extremes(events)
@@ -471,7 +472,7 @@ class TestTimeOrderedReaders:
             assert vmin[r] == min(init.min(), values.min(initial=np.inf))
             assert sups[r] == max(np.abs(init).max(), np.abs(values).max(initial=0.0))
             assert term_path(events, r) == StepPath(y.dimension, init, times, values)
-        assert np.array_equal(real.per_term_norms(60), np.abs(real.coeffs(60)) * sups)
+        assert np.array_equal(partial_sum(spec, with_term_norms=True).per_term_norms, np.abs(real.coeffs) * sups)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_gen_path_matches_argsort_oracle(self, name):
@@ -523,9 +524,9 @@ class TestExactTermExtremes:
         y = weighted_jumps([CdfGrid.uniform()] * 3,
                            JumpHeightDist(np.array([[1.1], [-0.7], [0.3]]), np.full(3, 1.0 / 3.0)))
         n = 10**6
-        real = SeriesRealization(SeriesSpec(alpha=1.5, truncation_n=n,
-                                            epsilon=EpsilonSpec.rademacher(), y_gen=y, seed=61))
-        events = real.events(n)
+        spec = SeriesSpec(alpha=1.5, truncation_n=n, epsilon=EpsilonSpec.rademacher(), y_gen=y, seed=61)
+        real = ReplicateOracle(spec)
+        events = real.events
         order = np.lexsort((events.times, events.term_index))
         running = np.cumsum(events.heights[order, 0].reshape(n, 3), axis=1)
         vmax = np.maximum(0.0, running.max(axis=1))
@@ -534,4 +535,4 @@ class TestExactTermExtremes:
         assert np.array_equal(got_max, vmax)
         assert np.array_equal(got_min, vmin)
         sups = np.maximum(np.abs(vmax), np.abs(vmin))
-        assert np.array_equal(real.per_term_norms(n), np.abs(real.coeffs(n)) * sups)
+        assert np.array_equal(partial_sum(spec, with_term_norms=True).per_term_norms, np.abs(real.coeffs) * sups)

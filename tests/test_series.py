@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,6 @@ from lepage.rng import RngStream
 import lepage.random_inputs as random_inputs
 import lepage.series as series
 from lepage.series import (
-    SeriesRealization,
     SeriesSpec,
     _chunk_coeffs,
     _chunk_draws,
@@ -57,15 +58,56 @@ def truncate_epsilon(eps: float, index: int, alpha: float) -> float:
     return float(eps) if abs(eps) ** alpha <= index else 0.0
 
 
+def reference_draws(spec, draws, m, n):
+    """Gaps and raw multipliers, both (m, n), and the path events of m replicates of n terms,
+    drawn into fresh arrays."""
+    gamma_gen, eps_gen, y_sampler = draws
+    return (_positive_exponentials(gamma_gen, m * n).reshape(m, n),
+            spec.epsilon.sample(eps_gen, m * n).reshape(m, n), y_sampler.take(m * n))
+
+
+def reference_assembly(spec, gaps, eps):
+    """The weights and the multipliers used, (m, n) each, with no in-place step."""
+    idx = np.arange(1, gaps.shape[1] + 1, dtype=np.float64)
+    if spec.weight_mode == "gamma":
+        weights = np.cumsum(gaps, axis=1) ** (-1.0 / spec.alpha)
+    else:
+        weights = np.broadcast_to(idx ** (-1.0 / spec.alpha), gaps.shape)
+    if spec.epsilon_mode == "truncated":
+        eps = np.where(np.abs(eps) ** spec.alpha <= idx, eps, 0.0)
+    return weights, eps
+
+
+class ReplicateOracle:
+    """Per-replicate oracle of ``partial_sum``: the replicate's ``spec.truncation_n`` terms drawn
+    from ``_chunk_draws(spec, stream)`` into fresh arrays and assembled as
+    :func:`reference_chunk_coeffs` does."""
+
+    def __init__(self, spec: SeriesSpec, stream: RngStream | None = None):
+        stream = RngStream(spec.seed) if stream is None else stream
+        gaps, eps, self.events = reference_draws(spec, _chunk_draws(spec, stream), 1, spec.truncation_n)
+        weights, eps_used = reference_assembly(spec, gaps, eps)
+        self.gammas, self.eps_raw = np.cumsum(gaps[0]), eps[0]
+        self.weights, self.eps_used = weights[0], eps_used[0]
+        self.coeffs = self.weights * self.eps_used
+
+    def path(self) -> StepPath:
+        return _combine_term_events(self.coeffs, self.events)
+
+
+def path_bytes(path: StepPath) -> bytes:
+    return b"".join(a.tobytes() for a in (path.initial_value, path.jump_times, path.post_jump_values))
+
+
 def gamma_deterministic_gap(spec: SeriesSpec, stream: RngStream | None = None) -> float:
     """``sum_{i<=n} |Gamma_i^(-1/a) - i^(-1/a)| |eps_i| sup_norm(Y_i)`` for one realization:
     the gap between arrival-time weights and their deterministic surrogates."""
-    real = SeriesRealization(spec, stream)
+    real = ReplicateOracle(spec, stream)
     n = spec.truncation_n
     inv_a = 1.0 / spec.alpha
     det = np.arange(1, n + 1, dtype=np.float64) ** (-inv_a)
-    gap = np.abs(real.gammas(n) ** (-inv_a) - det)
-    return float(np.sum(gap * np.abs(real.eps_raw(n)) * term_sup_norms(real.events(n))))
+    gap = np.abs(real.gammas ** (-inv_a) - det)
+    return float(np.sum(gap * np.abs(real.eps_raw) * term_sup_norms(real.events)))
 
 
 class TestTruncateEpsilon:
@@ -125,19 +167,19 @@ class TestPartialSum:
 
     def test_single_term_is_scaled_first_path(self):
         spec = rademacher_spec(n=1)
-        real = SeriesRealization(spec, RngStream(7, 0))
+        real = ReplicateOracle(spec, RngStream(7, 0))
         result = partial_sum(spec, RngStream(7, 0))
-        c = real.coeffs(1)[0]
-        u = real.events(1).times[0]
+        c = real.coeffs[0]
+        u = real.events.times[0]
         assert np.array_equal(result.path.jump_times, [u])
         assert result.path.post_jump_values[0, 0] == c * 1.0
 
     def test_matches_scalar_accumulation(self):
         spec = rademacher_spec(n=50)
-        real = SeriesRealization(spec, RngStream(7, 5))
-        path = real.path(50)
-        coeffs = real.coeffs(50)
-        events = real.events(50)
+        real = ReplicateOracle(spec, RngStream(7, 5))
+        path = partial_sum(spec, RngStream(7, 5)).path
+        coeffs = real.coeffs
+        events = real.events
         rng = np.random.default_rng(1)
         for t in rng.random(100):
             direct = 0.0
@@ -158,14 +200,27 @@ class TestPartialSum:
     def test_per_term_norms(self):
         spec = rademacher_spec(n=20)
         result = partial_sum(spec, RngStream(9, 0), with_term_norms=True)
-        real = SeriesRealization(spec, RngStream(9, 0))
+        real = ReplicateOracle(spec, RngStream(9, 0))
         # unit-jump paths have sup norm exactly 1
-        assert np.array_equal(result.per_term_norms, np.abs(real.coeffs(20)))
+        assert np.array_equal(result.per_term_norms, np.abs(real.coeffs))
+
+    def test_non_finite_coefficient_names_alpha_and_replicate(self):
+        # at alpha 0.01 the first weight Gamma_1^(-100) of replicate 1086 overflows to -inf;
+        # the error names it, with no numpy warning on the way
+        spec = rademacher_spec(alpha=0.01, n=200, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError,
+                               match=r"alpha 0\.01: replicate 1086 has coefficient -inf at term 1"):
+                partial_sum(spec, RngStream(1, 1086))
+            with pytest.raises(ConfigurationError, match="replicate 1086"):
+                coupled_partial_sums(spec, [1, 200], RngStream(1, 1086))
+            partial_sum(spec, RngStream(1, 1085))
 
     def test_weights_strictly_decreasing(self):
         spec = rademacher_spec(n=500)
         for r in range(5):
-            w = SeriesRealization(spec, RngStream(1, r)).weights(500)
+            w = ReplicateOracle(spec, RngStream(1, r)).weights
             assert np.all(np.diff(w) < 0)
 
 
@@ -187,17 +242,35 @@ class TestCoupledPartialSums:
         fine = coupled_partial_sums(spec, [8, 16, 32, 64], RngStream(7, 3))
         assert fine[-1].path == partial_sum(spec, RngStream(7, 3)).path
 
+    @pytest.mark.parametrize("epsilon_mode", ["raw", "truncated"])
+    @pytest.mark.parametrize("weight_mode", ["gamma", "deterministic"])
+    @pytest.mark.parametrize("name", ["unit", "poisson", "weighted2d_p3", "user_sixteenths"])
+    def test_every_checkpoint_equals_partial_sum_and_oracle(self, name, weight_mode, epsilon_mode):
+        # uniform multipliers on [-40, 40] are truncated at the early terms
+        spec = rademacher_spec(alpha=0.8, n=40, seed=23, y=FAST_PATH_YS[name], weight_mode=weight_mode,
+                               epsilon_mode=epsilon_mode, epsilon=EpsilonSpec.uniform_symmetric(40.0))
+        checkpoints = [0, 1, 7, 20, 40]
+        for c, coupled in zip(checkpoints, coupled_partial_sums(spec, checkpoints, RngStream(23, 4))):
+            at_c = replace(spec, truncation_n=c)
+            direct = partial_sum(at_c, RngStream(23, 4), with_term_norms=True)
+            real = ReplicateOracle(at_c, RngStream(23, 4))
+            assert coupled.terms_used == direct.terms_used == c
+            assert path_bytes(coupled.path) == path_bytes(direct.path) == path_bytes(real.path())
+            want = np.abs(real.coeffs) * term_sup_norms(real.events)
+            assert direct.per_term_norms.tobytes() == want.tobytes()
+        assert np.any(real.eps_used != real.eps_raw) == (epsilon_mode == "truncated")
+
     def test_difference_is_tail_terms(self):
         # result(n) - result(m) equals the partial sum over terms m+1..n
         spec = rademacher_spec(n=30)
-        real = SeriesRealization(spec, RngStream(8, 1))
-        pa, pb = real.path(12), real.path(30)
-        diff = linear_combine([1.0, -1.0], [pb, pa])
-        ev = real.events(30)
+        real = ReplicateOracle(spec, RngStream(8, 1))
+        pa, pb = coupled_partial_sums(spec, [12, 30], RngStream(8, 1))
+        diff = linear_combine([1.0, -1.0], [pb.path, pa.path])
+        ev = real.events
         mask = ev.term_index >= 12
         tail_events = TermEvents(30, 1, ev.term_index[mask], ev.times[mask],
                                  ev.heights[mask], ev.initials)
-        tail = _combine_term_events(real.coeffs(30), tail_events)
+        tail = _combine_term_events(real.coeffs, tail_events)
         grid = np.linspace(0.0, 1.0, 257)
         got = evaluate(diff, grid)
         want = evaluate(tail, grid)
@@ -210,9 +283,9 @@ class TestCoupledPartialSums:
                           seed=3, epsilon_mode="truncated")
         swaps, amoments = [], []
         for r in range(400):
-            real = SeriesRealization(spec, RngStream(3, r))
-            raw = real.eps_raw(100)
-            swaps.append(int(np.sum(real.eps_used(100) != raw)))
+            real = ReplicateOracle(spec, RngStream(3, r))
+            raw = real.eps_raw
+            swaps.append(int(np.sum(real.eps_used != raw)))
             amoments.append(float(np.mean(np.abs(raw) ** spec.alpha)) * 100 / 100)
         assert np.mean(swaps) <= np.mean(np.abs(amoments)) * 1.0 + 1e-12
 
@@ -225,8 +298,8 @@ class TestGammaDeterministicGap:
         spec = rademacher_spec(n=200)
         stream = RngStream(5, 1)
         gap = gamma_deterministic_gap(spec, stream)
-        real = SeriesRealization(spec, stream)
-        w = real.gammas(200) ** (-1.0 / 1.5)
+        real = ReplicateOracle(spec, stream)
+        w = real.gammas ** (-1.0 / 1.5)
         det = np.arange(1, 201, dtype=float) ** (-1.0 / 1.5)
         assert gap == float(np.sum(np.abs(w - det)))
 
@@ -437,18 +510,8 @@ class TestFastPathsMatchFlatReference:
 
 def reference_chunk_coeffs(spec, draws, m):
     """``_chunk_coeffs`` over the whole chunk, with no buffer and no in-place step."""
-    n = spec.truncation_n
-    gamma_gen, eps_gen, y_sampler = draws
-    gaps = _positive_exponentials(gamma_gen, m * n).reshape(m, n)
-    eps = spec.epsilon.sample(eps_gen, m * n).reshape(m, n)
-    events = y_sampler.take(m * n)
-    idx = np.arange(1, n + 1, dtype=np.float64)
-    if spec.weight_mode == "gamma":
-        weights = np.cumsum(gaps, axis=1) ** (-1.0 / spec.alpha)
-    else:
-        weights = np.broadcast_to(idx ** (-1.0 / spec.alpha), (m, n))
-    if spec.epsilon_mode == "truncated":
-        eps = np.where(np.abs(eps) ** spec.alpha <= idx, eps, 0.0)
+    gaps, eps, events = reference_draws(spec, draws, m, spec.truncation_n)
+    weights, eps = reference_assembly(spec, gaps, eps)
     return weights * eps, events
 
 
