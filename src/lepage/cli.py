@@ -4,12 +4,14 @@ Experiments are described by a strict YAML (or JSON) config document and
 dispatched by the ``command`` key; the CLI writes plot-ready CSV and/or
 JSON artifacts plus a ``manifest.json`` that suffices to reproduce the run.
 
-Every key is declared once, as ``key: (default, parser)``: ``_COMMON``
-holds the keys every command accepts, and ``_COMMANDS`` gives each command
-its handler, its own keys and the common keys it requires or defaults
-differently.  A missing or null key takes its default.  A key the command
-does not read, or a value its parser rejects, is a line-numbered
-:class:`ConfigParseError`: silent typos corrupt experiment claims.
+Every key is declared once, as ``key: (default, parser)``.  ``_COMMANDS``
+gives each command its handler and exactly the keys that handler reads,
+from shared groups (the series keys ``_SERIES``, the truncation and modes
+``_MODES``) and its own; every command also takes the run keys ``_RUN``
+(``command``, ``seed``, ``threads``, ``output``).  A missing or null key
+takes its default.  A key the command does not read, or a value its
+parser rejects, is a line-numbered :class:`ConfigParseError`: silent typos
+and ignored settings corrupt experiment claims.
 
 Exit codes: 0 success, 1 operational error, 2 statistical "violated"
 verdict from a check command (a refutation, not a breakage).
@@ -53,9 +55,9 @@ class ExperimentConfig(types.SimpleNamespace):
     command's table, parsed, in config spelling."""
 
     def series_spec(self, **overrides) -> SeriesSpec:
-        kw = {"alpha": self.alpha, "truncation_n": self.truncation_n, "epsilon": self.epsilon,
-              "y_gen": self.y, "seed": self.seed, "weight_mode": self.weight_mode,
-              "epsilon_mode": self.epsilon_mode}
+        """The series of the config's keys; ``overrides`` give what the command has no key for."""
+        kw = {"alpha": self.alpha, "epsilon": self.epsilon, "y_gen": self.y, "seed": self.seed,
+              **{k: getattr(self, k) for k in _MODES if hasattr(self, k)}}
         return SeriesSpec(**{**kw, **overrides})
 
 
@@ -237,19 +239,18 @@ def _event(obj) -> checks.SphereEvent:
 
 _REQUIRED = object()  # the default of a key the config must give
 
-# the keys every command accepts; each command's own keys are in _COMMANDS
-_COMMON = {
+# key groups, {key: (default, parser)}; _COMMANDS gives each command its keys
+_RUN = {
     "command": (_REQUIRED, str),
-    "alpha": (_REQUIRED, _alpha),
-    "truncation_n": (10_000, _count),
-    "weight_mode": ("gamma", _choice("gamma", "deterministic")),
-    "epsilon_mode": ("raw", _choice("raw", "truncated")),
-    "epsilon": (None, _epsilon),
-    "y": (None, _y),
-    "replicates": (1, _count),
     "seed": (0, int),
     "threads": (1, _threads),
     "output": ({"directory": "out", "formats": ["csv", "json"]}, _output),
+}
+_SERIES = {"alpha": (_REQUIRED, _alpha), "epsilon": (_REQUIRED, _epsilon), "y": (_REQUIRED, _y)}
+_MODES = {
+    "truncation_n": (10_000, _count),
+    "weight_mode": ("gamma", _choice("gamma", "deterministic")),
+    "epsilon_mode": ("raw", _choice("raw", "truncated")),
 }
 
 
@@ -280,7 +281,7 @@ def parse_config(text: str) -> ExperimentConfig:
             _fail(text, key, f"missing parameter {exc}")
         except (ValueError, TypeError) as exc:
             _fail(text, key, str(exc))
-    if values["epsilon"] is not None:
+    if "alpha" in values and "epsilon" in values:
         try:
             values["epsilon"].require_mean_zero(values["alpha"])
         except ConfigurationError as exc:
@@ -516,7 +517,7 @@ def _cmd_partitions(cfg, writer) -> int:
 
 def _cmd_tightness(cfg, writer) -> int:
     envelopes = (cfg.envelope,) * 2 if cfg.envelope is not None else None
-    spec = cfg.series_spec(weight_mode="deterministic", epsilon_mode="truncated")
+    spec = cfg.series_spec(truncation_n=cfg.n, weight_mode="deterministic", epsilon_mode="truncated")
     results = diag.tightness_functional(spec, cfg.n, cfg.triples, cfg.replicates, envelopes, cfg.threads)
     rows = [res.row() for res in results]
     writer.emit("tightness", rows, ["t1", "t", "t2", "n", "estimate", "se", "envelope", "verdict"],
@@ -565,39 +566,32 @@ def _cmd_regvar(cfg, writer) -> int:
     return 0
 
 
-_SERIES = {"epsilon": _REQUIRED, "y": _REQUIRED}
 _PAIRS = ([[i / 20.0, i / 20.0 + 0.5] for i in range(10)], _list_of(_times(2)))
 _TRIPLES = ([[i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5] for i in range(10)], _list_of(_times(3)))
 _ENVELOPE = (None, _envelope)
 _EVENTS = (["full_sphere", "nonnegative_path"], _list_of(_event))
 _SAMPLES = (30_000, _count)
 _N = (100, _count)
+_MOMENTS = {k: _SERIES[k] for k in ("alpha", "epsilon")}
 
-# command -> (handler, defaults of the common keys it requires or defaults
-# differently, its own keys as {key: (default, parser)})
+# command -> (handler, the keys it reads beside the run keys, as {key: (default, parser)})
 _COMMANDS = {
-    "simulate": (_cmd_simulate, _SERIES, {"per_term_norms": (False, _bool)}),
-    "check-conditions": (_cmd_check_conditions, {"y": _REQUIRED, "replicates": 100_000},
-                         {"pairs": _PAIRS, "triples": _TRIPLES, "envelope": _ENVELOPE}),
-    "constants": (_cmd_constants, {"epsilon": _REQUIRED},
-                  {"m_values": ([2.0, 3.0, 4.0], _list_of(float)), "n_max": (10**6, _count)}),
-    "partitions": (_cmd_partitions, {"epsilon": _REQUIRED},
-                   {"n_grid": ([1, 2, 4, 8, 16, 32, 64], _list_of(_count)),
-                    "constant_n_max": (10**5, _count)}),
-    "tightness": (_cmd_tightness, {**_SERIES, "replicates": 10_000},
-                  {"triples": _TRIPLES, "envelope": _ENVELOPE, "n": _N}),
-    "stability": (_cmd_stability, _SERIES, {"t": (1.0, float), "samples": _SAMPLES}),
-    "spectral": (_cmd_spectral, {**_SERIES, "replicates": 100_000}, {"events": _EVENTS}),
-    "regvar": (_cmd_regvar, _SERIES,
-               {"samples": _SAMPLES, "sigma_replicates": (100_000, _count), "events": _EVENTS,
-                "r_grid": ([1.0, 2.0], _list_of(float)), "n": _N}),
+    "simulate": (_cmd_simulate, {**_SERIES, **_MODES, "replicates": (1, _count),
+                                 "per_term_norms": (False, _bool)}),
+    "check-conditions": (_cmd_check_conditions, {"y": _SERIES["y"], "replicates": (100_000, _count),
+                                                 "pairs": _PAIRS, "triples": _TRIPLES, "envelope": _ENVELOPE}),
+    "constants": (_cmd_constants, {**_MOMENTS, "m_values": ([2.0, 3.0, 4.0], _list_of(float)),
+                                   "n_max": (10**6, _count)}),
+    "partitions": (_cmd_partitions, {**_MOMENTS, "n_grid": ([1, 2, 4, 8, 16, 32, 64], _list_of(_count)),
+                                     "constant_n_max": (10**5, _count)}),
+    "tightness": (_cmd_tightness, {**_SERIES, "replicates": (10_000, _count), "triples": _TRIPLES,
+                                   "envelope": _ENVELOPE, "n": _N}),
+    "stability": (_cmd_stability, {**_SERIES, **_MODES, "t": (1.0, float), "samples": _SAMPLES}),
+    "spectral": (_cmd_spectral, {**_SERIES, "replicates": (100_000, _count), "events": _EVENTS}),
+    "regvar": (_cmd_regvar, {**_SERIES, **_MODES, "samples": _SAMPLES, "sigma_replicates": (100_000, _count),
+                             "events": _EVENTS, "r_grid": ([1.0, 2.0], _list_of(float)), "n": _N}),
 }
-
-# command -> {key: (default, parser)}: the common keys, then the command's own
-_KEYS = {
-    name: {**{k: (common.get(k, d), p) for k, (d, p) in _COMMON.items()}, **own}
-    for name, (_, common, own) in _COMMANDS.items()
-}
+_KEYS = {name: {**_RUN, **own} for name, (_, own) in _COMMANDS.items()}
 
 
 def main(argv=None) -> int:

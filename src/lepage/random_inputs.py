@@ -302,14 +302,6 @@ class TermEvents:
         return TermEvents(n, self.dimension, None if self.index is None else self.index[:k],
                           self.times[:k], self.heights[:k], self.initials[:n], self.width)
 
-    @staticmethod
-    def concatenate(blocks: list["TermEvents"]) -> "TermEvents":
-        starts = np.cumsum([0] + [b.n_terms for b in blocks])  # each block numbers its terms from 0
-        index = None if blocks[0].width else np.concatenate([b.index + s for b, s in zip(blocks, starts)])
-        return TermEvents(int(starts[-1]), blocks[0].dimension, index,
-                          *(np.concatenate([getattr(b, f) for b in blocks])
-                            for f in ("times", "heights", "initials")), blocks[0].width)
-
 
 def _draw_open_unit(gen: np.random.Generator, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform draws in (0, 1): zeros are resampled (a t=0 jump is illegal)."""

@@ -238,17 +238,26 @@ def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads, 
     tile-sized buffers that all its tiles draw, assemble and reduce into, never shared.
     No tile holds one replicate unless its chunk does: above 8192 terms einsum
     sums a single row in another order, and tiles must reduce as whole chunks do.
+    A replicate with a non-finite value in any field raises :class:`ConfigurationError`
+    naming alpha, the first such replicate and its chunk.
     """
 
     def one_chunk(stream, m):
         draws, tile = _chunk_draws(spec, stream), max(2, _TILE_EVENTS // max(1, spec.truncation_n))
         bounds, scratch = [*range(0, max(m - 1, 1), tile), m], {}
-        return [reduce(*_chunk_coeffs(spec, draws, b - a, scratch, at_one), b - a, scratch)
-                for a, b in zip(bounds, bounds[1:])]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its cause
+            return [reduce(*_chunk_coeffs(spec, draws, b - a, scratch, at_one), b - a, scratch)
+                    for a, b in zip(bounds, bounds[1:])]
 
     parts = map_replicates(one_chunk, RngStream(spec.seed).substream(tag), n_samples,
                            spec.truncation_n, threads)
-    return [np.concatenate(field, axis=0) for field in zip(*(t for chunk in parts for t in chunk))]
+    fields = [np.concatenate(field, axis=0) for field in zip(*(t for chunk in parts for t in chunk))]
+    bad = np.flatnonzero(~np.all([np.isfinite(f).all(axis=tuple(range(1, f.ndim))) for f in fields], axis=0))
+    if bad.size:
+        r, chunk = bad[0], bad[0] // chunk_size(spec.truncation_n)
+        raise ConfigurationError(f"alpha {spec.alpha}: replicate {r} (chunk {chunk}) has results "
+                                 f"{[f[r].tolist() for f in fields]}; small alpha overflows Gamma_i^(-1/alpha)")
+    return fields
 
 
 def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, threads=1) -> np.ndarray:
@@ -263,12 +272,7 @@ def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, threads=1) -> n
             y = values_at(y, [t], _buffer(scratch, "values", (m * n, 1, d)))[:, 0, :]
         return (np.einsum("mi,mid->md", coeffs, y.reshape(m, n, d)),)
 
-    out = _sample_chunks(spec, _TAG_MARGINAL, n_samples, reduce, threads, t == 1.0)[0]
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if bad.size:
-        raise ConfigurationError(f"alpha {spec.alpha}: replicate {bad[0]} (chunk {bad[0] // chunk_size(n)}) "
-                                 f"has marginal {out[bad[0]].tolist()}; small alpha overflows Gamma_i^(-1/alpha)")
-    return out
+    return _sample_chunks(spec, _TAG_MARGINAL, n_samples, reduce, threads, t == 1.0)[0]
 
 
 @dataclass(frozen=True)

@@ -267,8 +267,6 @@ seed: 7
 """,
         "check": """
 command: check-conditions
-alpha: 1.5
-epsilon: rademacher
 y: example1
 replicates: 5000
 seed: 7
@@ -431,8 +429,6 @@ seed: 7
         (user_dir / f"p{k}.csv").write_text(path_to_csv(StepPath(1, [0.0], [0.5], [[h]])))
     configs["check_user"] = f"""
 command: check-conditions
-alpha: 1.5
-epsilon: rademacher
 y: {{variant: user, paths_dir: "{user_dir}"}}
 replicates: 10000
 envelope: {{kind: identity, beta: 1.0}}

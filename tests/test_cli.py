@@ -33,7 +33,7 @@ y: example1
 # the smallest valid config of each command
 MINIMAL_BY_COMMAND = {
     "simulate": "command: simulate\nalpha: 1.5\nepsilon: rademacher\ny: example1\n",
-    "check-conditions": "command: check-conditions\nalpha: 1.5\ny: example1\n",
+    "check-conditions": "command: check-conditions\ny: example1\n",
     "constants": "command: constants\nalpha: 1.5\nepsilon: rademacher\n",
     "partitions": "command: partitions\nalpha: 1.5\nepsilon: rademacher\n",
     "tightness": "command: tightness\nalpha: 1.5\nepsilon: rademacher\ny: example1\n",
@@ -45,19 +45,19 @@ MINIMAL_BY_COMMAND = {
 DEFAULT_PAIRS = [(i / 20.0, i / 20.0 + 0.5) for i in range(10)]
 DEFAULT_TRIPLES = [(i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5) for i in range(10)]
 DEFAULT_EVENTS = ["full_sphere", "nonnegative_path"]
-COMMON_DEFAULTS = {"truncation_n": 10_000, "weight_mode": "gamma", "epsilon_mode": "raw",
-                   "seed": 0, "threads": 1, "out_dir": "out", "formats": ("csv", "json")}
+RUN_DEFAULTS = {"seed": 0, "threads": 1, "out_dir": "out", "formats": ("csv", "json")}
+MODE_DEFAULTS = {"truncation_n": 10_000, "weight_mode": "gamma", "epsilon_mode": "raw"}
+# every key a command reads beside the run keys and the keys of its minimal config
 COMMAND_DEFAULTS = {
-    "simulate": {"replicates": 1, "per_term_norms": False},
+    "simulate": {**MODE_DEFAULTS, "replicates": 1, "per_term_norms": False},
     "check-conditions": {"replicates": 100_000, "pairs": DEFAULT_PAIRS,
-                         "triples": DEFAULT_TRIPLES, "envelope": None, "epsilon": None},
-    "constants": {"replicates": 1, "m_values": [2.0, 3.0, 4.0], "n_max": 10**6},
-    "partitions": {"replicates": 1, "n_grid": [1, 2, 4, 8, 16, 32, 64],
-                   "constant_n_max": 10**5},
+                         "triples": DEFAULT_TRIPLES, "envelope": None},
+    "constants": {"m_values": [2.0, 3.0, 4.0], "n_max": 10**6},
+    "partitions": {"n_grid": [1, 2, 4, 8, 16, 32, 64], "constant_n_max": 10**5},
     "tightness": {"replicates": 10_000, "triples": DEFAULT_TRIPLES, "envelope": None, "n": 100},
-    "stability": {"replicates": 1, "samples": 30_000, "t": 1.0},
+    "stability": {**MODE_DEFAULTS, "samples": 30_000, "t": 1.0},
     "spectral": {"replicates": 100_000, "events": DEFAULT_EVENTS},
-    "regvar": {"replicates": 1, "samples": 30_000, "sigma_replicates": 100_000,
+    "regvar": {**MODE_DEFAULTS, "samples": 30_000, "sigma_replicates": 100_000,
                "events": DEFAULT_EVENTS, "r_grid": [1.0, 2.0], "n": 100},
 }
 
@@ -73,11 +73,14 @@ class TestCommandTables:
     @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
     def test_defaults(self, command):
         cfg = parse_config(MINIMAL_BY_COMMAND[command])
-        for key, want in {**COMMON_DEFAULTS, **COMMAND_DEFAULTS[command]}.items():
+        defaults = {**RUN_DEFAULTS, **COMMAND_DEFAULTS[command]}
+        for key, want in defaults.items():
             got = getattr(cfg, key)
             if key == "events":
                 got = [event.name for event in got]
             assert got == want, key
+        # the keys of the minimal config and the defaults are all the command reads
+        assert set(vars(cfg)) == {"raw", *cfg.raw, *defaults}
 
     @pytest.mark.parametrize("command,key,value", [
         ("simulate", "samples", "10"),
@@ -88,6 +91,18 @@ class TestCommandTables:
         ("stability", "per_term_norms", "true"),
         ("spectral", "samples", "100"),
         ("regvar", "triples", "[[0.1, 0.2, 0.3]]"),
+        # run settings the command would ignore: the criterion reads Y alone, constants and
+        # partitions read no paths, and tightness fixes its depth and modes
+        *[("check-conditions", key, value) for key, value in (
+            ("alpha", "1.5"), ("epsilon", "rademacher"), ("truncation_n", "7"),
+            ("weight_mode", "gamma"), ("epsilon_mode", "raw"))],
+        *[(command, key, value) for command in ("constants", "partitions") for key, value in (
+            ("y", "example1"), ("replicates", "10"), ("truncation_n", "7"),
+            ("weight_mode", "gamma"), ("epsilon_mode", "raw"))],
+        *[(command, key, value) for command in ("tightness", "spectral") for key, value in (
+            ("truncation_n", "7"), ("weight_mode", "gamma"), ("epsilon_mode", "raw"))],
+        ("stability", "replicates", "10"),
+        ("regvar", "replicates", "10"),
     ])
     def test_key_the_command_does_not_read_is_rejected(self, tmp_path, capsys, command, key, value):
         text, line = _with_value(command, key, value)
@@ -168,9 +183,20 @@ class TestCommandTables:
         assert resolved["pairs"] == [list(p) for p in DEFAULT_PAIRS]
         assert resolved["y"] == "example1"
         # the hash every result file carries covers the config as written, not the defaults
-        raw = {"command": "check-conditions", "alpha": 1.5, "y": "example1"}
+        raw = {"command": "check-conditions", "y": "example1"}
         echo = json.dumps({"command": "check-conditions", "seed": 0, "config": raw}, sort_keys=True)
         assert manifest["manifest_hash"] == hashlib.sha256(echo.encode()).hexdigest()[:16]
+
+    def test_tightness_reports_the_series_it_runs(self, tmp_path):
+        code, out = run_cli(tmp_path, MINIMAL_BY_COMMAND["tightness"]
+                            + "n: 20\nreplicates: 200\ntriples: [[0.1, 0.35, 0.6]]\n")
+        assert code == 0
+        spec = json.loads((out / "tightness.json").read_text())["spec"]
+        assert (spec["truncation_n"], spec["weight_mode"], spec["epsilon_mode"]) == (20, "deterministic",
+                                                                                     "truncated")
+        resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+        assert resolved["n"] == 20
+        assert not {"truncation_n", "weight_mode", "epsilon_mode"} & set(resolved)
 
 
 class TestParseConfig:
@@ -293,8 +319,6 @@ class TestCheckCommands:
     def test_clean_generator_exits_zero(self, tmp_path):
         code, out = run_cli(tmp_path, """
 command: check-conditions
-alpha: 1.5
-epsilon: rademacher
 y: example1
 replicates: 5000
 seed: 1
@@ -309,8 +333,6 @@ seed: 1
         (paths_dir / "big.csv").write_text("t,value_1\n0,0\n0.5,10\n")
         code, out = run_cli(tmp_path, f"""
 command: check-conditions
-alpha: 1.5
-epsilon: rademacher
 y: {{variant: user, paths_dir: {paths_dir}, dimension: 1}}
 envelope: {{kind: identity, beta: 1.0}}
 replicates: 500
@@ -328,10 +350,10 @@ triples: [[0.3, 0.5, 0.7]]
         assert main(["--config", str(cfg)]) == 1
         assert main(["--config", str(tmp_path / "missing.yaml")]) == 1
 
-
     def test_non_finite_marginal_exits_one(self, tmp_path, capsys):
         # at alpha 0.01 the weights overflow and marginals 251 and 1990 are infinite
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, _ = run_cli(tmp_path, """
 command: stability
 alpha: 0.01
@@ -345,6 +367,22 @@ seed: 1
         err = capsys.readouterr().err
         assert "alpha 0.01" in err and "replicate 251 (chunk 0)" in err
 
+    def test_non_finite_path_stats_exit_one(self, tmp_path, capsys):
+        # at alpha 0.01 the weights overflow and path 711's extremes read inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_cli(tmp_path, """
+command: regvar
+alpha: 0.01
+epsilon: rademacher
+y: example1
+truncation_n: 500
+samples: 4096
+seed: 3
+""")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "alpha 0.01" in err and "replicate 711 (chunk 0)" in err
 
     def test_non_finite_partial_sum_exits_one(self, tmp_path, capsys):
         # at alpha 0.01 and seed 143 the first weight of replicate 0 overflows to -inf;

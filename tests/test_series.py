@@ -366,18 +366,31 @@ class TestChunkedSamplers:
         close(stats.vmin, np.array([p.segment_values().min() for p in paths]), paths)
 
     def test_overflow_stays_in_its_replicate(self):
-        # at alpha 0.01 some weights overflow; every replicate whose
-        # coefficients are summable must still get finite path statistics
+        # at alpha 0.01 some weights overflow; the row reducer must still give finite
+        # path statistics to every replicate whose coefficients are summable
         spec = rademacher_spec(alpha=0.01, n=500, seed=3)
-        m = 4096  # 4096 replicates of 500 terms are exactly the sampler's chunk 0
+        m = 4096  # 4096 replicates of 500 terms are exactly the path-stats sampler's chunk 0
         with np.errstate(over="ignore", invalid="ignore"):
             draws = _chunk_draws(spec, RngStream(spec.seed).substream(series._TAG_PATH_STATS, 0))
-            coeffs, _ = _chunk_coeffs(spec, draws, m)
+            coeffs, events = _chunk_coeffs(spec, draws, m)
             finite = np.isfinite(np.abs(coeffs).sum(axis=1))
-            stats = sample_path_stats(spec, m)
+            # unit-jump paths start at 0
+            stats = random_inputs._row_extremes(events, coeffs.reshape(-1), np.zeros((m, 1)), 500)
         assert 0 < finite.sum() < m
-        for field in (stats.sup, stats.vmax, stats.vmin):
+        for field in stats:
             assert np.all(np.isfinite(field[finite]))
+
+    @pytest.mark.parametrize("sample,n,seed,replicate", [
+        (lambda spec: sample_path_stats(spec, 4096), 500, 3, 711),  # extremes from inf - inf
+        (lambda spec: sample_weighted_increments(spec, [(0.1, 0.5), (0.5, 0.9)], 2000), 200, 1, 13),
+    ], ids=["path_stats", "increments"])
+    def test_non_finite_result_names_alpha_replicate_and_chunk(self, sample, n, seed, replicate):
+        # at alpha 0.01 the weights Gamma_i^(-100) overflow; the error names the first
+        # replicate with a non-finite result, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=rf"alpha 0\.01: replicate {replicate} \(chunk 0\)"):
+                sample(rademacher_spec(alpha=0.01, n=n, seed=seed))
 
     def test_marginals_deterministic(self):
         spec = rademacher_spec(n=100, seed=11)
@@ -616,7 +629,8 @@ class TestMarginalsAtOne:
     def test_non_finite_marginal_names_alpha_replicate_and_chunk(self):
         # at alpha 0.01 the weights Gamma_i^(-100) overflow: replicates 251 (+inf) and 1990 (-inf)
         spec = rademacher_spec(alpha=0.01, n=200, seed=1)
-        with np.errstate(over="ignore"), pytest.raises(ConfigurationError) as err:
+        with warnings.catch_warnings(), pytest.raises(ConfigurationError) as err:
+            warnings.simplefilter("error")
             sample_marginals(spec, 1.0, 2000)
         assert "alpha 0.01" in str(err.value) and "replicate 251 (chunk 0)" in str(err.value)
 
