@@ -159,7 +159,7 @@ def _output(obj) -> tuple[str, tuple[str, ...]]:
 _EPSILON_KEYS = {"rademacher": (), "uniform_symmetric": ("a",), "two_point": ("p", "x_neg", "x_pos"),
                  "table": ("values", "probabilities")}
 _Y_KEYS = {"example1": (), "example2": ("p", "cdfs", "heights", "fourth_moment_bound"),
-           "example3": ("lambda",), "user": ("paths_dir", "dimension")}
+           "example3": ("lambda",), "user": ("paths_dir",)}
 _ENVELOPE_KEYS = {"identity": ("beta",), "affine": ("beta", "coeffs"), "poly": ("beta", "coeffs"),
                   "grid": ("beta", "xs", "ys")}
 
@@ -209,11 +209,7 @@ def _y(obj):
     files = sorted(Path(obj["paths_dir"]).glob("*.csv"))
     if not files:
         raise ValueError(f"no step-path CSV files in {obj['paths_dir']!r}")
-    cached = [paths_mod.path_from_csv(f.read_text()) for f in files]
-    # a pure function of the sampler's stream, so results never depend on
-    # which replicates, chunks or threads drew before
-    return user_paths(lambda gen: cached[gen.integers(len(cached))],
-                      int(obj.get("dimension", 1)))
+    return user_paths(paths_mod.path_from_csv(f.read_text()) for f in files)
 
 
 def _envelope(obj) -> diag.MomentEnvelope:
@@ -286,6 +282,8 @@ def parse_config(text: str) -> ExperimentConfig:
             values["epsilon"].require_mean_zero(values["alpha"])
         except ConfigurationError as exc:
             _fail(text, "epsilon", str(exc))
+    if command == "regvar" and not 1 <= values["n"] <= values["samples"]:  # as tail_quantile_bn needs
+        _fail(text, "n", f"regvar needs 1 <= n <= samples, got n {values['n']} and samples {values['samples']}")
     values["out_dir"], values["formats"] = values.pop("output")
     return ExperimentConfig(raw=raw, **values)
 

@@ -342,18 +342,12 @@ def _resample_term_collisions(times: np.ndarray, term_index, redraw) -> np.ndarr
 
 
 class YBlockSampler:
-    """Stateful per-replicate sampler handing out terms in order; ``take(n, out)`` draws a fixed-width
-    block's jump times into ``out`` when given.  ``values_at_one(n, out)`` writes the next ``n`` terms'
-    ``Y(1)`` into ``out`` (n, d) with the bytes of ``values_at``; built-in paths draw no locations there."""
+    """Stateful per-replicate sampler handing out terms in order.  Each defines ``take(n, out)``, drawing a
+    fixed-width block's jump times into ``out`` when given, and ``values_at_one(n, out)``, writing the next
+    ``n`` terms' ``Y(1)`` into ``out`` (n, d) with the bytes of ``values_at`` and drawing no jump location."""
 
     def __init__(self, spec: "YGeneratorSpec"):
         self.spec = spec
-
-    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
-        raise NotImplementedError
-
-    def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
-        return values_at(self.take(n), [1.0], out[:, None, :])[:, 0, :]
 
 
 @dataclass(frozen=True)
@@ -577,11 +571,13 @@ class _PoissonSampler(YBlockSampler):
         return np.add(self._counts.poisson(self.spec.lam, n)[:, None], 0.0, out=out)  # count + initial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _UserSpec(YGeneratorSpec):
-    """Paths produced by a user callback ``sampler(generator) -> StepPath``."""
+    """A pool of step paths: path k is term k of ``pool``, from event ``starts[k]``, with ``Y(1) = at_one[k]``."""
 
-    sampler: object = None
+    pool: TermEvents
+    starts: np.ndarray  # (k + 1,) event offsets of the k paths
+    at_one: np.ndarray  # (k, d)
     dimension: int = 1
     variant: str = "user"
 
@@ -596,22 +592,15 @@ class _UserSampler(YBlockSampler):
 
     def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
         spec: _UserSpec = self.spec
-        d = spec.dimension
-        blocks_t, blocks_h, blocks_i, initials = [], [], [], []
-        for k in range(n):
-            path = spec.sampler(self._gen)
-            if not isinstance(path, StepPath) or path.dimension != d:
-                raise PathValidationError(
-                    f"user sampler must return StepPath of dimension {d}, got {path!r}"
-                )
-            deltas = np.diff(path.segment_values(), axis=0)
-            blocks_t.append(path.jump_times)
-            blocks_h.append(deltas)
-            blocks_i.append(np.full(path.n_jumps, k, dtype=np.int64))
-            initials.append(path.initial_value)
-        return TermEvents(n, d, np.concatenate([np.empty(0, np.int64)] + blocks_i),
-                          np.concatenate([np.empty(0)] + blocks_t),
-                          np.concatenate([np.empty((0, d))] + blocks_h), np.array(initials).reshape(n, d))
+        pick = self._gen.integers(spec.pool.n_terms, size=n)
+        counts = np.diff(spec.starts)[pick]
+        first = np.cumsum(counts) - counts  # each term's first event in the block
+        at = np.arange(counts.sum()) + np.repeat(spec.starts[pick] - first, counts)  # their events in the pool
+        return TermEvents(n, spec.dimension, np.repeat(np.arange(n, dtype=np.int64), counts),
+                          spec.pool.times[at], spec.pool.heights[at], spec.pool.initials[pick])
+
+    def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
+        return np.take(self.spec.at_one, self._gen.integers(self.spec.pool.n_terms, size=n), axis=0, out=out)
 
 
 def unit_jump() -> YGeneratorSpec:
@@ -630,9 +619,21 @@ def poisson_counts(lam: float) -> YGeneratorSpec:
     return _PoissonSpec(lam=float(lam))
 
 
-def user_paths(sampler, dimension: int) -> YGeneratorSpec:
-    """Wrap a callback ``sampler(numpy_generator) -> StepPath``."""
-    return _UserSpec(sampler=sampler, dimension=int(dimension))
+def user_paths(paths) -> YGeneratorSpec:
+    """Each term one of ``paths``, a non-empty sequence of step paths of one dimension, uniformly at random."""
+    paths = list(paths)
+    if not paths or not all(isinstance(p, StepPath) for p in paths):
+        raise PathValidationError(f"user paths must be a non-empty sequence of StepPaths, got {len(paths)} "
+                                  f"items of types {sorted({type(p).__name__ for p in paths})}")
+    d = paths[0].dimension
+    if any(p.dimension != d for p in paths):
+        raise PathValidationError(f"user paths must share one dimension, got {sorted({p.dimension for p in paths})}")
+    counts = [p.n_jumps for p in paths]
+    pool = TermEvents(len(paths), d, np.repeat(np.arange(len(paths), dtype=np.int64), counts),
+                      np.concatenate([p.jump_times for p in paths]),
+                      np.concatenate([np.diff(p.segment_values(), axis=0) for p in paths]),
+                      np.array([p.initial_value for p in paths]))
+    return _UserSpec(pool, np.concatenate([[0], np.cumsum(counts)]), values_at(pool, [1.0])[:, 0, :], d)
 
 
 # ---------------------------------------------------------------------------

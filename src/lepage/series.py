@@ -206,7 +206,7 @@ def _chunk_draws(spec: SeriesSpec, stream: RngStream) -> tuple:
 def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None = None,
                   at_one: bool = False) -> tuple:
     """One tile: the next m replicates of n terms from a chunk's draws; coeffs (m, n) and events,
-    or with ``at_one`` each term's ``Y(1)`` (m * n, d) in ``scratch``, drawing no built-in jump locations.
+    or with ``at_one`` each term's ``Y(1)`` (m * n, d) in ``scratch``, drawing no jump locations.
 
     Event term index k encodes (replicate k // n, term k % n) within the tile.
     Generators consume their streams in sequence, so consecutive tiles get the
@@ -261,8 +261,8 @@ def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads, 
 
 
 def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, threads=1) -> np.ndarray:
-    """i.i.d. samples of the partial-sum marginal ``X_n(t)``, shape (n, d); at ``t == 1`` built-in paths
-    draw no jump locations, and a non-finite marginal raises :class:`ConfigurationError`."""
+    """i.i.d. samples of the partial-sum marginal ``X_n(t)``, shape (n, d); at ``t == 1`` no path draws
+    jump locations, and a non-finite marginal raises :class:`ConfigurationError`."""
     if not 0.0 <= t <= 1.0:
         raise ConfigurationError(f"marginal time must lie in [0, 1], got {t}")
     n, d = spec.truncation_n, spec.dimension

@@ -434,6 +434,24 @@ replicates: 10000
 envelope: {{kind: identity, beta: 1.0}}
 seed: 7
 """
+    # a 2-d pool: a path with no jump and paths of 1 to 5 jumps on the grid of sixteenths, so rows tie
+    pool_dir = tmp_path / "user_paths_2d"
+    pool_dir.mkdir()
+    rng = np.random.default_rng(16)
+    for k in range(8):
+        times = np.sort(rng.choice(16, k % 6, replace=False) + 1) / 16.0
+        path = StepPath(2, rng.normal(size=2), times, rng.normal(size=(times.size, 2)))
+        (pool_dir / f"p{k}.csv").write_text(path_to_csv(path))
+    user_2d = f'''
+alpha: 1.5
+epsilon: rademacher
+y: {{variant: user, paths_dir: "{pool_dir}"}}
+seed: 7
+'''
+    configs["stability_user_2d"] = user_2d + "command: stability\nt: 0.6\ntruncation_n: 200\nsamples: 5000\n"
+    configs["regvar_user_2d"] = user_2d + ("command: regvar\ntruncation_n: 100\nsamples: 5000\n"
+                                           "sigma_replicates: 5000\nn: 50\n")
+    configs["spectral_user_2d"] = user_2d + "command: spectral\nreplicates: 20000\n"
     for name, config in configs.items():
         cfg = tmp_path / f"{name}.yaml"
         cfg.write_text(config)

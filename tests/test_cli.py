@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lepage import RngStream, SeriesSpec, EpsilonSpec, unit_jump, partial_sum
+from lepage import series
 from lepage.cli import ConfigParseError, _json_text, _jsonable, main, parse_config
 from lepage.paths import path_from_csv, zero_path
 from test_paths import path_from_json, reference_path_csv
@@ -129,6 +130,7 @@ class TestCommandTables:
         ("check-conditions", "envelope", "{kind: grid, beta: 1.0, xs: [0, 1], ys: [0, 1], coeffs: [3]}"),
         ("simulate", "y", "{variant: example2, heights: {constant: [1.0], probabilities: [1.0]}}"),
         ("simulate", "y", "{variant: example2, cdfs: [{xs: [0, 1], ys: [0, 1], beta: 2}]}"),
+        ("simulate", "y", "{variant: user, paths_dir: paths, dimension: 1}"),  # removed key: the files decide
     ])
     def test_malformed_value_is_a_line_numbered_error(self, tmp_path, capsys, command, key, value):
         text, line = _with_value(command, key, value)
@@ -160,6 +162,31 @@ class TestCommandTables:
         with pytest.raises(ConfigParseError, match=rf"line {line}: key 'envelope': must be "
                            r"'identity' or 'affine' or 'poly' or 'grid', got 'sum_of_cdfs'"):
             parse_config(text)
+
+    def test_user_paths_of_mixed_dimension_are_a_config_error(self, tmp_path):
+        paths_dir = tmp_path / "mixed"
+        paths_dir.mkdir()
+        (paths_dir / "a.csv").write_text("t,value_1\n0,0\n0.5,1\n")
+        (paths_dir / "b.csv").write_text("t,value_1,value_2\n0,0,0\n0.5,1,1\n")
+        text, line = _with_value("stability", "y", f"{{variant: user, paths_dir: {paths_dir}}}")
+        with pytest.raises(ConfigParseError, match=rf"line {line}: key 'y': user paths must share one dimension"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("n", [10000, 0])
+    def test_regvar_rejects_n_outside_one_to_samples_before_drawing(self, tmp_path, capsys, monkeypatch, n):
+        text = MINIMAL_BY_COMMAND["regvar"] + f"samples: 8000\nn: {n}\n"
+        message = f"regvar needs 1 <= n <= samples, got n {n} and samples 8000"
+        with pytest.raises(ConfigParseError, match=rf"line 6: key 'n': {message}"):
+            parse_config(text)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("paths were drawn")
+
+        monkeypatch.setattr(series, "sample_path_stats", no_draw)
+        code, _ = run_cli(tmp_path, text)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert parse_config(text.replace(f"n: {n}", "n: 8000")).n == 8000  # as many samples as n is enough
 
     def test_json_config_errors_carry_line_numbers(self):
         text = json.dumps({"command": "simulate", "alpha": 1.5, "epsilon": "rademacher",
@@ -333,7 +360,7 @@ seed: 1
         (paths_dir / "big.csv").write_text("t,value_1\n0,0\n0.5,10\n")
         code, out = run_cli(tmp_path, f"""
 command: check-conditions
-y: {{variant: user, paths_dir: {paths_dir}, dimension: 1}}
+y: {{variant: user, paths_dir: {paths_dir}}}
 envelope: {{kind: identity, beta: 1.0}}
 replicates: 500
 pairs: [[0.4, 0.6]]

@@ -105,7 +105,7 @@ class TestMomentEnvelope:
         p1, _ = default_envelopes(poisson_counts(2.0))
         assert p1.f(1.0) == pytest.approx(6.0)  # 2 + 4
         with pytest.raises(ConfigurationError):
-            default_envelopes(user_paths(lambda g: None, 1))
+            default_envelopes(user_paths([StepPath(1, [0.0])]))
 
 
 # -- increment-moment estimates ------------------------------------------------
@@ -144,7 +144,7 @@ class TestEstimateC1:
 
     def test_engineered_violation(self):
         big = StepPath(1, [0.0], [0.5], [[10.0]])
-        y = user_paths(lambda gen: big, dimension=1)
+        y = user_paths([big])
         rep = estimate_c1(y, [(0.4, 0.6)], 1000, MomentEnvelope(beta=1.0), RngStream(55))
         assert rep.entries[0].estimate == 100.0
         assert rep.entries[0].verdict == "violated"
@@ -154,7 +154,7 @@ class TestEstimateC1:
         # squared increments are 1e12 or about 1e12 + 2e3: a sum of squares
         # minus R * mean^2 loses the whole spread to rounding
         lo, hi = (StepPath(1, [0.0], [0.5], [[h]]) for h in (1e6, 1e6 + 1e-3))
-        y = user_paths(lambda gen: hi if gen.random() < 0.5 else lo, dimension=1)
+        y = user_paths([lo, hi])  # each with probability 1/2
         rep = estimate_c1(y, [(0.4, 0.6)], 20_000, MomentEnvelope(beta=1.0), RngStream(57))
         half_spread = ((1e6 + 1e-3) ** 2 - 1e12) / 2.0  # std of the two-point law
         assert rep.entries[0].se == pytest.approx(half_spread / math.sqrt(20_000), rel=0.03)

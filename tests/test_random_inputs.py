@@ -313,23 +313,80 @@ class TestWeightedJumpsGenerator:
             CdfGrid(np.array([0.1, 1.0]), np.array([0.0, 1.0]))
 
 
+def callback_take(paths, gen, n):
+    """Oracle: the per-term callback loop that user pools replaced, one ``gen.integers`` per term."""
+    d = paths[0].dimension
+    blocks_t, blocks_h, blocks_i, initials = [], [], [], []
+    for k in range(n):
+        path = paths[gen.integers(len(paths))]
+        blocks_t.append(path.jump_times)
+        blocks_h.append(np.diff(path.segment_values(), axis=0))
+        blocks_i.append(np.full(path.n_jumps, k, dtype=np.int64))
+        initials.append(path.initial_value)
+    return TermEvents(n, d, np.concatenate([np.empty(0, np.int64)] + blocks_i),
+                      np.concatenate([np.empty(0)] + blocks_t),
+                      np.concatenate([np.empty((0, d))] + blocks_h), np.array(initials).reshape(n, d))
+
+
+def _pool_with_empty_path(d, seed=0):
+    """A zero-jump path and paths of 1 to 5 jumps on the grid of sixteenths, with normal values."""
+    gen = np.random.default_rng(seed)
+    paths = [StepPath(d, gen.normal(size=d))]
+    for k in range(1, 6):
+        times = np.sort(gen.choice(16, k, replace=False) + 1) / 16.0
+        paths.append(StepPath(d, gen.normal(size=d), times, gen.normal(size=(k, d))))
+    return paths
+
+
+def _same_state(a, b) -> bool:
+    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
 class TestUserGenerator:
     def test_round_trips_paths(self):
         fixed = StepPath(1, [0.5], [0.25, 0.75], [[1.0], [-2.0]])
-        y = user_paths(lambda gen: fixed, dimension=1)
+        y = user_paths([fixed])
         path = term_path(y.block_sampler(RngStream(37)).take(1), 0)
         assert path == fixed
 
-    def test_invalid_return_rejected(self):
-        y = user_paths(lambda gen: "not a path", dimension=1)
-        with pytest.raises(PathValidationError):
-            y.block_sampler(RngStream(38)).take(1)
+    def test_invalid_pool_rejected_at_construction(self):
+        fixed = StepPath(1, [0.0], [0.5], [[1.0]])
+        for pool in ([], ["not a path"], [fixed, "not a path"], iter([])):
+            with pytest.raises(PathValidationError, match="non-empty sequence of StepPaths"):
+                user_paths(pool)
 
-    def test_dimension_checked(self):
-        fixed = StepPath(2, [0.0, 0.0], [0.5], [[1.0, 1.0]])
-        y = user_paths(lambda gen: fixed, dimension=1)
-        with pytest.raises(PathValidationError):
-            y.block_sampler(RngStream(39)).take(1)
+    def test_mixed_dimensions_rejected_at_construction(self):
+        one, two = StepPath(1, [0.0], [0.5], [[1.0]]), StepPath(2, [0.0, 0.0], [0.5], [[1.0, 1.0]])
+        with pytest.raises(PathValidationError, match=r"one dimension, got \[1, 2\]"):
+            user_paths([one, two])
+
+    def test_dimension_comes_from_the_paths(self):
+        y = user_paths(_pool_with_empty_path(2))
+        assert y.dimension == 2 and y.echo() == {"variant": "user", "dimension": 2}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_take_equals_callback_loop(self, d, n):
+        paths = _pool_with_empty_path(d)
+        sampler = user_paths(paths).block_sampler(RngStream(38))
+        gen = RngStream(38).substream(0).generator()
+        got, want = sampler.take(n), callback_take(paths, gen, n)
+        assert got.n_terms == want.n_terms == n and got.dimension == want.dimension == d
+        for field in ("term_index", "times", "heights", "initials"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        assert _same_state(sampler._gen, gen)
+        assert sampler.take(5).times.tobytes() == callback_take(paths, gen, 5).times.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_values_at_one_equals_values_at_on_the_same_stream(self, d):
+        y = user_paths(_pool_with_empty_path(d))
+        for n in (0, 1, 1000):
+            at_one, drawn = y.block_sampler(RngStream(39)), y.block_sampler(RngStream(39))
+            out = np.empty((n, d))
+            assert at_one.values_at_one(n, out) is out
+            assert out.tobytes() == values_at(drawn.take(n), [1.0])[:, 0, :].tobytes()
+            assert _same_state(at_one._gen, drawn._gen)
 
 
 class TestEventReductions:
@@ -356,7 +413,7 @@ class TestEventReductions:
 
     def test_term_value_extremes(self):
         fixed = StepPath(1, [1.0], [0.3, 0.6], [[-2.0], [0.5]])
-        y = user_paths(lambda gen: fixed, dimension=1)
+        y = user_paths([fixed])
         events = self._events(y, 3, 43)
         vmax, vmin = term_value_extremes(events)
         assert np.all(vmax == 1.0)
@@ -364,7 +421,7 @@ class TestEventReductions:
 
     def test_values_at_right_continuity(self):
         fixed = StepPath(1, [0.0], [0.5], [[1.0]])
-        y = user_paths(lambda gen: fixed, dimension=1)
+        y = user_paths([fixed])
         events = self._events(y, 2, 44)
         vals = values_at(events, [0.4999, 0.5, 1.0])
         assert np.array_equal(vals[:, :, 0], [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
@@ -487,7 +544,7 @@ class TestTimeOrderedReaders:
 
     def test_ordered_blocks_are_returned_untouched(self):
         fixed = StepPath(1, [0.5], [0.25, 0.75], [[1.0], [-2.0]])
-        for y in (unit_jump(), user_paths(lambda gen: fixed, dimension=1)):
+        for y in (unit_jump(), user_paths([fixed])):
             events = y.block_sampler(RngStream(51)).take(30)
             assert time_ordered(events) is events
 
@@ -511,8 +568,14 @@ def _normal_path(gen, d=2):
     return StepPath(d, gen.normal(size=d), np.sort(gen.random(k)) * 0.5 + 0.25, gen.normal(size=(k, d)))
 
 
+def normal_pool(d=2, size=256, seed=0):
+    """A pool of ``size`` draws of :func:`_normal_path`."""
+    gen = np.random.default_rng(seed)
+    return user_paths([_normal_path(gen, d) for _ in range(size)])
+
+
 class TestExactTermExtremes:
-    @pytest.mark.parametrize("y", [poisson_counts(1.0), poisson_counts(7.0), user_paths(_normal_path, 2)],
+    @pytest.mark.parametrize("y", [poisson_counts(1.0), poisson_counts(7.0), normal_pool(2)],
                              ids=["poisson1", "poisson7", "user2d"])
     def test_variable_width_blocks_match_per_term_cumsum(self, y):
         events = y.block_sampler(RngStream(62)).take(3000)

@@ -487,6 +487,12 @@ def _sixteenths_path(gen):
     return StepPath(1, [gen.normal()], times, gen.normal(size=(k, 1)))
 
 
+def sixteenths_pool(size=64, seed=16):
+    """A pool of ``size`` draws of :func:`_sixteenths_path`."""
+    gen = np.random.default_rng(seed)
+    return user_paths([_sixteenths_path(gen) for _ in range(size)])
+
+
 FAST_PATH_YS = {
     "unit": unit_jump(),
     "weighted2d_p3": weighted_jumps(
@@ -496,7 +502,7 @@ FAST_PATH_YS = {
     "weighted_p9": weighted_jumps(
         [CdfGrid.uniform()] * 9, JumpHeightDist(np.array([[1.1], [-0.7], [0.3]]), np.full(3, 1.0 / 3.0))),
     "poisson": poisson_counts(2.0),
-    "user_sixteenths": user_paths(_sixteenths_path, 1),
+    "user_sixteenths": sixteenths_pool(),
 }
 
 
@@ -616,15 +622,17 @@ class TestMarginalsAtOne:
         with pytest.raises(AssertionError, match="jump location"):
             sample_marginals(spec, 0.999, 600)
 
-    def test_user_paths_are_drawn(self):
-        calls = []
+    def test_user_pools_gather_their_stored_values(self, monkeypatch):
+        spec = rademacher_spec(n=10, seed=21, y=FAST_PATH_YS["user_sixteenths"])
+        expected = reference_marginals(spec, 1.0, 30)
 
-        def path(gen):
-            calls.append(1)
-            return _sixteenths_path(gen)
+        def no_take(*args, **kwargs):
+            raise AssertionError("a block of user paths was gathered")
 
-        sample_marginals(rademacher_spec(n=10, seed=21, y=user_paths(path, 1)), 1.0, 30)
-        assert len(calls) == 300
+        monkeypatch.setattr(random_inputs._UserSampler, "take", no_take)
+        assert sample_marginals(spec, 1.0, 30).tobytes() == expected.tobytes()
+        with pytest.raises(AssertionError, match="gathered"):
+            sample_marginals(spec, 0.999, 30)
 
     def test_non_finite_marginal_names_alpha_replicate_and_chunk(self):
         # at alpha 0.01 the weights Gamma_i^(-100) overflow: replicates 251 (+inf) and 1990 (-inf)

@@ -10,7 +10,6 @@ from lepage.random_inputs import (
     JumpHeightDist,
     poisson_counts,
     unit_jump,
-    user_paths,
     weighted_jumps,
 )
 from lepage import stable_checks
@@ -34,7 +33,7 @@ from lepage.stable_checks import (
     sum_stability_test,
     tail_quantile_bn,
 )
-from test_random_inputs import _normal_path, per_term_cumsum_extremes
+from test_random_inputs import normal_pool, per_term_cumsum_extremes
 
 RAD = EpsilonSpec.rademacher()
 
@@ -254,7 +253,7 @@ class TestSpectralEstimate:
         # events unsorted inside each term
         (poisson_counts(1.0), [nonnegative_path(), norm_equals(1.0), norm_equals(2.0)]),
         # running values that round
-        (user_paths(lambda gen: _normal_path(gen, 1), 1), [nonnegative_path(), full_sphere()]),
+        (normal_pool(1), [nonnegative_path(), full_sphere()]),
     ], ids=["poisson1", "user1d"])
     def test_variable_width_extremes_equal_per_term_cumsum(self, monkeypatch, y, events):
         self.check_extremes_equal_per_term_cumsum(monkeypatch, y, events)
