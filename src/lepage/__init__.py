@@ -11,16 +11,7 @@ import types as _types
 
 __version__ = "0.1.0"
 
-from .paths import (
-    DomainError,
-    PathValidationError,
-    StepPath,
-    evaluate,
-    increment,
-    linear_combine,
-    sup_norm,
-    zero_path,
-)
+from .paths import DomainError, PathValidationError, StepPath, sup_norm
 from .random_inputs import (
     CdfGrid,
     ConfigurationError,

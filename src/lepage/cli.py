@@ -81,6 +81,12 @@ def _count(v) -> int:
     return n
 
 
+def _positive(v) -> int:
+    if _count(v) < 1:
+        raise ValueError(f"must be >= 1, got {v}")
+    return int(v)
+
+
 def _alpha(v) -> float:
     alpha = float(v)
     if not 0.0 < alpha < 2.0:
@@ -282,7 +288,7 @@ def parse_config(text: str) -> ExperimentConfig:
             values["epsilon"].require_mean_zero(values["alpha"])
         except ConfigurationError as exc:
             _fail(text, "epsilon", str(exc))
-    if command == "regvar" and not 1 <= values["n"] <= values["samples"]:  # as tail_quantile_bn needs
+    if command == "regvar" and values["n"] > values["samples"]:  # as tail_quantile_bn needs
         _fail(text, "n", f"regvar needs 1 <= n <= samples, got n {values['n']} and samples {values['samples']}")
     values["out_dir"], values["formats"] = values.pop("output")
     return ExperimentConfig(raw=raw, **values)
@@ -316,12 +322,12 @@ def _csv_quote(s: str) -> str:
     return s
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str], manifest_hash: str) -> None:
+def _csv_text(rows: list[dict], columns: list[str], manifest_hash: str) -> str:
     lines = [",".join(columns + ["manifest_hash"])]
     for row in rows:
         cells = [_csv_quote(_fmt_cell(row.get(c, ""))) for c in columns]
         lines.append(",".join(cells + [manifest_hash]))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _jsonable(obj):
@@ -366,11 +372,11 @@ def _json_text(obj, indent: str = "\n") -> str:
     return "[" + inner + items + indent + "]"
 
 
-def _write_json(path: Path, payload: dict, manifest_hash: str, seed: int) -> None:
+def _json_file_text(payload: dict, manifest_hash: str, seed: int) -> str:
     body = dict(payload)
     body["manifest_hash"] = manifest_hash
     body.setdefault("seed", seed)
-    path.write_text(_json_text(_jsonable(body)) + "\n")
+    return _json_text(_jsonable(body)) + "\n"
 
 
 class _Writer:
@@ -383,13 +389,9 @@ class _Writer:
 
     def emit(self, name: str, rows: list[dict], columns: list[str], payload: dict) -> None:
         if "csv" in self.cfg.formats:
-            p = self.out_dir / f"{name}.csv"
-            _write_csv(p, rows, columns, self.manifest_hash)
-            self.files.append(p.name)
+            self.emit_text(f"{name}.csv", _csv_text(rows, columns, self.manifest_hash))
         if "json" in self.cfg.formats:
-            p = self.out_dir / f"{name}.json"
-            _write_json(p, payload, self.manifest_hash, self.cfg.seed)
-            self.files.append(p.name)
+            self.emit_json(name, payload)
 
     def emit_text(self, name: str, text: str) -> None:
         p = self.out_dir / name
@@ -397,9 +399,7 @@ class _Writer:
         self.files.append(p.name)
 
     def emit_json(self, name: str, payload: dict) -> None:
-        p = self.out_dir / f"{name}.json"
-        _write_json(p, payload, self.manifest_hash, self.cfg.seed)
-        self.files.append(p.name)
+        self.emit_text(f"{name}.json", _json_file_text(payload, self.manifest_hash, self.cfg.seed))
 
     def manifest(self, wall_time: float, extra: dict | None = None) -> None:
         payload = {
@@ -468,13 +468,9 @@ def _cmd_check_conditions(cfg, writer) -> int:
     stream = RngStream(cfg.seed)
     rep1 = diag.estimate_c1(cfg.y, cfg.pairs, cfg.replicates, env1, stream, cfg.threads)
     rep2 = diag.estimate_c2(cfg.y, cfg.triples, cfg.replicates, env2, stream, cfg.threads)
-    cols = ["t1", "t", "t2", "estimate", "se", "envelope", "verdict"]
-    writer.emit("c1_report", rep1.rows(), cols,
-                {"kind": rep1.kind, "replicates": rep1.replicates, "meta": rep1.meta,
-                 "entries": rep1.rows()})
-    writer.emit("c2_report", rep2.rows(), cols,
-                {"kind": rep2.kind, "replicates": rep2.replicates, "meta": rep2.meta,
-                 "entries": rep2.rows()})
+    for name, rep in (("c1_report", rep1), ("c2_report", rep2)):
+        writer.emit(name, rep.rows(), ["t1", "t", "t2", "estimate", "se", "envelope", "verdict"],
+                    {"kind": rep.kind, "replicates": rep.replicates, "meta": rep.meta, "entries": rep.rows()})
     return 2 if (rep1.violated or rep2.violated) else 0
 
 
@@ -569,7 +565,7 @@ _TRIPLES = ([[i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5] for i in range(10)], _l
 _ENVELOPE = (None, _envelope)
 _EVENTS = (["full_sphere", "nonnegative_path"], _list_of(_event))
 _SAMPLES = (30_000, _count)
-_N = (100, _count)
+_N = (100, _positive)
 _MOMENTS = {k: _SERIES[k] for k in ("alpha", "epsilon")}
 
 # command -> (handler, the keys it reads beside the run keys, as {key: (default, parser)})

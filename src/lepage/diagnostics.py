@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .parallel import map_replicates
+from .parallel import chunk_fsum, map_replicates
 from .paths import DomainError
 from .random_inputs import CdfGrid, ConfigurationError, EpsilonSpec, YGeneratorSpec, interval_increments
 from .rng import RngStream
@@ -62,6 +62,8 @@ __all__ = [
 
 _TAG_C1 = 201
 _TAG_C2 = 202
+# each report kind: what its entries are, and their times in the order they must keep
+_ENTRY_TIMES = {"increment_second_moment": ("pair", ("t1", "t2")), "cross_moment": ("triple", ("t1", "t", "t2"))}
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -235,86 +237,74 @@ def _moment_mc(y_spec, statistics, tag, replicates, stream, threads):
     ``statistics(events)`` maps a block of m paths to per-entry values
     (m, n_entries).  The variance pools per-chunk ``(count, mean, M2)``
     (Chan, Golub & LeVeque, Amer. Statist. 1983), so it does not cancel
-    when the mean is large against the spread.
+    when the mean is large against the spread.  An overflow reads inf or nan,
+    without a warning, for the caller to report.
     """
 
     def one_chunk(sub, m):
-        vals = statistics(y_spec.block_sampler(sub).take(m))
-        total = np.sum(vals, axis=0)
-        return m, total, np.sum((vals - total / m) ** 2, axis=0)
+        events = y_spec.block_sampler(sub).take(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = statistics(events)
+            total = np.sum(vals, axis=0)
+            return m, total, np.sum((vals - total / m) ** 2, axis=0)
 
     parts = map_replicates(one_chunk, stream.substream(tag), replicates, 1, threads)
-    counts = np.array([[p[0]] for p in parts], dtype=np.float64)
-    sums = np.array([p[1] for p in parts])
-    mean = np.array([math.fsum(col) for col in sums.T]) / replicates
-    # pooled M2 = sum of chunk M2s + sum of m_c * (chunk mean - mean)^2
-    m2 = np.array([p[2] for p in parts]) + counts * (sums / counts - mean) ** 2
-    var = np.array([math.fsum(col) for col in m2.T]) / max(replicates - 1, 1)
-    se = np.sqrt(var / replicates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = np.array([[p[0]] for p in parts], dtype=np.float64)
+        sums = np.array([p[1] for p in parts])
+        mean = np.array([chunk_fsum(col) for col in sums.T]) / replicates
+        # pooled M2 = sum of chunk M2s + sum of m_c * (chunk mean - mean)^2
+        m2 = np.array([p[2] for p in parts]) + counts * (sums / counts - mean) ** 2
+        var = np.array([chunk_fsum(col) for col in m2.T]) / max(replicates - 1, 1)
+        se = np.sqrt(var / replicates)
     return mean, se
 
 
-def estimate_c1(
-    y_spec: YGeneratorSpec,
-    pairs,
-    replicates: int,
-    envelope: MomentEnvelope,
-    stream: RngStream,
-    threads=1,
-) -> MomentReport:
-    """Monte Carlo second moments ``E|Y(t2) - Y(t1)|^2`` against the envelope."""
-    pairs = [(float(a), float(b)) for a, b in pairs]
-    for a, b in pairs:
-        if not 0.0 <= a <= b <= 1.0:
-            raise DomainError(f"pair must satisfy 0 <= t1 <= t2 <= 1, got ({a}, {b})")
+def _moment_report(kind, tag, statistic, bound, y_spec, times, replicates, envelope, stream, threads):
+    """The :class:`MomentReport` of ``statistic`` over ``times``, entries of 2 or 3 times.
+
+    ``statistic(sq)`` maps ``sq[:, j, e]``, the squared norm of each path's increment
+    over the j-th interval of entry e, to one value per path and entry; the envelope
+    of entry ``(t1, ..., t2)`` is ``bound(envelope, t1, t2)``.  A non-finite estimate
+    raises :class:`ConfigurationError` naming its entry.
+    """
+    (what, names), times = _ENTRY_TIMES[kind], [tuple(map(float, ts)) for ts in times]
+    for ts in times:
+        if len(ts) != len(names) or not all(a <= b for a, b in zip((0.0, *ts), (*ts, 1.0))):
+            raise DomainError(f"{what} must satisfy 0 <= {' <= '.join(names)} <= 1, got {ts}")
     if replicates < 100:
         raise ConfigurationError(f"need at least 100 replicates, got {replicates}")
-
-    def stats(events):
-        inc = interval_increments(events, pairs)
-        return np.sum(inc * inc, axis=2)
-
-    mean, se = _moment_mc(y_spec, stats, _TAG_C1, replicates, stream, threads)
-    entries = tuple(
-        MomentEntry(a, None, b, float(mean[j]), float(se[j]),
-                    envelope.pair_bound(a, b), _verdict(mean[j], se[j], envelope.pair_bound(a, b)))
-        for j, (a, b) in enumerate(pairs)
-    )
-    return MomentReport("increment_second_moment", entries, replicates,
-                        {"y": y_spec.echo(), "envelope": envelope.echo()})
-
-
-def estimate_c2(
-    y_spec: YGeneratorSpec,
-    triples,
-    replicates: int,
-    envelope: MomentEnvelope,
-    stream: RngStream,
-    threads=1,
-) -> MomentReport:
-    """Monte Carlo cross moments ``E|Y(t2)-Y(t)|^2 |Y(t)-Y(t1)|^2``."""
-    triples = [(float(a), float(b), float(c)) for a, b, c in triples]
-    for a, b, c in triples:
-        if not 0.0 <= a <= b <= c <= 1.0:
-            raise DomainError(f"triple must satisfy 0 <= t1 <= t <= t2 <= 1, got ({a}, {b}, {c})")
-    if replicates < 100:
-        raise ConfigurationError(f"need at least 100 replicates, got {replicates}")
-    intervals = [(a, b) for a, b, _ in triples] + [(b, c) for _, b, c in triples]
-    k = len(triples)
+    spans = len(names) - 1
+    intervals = [(ts[j], ts[j + 1]) for j in range(spans) for ts in times]
 
     def stats(events):
         inc = interval_increments(events, intervals)
-        sq = np.sum(inc * inc, axis=2)
-        return sq[:, :k] * sq[:, k:]
+        return statistic(np.sum(inc * inc, axis=2).reshape(len(inc), spans, -1))
 
-    mean, se = _moment_mc(y_spec, stats, _TAG_C2, replicates, stream, threads)
-    entries = tuple(
-        MomentEntry(a, b, c, float(mean[j]), float(se[j]),
-                    envelope.triple_bound(a, c), _verdict(mean[j], se[j], envelope.triple_bound(a, c)))
-        for j, (a, b, c) in enumerate(triples)
-    )
-    return MomentReport("cross_moment", entries, replicates,
-                        {"y": y_spec.echo(), "envelope": envelope.echo()})
+    mean, se = _moment_mc(y_spec, stats, tag, replicates, stream, threads)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(se)))
+    if bad.size:
+        raise ConfigurationError(f"{kind} entry {times[bad[0]]}: estimate {mean[bad[0]]}, se {se[bad[0]]}; "
+                                 "the squared increments of y overflow")
+    entries = []
+    for ts, m, s in zip(times, mean.tolist(), se.tolist()):
+        b = bound(envelope, ts[0], ts[-1])
+        entries.append(MomentEntry(ts[0], ts[1] if spans == 2 else None, ts[-1], m, s, b, _verdict(m, s, b)))
+    return MomentReport(kind, tuple(entries), replicates, {"y": y_spec.echo(), "envelope": envelope.echo()})
+
+
+def estimate_c1(y_spec: YGeneratorSpec, pairs, replicates: int, envelope: MomentEnvelope, stream: RngStream,
+                threads=1) -> MomentReport:
+    """Monte Carlo second moments ``E|Y(t2) - Y(t1)|^2`` against the envelope."""
+    return _moment_report("increment_second_moment", _TAG_C1, lambda sq: sq[:, 0], MomentEnvelope.pair_bound,
+                          y_spec, pairs, replicates, envelope, stream, threads)
+
+
+def estimate_c2(y_spec: YGeneratorSpec, triples, replicates: int, envelope: MomentEnvelope, stream: RngStream,
+                threads=1) -> MomentReport:
+    """Monte Carlo cross moments ``E|Y(t2)-Y(t)|^2 |Y(t)-Y(t1)|^2``."""
+    return _moment_report("cross_moment", _TAG_C2, lambda sq: sq[:, 0] * sq[:, 1], MomentEnvelope.triple_bound,
+                          y_spec, triples, replicates, envelope, stream, threads)
 
 
 # ---------------------------------------------------------------------------

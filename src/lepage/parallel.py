@@ -11,10 +11,11 @@ each chunk in small tiles, so each thread adds one tile's memory, not a chunk's.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["resolve_threads", "chunk_runner", "chunk_size", "map_replicates"]
+__all__ = ["resolve_threads", "chunk_runner", "chunk_size", "map_replicates", "chunk_fsum"]
 
 # target number of jump events held in memory per chunk
 _EVENTS_PER_CHUNK = 1 << 22
@@ -60,3 +61,11 @@ def map_replicates(fn, stream, total: int, events_per_replicate: int, threads=1)
     n_chunks = max(1, -(-total // size))
     ranges = [(c, min(size, total - c * size)) for c in range(n_chunks)]
     return chunk_runner(threads)(lambda c, m: fn(stream.substream(c), m), ranges)
+
+
+def chunk_fsum(values) -> float:
+    """``math.fsum`` of nonnegative per-chunk sums; ``inf`` where the exact total overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # finite chunk sums whose total exceeds the float range
+        return math.inf

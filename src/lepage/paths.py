@@ -1,9 +1,9 @@
-"""Exact algebra for d-dimensional cadlag step functions on [0, 1].
+"""d-dimensional cadlag step functions on [0, 1], and their text formats.
 
 A :class:`StepPath` is piecewise constant, right-continuous with left
 limits: it holds an initial value on ``[0, t_1)`` and one post-jump value
-per jump time.  Evaluation, linear combination, increments and the uniform
-norm are all computed exactly on the jump grid; nothing is resampled.
+per jump time.  Calling a path evaluates it, and :func:`sup_norm` gives its
+uniform norm; both read the jump grid exactly, and nothing is resampled.
 
 The norm used throughout is the coordinatewise uniform norm
 
@@ -26,11 +26,7 @@ __all__ = [
     "DomainError",
     "PathValidationError",
     "StepPath",
-    "evaluate",
-    "linear_combine",
     "sup_norm",
-    "increment",
-    "zero_path",
     "path_to_csv",
     "path_from_csv",
     "path_to_json",
@@ -114,62 +110,14 @@ class StepPath:
             and np.array_equal(self.post_jump_values, other.post_jump_values)
         )
 
-    def __call__(self, t):
-        return evaluate(self, t)
-
-
-def zero_path(dimension: int = 1) -> StepPath:
-    """Constant-zero path of the given dimension."""
-    return StepPath(dimension, np.zeros(dimension))
-
-
-def evaluate(path: StepPath, t) -> np.ndarray:
-    """Value of the path at time(s) ``t`` in [0, 1].
-
-    Right-continuous: at a jump time the post-jump value is returned.
-    Scalar ``t`` gives shape ``(d,)``; an array gives ``(len(t), d)``.
-    """
-    ts = np.asarray(t, dtype=np.float64)
-    if np.any(ts < 0.0) or np.any(ts > 1.0):
-        raise DomainError(f"evaluation time outside [0, 1]: {t!r}")
-    # searchsorted(right) counts jumps with time <= t; index 0 is the initial segment
-    idx = np.searchsorted(path.jump_times, ts, side="right")
-    segs = path.segment_values()
-    out = segs[idx]
-    return out
-
-
-def linear_combine(coeffs, paths, dimension: int | None = None) -> StepPath:
-    """Exact linear combination ``sum_k coeffs[k] * paths[k]``.
-
-    The result's jump grid is the merged union of the input grids
-    (coincident times merged); on every segment the value is the
-    coefficient-weighted sum of the input segment values, accumulated in
-    input order, so evaluating the result reproduces the direct sum of
-    evaluations bit for bit.  Jumps that do not change the value are
-    dropped, which makes cancellation produce a canonical zero path.
-    """
-    coeffs = [float(c) for c in coeffs]
-    paths = list(paths)
-    if len(coeffs) != len(paths):
-        raise ValueError(f"got {len(coeffs)} coefficients for {len(paths)} paths")
-    if not paths:
-        return zero_path(1 if dimension is None else dimension)
-    d = paths[0].dimension
-    for p in paths:
-        if p.dimension != d:
-            raise PathValidationError(f"dimension mismatch: {p.dimension} != {d}")
-    if dimension is not None and dimension != d:
-        raise PathValidationError(f"dimension mismatch: requested {dimension}, paths have {d}")
-
-    times = np.unique(np.concatenate([p.jump_times for p in paths]))
-    acc = np.zeros((times.size + 1, d))
-    for c, p in zip(coeffs, paths):
-        idx = np.searchsorted(p.jump_times, times, side="right")
-        segs = p.segment_values()
-        block = np.concatenate([segs[:1], segs[idx]], axis=0)
-        acc += c * block
-    return _compressed(d, acc[0], times, acc[1:])
+    def __call__(self, t) -> np.ndarray:
+        """Value at time(s) ``t`` in [0, 1], the post-jump value at a jump time (right-continuity).
+        Scalar ``t`` gives shape ``(d,)``; an array gives ``(len(t), d)``."""
+        ts = np.asarray(t, dtype=np.float64)
+        if np.any(ts < 0.0) or np.any(ts > 1.0):
+            raise DomainError(f"evaluation time outside [0, 1]: {t!r}")
+        # searchsorted(right) counts jumps with time <= t; index 0 is the initial segment
+        return self.segment_values()[np.searchsorted(self.jump_times, ts, side="right")]
 
 
 def _compressed(d: int, initial: np.ndarray, times: np.ndarray, values: np.ndarray) -> StepPath:
@@ -184,13 +132,6 @@ def _compressed(d: int, initial: np.ndarray, times: np.ndarray, values: np.ndarr
 def sup_norm(path: StepPath) -> float:
     """Coordinatewise uniform norm, exact for step paths."""
     return float(np.max(np.abs(path.segment_values())))
-
-
-def increment(path: StepPath, t1: float, t2: float) -> np.ndarray:
-    """``path(t2) - path(t1)`` for ``0 <= t1 <= t2 <= 1``."""
-    if t1 > t2:
-        raise DomainError(f"increment requires t1 <= t2, got ({t1}, {t2})")
-    return evaluate(path, t2) - evaluate(path, t1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .parallel import map_replicates
+from .parallel import chunk_fsum, map_replicates
 from .random_inputs import ConfigurationError, EpsilonSpec, YGeneratorSpec, term_value_extremes
 from .rng import RngStream
 from .series import PathStatsSample
@@ -31,7 +31,6 @@ from .series import PathStatsSample
 __all__ = [
     "WindowError",
     "DegenerateGeneratorError",
-    "SampleSet",
     "ecf",
     "auto_window",
     "AlphaEstimate",
@@ -74,30 +73,7 @@ class DegenerateGeneratorError(ValueError):
     """Raised when the spectral normalizer estimates to zero."""
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """A bag of scalar samples plus provenance metadata."""
-
-    values: np.ndarray
-    kind: str = "marginal"  # or "norm"
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.size == 0:
-            raise ConfigurationError("sample set must be nonempty")
-        if self.kind == "norm" and np.any(v < 0):
-            raise ConfigurationError("norm samples must be nonnegative")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def _values(samples) -> np.ndarray:
-    if isinstance(samples, SampleSet):
-        return samples.values
     v = np.asarray(samples, dtype=np.float64).reshape(-1)
     if v.size == 0:
         raise ConfigurationError("sample set must be nonempty")
@@ -424,7 +400,8 @@ def spectral_estimate(
     Replicates with a zero-norm path carry zero weight on both sides.
     Numerator and denominator share replicates (ratio estimator), so the
     full-sphere mass is exactly 1; the SE comes from the delta method on
-    the joint replicate means.
+    the joint replicate means.  Weights whose squares sum past the float
+    range raise :class:`ConfigurationError`.
     """
     if replicates < 1000:
         raise ConfigurationError(f"need at least 1000 replicates, got {replicates}")
@@ -438,22 +415,26 @@ def spectral_estimate(
         vmax, vmin = term_value_extremes(blk)
         sup = np.maximum(np.abs(vmax), np.abs(vmin))
         sign = np.sign(eps)
-        w = np.abs(eps) ** alpha * sup**alpha
-        acc = {"w": float(np.sum(w)), "w2": float(np.sum(w * w))}
-        for ev in events:
-            wa = w * ev.evaluate(sign, sup, vmax, vmin)
-            acc[ev.name] = float(np.sum(wa))
-            acc[ev.name + "/2"] = float(np.sum(wa * wa))
-            acc[ev.name + "/x"] = float(np.sum(wa * w))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its cause
+            w = np.abs(eps) ** alpha * sup**alpha
+            acc = {"w": float(np.sum(w)), "w2": float(np.sum(w * w))}
+            for ev in events:
+                wa = w * ev.evaluate(sign, sup, vmax, vmin)
+                acc[ev.name] = float(np.sum(wa))
+                acc[ev.name + "/2"] = float(np.sum(wa * wa))
+                acc[ev.name + "/x"] = float(np.sum(wa * w))
         return acc
 
     parts = map_replicates(one_chunk, stream.substream(_TAG_SPECTRAL), replicates, 1, threads)
 
     def total(key: str) -> float:
-        return math.fsum(p[key] for p in parts)
+        return chunk_fsum(p[key] for p in parts)
 
     r = float(replicates)
     d_sum = total("w")
+    if not math.isfinite(total("w2")):  # else every weight, and so every other sum, is finite
+        raise ConfigurationError(f"alpha {alpha}: event '__normalizer__' sums |eps|^alpha * norm^alpha to "
+                                 f"{d_sum} and their squares to {total('w2')}: the weights overflow")
     if d_sum == 0.0:
         raise DegenerateGeneratorError("all replicates have zero weight; the generator is degenerate")
     d_mean = d_sum / r
@@ -483,9 +464,12 @@ def tail_quantile_bn(norm_samples, n: int) -> float:
     Estimated from order statistics: with N samples and k = floor(N/n),
     the result is the (N-k)-th smallest sample.  At the ``n = 1`` boundary
     the tail constraint is vacuous and the convention returns the largest
-    sample.  See ``BN_CONVENTION_NOTE`` for the convention choice.
+    sample.  See ``BN_CONVENTION_NOTE`` for the convention choice.  A negative
+    norm raises :class:`ConfigurationError`.
     """
     x = _values(norm_samples)
+    if np.any(x < 0):
+        raise ConfigurationError("norm samples must be nonnegative")
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     if x.size < n:
@@ -557,7 +541,7 @@ def regular_variation_table(
     events = list(events)
     sup = stats.sup
     n_paths = sup.size
-    b_n = tail_quantile_bn(SampleSet(sup, kind="norm"), n)
+    b_n = tail_quantile_bn(sup, n)
     sign = np.ones(n_paths)
     flags = {ev.name: ev.evaluate(sign, sup, stats.vmax, stats.vmin) for ev in events}
     rows = []

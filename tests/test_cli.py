@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lepage import RngStream, SeriesSpec, EpsilonSpec, unit_jump, partial_sum
-from lepage import series
+from lepage import diagnostics as diag, series
 from lepage.cli import ConfigParseError, _json_text, _jsonable, main, parse_config
-from lepage.paths import path_from_csv, zero_path
+from lepage.paths import StepPath, path_from_csv
 from test_paths import path_from_json, reference_path_csv
 
 
@@ -172,10 +172,13 @@ class TestCommandTables:
         with pytest.raises(ConfigParseError, match=rf"line {line}: key 'y': user paths must share one dimension"):
             parse_config(text)
 
-    @pytest.mark.parametrize("n", [10000, 0])
-    def test_regvar_rejects_n_outside_one_to_samples_before_drawing(self, tmp_path, capsys, monkeypatch, n):
+    @pytest.mark.parametrize("n,message", [
+        (10000, "regvar needs 1 <= n <= samples, got n 10000 and samples 8000"),
+        (0, "must be >= 1, got 0"),  # the parser of n, shared with tightness
+    ], ids=["10000", "0"])
+    def test_regvar_rejects_n_outside_one_to_samples_before_drawing(self, tmp_path, capsys, monkeypatch, n,
+                                                                    message):
         text = MINIMAL_BY_COMMAND["regvar"] + f"samples: 8000\nn: {n}\n"
-        message = f"regvar needs 1 <= n <= samples, got n {n} and samples 8000"
         with pytest.raises(ConfigParseError, match=rf"line 6: key 'n': {message}"):
             parse_config(text)
 
@@ -187,6 +190,21 @@ class TestCommandTables:
         assert code == 1
         assert message in capsys.readouterr().err
         assert parse_config(text.replace(f"n: {n}", "n: 8000")).n == 8000  # as many samples as n is enough
+
+    def test_tightness_rejects_n_zero_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # a series of no terms would report estimate 0 and envelope 0 as "satisfied"
+        text = MINIMAL_BY_COMMAND["tightness"] + "n: 0\nreplicates: 2000\n"
+        with pytest.raises(ConfigParseError, match=r"line 5: key 'n': must be >= 1, got 0"):
+            parse_config(text)
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("the tightness functional ran")
+
+        monkeypatch.setattr(diag, "tightness_functional", not_called)
+        code, _ = run_cli(tmp_path, text)
+        assert code == 1
+        assert "line 5: key 'n': must be >= 1, got 0" in capsys.readouterr().err
+        assert parse_config(text.replace("n: 0", "n: 1")).n == 1
 
     def test_json_config_errors_carry_line_numbers(self):
         text = json.dumps({"command": "simulate", "alpha": 1.5, "epsilon": "rademacher",
@@ -317,7 +335,7 @@ class TestSimulateCommand:
         norms = json.loads((out / "path_0000_term_norms.json").read_text())
         assert norms["per_term_norms"] == []
         dimension = parse_config(config).series_spec().dimension
-        assert path_from_csv((out / "path_0000.csv").read_text()) == zero_path(dimension)
+        assert path_from_csv((out / "path_0000.csv").read_text()) == StepPath(dimension, np.zeros(dimension))
 
     @pytest.mark.parametrize("y", YS)
     def test_path_files_equal_reference_writers(self, tmp_path, y):
@@ -426,6 +444,49 @@ seed: 143
 """)
         assert code == 1
         assert capsys.readouterr().err.startswith("error: alpha 0.01: replicate 0 has coefficient -inf at term 1")
+
+    @staticmethod
+    def huge_pool(tmp_path: Path) -> Path:
+        # a pool whose second path jumps to 1e200: squares and 1.9th powers of it overflow
+        paths_dir = tmp_path / "huge"
+        paths_dir.mkdir()
+        (paths_dir / "a.csv").write_text("t,value_1\n0,0\n0.5,1\n")
+        (paths_dir / "b.csv").write_text("t,value_1\n0,0\n0.5,1e200\n")
+        return paths_dir
+
+    def test_overflowing_moment_exits_one_naming_its_entry(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, f"""
+command: check-conditions
+y: {{variant: user, paths_dir: {self.huge_pool(tmp_path)}}}
+envelope: {{kind: identity, beta: 1.0}}
+replicates: 500
+pairs: [[0.1, 0.3], [0.4, 0.6]]
+""")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: increment_second_moment entry (0.4, 0.6): estimate inf")
+        assert "overflow" in err[0]
+        assert not (out / "c1_report.json").exists()
+
+    def test_overflowing_spectral_weights_exit_one(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, f"""
+command: spectral
+alpha: 1.9
+epsilon: rademacher
+y: {{variant: user, paths_dir: {self.huge_pool(tmp_path)}}}
+replicates: 2000
+""")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: alpha 1.9: event '__normalizer__' sums |eps|^alpha * norm^alpha to inf")
+        assert "overflow" in err[0]
+        assert not (out / "spectral.json").exists()
 
 
 class TestOutputs:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,25 @@ class TestEstimateC2:
     def test_ordering_validated(self):
         with pytest.raises(DomainError):
             estimate_c2(unit_jump(), [(0.5, 0.2, 0.9)], 1000, MomentEnvelope(beta=1.0), RngStream(59))
+
+
+class TestOverflowingMoments:
+    def test_cross_moment_names_the_entry(self):
+        # (0.3, 0.5] holds a jump to 1e200 and (0.5, 0.7] none: inf * 0 reads nan
+        y = user_paths([StepPath(1, [0.0], [0.5], [[1e200]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"cross_moment entry \(0\.3, 0\.5, 0\.7\): estimate nan"):
+                estimate_c2(y, [(0.1, 0.2, 0.3), (0.3, 0.5, 0.7)], 1000, MomentEnvelope(beta=1.0), RngStream(62))
+
+    def test_finite_chunk_sums_whose_total_overflows(self):
+        # each squared increment is 1e304 and each chunk of 4096 sums to about 4.1e307;
+        # five chunks overflow only in the exact total (math.fsum raises OverflowError)
+        y = user_paths([StepPath(1, [0.0], [0.5], [[1e152]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"increment_second_moment entry \(0\.4, 0\.6\): estimate inf"):
+                estimate_c1(y, [(0.4, 0.6)], 5 * 4096, MomentEnvelope(beta=1.0), RngStream(63))
 
 
 def test_examples_never_report_violated_with_default_envelopes():

@@ -10,14 +10,10 @@ from lepage.paths import (
     DomainError,
     PathValidationError,
     StepPath,
-    evaluate,
-    increment,
-    linear_combine,
     path_from_csv,
     path_to_csv,
     path_to_json,
     sup_norm,
-    zero_path,
 )
 
 
@@ -38,64 +34,39 @@ def unit_jump_path(t: float, height: float = 1.0) -> StepPath:
     return StepPath(1, [0.0], [t], [[height]])
 
 
+def difference_on_union_grid(a: StepPath, b: StepPath) -> np.ndarray:
+    """``a(t) - b(t)`` at 0 and at every jump time of either path: one row per segment of ``a - b``."""
+    ts = [0.0, *a.jump_times, *b.jump_times]
+    return a(ts) - b(ts)
+
+
 class TestEvaluate:
     def test_before_jump(self):
-        assert evaluate(unit_jump_path(0.5), 0.4) == np.array([0.0])
+        assert unit_jump_path(0.5)(0.4) == np.array([0.0])
 
     def test_right_continuity_at_jump(self):
-        assert evaluate(unit_jump_path(0.5), 0.5) == np.array([1.0])
+        assert unit_jump_path(0.5)(0.5) == np.array([1.0])
 
     def test_last_segment(self):
-        assert evaluate(unit_jump_path(0.5), 1.0) == np.array([1.0])
+        assert unit_jump_path(0.5)(1.0) == np.array([1.0])
 
     def test_domain_errors(self):
         p = unit_jump_path(0.5)
         with pytest.raises(DomainError):
-            evaluate(p, -0.1)
+            p(-0.1)
         with pytest.raises(DomainError):
-            evaluate(p, 1.1)
+            p(1.1)
 
     def test_vectorized(self):
         p = unit_jump_path(0.5)
-        out = evaluate(p, [0.0, 0.5, 0.9])
+        out = p([0.0, 0.5, 0.9])
         assert out.shape == (3, 1)
         assert np.array_equal(out.ravel(), [0.0, 1.0, 1.0])
 
-
-class TestLinearCombine:
-    def test_two_unit_jumps(self):
-        q = linear_combine([1.0, 1.0], [unit_jump_path(0.3), unit_jump_path(0.7)])
-        assert np.array_equal(q.jump_times, [0.3, 0.7])
-        assert np.array_equal(q.post_jump_values.ravel(), [1.0, 2.0])
-
-    def test_scaling(self):
-        p = unit_jump_path(0.4, height=3.0)
-        q = linear_combine([2.0], [p])
-        for t in (0.1, 0.4, 0.9):
-            assert evaluate(q, t) == 2.0 * evaluate(p, t)
-
-    def test_cancellation_gives_zero_path(self):
-        p = unit_jump_path(0.5)
-        assert linear_combine([1.0, -1.0], [p, p]) == zero_path(1)
-
-    def test_empty_input(self):
-        assert linear_combine([], []) == zero_path(1)
-        assert linear_combine([], [], dimension=3) == zero_path(3)
-
-    def test_dimension_mismatch(self):
-        p1 = unit_jump_path(0.5)
-        p2 = StepPath(2, [0.0, 0.0], [0.5], [[1.0, 1.0]])
-        with pytest.raises(PathValidationError):
-            linear_combine([1.0, 1.0], [p1, p2])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            linear_combine([1.0, 2.0], [unit_jump_path(0.5)])
-
-    def test_coincident_jumps_merged(self):
-        q = linear_combine([1.0, 1.0], [unit_jump_path(0.5), unit_jump_path(0.5)])
-        assert q.n_jumps == 1
-        assert q.post_jump_values[0, 0] == 2.0
+    def test_scalar_gives_one_value_per_coordinate(self):
+        p = StepPath(2, [0.0, 1.0], [0.5], [[-3.0, 2.0]])
+        assert p(0.7).shape == (2,)
+        assert np.array_equal(p(0.7), [-3.0, 2.0])
 
 
 class TestSupNorm:
@@ -103,27 +74,11 @@ class TestSupNorm:
         assert sup_norm(unit_jump_path(0.5)) == 1.0
 
     def test_zero_path(self):
-        assert sup_norm(zero_path(1)) == 0.0
+        assert sup_norm(StepPath(1, np.zeros(1))) == 0.0
 
     def test_coordinatewise(self):
         p = StepPath(2, [0.0, 0.0], [0.5], [[-3.0, 2.0]])
         assert sup_norm(p) == 3.0
-
-
-class TestIncrement:
-    def test_spanning_jump(self):
-        assert increment(unit_jump_path(0.5), 0.4, 0.6) == np.array([1.0])
-
-    def test_degenerate_interval(self):
-        assert increment(unit_jump_path(0.5), 0.3, 0.3) == np.array([0.0])
-
-    def test_counting_path(self):
-        p = StepPath(1, [0.0], [0.2, 0.3, 0.8], [[1.0], [2.0], [3.0]])
-        assert increment(p, 0.25, 0.9) == np.array([2.0])
-
-    def test_reversed_interval(self):
-        with pytest.raises(DomainError):
-            increment(unit_jump_path(0.5), 0.6, 0.4)
 
 
 class TestValidation:
@@ -168,22 +123,10 @@ def step_paths(draw, dimension=None):
     return StepPath(d, init, np.array(times), np.array(values).reshape(m, d))
 
 
-@given(step_paths(dimension=1), step_paths(dimension=1), st.lists(finite, min_size=2, max_size=2))
-@settings(max_examples=100)
-def test_combine_evaluates_to_ordered_sum_exactly(p1, p2, coeffs):
-    q = linear_combine(coeffs, [p1, p2])
-    rng = np.random.default_rng(0)
-    ts = np.concatenate([rng.random(1000), p1.jump_times, p2.jump_times, [0.0, 1.0]])
-    direct = np.zeros((ts.size, 1))
-    for c, p in zip(coeffs, [p1, p2]):
-        direct += c * evaluate(p, ts)
-    assert np.array_equal(evaluate(q, ts), direct)
-
-
 @given(step_paths(), finite)
 @settings(max_examples=100)
 def test_scaling_of_sup_norm_is_exact(p, a):
-    assert sup_norm(linear_combine([a], [p])) == abs(a) * sup_norm(p)
+    assert np.max(np.abs(a * p([0.0, *p.jump_times]))) == abs(a) * sup_norm(p)
 
 
 @given(st.data())
@@ -192,7 +135,8 @@ def test_triangle_inequality(data):
     d = data.draw(st.integers(1, 3))
     x = data.draw(step_paths(dimension=d))
     y = data.draw(step_paths(dimension=d))
-    assert sup_norm(linear_combine([1.0, 1.0], [x, y])) <= sup_norm(x) + sup_norm(y)
+    minus_y = StepPath(d, -y.initial_value, y.jump_times, -y.post_jump_values)
+    assert np.max(np.abs(difference_on_union_grid(x, minus_y))) <= sup_norm(x) + sup_norm(y)
 
 
 @given(step_paths())
@@ -234,7 +178,7 @@ def test_csv_equals_reference_writer(p):
 
 def test_csv_equals_reference_writer_on_awkward_floats():
     negative_zero = StepPath(1, [-0.0], [0.5, 1.0], [[-0.0], [1e16]])
-    for p in (AWKWARD, negative_zero, zero_path(3)):
+    for p in (AWKWARD, negative_zero, StepPath(3, np.zeros(3))):
         assert path_to_csv(p) == reference_path_csv(p)
 
 

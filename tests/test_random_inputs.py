@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lepage.paths import PathValidationError, StepPath, evaluate, sup_norm
+from lepage.paths import PathValidationError, StepPath, sup_norm
 from lepage.random_inputs import (
     CdfGrid,
     ConfigurationError,
@@ -236,8 +236,8 @@ class TestUnitJumpGenerator:
         u = path.jump_times[0]
         assert path.n_jumps == 1
         assert 0.0 < u <= 1.0
-        assert evaluate(path, u / 2.0) == 0.0
-        assert evaluate(path, u) == 1.0
+        assert path(u / 2.0) == 0.0
+        assert path(u) == 1.0
         assert sup_norm(path) == 1.0
 
     def test_increment_second_moment_is_interval_length(self):

@@ -16,7 +16,6 @@ from lepage import stable_checks
 from lepage.rng import RngStream
 from lepage.series import PathStatsSample, SeriesSpec, sample_path_stats
 from lepage.stable_checks import (
-    SampleSet,
     WindowError,
     auto_window,
     ecf,
@@ -261,25 +260,26 @@ class TestSpectralEstimate:
 
 class TestTailQuantile:
     def test_order_statistic_definition(self):
-        samples = SampleSet(np.arange(1.0, 101.0), kind="norm")
-        assert tail_quantile_bn(samples, 10) == 90.0
+        assert tail_quantile_bn(np.arange(1.0, 101.0), 10) == 90.0
 
     def test_boundary_n_one_returns_max(self):
-        samples = SampleSet(np.arange(1.0, 101.0), kind="norm")
-        assert tail_quantile_bn(samples, 1) == 100.0
+        assert tail_quantile_bn(np.arange(1.0, 101.0), 1) == 100.0
 
     def test_resolution_error(self):
         with pytest.raises(ConfigurationError, match="resolution"):
-            tail_quantile_bn(SampleSet(np.ones(5), kind="norm"), 10)
+            tail_quantile_bn(np.ones(5), 10)
+
+    def test_negative_norm_rejected(self):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            tail_quantile_bn(np.array([3.0, 1.0, -0.5, 2.0]), 2)
 
     def test_low_sample_warning(self):
         with pytest.warns(UserWarning):
-            tail_quantile_bn(SampleSet(np.arange(1.0, 51.0), kind="norm"), 10)
+            tail_quantile_bn(np.arange(1.0, 51.0), 10)
 
     def test_monotone_in_n(self):
         x = np.random.Generator(np.random.Philox(25)).standard_exponential(10_000)
-        s = SampleSet(x, kind="norm")
-        values = [tail_quantile_bn(s, n) for n in (2, 5, 10, 50, 100, 500)]
+        values = [tail_quantile_bn(x, n) for n in (2, 5, 10, 50, 100, 500)]
         assert values == sorted(values)
 
     def test_pareto_scaling(self):
@@ -287,8 +287,7 @@ class TestTailQuantile:
         alpha = 1.5
         u = np.random.Generator(np.random.Philox(26)).random(200_000)
         x = (1.0 - u) ** (-1.0 / alpha)
-        s = SampleSet(x, kind="norm")
-        ratios = [tail_quantile_bn(s, n) / n ** (1.0 / alpha) for n in (10, 100, 1000)]
+        ratios = [tail_quantile_bn(x, n) / n ** (1.0 / alpha) for n in (10, 100, 1000)]
         for r in ratios:
             assert abs(r - 1.0) < 0.25
 
