@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .parallel import chunk_fsum, map_replicates
+from .parallel import map_replicates, replicate_mean_se
 from .paths import DomainError
 from .random_inputs import CdfGrid, ConfigurationError, EpsilonSpec, YGeneratorSpec, interval_increments
 from .rng import RngStream
@@ -63,7 +63,8 @@ __all__ = [
 _TAG_C1 = 201
 _TAG_C2 = 202
 # each report kind: what its entries are, and their times in the order they must keep
-_ENTRY_TIMES = {"increment_second_moment": ("pair", ("t1", "t2")), "cross_moment": ("triple", ("t1", "t", "t2"))}
+_ENTRY_TIMES = {"increment_second_moment": ("pair", ("t1", "t2")), "cross_moment": ("triple", ("t1", "t", "t2")),
+                "tightness": ("triple", ("t1", "t", "t2"))}
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -231,33 +232,28 @@ def _verdict(estimate: float, se: float, envelope: float) -> str:
     return "inconclusive"
 
 
-def _moment_mc(y_spec, statistics, tag, replicates, stream, threads):
-    """Per-entry mean and standard error of a statistic over i.i.d. paths.
+def _checked_times(kind, times) -> list[tuple[float, ...]]:
+    """``times`` as float tuples; an entry of the wrong length or out of time order raises
+    :class:`DomainError` naming it."""
+    what, names = _ENTRY_TIMES[kind]
+    times = [tuple(map(float, ts)) for ts in times]
+    for ts in times:
+        if len(ts) != len(names) or not all(a <= b for a, b in zip((0.0, *ts), (*ts, 1.0))):
+            raise DomainError(f"{what} must satisfy 0 <= {' <= '.join(names)} <= 1, got {ts}")
+    return times
 
-    ``statistics(events)`` maps a block of m paths to per-entry values
-    (m, n_entries).  The variance pools per-chunk ``(count, mean, M2)``
-    (Chan, Golub & LeVeque, Amer. Statist. 1983), so it does not cancel
-    when the mean is large against the spread.  An overflow reads inf or nan,
-    without a warning, for the caller to report.
+
+def _entry_mean_se(kind, times, stats):
+    """:func:`replicate_mean_se` of ``stats[:, e]``, the values of entry ``times[e]`` per replicate.
+
+    A non-finite estimate or SE raises :class:`ConfigurationError` naming its entry.
     """
-
-    def one_chunk(sub, m):
-        events = y_spec.block_sampler(sub).take(m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = statistics(events)
-            total = np.sum(vals, axis=0)
-            return m, total, np.sum((vals - total / m) ** 2, axis=0)
-
-    parts = map_replicates(one_chunk, stream.substream(tag), replicates, 1, threads)
-    with np.errstate(over="ignore", invalid="ignore"):
-        counts = np.array([[p[0]] for p in parts], dtype=np.float64)
-        sums = np.array([p[1] for p in parts])
-        mean = np.array([chunk_fsum(col) for col in sums.T]) / replicates
-        # pooled M2 = sum of chunk M2s + sum of m_c * (chunk mean - mean)^2
-        m2 = np.array([p[2] for p in parts]) + counts * (sums / counts - mean) ** 2
-        var = np.array([chunk_fsum(col) for col in m2.T]) / max(replicates - 1, 1)
-        se = np.sqrt(var / replicates)
-    return mean, se
+    mean, se = replicate_mean_se(stats.T)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(se)))
+    if bad.size:
+        raise ConfigurationError(f"{kind} entry {times[bad[0]]}: estimate {mean[bad[0]]}, se {se[bad[0]]}; "
+                                 "the squared increments overflow")
+    return mean.tolist(), se.tolist()
 
 
 def _moment_report(kind, tag, statistic, bound, y_spec, times, replicates, envelope, stream, threads):
@@ -265,29 +261,25 @@ def _moment_report(kind, tag, statistic, bound, y_spec, times, replicates, envel
 
     ``statistic(sq)`` maps ``sq[:, j, e]``, the squared norm of each path's increment
     over the j-th interval of entry e, to one value per path and entry; the envelope
-    of entry ``(t1, ..., t2)`` is ``bound(envelope, t1, t2)``.  A non-finite estimate
-    raises :class:`ConfigurationError` naming its entry.
+    of entry ``(t1, ..., t2)`` is ``bound(envelope, t1, t2)``.  Each chunk of paths
+    returns its values, and :func:`replicate_mean_se` reduces them in chunk order.
+    A non-finite estimate raises :class:`ConfigurationError` naming its entry.
     """
-    (what, names), times = _ENTRY_TIMES[kind], [tuple(map(float, ts)) for ts in times]
-    for ts in times:
-        if len(ts) != len(names) or not all(a <= b for a, b in zip((0.0, *ts), (*ts, 1.0))):
-            raise DomainError(f"{what} must satisfy 0 <= {' <= '.join(names)} <= 1, got {ts}")
+    times = _checked_times(kind, times)
     if replicates < 100:
         raise ConfigurationError(f"need at least 100 replicates, got {replicates}")
-    spans = len(names) - 1
+    spans = len(_ENTRY_TIMES[kind][1]) - 1
     intervals = [(ts[j], ts[j + 1]) for j in range(spans) for ts in times]
 
-    def stats(events):
-        inc = interval_increments(events, intervals)
-        return statistic(np.sum(inc * inc, axis=2).reshape(len(inc), spans, -1))
+    def one_chunk(sub, m):
+        inc = interval_increments(y_spec.block_sampler(sub).take(m), intervals)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the entry
+            return statistic(np.sum(inc * inc, axis=2).reshape(m, spans, -1))
 
-    mean, se = _moment_mc(y_spec, stats, tag, replicates, stream, threads)
-    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(se)))
-    if bad.size:
-        raise ConfigurationError(f"{kind} entry {times[bad[0]]}: estimate {mean[bad[0]]}, se {se[bad[0]]}; "
-                                 "the squared increments of y overflow")
+    stats = np.concatenate(map_replicates(one_chunk, stream.substream(tag), replicates, 1, threads))
+    mean, se = _entry_mean_se(kind, times, stats)
     entries = []
-    for ts, m, s in zip(times, mean.tolist(), se.tolist()):
+    for ts, m, s in zip(times, mean, se):
         b = bound(envelope, ts[0], ts[-1])
         entries.append(MomentEntry(ts[0], ts[1] if spans == 2 else None, ts[-1], m, s, b, _verdict(m, s, b)))
     return MomentReport(kind, tuple(entries), replicates, {"y": y_spec.echo(), "envelope": envelope.echo()})
@@ -640,40 +632,40 @@ def tightness_functional(
     reads its increments over (t1, t] and (t, t2] from columns ``2k`` and
     ``2k + 1`` of a single :func:`sample_weighted_increments` call, which
     sums each interval on its own, so each result is the one a run of that
-    triple alone gives.  Every triple is checked before anything is drawn.
+    triple alone gives.  The triples share the time-order check and the
+    :func:`replicate_mean_se` reduction of the moment reports.  Every triple,
+    and ``replicates >= 2``, is checked before anything is drawn; a non-finite
+    estimate raises :class:`ConfigurationError` naming its triple.
     """
     if spec.epsilon_mode != "truncated" or spec.weight_mode != "deterministic":
         raise ConfigurationError(
             "tightness functional is defined for epsilon_mode='truncated', "
             f"weight_mode='deterministic'; got {spec.epsilon_mode!r}, {spec.weight_mode!r}"
         )
-    checked = []
-    for triple in triples:
-        t1, t_mid, t2 = (float(x) for x in triple)
-        if not 0.0 <= t1 <= t_mid <= t2 <= 1.0:
-            raise DomainError(f"triple must satisfy 0 <= t1 <= t <= t2 <= 1, got {triple}")
-        checked.append((t1, t_mid, t2))
+    checked = _checked_times("tightness", triples)
+    if replicates < 2:
+        raise ConfigurationError(f"need at least 2 replicates, got {replicates}")
     if not checked:
         return []
     intervals = [iv for t1, t_mid, t2 in checked for iv in ((t1, t_mid), (t_mid, t2))]
     inc = sample_weighted_increments(replace(spec, truncation_n=int(n)), intervals, replicates, threads)
-    sq = np.sum(inc * inc, axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _entry_mean_se, naming the triple
+        sq = np.sum(inc * inc, axis=2)
+        stats = sq[:, 1::2] * sq[:, 0::2]
+    mean, se = _entry_mean_se("tightness", checked, stats)
 
     env1, env2 = envelopes if envelopes is not None else default_envelopes(spec.y_gen)
     terms = [(partition_sum(tau, spec.alpha, spec.epsilon, int(n)), partition_envelope_exponents(tau))
              for tau in enumerate_partitions()]
     d = spec.dimension
     results = []
-    for k, (t1, t_mid, t2) in enumerate(checked):
-        stat = sq[:, 2 * k + 1] * sq[:, 2 * k]
-        estimate = float(np.mean(stat))
-        se = float(np.std(stat, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
+    for (t1, t_mid, t2), estimate, s in zip(checked, mean, se):
         g1 = env1.pair_bound(t1, t2)
         g2 = env2.triple_bound(t1, t2) ** 0.5  # |F2(t2)-F2(t1)|^beta2
         bound = 0.0
         for s_val, (p, q) in terms:
             bound += s_val * g1**p * g2**q
         bound *= d * d
-        results.append(TightnessResult(t1, t_mid, t2, int(n), estimate, se, float(bound),
-                                       _verdict(estimate, se, bound)))
+        results.append(TightnessResult(t1, t_mid, t2, int(n), estimate, s, float(bound),
+                                       _verdict(estimate, s, bound)))
     return results

@@ -7,6 +7,10 @@ chunk ``c`` draws from ``stream.substream(c)``.  Threads only decide which
 worker executes a chunk, and results come back in chunk order, so outputs
 are byte-identical for any ``threads`` setting.  The series samplers reduce
 each chunk in small tiles, so each thread adds one tile's memory, not a chunk's.
+
+:func:`replicate_mean_se` is the one mean-and-standard-error estimator: every
+Monte Carlo report concatenates its per-replicate values in chunk order and
+reduces them there, so no estimate depends on which thread ran which chunk.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["resolve_threads", "chunk_runner", "chunk_size", "map_replicates", "chunk_fsum"]
+import numpy as np
+
+__all__ = ["resolve_threads", "chunk_runner", "chunk_size", "map_replicates", "replicate_mean_se"]
 
 # target number of jump events held in memory per chunk
 _EVENTS_PER_CHUNK = 1 << 22
@@ -63,9 +69,14 @@ def map_replicates(fn, stream, total: int, events_per_replicate: int, threads=1)
     return chunk_runner(threads)(lambda c, m: fn(stream.substream(c), m), ranges)
 
 
-def chunk_fsum(values) -> float:
-    """``math.fsum`` of nonnegative per-chunk sums; ``inf`` where the exact total overflows."""
-    try:
-        return math.fsum(values)
-    except OverflowError:  # finite chunk sums whose total exceeds the float range
-        return math.inf
+def replicate_mean_se(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean and standard error ``std(ddof=1) / sqrt(R)``.
+
+    ``rows`` is (entries, R): entry ``e``'s per-replicate values, concatenated
+    in chunk order, with ``R >= 2``.  Each entry is reduced as one contiguous
+    row.  An overflow reads inf or nan, without a warning, for the caller to
+    report.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rows.mean(axis=1), rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .parallel import chunk_fsum, map_replicates
+from .parallel import map_replicates, replicate_mean_se
 from .random_inputs import ConfigurationError, EpsilonSpec, YGeneratorSpec, term_value_extremes
 from .rng import RngStream
 from .series import PathStatsSample
@@ -366,7 +366,11 @@ def norm_equals(value: float, name: str | None = None) -> SphereEvent:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Ratio-estimated masses of sphere events, with delta-method errors."""
+    """Ratio-estimated masses of sphere events, with delta-method errors.
+
+    Every mean and SE here comes from :func:`replicate_mean_se` over the
+    replicates in chunk order.
+    """
 
     event_masses: dict  # name -> (mass, se)
     normalizer: tuple[float, float]  # mean of |eps|^a * norm^a, with SE
@@ -395,13 +399,14 @@ def spectral_estimate(
     """Monte Carlo spectral masses ``sigma(A)``.
 
     Each replicate draws one multiplier and one path and contributes the
-    weight ``|eps|^alpha * norm^alpha`` to the denominator and, when the
+    weight ``w = |eps|^alpha * norm^alpha`` to the denominator and, when the
     sign-adjusted normalized path lies in the event, to the numerator.
-    Replicates with a zero-norm path carry zero weight on both sides.
-    Numerator and denominator share replicates (ratio estimator), so the
-    full-sphere mass is exactly 1; the SE comes from the delta method on
-    the joint replicate means.  Weights whose squares sum past the float
-    range raise :class:`ConfigurationError`.
+    Replicates with a zero-norm path carry zero weight on both sides.  The
+    rows ``[w, w 1{A_1}, ...]`` are reduced by one :func:`replicate_mean_se`
+    call, so the mass of ``A`` is a ratio of row means and the full-sphere
+    mass is exactly 1.  Its delta-method SE is the SE of the residual
+    ``w 1{A} - mass w`` over the mean weight.  Weights whose mean or SE
+    overflows raise :class:`ConfigurationError`.
     """
     if replicates < 1000:
         raise ConfigurationError(f"need at least 1000 replicates, got {replicates}")
@@ -417,39 +422,20 @@ def spectral_estimate(
         sign = np.sign(eps)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its cause
             w = np.abs(eps) ** alpha * sup**alpha
-            acc = {"w": float(np.sum(w)), "w2": float(np.sum(w * w))}
-            for ev in events:
-                wa = w * ev.evaluate(sign, sup, vmax, vmin)
-                acc[ev.name] = float(np.sum(wa))
-                acc[ev.name + "/2"] = float(np.sum(wa * wa))
-                acc[ev.name + "/x"] = float(np.sum(wa * w))
-        return acc
+            return np.stack([w] + [w * ev.evaluate(sign, sup, vmax, vmin) for ev in events])
 
-    parts = map_replicates(one_chunk, stream.substream(_TAG_SPECTRAL), replicates, 1, threads)
-
-    def total(key: str) -> float:
-        return chunk_fsum(p[key] for p in parts)
-
-    r = float(replicates)
-    d_sum = total("w")
-    if not math.isfinite(total("w2")):  # else every weight, and so every other sum, is finite
+    rows = np.concatenate(map_replicates(one_chunk, stream.substream(_TAG_SPECTRAL), replicates, 1, threads), 1)
+    mean, se = replicate_mean_se(rows)
+    d_mean, d_se = float(mean[0]), float(se[0])
+    if not (math.isfinite(d_mean) and math.isfinite(d_se)):
         raise ConfigurationError(f"alpha {alpha}: event '__normalizer__' sums |eps|^alpha * norm^alpha to "
-                                 f"{d_sum} and their squares to {total('w2')}: the weights overflow")
-    if d_sum == 0.0:
+                                 f"{d_mean * replicates}, their mean has se {d_se}: the weights overflow")
+    if d_mean == 0.0:
         raise DegenerateGeneratorError("all replicates have zero weight; the generator is degenerate")
-    d_mean = d_sum / r
-    d_var = max(total("w2") / r - d_mean**2, 0.0)
-    masses = {}
-    for ev in events:
-        n_sum = total(ev.name)
-        mass = n_sum / d_sum
-        n_mean = n_sum / r
-        n_var = max(total(ev.name + "/2") / r - n_mean**2, 0.0)
-        cov = total(ev.name + "/x") / r - n_mean * d_mean
-        var = max(n_var - 2.0 * mass * cov + mass**2 * d_var, 0.0) / (r * d_mean**2)
-        masses[ev.name] = (float(mass), float(math.sqrt(var)))
-    d_se = math.sqrt(d_var / r)
-    return SpectralEstimate(masses, (float(d_mean), float(d_se)), replicates, alpha,
+    mass = mean[1:] / d_mean
+    _, resid_se = replicate_mean_se(rows[1:] - mass[:, None] * rows[0])
+    masses = {ev.name: (m, s / d_mean) for ev, m, s in zip(events, mass.tolist(), resid_se.tolist())}
+    return SpectralEstimate(masses, (d_mean, d_se), replicates, alpha,
                             {"epsilon": eps_spec.echo(), "y": y_spec.echo()})
 
 

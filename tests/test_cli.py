@@ -206,6 +206,19 @@ class TestCommandTables:
         assert "line 5: key 'n': must be >= 1, got 0" in capsys.readouterr().err
         assert parse_config(text.replace("n: 0", "n: 1")).n == 1
 
+    @pytest.mark.parametrize("replicates", [0, 1])
+    def test_tightness_rejects_fewer_than_two_replicates_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                                        replicates):
+        # one replicate has no standard error, and none has no mean
+        def not_called(*args, **kwargs):
+            raise AssertionError("the tightness functional drew paths")
+
+        monkeypatch.setattr(diag, "sample_weighted_increments", not_called)
+        code, out = run_cli(tmp_path, MINIMAL_BY_COMMAND["tightness"] + f"replicates: {replicates}\n")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: need at least 2 replicates, got {replicates}\n"
+        assert not (out / "tightness.csv").exists()
+
     def test_json_config_errors_carry_line_numbers(self):
         text = json.dumps({"command": "simulate", "alpha": 1.5, "epsilon": "rademacher",
                            "y": "example1", "samples": 10}, indent=1)
@@ -470,6 +483,32 @@ pairs: [[0.1, 0.3], [0.4, 0.6]]
         assert err[0].startswith("error: increment_second_moment entry (0.4, 0.6): estimate inf")
         assert "overflow" in err[0]
         assert not (out / "c1_report.json").exists()
+
+    def test_overflowing_tightness_exits_one_naming_its_triple(self, tmp_path, capsys):
+        # the second path is 1e100 on (0.2, 0.5]: both intervals of the triple hold a jump of
+        # size 1e100, so their squared increments are finite and their product overflows
+        paths_dir = tmp_path / "up_and_down"
+        paths_dir.mkdir()
+        (paths_dir / "a.csv").write_text("t,value_1\n0,0\n0.5,1\n")
+        (paths_dir / "b.csv").write_text("t,value_1\n0,0\n0.2,1e100\n0.5,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, f"""
+command: tightness
+alpha: 1.5
+epsilon: rademacher
+y: {{variant: user, paths_dir: {paths_dir}}}
+envelope: {{kind: identity, beta: 1.0}}
+n: 20
+replicates: 2000
+triples: [[0.6, 0.7, 0.8], [0.1, 0.4, 0.7]]
+""")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: tightness entry (0.1, 0.4, 0.7): estimate inf")
+        assert "overflow" in err[0]
+        assert not (out / "tightness.csv").exists()
 
     def test_overflowing_spectral_weights_exit_one(self, tmp_path, capsys):
         with warnings.catch_warnings():

@@ -24,12 +24,14 @@ from lepage.diagnostics import (
     partition_sum,
     tightness_functional,
 )
+from lepage.parallel import map_replicates
 from lepage.paths import DomainError, StepPath
 from lepage.random_inputs import (
     CdfGrid,
     ConfigurationError,
     EpsilonSpec,
     JumpHeightDist,
+    interval_increments,
     poisson_counts,
     unit_jump,
     user_paths,
@@ -187,6 +189,45 @@ class TestEstimateC2:
             estimate_c2(unit_jump(), [(0.5, 0.2, 0.9)], 1000, MomentEnvelope(beta=1.0), RngStream(59))
 
 
+def chan_pooled_mean_se(y, intervals, statistic, tag, replicates, stream):
+    """Per-entry mean and SE pooled from each chunk's ``(count, sum, M2)`` (Chan, Golub &
+    LeVeque, Amer. Statist. 1983), on the draws of the moment reports."""
+
+    def one_chunk(sub, m):
+        inc = interval_increments(y.block_sampler(sub).take(m), intervals)
+        vals = statistic(np.sum(inc * inc, axis=2))
+        total = np.sum(vals, axis=0)
+        return m, total, np.sum((vals - total / m) ** 2, axis=0)
+
+    parts = map_replicates(one_chunk, stream.substream(tag), replicates, 1)
+    counts = np.array([[p[0]] for p in parts], dtype=np.float64)
+    sums = np.array([p[1] for p in parts])
+    mean = np.array([math.fsum(col) for col in sums.T]) / replicates
+    # pooled M2 = sum of chunk M2s + sum of m_c * (chunk mean - mean)^2
+    m2 = np.array([p[2] for p in parts]) + counts * (sums / counts - mean) ** 2
+    var = np.array([math.fsum(col) for col in m2.T]) / (replicates - 1)
+    return mean, np.sqrt(var / replicates)
+
+
+def test_moment_reports_match_chan_pooled_chunks():
+    # Poisson(1) counts: 5 full chunks and a short one.  The squared counts are integers,
+    # so both means are exact sums over R; the two SE formulas round differently, about
+    # 3e-15 apart here
+    y, replicates = poisson_counts(1.0), 5 * 4096 + 1234
+    env1, env2 = default_envelopes(y)
+    pairs = [(0.0, 0.5), (0.2, 0.9), (0.4, 0.45)]
+    triples = [(0.0, 0.25, 0.5), (0.1, 0.5, 1.0)]
+    rep1 = estimate_c1(y, pairs, replicates, env1, RngStream(64))
+    rep2 = estimate_c2(y, triples, replicates, env2, RngStream(64))
+    k = len(triples)
+    want1 = chan_pooled_mean_se(y, pairs, lambda sq: sq, diagnostics._TAG_C1, replicates, RngStream(64))
+    want2 = chan_pooled_mean_se(y, [(a, b) for a, b, _ in triples] + [(b, c) for _, b, c in triples],
+                                lambda sq: sq[:, :k] * sq[:, k:], diagnostics._TAG_C2, replicates, RngStream(64))
+    for rep, (mean, se) in ((rep1, want1), (rep2, want2)):
+        assert [e.estimate for e in rep.entries] == pytest.approx(mean.tolist(), rel=1e-15, abs=0.0)
+        assert [e.se for e in rep.entries] == pytest.approx(se.tolist(), rel=1e-12, abs=0.0)
+
+
 class TestOverflowingMoments:
     def test_cross_moment_names_the_entry(self):
         # (0.3, 0.5] holds a jump to 1e200 and (0.5, 0.7] none: inf * 0 reads nan
@@ -198,7 +239,7 @@ class TestOverflowingMoments:
 
     def test_finite_chunk_sums_whose_total_overflows(self):
         # each squared increment is 1e304 and each chunk of 4096 sums to about 4.1e307;
-        # five chunks overflow only in the exact total (math.fsum raises OverflowError)
+        # the one row of five chunks' values sums past the float range
         y = user_paths([StepPath(1, [0.0], [0.5], [[1e152]])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -483,6 +524,11 @@ class TestTightnessGrid:
             tightness_functional(spec, 50, GRID + [(0.5, 0.2, 0.8)], 300)
         with pytest.raises(DomainError, match=r"\(0\.1, 0\.2, 1\.5\)"):
             tightness_functional(spec, 50, [(0.1, 0.2, 1.5)] + GRID, 300)
+
+    def test_two_time_entry_raises_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
+        with pytest.raises(DomainError, match=r"triple must satisfy 0 <= t1 <= t <= t2 <= 1, got \(0\.1, 0\.2\)"):
+            tightness_functional(self.spec(poisson_counts(1.0)), 50, GRID + [(0.1, 0.2)], 300)
 
     def test_mode_checked_before_triples_and_draws(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)

@@ -13,6 +13,7 @@ from lepage.random_inputs import (
     weighted_jumps,
 )
 from lepage import stable_checks
+from lepage.parallel import map_replicates
 from lepage.rng import RngStream
 from lepage.series import PathStatsSample, SeriesSpec, sample_path_stats
 from lepage.stable_checks import (
@@ -192,6 +193,40 @@ class TestSumStability:
             sum_stability_test(np.arange(90.0) - 45.0, 1.5, RngStream(18))
 
 
+def raw_moment_spectral(eps_spec, y, alpha, events, replicates, stream):
+    """Masses, their SEs and the normalizer (mean, SE) on the draws of ``spectral_estimate``,
+    from per-chunk raw moment sums and the delta method on the joint means.  Its variances
+    divide by R, not R - 1."""
+
+    def one_chunk(sub, m):
+        eps = eps_spec.sample(sub.substream(0).generator(), m)
+        vmax, vmin = stable_checks.term_value_extremes(y.block_sampler(sub.substream(1)).take(m))
+        sup = np.maximum(np.abs(vmax), np.abs(vmin))
+        w = np.abs(eps) ** alpha * sup**alpha
+        acc = {"w": np.sum(w), "w2": np.sum(w * w)}
+        for ev in events:
+            wa = w * ev.evaluate(np.sign(eps), sup, vmax, vmin)
+            acc[ev.name], acc[ev.name + "/2"], acc[ev.name + "/x"] = np.sum(wa), np.sum(wa * wa), np.sum(wa * w)
+        return acc
+
+    parts = map_replicates(one_chunk, stream.substream(stable_checks._TAG_SPECTRAL), replicates, 1)
+
+    def mean(key):
+        return math.fsum(p[key] for p in parts) / replicates
+
+    d_mean = mean("w")
+    d_var = max(mean("w2") - d_mean**2, 0.0)
+    masses = {}
+    for ev in events:
+        n_mean = mean(ev.name)
+        mass = n_mean / d_mean
+        n_var = max(mean(ev.name + "/2") - n_mean**2, 0.0)
+        cov = mean(ev.name + "/x") - n_mean * d_mean
+        var = max(n_var - 2.0 * mass * cov + mass**2 * d_var, 0.0) / (replicates * d_mean**2)
+        masses[ev.name] = (mass, math.sqrt(var))
+    return masses, (d_mean, math.sqrt(d_var / replicates))
+
+
 class TestSpectralEstimate:
     def test_full_sphere_exactly_one(self):
         est = spectral_estimate(RAD, unit_jump(), 1.5, [full_sphere()], 5000, RngStream(19))
@@ -211,6 +246,24 @@ class TestSpectralEstimate:
         want = 2.0**1.5 / (1.0 + 2.0**1.5)
         mass, se = est.event_masses["norm_equals_2"]
         assert abs(mass - want) < 4.0 * se
+
+    def test_matches_raw_moment_delta_method(self):
+        # two-atom weighted jumps, 4 full chunks and a short one.  The raw-moment variances
+        # divide by R, so their SEs times sqrt(R / (R - 1)) are the SEs of the residual rows.
+        # E[x^2] - E[x]^2 may cancel digits; here they agree to about 1e-15
+        y = weighted_jumps([CdfGrid.uniform()],
+                           JumpHeightDist(np.array([[1.0], [2.0]]), np.array([0.5, 0.5])))
+        events = [full_sphere(), nonnegative_path(), norm_equals(2.0)]
+        replicates = 4 * 4096 + 777
+        est = spectral_estimate(RAD, y, 1.5, events, replicates, RngStream(26))
+        masses, (d_mean, d_se) = raw_moment_spectral(RAD, y, 1.5, events, replicates, RngStream(26))
+        scale = math.sqrt(replicates / (replicates - 1))
+        for ev in events:
+            mass, se = est.event_masses[ev.name]
+            assert mass == pytest.approx(masses[ev.name][0], rel=1e-14, abs=0.0)
+            assert se == pytest.approx(masses[ev.name][1] * scale, rel=1e-12, abs=0.0)
+        assert est.normalizer[0] == pytest.approx(d_mean, rel=1e-14, abs=0.0)
+        assert est.normalizer[1] == pytest.approx(d_se * scale, rel=1e-12, abs=0.0)
 
     def test_disjoint_additivity(self):
         y = weighted_jumps([CdfGrid.uniform()],
