@@ -94,6 +94,13 @@ def _alpha(v) -> float:
     return alpha
 
 
+def _finite(v) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
 def _threads(v):
     resolve_threads(v)
     return v if v == "auto" else int(v)
@@ -220,12 +227,13 @@ def _y(obj):
 
 def _envelope(obj) -> diag.MomentEnvelope:
     kind, obj = _chosen(obj, "envelope", "kind", _ENVELOPE_KEYS, "identity")
+    beta = obj.get("beta", 1.0)
     if kind == "grid":
-        return diag.MomentEnvelope(beta=obj["beta"], kind="grid",
-                                   grid_xs=np.asarray(obj["xs"], float),
-                                   grid_ys=np.asarray(obj["ys"], float))
-    return diag.MomentEnvelope(beta=obj.get("beta", 1.0), kind=kind,
-                               coeffs=tuple(obj.get("coeffs", ())))
+        return diag.MomentEnvelope(beta, grid_xs=np.asarray(obj["xs"], float), grid_ys=np.asarray(obj["ys"], float))
+    coeffs = (1.0,) if kind == "identity" else tuple(obj["coeffs"])
+    if kind == "affine" and (len(coeffs) != 2 or not (coeffs[0] >= 0 and math.isfinite(coeffs[1]))):
+        raise ValueError(f"affine envelope needs finite coeffs (a, b) with a >= 0, got {list(coeffs)}")
+    return diag.MomentEnvelope(beta, coeffs[:1] if kind == "affine" else coeffs)  # b cancels in F(t2) - F(t1)
 
 
 def _event(obj) -> checks.SphereEvent:
@@ -574,7 +582,7 @@ _COMMANDS = {
                                  "per_term_norms": (False, _bool)}),
     "check-conditions": (_cmd_check_conditions, {"y": _SERIES["y"], "replicates": (100_000, _count),
                                                  "pairs": _PAIRS, "triples": _TRIPLES, "envelope": _ENVELOPE}),
-    "constants": (_cmd_constants, {**_MOMENTS, "m_values": ([2.0, 3.0, 4.0], _list_of(float)),
+    "constants": (_cmd_constants, {**_MOMENTS, "m_values": ([2.0, 3.0, 4.0], _list_of(_finite)),
                                    "n_max": (10**6, _count)}),
     "partitions": (_cmd_partitions, {**_MOMENTS, "n_grid": ([1, 2, 4, 8, 16, 32, 64], _list_of(_count)),
                                      "constant_n_max": (10**5, _count)}),

@@ -32,7 +32,7 @@ import numpy as np
 
 from .parallel import map_replicates, replicate_mean_se
 from .paths import DomainError
-from .random_inputs import CdfGrid, ConfigurationError, EpsilonSpec, YGeneratorSpec, interval_increments
+from .random_inputs import ConfigurationError, EpsilonSpec, YGeneratorSpec, interval_increments
 from .rng import RngStream
 from .series import SeriesSpec, sample_weighted_increments
 
@@ -84,55 +84,39 @@ PARTITION_CARDINALITY_NOTE = (
 
 @dataclass(frozen=True)
 class MomentEnvelope:
-    """Nondecreasing continuous F on [0, 1] plus an exponent beta > 1/2.
+    """``|F(t2) - F(t1)|^beta`` for a nondecreasing continuous F on [0, 1] and beta > 1/2.
 
-    ``kind`` is one of ``identity``, ``affine`` (a*t + b), ``poly``
-    (sum of c_k t^k with nonnegative coefficients), ``sum_of_cdfs``
-    (scale times a sum of grid cdfs) or ``grid`` (monotone interpolation).
+    F is the polynomial ``sum_k coeffs[k-1] t^k`` with nonnegative coefficients or, when
+    ``grid_xs`` is given, the monotone interpolation of ``grid_ys`` at the increasing
+    ``grid_xs``.  A non-finite or empty parameter raises :class:`ConfigurationError`.
     """
 
     beta: float
-    kind: str = "identity"
-    coeffs: tuple[float, ...] = ()  # affine (a, b) or poly (c_1, c_2, ...)
-    cdfs: tuple[CdfGrid, ...] = ()
-    scale: float = 1.0
+    coeffs: tuple[float, ...] = (1.0,)
     grid_xs: np.ndarray | None = None
     grid_ys: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not self.beta > 0.5:
-            raise ConfigurationError(f"envelope exponent must exceed 1/2, got {self.beta}")
-        if self.kind not in ("identity", "affine", "poly", "sum_of_cdfs", "grid"):
-            raise ConfigurationError(f"unknown envelope kind {self.kind!r}")
-        if self.kind == "affine" and (len(self.coeffs) != 2 or self.coeffs[0] < 0):
-            raise ConfigurationError("affine envelope needs coeffs (a, b) with a >= 0")
-        if self.kind == "poly" and (not self.coeffs or any(c < 0 for c in self.coeffs)):
-            raise ConfigurationError("poly envelope needs nonnegative coefficients")
-        if self.kind == "sum_of_cdfs" and not self.cdfs:
-            raise ConfigurationError("sum_of_cdfs envelope needs at least one cdf")
-        if self.kind == "grid":
-            xs = np.asarray(self.grid_xs, dtype=np.float64)
-            ys = np.asarray(self.grid_ys, dtype=np.float64)
-            if xs.ndim != 1 or xs.shape != ys.shape or np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) < 0):
-                raise ConfigurationError("grid envelope needs increasing xs and nondecreasing ys")
-            object.__setattr__(self, "grid_xs", xs)
-            object.__setattr__(self, "grid_ys", ys)
+        if not (self.beta > 0.5 and math.isfinite(self.beta)):
+            raise ConfigurationError(f"envelope exponent must be finite and exceed 1/2, got {self.beta}")
+        if self.grid_xs is None:
+            if not self.coeffs or not all(c >= 0 and math.isfinite(c) for c in self.coeffs):
+                raise ConfigurationError(f"envelope needs finite nonnegative coefficients, got {self.coeffs}")
+            return
+        xs = np.asarray(self.grid_xs, dtype=np.float64)
+        ys = np.asarray(self.grid_ys, dtype=np.float64)
+        if (xs.ndim != 1 or xs.shape != ys.shape or not xs.size or not np.all(np.isfinite(xs) & np.isfinite(ys))
+                or np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) < 0)):
+            raise ConfigurationError("grid envelope needs at least one knot: finite increasing xs "
+                                     "and finite nondecreasing ys of the same length")
+        object.__setattr__(self, "grid_xs", xs)
+        object.__setattr__(self, "grid_ys", ys)
 
     def f(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        if self.kind == "identity":
-            return t + 0.0
-        if self.kind == "affine":
-            a, b = self.coeffs
-            return a * t + b
-        if self.kind == "poly":
-            out = np.zeros_like(t)
-            for k, c in enumerate(self.coeffs, start=1):
-                out = out + c * t**k
-            return out
-        if self.kind == "sum_of_cdfs":
-            return self.scale * sum(cdf(t) for cdf in self.cdfs)
-        return np.interp(t, self.grid_xs, self.grid_ys)
+        if self.grid_xs is not None:
+            return np.interp(t, self.grid_xs, self.grid_ys)
+        return sum(c * t**k for k, c in enumerate(self.coeffs, start=1))
 
     def pair_bound(self, t1: float, t2: float) -> float:
         """``|F(t2) - F(t1)|^beta``."""
@@ -143,23 +127,20 @@ class MomentEnvelope:
         return float(np.abs(self.f(t2) - self.f(t1)) ** (2.0 * self.beta))
 
     def echo(self) -> dict:
-        out: dict = {"kind": self.kind, "beta": self.beta}
-        if self.kind in ("affine", "poly"):
-            out["coeffs"] = list(self.coeffs)
-        if self.kind == "sum_of_cdfs":
-            out["scale"] = self.scale
-            out["cdfs"] = len(self.cdfs)
-        return out
+        if self.grid_xs is None:
+            return {"kind": "poly", "beta": self.beta, "coeffs": list(self.coeffs)}
+        return {"kind": "grid", "beta": self.beta, "xs": self.grid_xs.tolist(), "ys": self.grid_ys.tolist()}
 
 
 def default_envelopes(y_spec: YGeneratorSpec) -> tuple[MomentEnvelope, MomentEnvelope]:
     """Envelope pair (for the second-moment and cross-moment checks).
 
-    * unit jump: F = identity, beta = 1 for both conditions;
+    * unit jump: F(t) = t, beta = 1 for both conditions;
     * Poisson(lam) counts: F(t) = lam*t + lam^2*t^2, beta = 1 for both;
     * weighted jumps: F = M^(1/4) * p * sum of the location cdfs with
       beta = 2 for both, which absorbs the constants M^(1/2) p^2 and
-      M p^4 of the closed-form bounds.
+      M p^4 of the closed-form bounds.  The cdfs are piecewise linear, so
+      F is the grid of its values at the union of their knots.
 
     User generators have no default; supply an envelope explicitly.
     """
@@ -168,14 +149,15 @@ def default_envelopes(y_spec: YGeneratorSpec) -> tuple[MomentEnvelope, MomentEnv
         return MomentEnvelope(beta=1.0), MomentEnvelope(beta=1.0)
     if variant == "example3":
         lam = y_spec.lam
-        env = MomentEnvelope(beta=1.0, kind="poly", coeffs=(lam, lam * lam))
+        env = MomentEnvelope(beta=1.0, coeffs=(lam, lam * lam))
         return env, env
     if variant == "example2":
         m4 = y_spec.fourth_moment_bound
         if not np.isfinite(m4):
             m4 = y_spec.height_dist.fourth_moment()
-        scale = m4**0.25 * y_spec.p
-        env = MomentEnvelope(beta=2.0, kind="sum_of_cdfs", cdfs=y_spec.cdfs, scale=scale)
+        xs = np.unique(np.concatenate([cdf.xs for cdf in y_spec.cdfs]))
+        ys = m4**0.25 * y_spec.p * sum(cdf(xs) for cdf in y_spec.cdfs)
+        env = MomentEnvelope(beta=2.0, grid_xs=xs, grid_ys=ys)
         return env, env
     raise ConfigurationError(
         f"no default envelope for generator variant {variant!r}; supply one explicitly"
@@ -415,69 +397,35 @@ def _block_moment_factors(block_sizes, alpha: float, eps: EpsilonSpec, n: int) -
     return out
 
 
-def _sum_distinct_enumerated(gs: list[np.ndarray], n: int) -> float:
-    """Sum of prod_j g_j(x_j) over pairwise-distinct assignments, by enumeration."""
-    k = len(gs)
-    if k == 1:
-        return float(np.sum(gs[0]))
-    total = 0.0
-    if k == 2:
-        total = np.sum(gs[0]) * np.sum(gs[1]) - np.sum(gs[0] * gs[1])
-        return float(total)
-    # loop the first index, broadcast the rest (n <= 60 keeps this small)
-    idx = np.arange(n)
-    if k == 3:
-        ne01 = idx[:, None] != idx[None, :]
-        for a in range(n):
-            prod = gs[1][:, None] * gs[2][None, :]
-            mask = ne01 & (idx[:, None] != a) & (idx[None, :] != a)
-            total += gs[0][a] * float(np.sum(prod[mask]))
-        return float(total)
-    ne = idx[:, None] != idx[None, :]
-    for a in range(n):
-        pa = gs[1][:, None, None] * gs[2][None, :, None] * gs[3][None, None, :]
-        mask = (
-            ne[:, :, None]
-            & ne[:, None, :]
-            & ne[None, :, :]
-            & (idx[:, None, None] != a)
-            & (idx[None, :, None] != a)
-            & (idx[None, None, :] != a)
-        )
-        total += gs[0][a] * float(np.sum(pa * mask))
-    return float(total)
+def _sum_distinct(gs: list[np.ndarray]) -> float:
+    """Sum of ``prod_j gs[j][x_j]`` over pairwise-distinct indices ``x_j``, by a DP over subsets.
 
-
-def _sum_distinct_factorized(gs: list[np.ndarray], n: int) -> float:
-    """Same sum as above via inclusion-exclusion over coarser partitions."""
-    k = len(gs)
-    total = 0.0
-    for pi in _set_partitions(tuple(range(k))):
-        term = 1.0
-        for group in pi:
-            merged = gs[group[0]].copy()
-            for j in group[1:]:
-                merged = merged * gs[j]
-            term *= ((-1.0) ** (len(group) - 1)) * math.factorial(len(group) - 1) * float(np.sum(merged))
-        total += term
-    return total
+    ``below[s][m]`` sums the products of the factors in bit set ``s`` over distinct
+    indices below ``m``: the largest index takes one factor j of s, the others lie below
+    it.  Every term is nonnegative, so nothing cancels, and the sum over the first n
+    indices is a partial sum of the one over more.
+    """
+    n = len(gs[0])
+    below = [np.ones(n + 1)]
+    for s in range(1, 1 << len(gs)):
+        at = sum(g * below[s ^ (1 << j)][:n] for j, g in enumerate(gs) if s >> j & 1)
+        below.append(np.concatenate([[0.0], np.cumsum(at)]))
+    return float(below[-1][-1])
 
 
 def partition_sum(tau: Partition, alpha: float, eps: EpsilonSpec, n: int) -> float:
     """``S_{n,tau}``: the weighted fourth-moment sum over index tuples of pattern tau.
 
     Independence across distinct indices factors the expectation into one
-    moment per block; exact tuple enumeration is used up to n = 60 and an
-    inclusion-exclusion factorization beyond.
+    moment per block; :func:`_sum_distinct` sums the block factors over
+    distinct indices.  A sum with no nonzero term is exactly 0.0, and the
+    values never decrease in n.
     """
     if tau not in enumerate_partitions():
         raise ConfigurationError(f"not a partition of {{1,2,3,4}}: {tau!r}")
     if n <= 0:
         return 0.0
-    gs = _block_moment_factors([len(b) for b in tau], alpha, eps, n)
-    if n <= 60:
-        return _sum_distinct_enumerated(gs, n)
-    return _sum_distinct_factorized(gs, n)
+    return _sum_distinct(_block_moment_factors([len(b) for b in tau], alpha, eps, n))
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,13 @@ class TestCommandTables:
         ("simulate", "y", "{variant: example2, heights: {constant: [1.0], probabilities: [1.0]}}"),
         ("simulate", "y", "{variant: example2, cdfs: [{xs: [0, 1], ys: [0, 1], beta: 2}]}"),
         ("simulate", "y", "{variant: user, paths_dir: paths, dimension: 1}"),  # removed key: the files decide
+        # non-finite or empty envelope parameters and moment orders, refused before any draw
+        ("check-conditions", "envelope", "{kind: poly, coeffs: [.nan]}"),
+        ("check-conditions", "envelope", "{kind: poly, coeffs: [.inf]}"),
+        ("check-conditions", "envelope", "{kind: grid, xs: [0.0, .nan, 1.0], ys: [0.0, 0.5, 1.0]}"),
+        ("check-conditions", "envelope", "{kind: grid, xs: [], ys: []}"),
+        ("constants", "m_values", "[.nan]"),
+        ("constants", "m_values", "[.inf]"),
     ])
     def test_malformed_value_is_a_line_numbered_error(self, tmp_path, capsys, command, key, value):
         text, line = _with_value(command, key, value)
@@ -147,15 +154,18 @@ class TestCommandTables:
         assert code == 0
         assert (out / "path_0000_term_norms.json").exists() is written
 
-    @pytest.mark.parametrize("kind,params", [
-        ("identity", ""),
-        ("affine", ", coeffs: [2.0, 1.0]"),
-        ("poly", ", coeffs: [1.0, 0.5]"),
-        ("grid", ", xs: [0.0, 1.0], ys: [0.0, 1.0]"),
+    @pytest.mark.parametrize("kind,params,f", [
+        ("identity", "", lambda t: t),
+        ("affine", ", coeffs: [2.0, 1.0]", lambda t: 2 * t),  # the offset cancels in every difference
+        ("poly", ", coeffs: [1.0, 0.5]", lambda t: t + 0.5 * t**2),
+        ("grid", ", xs: [0.0, 1.0], ys: [0.0, 1.0]", lambda t: t),
     ])
-    def test_envelope_kinds_a_config_can_build(self, kind, params):
-        text, _ = _with_value("check-conditions", "envelope", f"{{kind: {kind}, beta: 1.0{params}}}")
-        assert parse_config(text).envelope.kind == kind
+    def test_envelope_kinds_a_config_can_build(self, kind, params, f):
+        text, _ = _with_value("check-conditions", "envelope", f"{{kind: {kind}{params}}}")
+        envelope = parse_config(text).envelope
+        t = np.array([0.0, 0.3, 1.0])
+        assert np.array_equal(envelope.f(t), f(t))
+        assert envelope.beta == 1.0  # the default of every kind
 
     def test_other_envelope_kinds_name_the_buildable_ones(self):
         text, line = _with_value("check-conditions", "envelope", "{kind: sum_of_cdfs, beta: 2.0}")
@@ -568,6 +578,22 @@ constant_n_max: 500
         payload = json.loads((out / "partitions.json").read_text())
         assert "13" in payload["cardinality_note"]
         assert len(payload["entries"]) == 15
+
+    def test_partitions_write_an_exact_zero_for_a_sum_without_nonzero_term(self, tmp_path):
+        # at alpha 0.7 only indices 1 and 2 keep a nonzero truncated mean, so no four distinct ones do
+        code, out = run_cli(tmp_path, """
+command: partitions
+alpha: 0.7
+epsilon: {family: two_point, p: 0.2, x_neg: -4, x_pos: 1}
+n_grid: [60, 64, 128]
+constant_n_max: 500
+""")
+        assert code == 0
+        (row,) = [r for r in json.loads((out / "partitions.json").read_text())["entries"]
+                  if r["partition"] == "{1}{2}{3}{4}"]
+        assert (row["s_n60"], row["s_n64"], row["s_n128"]) == (0.0, 0.0, 0.0)
+        line = next(x for x in (out / "partitions.csv").read_text().splitlines() if x.startswith("{1}{2}{3}{4},"))
+        assert line.split(",")[1:4] == ["0", "0", "0"]
 
     def test_regvar_reports_convention_note(self, tmp_path):
         code, out = run_cli(tmp_path, """

@@ -99,16 +99,40 @@ class TestMomentEnvelope:
         assert env.triple_bound(0.2, 0.7) == pytest.approx(0.25)
 
     def test_poly(self):
-        env = MomentEnvelope(beta=1.0, kind="poly", coeffs=(2.0, 4.0))
+        env = MomentEnvelope(beta=1.0, coeffs=(2.0, 4.0))
         assert env.f(0.5) == pytest.approx(2.0)  # 2*0.5 + 4*0.25
 
     def test_default_envelopes(self):
         e1, e2 = default_envelopes(unit_jump())
-        assert e1.kind == "identity" and e1.beta == 1.0
+        assert e1.coeffs == (1.0,) and e1.grid_xs is None and e1.beta == 1.0
         p1, _ = default_envelopes(poisson_counts(2.0))
         assert p1.f(1.0) == pytest.approx(6.0)  # 2 + 4
         with pytest.raises(ConfigurationError):
             default_envelopes(user_paths([StepPath(1, [0.0])]))
+
+    def test_weighted_jump_default_is_the_scaled_cdf_sum_on_the_union_grid(self):
+        cdfs = [CdfGrid(np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.7, 1.0])), CdfGrid.uniform()]
+        dist = JumpHeightDist(np.array([[1.1], [-0.7], [0.3]]), np.array([0.3, 0.3, 0.4]))
+        env, env2 = default_envelopes(weighted_jumps(cdfs, dist))
+        assert env is env2 and env.beta == 2.0
+        scale = dist.fourth_moment() ** 0.25 * 2
+
+        def want(t):
+            return scale * sum(cdf(t) for cdf in cdfs)
+
+        knots = np.array([0.0, 0.3, 1.0])
+        assert np.array_equal(env.grid_xs, knots) and np.array_equal(env.f(knots), want(knots))
+        t = np.linspace(0.0, 1.0, 1001)
+        assert np.all(np.abs(env.f(t) - want(t)) <= 4 * np.spacing(want(t)))
+
+    @pytest.mark.parametrize("params", [
+        {"beta": math.inf}, {"coeffs": ()}, {"coeffs": (math.nan,)}, {"coeffs": (math.inf,)},
+        {"grid_xs": [], "grid_ys": []}, {"grid_xs": [0.0, math.nan, 1.0], "grid_ys": [0.0, 0.5, 1.0]},
+        {"grid_xs": [0.0, 1.0], "grid_ys": [0.0, math.inf]},
+    ], ids=["beta-inf", "no-coeffs", "coeff-nan", "coeff-inf", "empty-grid", "grid-xs-nan", "grid-ys-inf"])
+    def test_non_finite_or_empty_parameters_are_rejected(self, params):
+        with pytest.raises(ConfigurationError):
+            MomentEnvelope(**{"beta": 1.0, **params})
 
 
 # -- increment-moment estimates ------------------------------------------------
@@ -376,17 +400,62 @@ class TestPartitionSum:
             vals = [partition_sum(tau, 1.2, TWO_POINT, n) for n in (1, 2, 4, 8, 16, 32)]
             assert vals == sorted(vals)
 
-    def test_enumerated_and_factorized_agree_at_the_switch(self):
+
+SKEWED = EpsilonSpec.two_point(0.2, -4.0, 1.0)  # its truncated mean vanishes from i = 3 on at alpha 0.7
+
+
+def block_factors(tau, alpha, eps, n):
+    """Per-block factors ``x^(-|B|/alpha) * moment`` at x = 1..n, from the atom definition."""
+    return [[x ** (-len(b) / alpha) * tuple_moment_factor(eps, len(b), x, alpha) for x in range(1, n + 1)]
+            for b in tau]
+
+
+def brute_force_distinct_sum(tau, alpha, eps, n):
+    """``S_{n,tau}`` summed over every tuple of pairwise-distinct indices."""
+    gs = block_factors(tau, alpha, eps, n)
+    return math.fsum(math.prod(g[x] for g, x in zip(gs, xs)) for xs in itertools.permutations(range(n), len(gs)))
+
+
+def inclusion_exclusion_sum(tau, alpha, eps, n):
+    """``S_{n,tau}`` by inclusion-exclusion over the set partitions of the blocks, and the sum of
+    the magnitudes of its terms: the terms cancel, so its error is relative to that scale."""
+    gs = np.array(block_factors(tau, alpha, eps, n))
+    terms = []
+    for pi in recursive_partitions(tuple(range(len(gs)))):
+        terms.append(math.prod((-1.0) ** (len(group) - 1) * math.factorial(len(group) - 1)
+                               * math.fsum(np.prod(gs[list(group)], axis=0)) for group in pi))
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+class TestSumDistinct:
+    @pytest.mark.parametrize("alpha", [0.7, 1.2, 1.5])
+    @pytest.mark.parametrize("eps", [RAD, TWO_POINT, SKEWED], ids=["rademacher", "two_point", "skewed"])
+    def test_matches_brute_force_over_distinct_tuples(self, eps, alpha):
+        for n in (1, 4, 8):
+            for tau in enumerate_partitions():
+                want = brute_force_distinct_sum(tau, alpha, eps, n)
+                assert abs(partition_sum(tau, alpha, eps, n) - want) <= 1e-13 * want, (n, tau)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.2, 1.5])
+    @pytest.mark.parametrize("eps", [RAD, TWO_POINT, SKEWED], ids=["rademacher", "two_point", "skewed"])
+    def test_matches_inclusion_exclusion_at_large_n(self, eps, alpha):
+        for n in (61, 100, 9000):
+            for tau in enumerate_partitions():
+                want, scale = inclusion_exclusion_sum(tau, alpha, eps, n)
+                assert abs(partition_sum(tau, alpha, eps, n) - want) <= 1e-12 * scale, (n, tau)
+
+    def test_sum_without_nonzero_term_is_exact_zero(self):
+        # two indices carry a nonzero truncated mean, so four distinct ones never do;
+        # inclusion-exclusion returns -5.55e-16 here
+        for n in (61, 64, 100, 128):
+            assert partition_sum(((1,), (2,), (3,), (4,)), 0.7, SKEWED, n) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.2])
+    @pytest.mark.parametrize("eps", [TWO_POINT, SKEWED], ids=["two_point", "skewed"])
+    def test_nondecreasing_in_n_without_tolerance(self, eps, alpha):
         for tau in enumerate_partitions():
-            lo = partition_sum(tau, 1.2, TWO_POINT, 60)
-            hi = partition_sum(tau, 1.2, TWO_POINT, 61)
-            assert hi >= lo - 1e-12 * max(1.0, lo)
-            # same value computed through the other code path
-            from lepage.diagnostics import _block_moment_factors, _sum_distinct_factorized
-            alt = _sum_distinct_factorized(
-                _block_moment_factors([len(b) for b in tau], 1.2, TWO_POINT, 60), 60
-            )
-            assert lo == pytest.approx(alt, rel=1e-10, abs=1e-15)
+            vals = [partition_sum(tau, alpha, eps, n) for n in range(1, 131)]
+            assert all(a <= b for a, b in zip(vals, vals[1:])), tau
 
 
 class TestPartitionReport:
