@@ -41,7 +41,7 @@ from . import stable_checks as checks
 from .parallel import resolve_threads
 from .random_inputs import CdfGrid, ConfigurationError, EpsilonSpec, JumpHeightDist
 from .random_inputs import poisson_counts, unit_jump, user_paths, weighted_jumps
-from .rng import RngStream
+from .rng import STREAM_LAYOUT, RngStream
 from .series import SeriesSpec
 
 
@@ -99,6 +99,13 @@ def _finite(v) -> float:
     if not math.isfinite(x):
         raise ValueError(f"must be finite, got {x}")
     return x
+
+
+def _radius(v) -> float:
+    r = _finite(v)
+    if r <= 0.0:
+        raise ValueError(f"must be positive, got {r}")
+    return r
 
 
 def _threads(v):
@@ -421,6 +428,7 @@ class _Writer:
                 "lepage": __version__,
                 "numpy": np.__version__,
                 "python": platform.python_version(),
+                "stream_layout": STREAM_LAYOUT,
             },
             "wall_time_s": wall_time,
             "files": sorted(self.files),
@@ -591,7 +599,7 @@ _COMMANDS = {
     "stability": (_cmd_stability, {**_SERIES, **_MODES, "t": (1.0, float), "samples": _SAMPLES}),
     "spectral": (_cmd_spectral, {**_SERIES, "replicates": (100_000, _count), "events": _EVENTS}),
     "regvar": (_cmd_regvar, {**_SERIES, **_MODES, "samples": _SAMPLES, "sigma_replicates": (100_000, _count),
-                             "events": _EVENTS, "r_grid": ([1.0, 2.0], _list_of(float)), "n": _N}),
+                             "events": _EVENTS, "r_grid": ([1.0, 2.0], _list_of(_radius)), "n": _N}),
 }
 _KEYS = {name: {**_RUN, **own} for name, (_, own) in _COMMANDS.items()}
 

@@ -397,20 +397,22 @@ def _block_moment_factors(block_sizes, alpha: float, eps: EpsilonSpec, n: int) -
     return out
 
 
-def _sum_distinct(gs: list[np.ndarray]) -> float:
-    """Sum of ``prod_j gs[j][x_j]`` over pairwise-distinct indices ``x_j``, by a DP over subsets.
+def _sum_distinct(gs: list[np.ndarray], depths) -> np.ndarray:
+    """Sum of ``prod_j gs[j][x_j]`` over pairwise-distinct indices ``x_j < n``, by a DP over
+    subsets, at each depth ``n`` of ``depths`` (at most ``len(gs[0])``).
 
     ``below[s][m]`` sums the products of the factors in bit set ``s`` over distinct
     indices below ``m``: the largest index takes one factor j of s, the others lie below
     it.  Every term is nonnegative, so nothing cancels, and the sum over the first n
-    indices is a partial sum of the one over more.
+    indices is a partial sum of the one over more: a cumsum prefix, the same floats as
+    a DP run to depth n alone.
     """
     n = len(gs[0])
     below = [np.ones(n + 1)]
     for s in range(1, 1 << len(gs)):
         at = sum(g * below[s ^ (1 << j)][:n] for j, g in enumerate(gs) if s >> j & 1)
         below.append(np.concatenate([[0.0], np.cumsum(at)]))
-    return float(below[-1][-1])
+    return below[-1][np.asarray(depths, dtype=np.intp)]
 
 
 def partition_sum(tau: Partition, alpha: float, eps: EpsilonSpec, n: int) -> float:
@@ -425,7 +427,7 @@ def partition_sum(tau: Partition, alpha: float, eps: EpsilonSpec, n: int) -> flo
         raise ConfigurationError(f"not a partition of {{1,2,3,4}}: {tau!r}")
     if n <= 0:
         return 0.0
-    return _sum_distinct(_block_moment_factors([len(b) for b in tau], alpha, eps, n))
+    return float(_sum_distinct(_block_moment_factors([len(b) for b in tau], alpha, eps, n), [n])[0])
 
 
 @dataclass(frozen=True)
@@ -475,7 +477,9 @@ def partition_report(
     """
     taus = enumerate_partitions()
     n_grid = tuple(int(n) for n in n_grid)
-    s = np.array([[partition_sum(tau, alpha, eps, n) for n in n_grid] for tau in taus])
+    depths = [max(n, 0) for n in n_grid]  # one DP per partition, read at every depth
+    s = np.array([_sum_distinct(_block_moment_factors([len(b) for b in tau], alpha, eps, max(depths, default=0)),
+                                depths) for tau in taus])
     c_of: dict[int, float] = {}
     for b in {len(block) for tau in taus for block in tau}:
         if b == 1:

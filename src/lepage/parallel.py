@@ -1,12 +1,17 @@
 """Deterministic chunk scheduling for Monte Carlo work.
 
 :func:`map_replicates` is the one place that knows the chunk plan.
-Replicates are partitioned into fixed-size chunks (a pure function of the
-replicate count and the events per replicate, never of the thread count);
-chunk ``c`` draws from ``stream.substream(c)``.  Threads only decide which
-worker executes a chunk, and results come back in chunk order, so outputs
-are byte-identical for any ``threads`` setting.  The series samplers reduce
-each chunk in small tiles, so each thread adds one tile's memory, not a chunk's.
+Replicates are partitioned into fixed-size chunks of
+``max(1, min(1024, 2**22 // events_per_replicate))`` replicates (a pure
+function of the replicate count and the events per replicate, never of the
+thread count); chunk ``c`` draws from ``stream.substream(c)``, an SFC64
+generator keyed by hashing its name, so no chunk needs another's generator
+state.  The plan is part of stream layout 2 (``rng.STREAM_LAYOUT``): chunks
+of 1024 rather than 4096 replicates balance small thread counts.  Threads
+only decide which worker executes a chunk, and results come back in chunk
+order, so outputs are byte-identical for any ``threads`` setting.  The
+series samplers reduce each chunk in small tiles, so each thread adds one
+tile's memory, not a chunk's.
 
 :func:`replicate_mean_se` is the one mean-and-standard-error estimator: every
 Monte Carlo report concatenates its per-replicate values in chunk order and
@@ -25,7 +30,7 @@ __all__ = ["resolve_threads", "chunk_runner", "chunk_size", "map_replicates", "r
 
 # target number of jump events held in memory per chunk
 _EVENTS_PER_CHUNK = 1 << 22
-_MAX_CHUNK = 4096
+_MAX_CHUNK = 1024
 
 
 def resolve_threads(threads) -> int:
@@ -52,7 +57,7 @@ def chunk_runner(threads):
 
 
 def chunk_size(events_per_replicate: int) -> int:
-    """Replicates per chunk: ``max(1, min(4096, 2**22 // events_per_replicate))``."""
+    """Replicates per chunk: ``max(1, min(1024, 2**22 // events_per_replicate))``."""
     return max(1, min(_MAX_CHUNK, _EVENTS_PER_CHUNK // max(1, events_per_replicate)))
 
 

@@ -4,13 +4,20 @@ Every stochastic routine in this package draws from an :class:`RngStream`,
 a value object naming a stream by ``(seed, stream_id)`` plus an optional
 route of integers for derived substreams.  Identical names produce
 bit-identical draws on every platform (for a fixed numpy version), and
-distinct names produce statistically independent streams, because the name
-is fed verbatim into a counter-based Philox generator through
-``numpy.random.SeedSequence``.
+distinct names produce statistically independent streams, because the whole
+name is hashed by ``numpy.random.SeedSequence`` into the state of an SFC64
+generator.  Every substream is derived by hashing its name, never by
+advancing or jumping a parent generator, so no counter-based generator is
+needed; SFC64 draws uniforms about 2.5x and exponentials 1.4-1.7x as fast
+as Philox (numpy 2.4, x86-64).
 
-Replicate ``r`` of a Monte Carlo run always uses ``stream_id = r`` (or a
-fixed-size chunk of replicates uses one substream per chunk), so results do
-not depend on thread scheduling.
+Each fixed-size chunk of replicates draws from one substream per chunk (see
+:mod:`lepage.parallel`), so results do not depend on thread scheduling.
+
+:data:`STREAM_LAYOUT` versions how names become draws: the generator and the
+chunk plan.  Layout 1 was Philox with chunks of up to 4096 replicates;
+layout 2 is SFC64 with chunks of up to 1024.  Any change to what a name
+draws bumps it, and every ``manifest.json`` records it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RngStream"]
+__all__ = ["STREAM_LAYOUT", "RngStream"]
+
+STREAM_LAYOUT = 2
 
 
 @dataclass(frozen=True)
@@ -54,4 +63,4 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the origin of this stream."""
         entropy = (self.seed, self.stream_id) + self.route
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))

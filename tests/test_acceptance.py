@@ -361,7 +361,8 @@ replicates: 2
 per_term_norms: true
 seed: 7
 """,
-        # Poisson paths in tiles of 54 replicates: chunks of 4096 and 904 end in uneven tiles
+        # Poisson paths in tiles of 54 replicates: four chunks of 1024 and one of 904, each
+        # ending in an uneven tile
         "stability_poisson_tiles": """
 command: stability
 alpha: 1.2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lepage import RngStream, SeriesSpec, EpsilonSpec, unit_jump, partial_sum
+from lepage import ConfigurationError, RngStream, SeriesSpec, EpsilonSpec, unit_jump, partial_sum
 from lepage import diagnostics as diag, series
 from lepage.cli import ConfigParseError, _json_text, _jsonable, main, parse_config
 from lepage.paths import StepPath, path_from_csv
@@ -200,6 +200,24 @@ class TestCommandTables:
         assert code == 1
         assert message in capsys.readouterr().err
         assert parse_config(text.replace(f"n: {n}", "n: 8000")).n == 8000  # as many samples as n is enough
+
+    @pytest.mark.parametrize("r_grid,message", [
+        ("[.nan, .inf]", "must be finite, got nan"),  # wrote nan rows and exited 0
+        ("[0.0, 1.0]", "must be positive, got 0.0"),  # drew everything, then divided by zero
+        ("[-1.0]", "must be positive, got -1.0"),  # wrote a complex tail value, then failed in JSON
+    ], ids=["non_finite", "zero", "negative"])
+    def test_regvar_rejects_a_radius_before_drawing(self, tmp_path, capsys, monkeypatch, r_grid, message):
+        text = MINIMAL_BY_COMMAND["regvar"] + f"truncation_n: 50\nsamples: 1000\nn: 10\nr_grid: {r_grid}\n"
+        with pytest.raises(ConfigParseError, match=rf"line 8: key 'r_grid': {message}"):
+            parse_config(text)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("paths were drawn")
+
+        monkeypatch.setattr(series, "sample_path_stats", no_draw)
+        code, _ = run_cli(tmp_path, text)
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_tightness_rejects_n_zero_before_drawing(self, tmp_path, capsys, monkeypatch):
         # a series of no terms would report estimate 0 and envelope 0 as "satisfied"
@@ -418,55 +436,44 @@ triples: [[0.3, 0.5, 0.7]]
         assert main(["--config", str(cfg)]) == 1
         assert main(["--config", str(tmp_path / "missing.yaml")]) == 1
 
-    def test_non_finite_marginal_exits_one(self, tmp_path, capsys):
-        # at alpha 0.01 the weights overflow and marginals 251 and 1990 are infinite
+    @pytest.mark.parametrize("config,sample", [
+        ("command: stability\ntruncation_n: 200\nsamples: 2000\nseed: 1\n",
+         lambda spec: series.sample_marginals(spec, 1.0, 2000)),
+        ("command: regvar\ntruncation_n: 500\nsamples: 1500\nseed: 3\n",
+         lambda spec: series.sample_path_stats(spec, 1500)),
+    ], ids=["marginal", "path_stats"])
+    def test_non_finite_sample_exits_one(self, tmp_path, capsys, config, sample):
+        # at alpha 0.001 the weights Gamma_i^(-1000) of about 2 replicates in 5 overflow; the
+        # run exits 1 with the sampler's error, which names alpha, a replicate and its chunk
+        config += "alpha: 0.001\nepsilon: rademacher\ny: example1\n"
+        with pytest.raises(ConfigurationError) as err:
+            sample(parse_config(config).series_spec())
+        expected = str(err.value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _ = run_cli(tmp_path, """
-command: stability
-alpha: 0.01
-epsilon: rademacher
-y: example1
-truncation_n: 200
-samples: 2000
-seed: 1
-""")
+            code, _ = run_cli(tmp_path, config)
         assert code == 1
-        err = capsys.readouterr().err
-        assert "alpha 0.01" in err and "replicate 251 (chunk 0)" in err
-
-    def test_non_finite_path_stats_exit_one(self, tmp_path, capsys):
-        # at alpha 0.01 the weights overflow and path 711's extremes read inf - inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, _ = run_cli(tmp_path, """
-command: regvar
-alpha: 0.01
-epsilon: rademacher
-y: example1
-truncation_n: 500
-samples: 4096
-seed: 3
-""")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "alpha 0.01" in err and "replicate 711 (chunk 0)" in err
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert expected.startswith("alpha 0.001: replicate ") and " (chunk " in expected
 
     def test_non_finite_partial_sum_exits_one(self, tmp_path, capsys):
-        # at alpha 0.01 and seed 143 the first weight of replicate 0 overflows to -inf;
-        # the run names it, with no numpy warning on the way
+        # at alpha 0.001 the weights of about 2 replicates in 5 overflow; at the first seed
+        # whose replicate 0 overflows, the run names it, with no numpy warning on the way
+        config = "command: simulate\nalpha: 0.001\nepsilon: rademacher\ny: example1\ntruncation_n: 200\n"
+        for seed in range(20):
+            try:
+                partial_sum(parse_config(config).series_spec(seed=seed), RngStream(seed, 0))
+            except ConfigurationError as exc:
+                expected = str(exc)
+                break
+        else:
+            pytest.fail("no seed below 20 overflows replicate 0")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _ = run_cli(tmp_path, """
-command: simulate
-alpha: 0.01
-epsilon: rademacher
-y: example1
-truncation_n: 200
-seed: 143
-""")
+            code, _ = run_cli(tmp_path, config + f"seed: {seed}\n")
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: alpha 0.01: replicate 0 has coefficient -inf at term 1")
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert expected.startswith("alpha 0.001: replicate 0 has coefficient ")
 
     @staticmethod
     def huge_pool(tmp_path: Path) -> Path:

@@ -24,7 +24,7 @@ from lepage.diagnostics import (
     partition_sum,
     tightness_functional,
 )
-from lepage.parallel import map_replicates
+from lepage.parallel import chunk_size, map_replicates
 from lepage.paths import DomainError, StepPath
 from lepage.random_inputs import (
     CdfGrid,
@@ -237,7 +237,8 @@ def test_moment_reports_match_chan_pooled_chunks():
     # Poisson(1) counts: 5 full chunks and a short one.  The squared counts are integers,
     # so both means are exact sums over R; the two SE formulas round differently, about
     # 3e-15 apart here
-    y, replicates = poisson_counts(1.0), 5 * 4096 + 1234
+    y = poisson_counts(1.0)
+    replicates = 5 * chunk_size(1) + chunk_size(1) // 3
     env1, env2 = default_envelopes(y)
     pairs = [(0.0, 0.5), (0.2, 0.9), (0.4, 0.45)]
     triples = [(0.0, 0.25, 0.5), (0.1, 0.5, 1.0)]
@@ -262,13 +263,13 @@ class TestOverflowingMoments:
                 estimate_c2(y, [(0.1, 0.2, 0.3), (0.3, 0.5, 0.7)], 1000, MomentEnvelope(beta=1.0), RngStream(62))
 
     def test_finite_chunk_sums_whose_total_overflows(self):
-        # each squared increment is 1e304 and each chunk of 4096 sums to about 4.1e307;
-        # the one row of five chunks' values sums past the float range
+        # each squared increment is 1e304, and 20 480 of them, over the chunks' values
+        # concatenated in one row, sum past the float range (1.8e308)
         y = user_paths([StepPath(1, [0.0], [0.5], [[1e152]])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match=r"increment_second_moment entry \(0\.4, 0\.6\): estimate inf"):
-                estimate_c1(y, [(0.4, 0.6)], 5 * 4096, MomentEnvelope(beta=1.0), RngStream(63))
+                estimate_c1(y, [(0.4, 0.6)], 20_480, MomentEnvelope(beta=1.0), RngStream(63))
 
 
 def test_examples_never_report_violated_with_default_envelopes():
@@ -466,6 +467,15 @@ class TestPartitionReport:
         assert "15" in rep.cardinality_note and "13" in rep.cardinality_note
         assert rep.cardinality_note == PARTITION_CARDINALITY_NOTE
 
+    @pytest.mark.parametrize("eps", [RAD, TWO_POINT, SKEWED], ids=["rademacher", "two_point", "skewed"])
+    def test_equals_a_partition_sum_per_depth(self, eps):
+        # one DP per partition, read at every depth, in any order, gives each depth's own DP
+        grid = (0, 1, 7, 64, 2000, 61, 2000)
+        rep = partition_report(0.7, eps, n_grid=grid, constant_n_max=100)
+        want = np.array([[partition_sum(tau, 0.7, eps, n) for n in grid] for tau in enumerate_partitions()])
+        assert rep.s_values.tobytes() == want.tobytes()
+        assert partition_report(0.7, eps, n_grid=(), constant_n_max=100).s_values.shape == (15, 0)
+
     def test_alt_bounds_for_three_one_blocks(self):
         rep = partition_report(1.5, TWO_POINT, n_grid=(4,), constant_n_max=1000)
         labels = [partition_label(t) for t in enumerate_partitions()
@@ -562,7 +572,7 @@ class TestTightnessGrid:
 
     # n 60 runs many tiles in two chunks; n 9000 puts more than 8192 terms in a row,
     # where einsum buffers its sum differently
-    @pytest.mark.parametrize("n,replicates", [(60, 4500), (9000, 5)])
+    @pytest.mark.parametrize("n,replicates", [(60, chunk_size(60) + 404), (9000, 5)])
     @pytest.mark.parametrize("y_gen", [poisson_counts(1.0), unit_jump(), WEIGHTED_2D_P3],
                              ids=["poisson", "unit_jump", "weighted_2d_p3"])
     def test_matches_one_run_per_triple(self, y_gen, n, replicates):

@@ -26,7 +26,7 @@ from lepage.random_inputs import (
     values_at,
     weighted_jumps,
 )
-from lepage.parallel import map_replicates
+from lepage.parallel import chunk_size, map_replicates
 from lepage.rng import RngStream
 import lepage.random_inputs as random_inputs
 import lepage.series as series
@@ -206,17 +206,27 @@ class TestPartialSum:
         assert np.array_equal(result.per_term_norms, np.abs(real.coeffs))
 
     def test_non_finite_coefficient_names_alpha_and_replicate(self):
-        # at alpha 0.01 the first weight Gamma_1^(-100) of replicate 1086 overflows to -inf;
-        # the error names it, with no numpy warning on the way
-        spec = rademacher_spec(alpha=0.01, n=200, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError,
-                               match=r"alpha 0\.01: replicate 1086 has coefficient -inf at term 1"):
-                partial_sum(spec, RngStream(1, 1086))
-            with pytest.raises(ConfigurationError, match="replicate 1086"):
-                coupled_partial_sums(spec, [1, 200], RngStream(1, 1086))
-            partial_sum(spec, RngStream(1, 1085))
+        # at alpha 0.001 the weight Gamma_i^(-1000) overflows whenever Gamma_i < 0.49, in about
+        # 2 replicates of 5; each error names the replicate and the oracle's first non-finite
+        # coefficient, with no numpy warning on the way
+        spec = rademacher_spec(alpha=0.001, n=200, seed=1)
+        outcomes = []
+        for r in range(20):
+            with np.errstate(over="ignore", invalid="ignore"):
+                coeffs = ReplicateOracle(spec, RngStream(1, r)).coeffs
+            bad = np.flatnonzero(~np.isfinite(coeffs))
+            outcomes.append(bad.size > 0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if not bad.size:
+                    partial_sum(spec, RngStream(1, r))
+                    continue
+                message = rf"alpha 0\.001: replicate {r} has coefficient {coeffs[bad[0]]} at term {bad[0] + 1};"
+                with pytest.raises(ConfigurationError, match=message):
+                    partial_sum(spec, RngStream(1, r))
+                with pytest.raises(ConfigurationError, match=message):
+                    coupled_partial_sums(spec, [1, 200], RngStream(1, r))
+        assert any(outcomes) and not all(outcomes)
 
     def test_weights_strictly_decreasing(self):
         spec = rademacher_spec(n=500)
@@ -367,10 +377,10 @@ class TestChunkedSamplers:
         close(stats.vmin, np.array([p.segment_values().min() for p in paths]), paths)
 
     def test_overflow_stays_in_its_replicate(self):
-        # at alpha 0.01 some weights overflow; the row reducer must still give finite
-        # path statistics to every replicate whose coefficients are summable
-        spec = rademacher_spec(alpha=0.01, n=500, seed=3)
-        m = 4096  # 4096 replicates of 500 terms are exactly the path-stats sampler's chunk 0
+        # at alpha 0.001 the weights of about 2 replicates in 5 overflow; the row reducer must
+        # still give finite path statistics to every replicate whose coefficients are summable
+        spec = rademacher_spec(alpha=0.001, n=500, seed=3)
+        m = chunk_size(500)  # exactly the path-stats sampler's chunk 0
         with np.errstate(over="ignore", invalid="ignore"):
             draws = _chunk_draws(spec, RngStream(spec.seed).substream(series._TAG_PATH_STATS, 0))
             coeffs, events = _chunk_coeffs(spec, draws, m)
@@ -381,17 +391,23 @@ class TestChunkedSamplers:
         for field in stats:
             assert np.all(np.isfinite(field[finite]))
 
-    @pytest.mark.parametrize("sample,n,seed,replicate", [
-        (lambda spec: sample_path_stats(spec, 4096), 500, 3, 711),  # extremes from inf - inf
-        (lambda spec: sample_weighted_increments(spec, [(0.1, 0.5), (0.5, 0.9)], 2000), 200, 1, 13),
+    @pytest.mark.parametrize("sample,reference,n,seed", [
+        (lambda spec: sample_path_stats(spec, 1500),
+         lambda spec: whole_chunk_reference(spec, series._TAG_PATH_STATS, 1500, reference_path_stats), 500, 3),
+        (lambda spec: sample_weighted_increments(spec, [(0.1, 0.5), (0.5, 0.9)], 1500),
+         lambda spec: [reference_weighted_increments(spec, [(0.1, 0.5), (0.5, 0.9)], 1500)], 200, 1),
     ], ids=["path_stats", "increments"])
-    def test_non_finite_result_names_alpha_replicate_and_chunk(self, sample, n, seed, replicate):
-        # at alpha 0.01 the weights Gamma_i^(-100) overflow; the error names the first
-        # replicate with a non-finite result, with no numpy warning on the way
+    def test_non_finite_result_names_alpha_replicate_and_chunk(self, sample, reference, n, seed):
+        # at alpha 0.001 the weights Gamma_i^(-1000) of about 2 replicates in 5 overflow, and
+        # path values read inf or inf - inf; the error names the first replicate with a
+        # non-finite result and its chunk, with no numpy warning on the way
+        spec = rademacher_spec(alpha=0.001, n=n, seed=seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            replicate = first_non_finite(reference(spec))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError, match=rf"alpha 0\.01: replicate {replicate} \(chunk 0\)"):
-                sample(rademacher_spec(alpha=0.01, n=n, seed=seed))
+            with pytest.raises(ConfigurationError, match=overflow_message(0.001, replicate, n)):
+                sample(spec)
 
     def test_marginals_deterministic(self):
         spec = rademacher_spec(n=100, seed=11)
@@ -542,6 +558,17 @@ def whole_chunk_reference(spec, tag, n_samples, reduce):
     return [np.concatenate(field, axis=0) for field in zip(*parts)]
 
 
+def first_non_finite(fields) -> int:
+    """The first replicate with a non-finite value in any field."""
+    finite = np.all([np.isfinite(f).reshape(len(f), -1).all(axis=1) for f in fields], axis=0)
+    return int(np.flatnonzero(~finite)[0])
+
+
+def overflow_message(alpha, replicate, n) -> str:
+    """The chunked samplers' error for ``replicate``, in the chunk the plan puts it in."""
+    return rf"alpha {alpha}: replicate {replicate} \(chunk {replicate // chunk_size(n)}\)"
+
+
 def reference_marginals(spec, t, n_samples):
     def reduce(coeffs, events, m):
         per_term = values_at(events, [t])[:, 0, :].reshape(m, spec.truncation_n, spec.dimension)
@@ -558,13 +585,15 @@ def reference_weighted_increments(spec, intervals, n_samples):
     return whole_chunk_reference(spec, series._TAG_INCREMENTS, n_samples, reduce)[0]
 
 
-# (y, n, samples): 1500 replicates of 24 terms are tiles of 682, 682 and 136;
-# 2100 of 2000 terms are a chunk of 2097 (261 tiles of 8 and one of 9) and
-# one of 3; 5 of 16500 terms are tiles of 2 and 3, and 255 of them a chunk of
-# 254 (tiles of 2) and a chunk of 1
-TILE_CASES = [*((name, 24, 1500) for name in ("unit", "weighted2d_p3", "poisson")),
-              ("user_sixteenths", 24, 700), ("unit", 2000, 2100),
-              *((name, 16500, 5) for name in ("unit", "weighted2d_p3", "poisson")), ("unit", 16500, 255)]
+# (y, n, samples): tiles hold 682 replicates of 24 terms, so a full chunk and 476 more
+# end each chunk in a short tile; a full chunk of 2000 terms is tiles of 8, and 17 more
+# are a chunk of one tile of 8 and one of 9 (no tile holds one replicate); 5 of 16500
+# terms are tiles of 2 and 3, and one more than a full chunk of them (tiles of 2) leaves
+# a chunk of 1
+TILE_CASES = [*((name, 24, chunk_size(24) + 476) for name in ("unit", "weighted2d_p3", "poisson")),
+              ("user_sixteenths", 24, 700), ("unit", 2000, chunk_size(2000) + 17),
+              *((name, 16500, 5) for name in ("unit", "weighted2d_p3", "poisson")),
+              ("unit", 16500, chunk_size(16500) + 1)]
 
 
 # (y, n, samples, spec keywords): weight and multiplier modes, and every
@@ -636,27 +665,37 @@ class TestMarginalsAtOne:
             sample_marginals(spec, 0.999, 30)
 
     def test_non_finite_marginal_names_alpha_replicate_and_chunk(self):
-        # at alpha 0.01 the weights Gamma_i^(-100) overflow: replicates 251 (+inf) and 1990 (-inf)
-        spec = rademacher_spec(alpha=0.01, n=200, seed=1)
-        with warnings.catch_warnings(), pytest.raises(ConfigurationError) as err:
+        # at alpha 0.001 the weights Gamma_i^(-1000) of about 2 replicates in 5 overflow
+        spec = rademacher_spec(alpha=0.001, n=200, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            replicate = first_non_finite([reference_marginals(spec, 1.0, 2000)])
+        with warnings.catch_warnings(), pytest.raises(ConfigurationError, match=overflow_message(0.001, replicate, 200)):
             warnings.simplefilter("error")
             sample_marginals(spec, 1.0, 2000)
-        assert "alpha 0.01" in str(err.value) and "replicate 251 (chunk 0)" in str(err.value)
 
     def test_non_finite_marginal_names_a_later_chunk(self, monkeypatch):
-        # 2000 terms make chunks of 2097 replicates in tiles of 8, the last one 9;
-        # chunk 1 is one tile of 3, and its replicate 2 is replicate 2099
-        original = series._chunk_coeffs
+        # an overflow put into replicate 2 of chunk 1 is named as replicate chunk_size(n) + 2
+        n, chunk_of, done = 2000, {}, {}  # by the chunk's gamma generator: its chunk, replicates drawn
+        draws_of, coeffs_of = series._chunk_draws, series._chunk_coeffs
 
-        def overflow_in_chunk_1(*args):
-            coeffs, y = original(*args)
-            if coeffs.shape[0] == 3:
-                coeffs[2, 0] = np.inf
+        def tagged_draws(spec, stream):
+            draws = draws_of(spec, stream)
+            chunk_of[id(draws[0])], done[id(draws[0])] = stream.route[-1], 0
+            return draws
+
+        def overflow_in_chunk_1(spec, draws, m, *rest):
+            coeffs, y = coeffs_of(spec, draws, m, *rest)
+            first = done[id(draws[0])]
+            done[id(draws[0])] = first + m
+            if chunk_of[id(draws[0])] == 1 and first <= 2 < first + m:
+                coeffs[2 - first, 0] = np.inf
             return coeffs, y
 
+        monkeypatch.setattr(series, "_chunk_draws", tagged_draws)
         monkeypatch.setattr(series, "_chunk_coeffs", overflow_in_chunk_1)
-        with pytest.raises(ConfigurationError, match=r"replicate 2099 \(chunk 1\)"):
-            sample_marginals(rademacher_spec(n=2000, seed=1), 1.0, 2100)
+        replicate = chunk_size(n) + 2
+        with pytest.raises(ConfigurationError, match=rf"replicate {replicate} \(chunk 1\)"):
+            sample_marginals(rademacher_spec(n=n, seed=1), 1.0, 2 * chunk_size(n))
 
 
 def traced_peak_mb(fn):
@@ -669,14 +708,16 @@ def traced_peak_mb(fn):
 
 
 class TestTiledMemory:
-    # whole chunks at once held 196.7, 109.7 and 30.1 MB here
+    # two full chunks each; the whole-chunk references, which draw and reduce a chunk
+    # at once, peak at 78, 35 and 21 MB on these runs
     @pytest.mark.parametrize("case", ["marginals", "path_stats", "poisson_increments"])
     def test_peak_stays_within_budget(self, case):
         run = {
-            "marginals": lambda: sample_marginals(rademacher_spec(n=2000, seed=0), 1.0, 4194),
-            "path_stats": lambda: sample_path_stats(rademacher_spec(n=500, seed=114), 8192),
+            "marginals": lambda: sample_marginals(rademacher_spec(n=2000, seed=0), 1.0, 2 * chunk_size(2000)),
+            "path_stats": lambda: sample_path_stats(rademacher_spec(n=500, seed=114), 2 * chunk_size(500)),
             "poisson_increments": lambda: sample_weighted_increments(
-                rademacher_spec(n=100, seed=107, y=poisson_counts(1.0)), [(0.1, 0.35), (0.35, 0.6)], 10_000),
+                rademacher_spec(n=400, seed=107, y=poisson_counts(1.0)), [(0.1, 0.35), (0.35, 0.6)],
+                2 * chunk_size(400)),
         }[case]
         assert traced_peak_mb(run) <= 8.0
 

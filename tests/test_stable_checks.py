@@ -13,7 +13,7 @@ from lepage.random_inputs import (
     weighted_jumps,
 )
 from lepage import stable_checks
-from lepage.parallel import map_replicates
+from lepage.parallel import chunk_size, map_replicates
 from lepage.rng import RngStream
 from lepage.series import PathStatsSample, SeriesSpec, sample_path_stats
 from lepage.stable_checks import (
@@ -254,7 +254,7 @@ class TestSpectralEstimate:
         y = weighted_jumps([CdfGrid.uniform()],
                            JumpHeightDist(np.array([[1.0], [2.0]]), np.array([0.5, 0.5])))
         events = [full_sphere(), nonnegative_path(), norm_equals(2.0)]
-        replicates = 4 * 4096 + 777
+        replicates = 4 * chunk_size(1) + chunk_size(1) // 3
         est = spectral_estimate(RAD, y, 1.5, events, replicates, RngStream(26))
         masses, (d_mean, d_se) = raw_moment_spectral(RAD, y, 1.5, events, replicates, RngStream(26))
         scale = math.sqrt(replicates / (replicates - 1))
