@@ -318,29 +318,6 @@ def time_ordered(events: TermEvents) -> TermEvents:
                       events.heights[order], events.initials, events.width)
 
 
-def _resample_term_collisions(times: np.ndarray, term_index, redraw) -> np.ndarray:
-    """Redraw locations until each term's jump times are pairwise distinct.
-
-    Exact collisions have probability ~2^-53 per pair but would break the
-    strict-ordering invariant of StepPath, so they are resampled;
-    ``redraw(flat_indices)`` must return fresh draws from the law of each
-    colliding location.  A float sort rules out any equal times first; the
-    ``(term, time)`` lexsort runs only if some exist, on ``term_index`` (an
-    array, or a function that builds it).  Returns ``times``, redrawn in place.
-    """
-    while True:
-        s = np.sort(times)
-        if not np.any(s[1:] == s[:-1]):
-            return times
-        ti = term_index() if callable(term_index) else term_index
-        order = np.lexsort((times, ti))
-        same = (np.diff(times[order]) == 0.0) & (np.diff(ti[order]) == 0)
-        if not same.any():
-            return times
-        dup = np.sort(order[1:][same])
-        times[dup] = redraw(dup)
-
-
 class YBlockSampler:
     """Stateful per-replicate sampler handing out terms in order.  Each defines ``take(n, out)``, drawing a
     fixed-width block's jump times into ``out`` when given, and ``values_at_one(n, out)``, writing the next
@@ -512,19 +489,7 @@ class _WeightedJumpsSampler(YBlockSampler):
                 tj[zero] = cdf.inverse(_draw_open_unit(self._locs[j], int(zero.sum())))
             times[:, j] = tj
             heights[:, j] = spec.height_dist.sample(self._heights[j], n)
-        flat_times = times.reshape(-1)  # row-major: flat index k belongs to component k % p
-
-        def redraw(flat_idx):
-            out = np.empty(flat_idx.size)
-            for j in range(p):
-                sel = flat_idx % p == j
-                if sel.any():
-                    out[sel] = spec.cdfs[j].inverse(_draw_open_unit(self._locs[j], int(sel.sum())))
-            return out
-
-        events = TermEvents(n, d, None, flat_times, heights.reshape(-1, d), np.broadcast_to(0.0, (n, d)), p)
-        _resample_term_collisions(flat_times, lambda: events.term_index, redraw)
-        return events
+        return TermEvents(n, d, None, times.reshape(-1), heights.reshape(-1, d), np.broadcast_to(0.0, (n, d)), p)
 
     def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
         out.fill(0.0)  # the heights from +0.0 in component order, as _masked_term_sums adds
@@ -562,10 +527,8 @@ class _PoissonSampler(YBlockSampler):
         spec: _PoissonSpec = self.spec
         counts = self._counts.poisson(spec.lam, n)
         total = int(counts.sum())
-        term_index = np.repeat(np.arange(n, dtype=np.int64), counts)
-        times = _resample_term_collisions(_draw_open_unit(self._locs, total), term_index,
-                                          lambda idx: _draw_open_unit(self._locs, idx.size))
-        return TermEvents(n, 1, term_index, times, np.broadcast_to(1.0, (total, 1)), np.broadcast_to(0.0, (n, 1)))
+        return TermEvents(n, 1, np.repeat(np.arange(n, dtype=np.int64), counts), _draw_open_unit(self._locs, total),
+                          np.broadcast_to(1.0, (total, 1)), np.broadcast_to(0.0, (n, 1)))
 
     def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
         return np.add(self._counts.poisson(self.spec.lam, n)[:, None], 0.0, out=out)  # count + initial
@@ -692,7 +655,9 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, t
     and jumps by ``scale[term] * height`` at each event.  A fixed-width block
     is reshaped, any other scattered into rows padded with ``+inf`` times and
     zero jumps.  numpy's default (SIMD) argsort gives the stable row order
-    unless a row holds two equal finite times; then the block is sorted stably.
+    unless a row holds two equal finite times; then the block is sorted stably,
+    and only values the path takes are counted: at a tie only the last event
+    at that time ends a segment, so a partial sum between tied events is skipped.
     Each row's ``cumsum`` is its own, so its rounding reaches no other row.
     A fixed-width block is sorted and summed in the ``scratch`` buffers, if given.
     """
@@ -707,7 +672,7 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, t
         deltas[row, col] = events.heights * scale[events.term_index, None]
     else:
         times = events.times.reshape(rows, events.width * terms_per_row)
-    order = None
+    order, ends = None, True  # ends: the sorted positions that end a segment
     if times.shape[1] > 1:  # a row of one event is in time order already
         starts = np.arange(0, times.size, times.shape[1])[:, None]  # each row's order as flat positions
         order = np.argsort(times, axis=1)
@@ -715,7 +680,9 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, t
         s = np.take(times, order, out=_buffer(scratch, "work", times.shape), mode="clip")
         with np.errstate(invalid="ignore"):  # equal +inf padding gives nan, not 0
             steps = np.subtract(s[:, 1:], s[:, :-1], out=_buffer(scratch, "running", (rows, times.shape[1] - 1)))
-        if not steps.all():  # a tie
+        if not steps.all():  # a tie; steps is overwritten by the take into running below
+            ends = np.ones(times.shape + (1,), dtype=bool)
+            np.not_equal(steps, 0.0, out=ends[:, :-1, 0])
             order = np.argsort(times, axis=1, kind="stable")
             order += starts
     if events.width is not None:  # into the buffer the tie check is done with
@@ -726,8 +693,8 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, t
                                                    out=_buffer(scratch, "running", deltas.shape))
     np.cumsum(running, axis=1, out=running)
     running += initials[:, None, :]
-    vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf))
-    vmin = np.minimum(initials.min(axis=1), running.min(axis=(1, 2), initial=np.inf))
+    vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf, where=ends))
+    vmin = np.minimum(initials.min(axis=1), running.min(axis=(1, 2), initial=np.inf, where=ends))
     return np.maximum(np.abs(vmax), np.abs(vmin)), vmax, vmin
 
 

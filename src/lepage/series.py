@@ -210,7 +210,8 @@ def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None =
 
     Event term index k encodes (replicate k // n, term k % n) within the tile.
     Generators consume their streams in sequence, so consecutive tiles get the
-    draws of one call over the whole chunk, save where a 0.0 or a tie is redrawn.
+    draws of one call over the whole chunk, save where a 0.0 is redrawn; equal
+    jump times are kept, and the path reducers decide ties.
     Gaps, multipliers and fixed-width jump times are drawn into the ``scratch``
     buffers and assembled there in place; without one, into fresh arrays.
     """

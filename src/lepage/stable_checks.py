@@ -31,7 +31,6 @@ from .series import PathStatsSample
 __all__ = [
     "WindowError",
     "DegenerateGeneratorError",
-    "ecf",
     "auto_window",
     "AlphaEstimate",
     "estimate_alpha",
@@ -83,26 +82,6 @@ def _values(samples) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # empirical characteristic function and tail index
 # ---------------------------------------------------------------------------
-
-
-def ecf(samples, u_grid) -> np.ndarray:
-    """Empirical characteristic function ``mean exp(i u x)`` per grid point.
-
-    Components are accumulated with exactly-rounded summation, so the
-    result is independent of sample order and sign-paired samples cancel
-    to a bitwise-zero imaginary part.
-    """
-    x = _values(samples)
-    u = np.asarray(u_grid, dtype=np.float64).reshape(-1)
-    if np.any(u == 0.0):
-        raise ConfigurationError("u = 0 probes nothing (the cf is identically 1 there)")
-    if np.unique(u).size != u.size:
-        raise ConfigurationError("u grid values must be distinct")
-    z = np.exp(1j * u[:, None] * x[None, :])
-    out = np.empty(u.size, dtype=np.complex128)
-    for j in range(u.size):
-        out[j] = complex(math.fsum(z[j].real) / x.size, math.fsum(z[j].imag) / x.size)
-    return out
 
 
 def _abs_ecf(x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -47,13 +47,17 @@ TWO_POINT = EpsilonSpec.two_point(0.8, -1.0, 4.0)
 # -- independent oracles used by several tests --------------------------------
 
 
-def tuple_moment_factor(eps, block_size, index, alpha):
-    """|E eps~^b| per the bounding convention: abs mean for singletons,
+def tuple_moment_factors(eps, block_size, indices, alpha):
+    """|E eps~^b| at each index per the bounding convention: abs mean for singletons,
     absolute moment otherwise; computed straight from the atom definition."""
-    i = np.array([float(index)])
+    i = np.asarray(indices, dtype=np.float64)
     if block_size == 1:
-        return abs(float(eps.truncated_mean(i, alpha)[0]))
-    return float(eps.truncated_abs_moment(float(block_size), i, alpha)[0])
+        return np.abs(eps.truncated_mean(i, alpha))
+    return eps.truncated_abs_moment(float(block_size), i, alpha)
+
+
+def tuple_moment_factor(eps, block_size, index, alpha):
+    return float(tuple_moment_factors(eps, block_size, [index], alpha)[0])
 
 
 def brute_force_full_tuple_sum(alpha, eps, n):
@@ -407,7 +411,8 @@ SKEWED = EpsilonSpec.two_point(0.2, -4.0, 1.0)  # its truncated mean vanishes fr
 
 def block_factors(tau, alpha, eps, n):
     """Per-block factors ``x^(-|B|/alpha) * moment`` at x = 1..n, from the atom definition."""
-    return [[x ** (-len(b) / alpha) * tuple_moment_factor(eps, len(b), x, alpha) for x in range(1, n + 1)]
+    return [[x ** (-len(b) / alpha) * f
+             for x, f in zip(range(1, n + 1), tuple_moment_factors(eps, len(b), np.arange(1, n + 1), alpha).tolist())]
             for b in tau]
 
 

@@ -10,8 +10,8 @@ from lepage.random_inputs import (
     EpsilonSpec,
     JumpHeightDist,
     TermEvents,
-    _resample_term_collisions,
     _Y_ROLE,
+    _row_extremes,
     _draw_open_unit,
     _positive_exponentials,
     interval_increments,
@@ -427,64 +427,6 @@ class TestEventReductions:
         assert np.array_equal(vals[:, :, 0], [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
 
 
-def _lexsort_collisions(times, term_index, redraw):
-    """Reference collision loop: a (term, time) lexsort on every round."""
-    while True:
-        order = np.lexsort((times, term_index))
-        same = (np.diff(times[order]) == 0.0) & (np.diff(term_index[order]) == 0)
-        if not same.any():
-            return times
-        dup = np.zeros(times.size, dtype=bool)
-        dup[order[1:][same]] = True
-        times[dup] = redraw(np.nonzero(dup)[0])
-
-
-class TestCollisionResampling:
-    @staticmethod
-    def _recorder(seed, grid=2**20):
-        gen, calls = np.random.default_rng(seed), []
-
-        def redraw(idx):
-            calls.append(idx.copy())
-            return gen.integers(1, grid + 1, idx.size) / grid
-        return redraw, calls
-
-    def test_only_the_within_term_duplicate_is_redrawn(self):
-        # term 0 holds 0.25 twice; 0.5 is shared by terms 0 and 1
-        term_index = np.array([0, 0, 0, 1, 1, 2])
-        times = np.array([0.25, 0.5, 0.25, 0.5, 0.75, 0.875])
-        before = times.copy()
-        redraw, calls = self._recorder(0)
-        out = _resample_term_collisions(times, term_index, redraw)
-        assert [c.tolist() for c in calls] == [[2]]
-        assert np.array_equal(np.delete(out, 2), np.delete(before, 2))
-        assert out[2] not in (0.25, 0.5)
-
-    def test_cross_term_duplicate_alone_redraws_nothing(self):
-        term_index = np.array([0, 0, 1, 1])
-        times = np.array([0.75, 0.5, 0.5, 0.25])
-        before = times.tobytes()
-        redraw, calls = self._recorder(0)
-        out = _resample_term_collisions(times, term_index, redraw)
-        assert calls == []
-        assert out.tobytes() == before
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_redraws_match_the_lexsort_loop(self, seed):
-        # times and redraws on a grid of sixteenths collide often, within and
-        # across terms, so the loop runs several rounds
-        rng = np.random.default_rng(seed)
-        term_index = np.repeat(np.arange(200), rng.poisson(3.0, 200))
-        times = rng.integers(1, 17, term_index.size) / 16.0
-        got_redraw, got_calls = self._recorder(seed, grid=16)
-        want_redraw, want_calls = self._recorder(seed, grid=16)
-        got = _resample_term_collisions(times.copy(), term_index, got_redraw)
-        want = _lexsort_collisions(times.copy(), term_index, want_redraw)
-        assert len(got_calls) > 1
-        assert [c.tolist() for c in got_calls] == [c.tolist() for c in want_calls]
-        assert got.tobytes() == want.tobytes()
-
-
 def _signed_weighted_jumps():
     cdfs = [CdfGrid.uniform(), CdfGrid(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.9, 1.0])),
             CdfGrid.uniform()]
@@ -572,6 +514,28 @@ def normal_pool(d=2, size=256, seed=0):
     """A pool of ``size`` draws of :func:`_normal_path`."""
     gen = np.random.default_rng(seed)
     return user_paths([_normal_path(gen, d) for _ in range(size)])
+
+
+class TestTiedJumpTimes:
+    """At a tie only the last event at that time ends a segment: a partial sum between tied events is no value."""
+
+    def test_within_term_tie_skips_the_partial_sum(self):
+        # term 0 jumps +5 and -5 at 0.5, so it never leaves 0; term 1 has no tie
+        events = TermEvents(2, 1, None, np.array([0.5, 0.5, 0.2, 0.7]), np.array([[5.0], [-5.0], [2.0], [-3.0]]),
+                            np.zeros((2, 1)), 2)
+        vmax, vmin = term_value_extremes(events)
+        assert vmax.tolist() == [0.0, 2.0]
+        assert vmin.tolist() == [0.0, -1.0]
+
+    def test_cross_term_tie_in_one_row_skips_the_partial_sum(self):
+        # row 0: term 0 jumps +4 and term 1 jumps -4, both at 0.3, then term 1 jumps +1 at 0.9;
+        # row 1 holds one event, so its row is padded with +inf times, which are not ties
+        events = TermEvents(4, 1, np.array([0, 1, 1, 2]), np.array([0.3, 0.3, 0.9, 0.6]),
+                            np.array([[4.0], [-4.0], [1.0], [-2.5]]), np.zeros((4, 1)))
+        sup, vmax, vmin = _row_extremes(events, np.ones(4), np.array([[0.5], [0.0]]), 2)
+        assert vmax.tolist() == [1.5, 0.0]
+        assert vmin.tolist() == [0.5, -2.5]
+        assert sup.tolist() == [1.5, 2.5]
 
 
 class TestExactTermExtremes:

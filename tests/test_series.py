@@ -43,6 +43,7 @@ from lepage.series import (
     sample_weighted_increments,
 )
 import lepage.stable_checks as sc
+from lepage.cli import main, parse_config
 from test_paths import difference_on_union_grid
 
 
@@ -351,30 +352,71 @@ WEIGHTED_2D = weighted_jumps([CdfGrid.uniform(), CdfGrid.uniform()],
                              JumpHeightDist(np.array([[1.0, -0.5], [0.5, 2.0]]), np.array([0.3, 0.7])))
 
 
+def _sixteenths_path(gen):
+    """1 to 5 jumps on the grid of sixteenths, so replicate rows hold tied times."""
+    k = int(gen.integers(1, 6))
+    times = np.sort(gen.choice(16, k, replace=False) + 1) / 16.0
+    return StepPath(1, [gen.normal()], times, gen.normal(size=(k, 1)))
+
+
+def sixteenths_pool(size=64, seed=16):
+    """A pool of ``size`` draws of :func:`_sixteenths_path`."""
+    gen = np.random.default_rng(seed)
+    return user_paths([_sixteenths_path(gen) for _ in range(size)])
+
+
+# a cdf whose mass sits on the 5 floats from 0.5 to 0.5000000000000004, so 6 such
+# jumps always share a time; signed heights make the partial sum between them differ
+FIVE_FLOATS = "{xs: [0.0, 0.5, 0.5000000000000004, 1.0], ys: [0.0, 0.0, 1.0, 1.0]}"
+TIED_WEIGHTED = (f"{{variant: example2, p: 6, cdfs: [{', '.join([FIVE_FLOATS] * 6)}], "
+                 "heights: {values: [[1.0], [-2.0]], probabilities: [0.5, 0.5]}}")
+
+
+def close_to_paths(fast, slow, paths):
+    """``fast`` equals ``slow`` to 1e-12 of each replicate path's sup norm."""
+    scale = np.array([sup_norm(p) for p in paths]).reshape(-1, *[1] * (fast.ndim - 1))
+    assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+
+
+def assert_path_stats_match_paths(spec, m):
+    """``sample_path_stats`` reads the segment values of the merged per-replicate paths."""
+    paths = chunk_paths(spec, series._TAG_PATH_STATS, m)
+    stats = sample_path_stats(spec, m)
+    close_to_paths(stats.sup, np.array([sup_norm(p) for p in paths]), paths)
+    close_to_paths(stats.vmax, np.array([p.segment_values().max() for p in paths]), paths)
+    close_to_paths(stats.vmin, np.array([p.segment_values().min() for p in paths]), paths)
+
+
 class TestChunkedSamplers:
+    # 40 terms from a pool of 8 paths: every replicate repeats a path, so its row holds tied times
     @pytest.mark.parametrize("alpha", [1.5, 0.8, 0.3])
-    @pytest.mark.parametrize("y", [unit_jump(), poisson_counts(2.0), WEIGHTED_2D],
-                             ids=["unit", "poisson", "weighted2d"])
+    @pytest.mark.parametrize("y", [unit_jump(), poisson_counts(2.0), WEIGHTED_2D, sixteenths_pool(size=8)],
+                             ids=["unit", "poisson", "weighted2d", "user_repeats"])
     def test_match_per_replicate_paths_on_same_draws(self, y, alpha):
         spec = rademacher_spec(alpha=alpha, n=40, seed=16, y=y)
         m, t, intervals = 64, 0.7, [(0.1, 0.5), (0.5, 0.9)]
 
-        def close(fast, slow, paths):
-            scale = np.array([sup_norm(p) for p in paths]).reshape(-1, *[1] * (fast.ndim - 1))
-            assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
-
         paths = chunk_paths(spec, series._TAG_MARGINAL, m)
-        close(sample_marginals(spec, t, m), np.array([p(t) for p in paths]), paths)
+        close_to_paths(sample_marginals(spec, t, m), np.array([p(t) for p in paths]), paths)
 
         paths = chunk_paths(spec, series._TAG_INCREMENTS, m)
         slow = np.array([[p(b) - p(a) for a, b in intervals] for p in paths])
-        close(sample_weighted_increments(spec, intervals, m), slow, paths)
+        close_to_paths(sample_weighted_increments(spec, intervals, m), slow, paths)
 
-        paths = chunk_paths(spec, series._TAG_PATH_STATS, m)
-        stats = sample_path_stats(spec, m)
-        close(stats.sup, np.array([sup_norm(p) for p in paths]), paths)
-        close(stats.vmax, np.array([p.segment_values().max() for p in paths]), paths)
-        close(stats.vmin, np.array([p.segment_values().min() for p in paths]), paths)
+        assert_path_stats_match_paths(spec, m)
+
+    def test_jump_times_that_always_tie(self, tmp_path):
+        # no draw is redone when a term's jumps share a time: the block keeps its ties, the path
+        # statistics read only values the merged paths take, and simulate writes its paths
+        config = f"command: simulate\nalpha: 1.5\nepsilon: rademacher\ntruncation_n: 40\ny: {TIED_WEIGHTED}\n"
+        spec = parse_config(config).series_spec()
+        events = spec.y_gen.block_sampler(RngStream(1)).take(500)
+        times = events.times.reshape(500, 6)
+        assert set(np.unique(times)) <= set(0.5 + np.arange(5) * 2.0**-53)
+        assert np.any(np.diff(np.sort(times, axis=1), axis=1) == 0.0, axis=1).all()
+        assert_path_stats_match_paths(spec, 64)
+        (tmp_path / "config.yaml").write_text(config)
+        assert main(["--config", str(tmp_path / "config.yaml"), "--out", str(tmp_path / "out")]) == 0
 
     def test_overflow_stays_in_its_replicate(self):
         # at alpha 0.001 the weights of about 2 replicates in 5 overflow; the row reducer must
@@ -478,7 +520,8 @@ def reference_increments(events, intervals):
 
 
 def reference_path_stats(coeffs, events, m):
-    """The chunk reduction of sample_path_stats: padded rows and a stable row sort."""
+    """The chunk reduction of sample_path_stats: padded rows and a stable row sort, with
+    each running value read only at the last event of its time (a value the path takes)."""
     n, d = coeffs.shape[1], events.dimension
     rep = events.term_index // n
     counts = np.bincount(rep, minlength=m)
@@ -489,25 +532,15 @@ def reference_path_stats(coeffs, events, m):
     deltas = np.zeros((m, width, d))
     deltas[rep, col] = events.heights * coeffs.reshape(-1)[events.term_index, None]
     order = np.argsort(times, axis=1, kind="stable")
+    sorted_times = np.take_along_axis(times, order, axis=1)
+    last = np.ones((m, width, 1), bool)
+    last[:, :-1, 0] = sorted_times[:, 1:] != sorted_times[:, :-1]
     initials = np.einsum("mi,mid->md", coeffs, events.initials.reshape(m, n, d))
     running = initials[:, None, :] + np.cumsum(
         np.take_along_axis(deltas, order[:, :, None], axis=1), axis=1)
-    vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf))
-    vmin = np.minimum(initials.min(axis=1), running.min(axis=(1, 2), initial=np.inf))
+    vmax = np.maximum(initials.max(axis=1), np.where(last, running, -np.inf).max(axis=(1, 2), initial=-np.inf))
+    vmin = np.minimum(initials.min(axis=1), np.where(last, running, np.inf).min(axis=(1, 2), initial=np.inf))
     return np.maximum(np.abs(vmax), np.abs(vmin)), vmax, vmin
-
-
-def _sixteenths_path(gen):
-    """1 to 5 jumps on the grid of sixteenths, so replicate rows hold tied times."""
-    k = int(gen.integers(1, 6))
-    times = np.sort(gen.choice(16, k, replace=False) + 1) / 16.0
-    return StepPath(1, [gen.normal()], times, gen.normal(size=(k, 1)))
-
-
-def sixteenths_pool(size=64, seed=16):
-    """A pool of ``size`` draws of :func:`_sixteenths_path`."""
-    gen = np.random.default_rng(seed)
-    return user_paths([_sixteenths_path(gen) for _ in range(size)])
 
 
 FAST_PATH_YS = {

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from lepage import EpsilonSpec, SeriesSpec, poisson_counts, rng, unit_jump
+from lepage import CdfGrid, EpsilonSpec, JumpHeightDist, SeriesSpec, poisson_counts, rng, unit_jump, weighted_jumps
 from lepage.cli import _COMMANDS, main
 from lepage.parallel import chunk_size
 from lepage.series import sample_marginals, sample_path_stats, sample_weighted_increments
@@ -31,12 +31,23 @@ def digest(*arrays) -> str:
     return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
 
 
+WEIGHTED_2D = weighted_jumps(
+    [CdfGrid.uniform(), CdfGrid([0.0, 0.5, 1.0], [0.0, 0.9, 1.0]), CdfGrid.uniform()],
+    JumpHeightDist(np.array([[1.0, -0.5], [-0.75, 0.25], [0.5, 2.0]]), np.array([0.5, 0.25, 0.25])))
+
+
+def path_stats(y) -> str:
+    return digest(*vars(sample_path_stats(spec(y), SAMPLES, THREADS)).values())
+
+
 OUTPUTS = {
     "marginals_at_1": lambda: digest(sample_marginals(spec(unit_jump()), 1.0, SAMPLES, THREADS)),
     "marginals_at_0.6": lambda: digest(sample_marginals(spec(unit_jump()), 0.6, SAMPLES, THREADS)),
-    "path_stats": lambda: digest(*vars(sample_path_stats(spec(unit_jump()), SAMPLES, THREADS)).values()),
+    "path_stats": lambda: path_stats(unit_jump()),
     "poisson_increments": lambda: digest(sample_weighted_increments(
         spec(poisson_counts(1.0)), [(0.1, 0.4), (0.4, 0.9)], SAMPLES, THREADS)),
+    "poisson_path_stats": lambda: path_stats(poisson_counts(1.0)),
+    "weighted2d_path_stats": lambda: path_stats(WEIGHTED_2D),
 }
 
 # layout 2: SFC64 generators keyed by SeedSequence, chunks of max(1, min(1024, 2**22 // n))
@@ -46,6 +57,8 @@ DIGESTS = {
     "marginals_at_0.6": "d587e08c4aec264adff8556b2fef21fad245abbb15e41e3ef9708867bb4e668b",
     "path_stats": "302dc89c4bf6674f4f5890d3ccb32530c9f46b085c1574befea4dc6c8eb4dc74",
     "poisson_increments": "bb88b5f07fd17d334973916598a382bd7a48061978d2c0d16d4d92fbfc868523",
+    "poisson_path_stats": "45c217f18ee9036b12ac505dbca0df3ed7c115874473f389be410a59475c2e18",
+    "weighted2d_path_stats": "6670caee7192425f4aba7634c9fc439b577275faf917e65bf7a09b3553193186",
 }
 
 
