@@ -528,12 +528,11 @@ def _cmd_partitions(cfg, writer) -> int:
 def _cmd_tightness(cfg, writer) -> int:
     envelopes = (cfg.envelope,) * 2 if cfg.envelope is not None else None
     spec = cfg.series_spec(truncation_n=cfg.n, weight_mode="deterministic", epsilon_mode="truncated")
-    results = diag.tightness_functional(spec, cfg.n, cfg.triples, cfg.replicates, envelopes, cfg.threads)
-    rows = [res.row() for res in results]
+    report = diag.tightness_functional(spec, cfg.n, cfg.triples, cfg.replicates, envelopes, cfg.threads)
+    rows = [{**row, "n": cfg.n} for row in report.rows()]
     writer.emit("tightness", rows, ["t1", "t", "t2", "n", "estimate", "se", "envelope", "verdict"],
-                {"spec": spec.echo(), "n": cfg.n, "replicates": cfg.replicates,
-                 "entries": rows})
-    return 2 if any(res.verdict == "violated" for res in results) else 0
+                {"spec": spec.echo(), "n": cfg.n, "replicates": cfg.replicates, "entries": rows})
+    return 2 if report.violated else 0
 
 
 def _cmd_stability(cfg, writer) -> int:

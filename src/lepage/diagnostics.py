@@ -17,10 +17,10 @@ Two families of quantities live here:
   of {1,2,3,4}.  All are computed atom-exactly for discrete multiplier
   families (in closed form for the uniform family).
 
-``tightness_functional`` ties the two together: the Monte Carlo fourth
-moment of weighted partial-sum increments is reported next to its
-assembled bound ``d^2 * sum_tau S_{n,tau} * Dhat_tau``, for every triple
-of a grid from one series run, reduced once per triple.
+``tightness_functional`` ties the two together: a moment report of kind
+``"tightness"`` holds the Monte Carlo fourth moment of weighted partial-sum
+increments next to its assembled bound ``d^2 * sum_tau S_{n,tau} *
+Dhat_tau``, for every triple of a grid from one series run.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "partition_envelope_exponents",
     "PartitionReport",
     "partition_report",
-    "TightnessResult",
     "tightness_functional",
     "PARTITION_CARDINALITY_NOTE",
 ]
@@ -225,17 +224,21 @@ def _checked_times(kind, times) -> list[tuple[float, ...]]:
     return times
 
 
-def _entry_mean_se(kind, times, stats):
-    """:func:`replicate_mean_se` of ``stats[:, e]``, the values of entry ``times[e]`` per replicate.
+def _assemble_report(kind, times, stats, bounds, meta) -> MomentReport:
+    """The :class:`MomentReport` of the entries ``times``, each against its bound ``bounds[e]``.
 
-    A non-finite estimate or SE raises :class:`ConfigurationError` naming its entry.
+    ``stats[:, e]`` holds entry e's value per replicate, in chunk order, and
+    :func:`replicate_mean_se` reduces it.  A non-finite estimate or SE raises
+    :class:`ConfigurationError` naming its entry.
     """
     mean, se = replicate_mean_se(stats.T)
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(se)))
     if bad.size:
         raise ConfigurationError(f"{kind} entry {times[bad[0]]}: estimate {mean[bad[0]]}, se {se[bad[0]]}; "
                                  "the squared increments overflow")
-    return mean.tolist(), se.tolist()
+    entries = tuple(MomentEntry(ts[0], ts[1] if len(ts) == 3 else None, ts[-1], m, s, b, _verdict(m, s, b))
+                    for ts, m, s, b in zip(times, mean.tolist(), se.tolist(), bounds))
+    return MomentReport(kind, entries, len(stats), meta)
 
 
 def _moment_report(kind, tag, statistic, bound, y_spec, times, replicates, envelope, stream, threads):
@@ -244,8 +247,7 @@ def _moment_report(kind, tag, statistic, bound, y_spec, times, replicates, envel
     ``statistic(sq)`` maps ``sq[:, j, e]``, the squared norm of each path's increment
     over the j-th interval of entry e, to one value per path and entry; the envelope
     of entry ``(t1, ..., t2)`` is ``bound(envelope, t1, t2)``.  Each chunk of paths
-    returns its values, and :func:`replicate_mean_se` reduces them in chunk order.
-    A non-finite estimate raises :class:`ConfigurationError` naming its entry.
+    returns its values, and :func:`_assemble_report` reduces them in chunk order.
     """
     times = _checked_times(kind, times)
     if replicates < 100:
@@ -255,16 +257,12 @@ def _moment_report(kind, tag, statistic, bound, y_spec, times, replicates, envel
 
     def one_chunk(sub, m):
         inc = interval_increments(y_spec.block_sampler(sub).take(m), intervals)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the entry
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _assemble_report, naming the entry
             return statistic(np.sum(inc * inc, axis=2).reshape(m, spans, -1))
 
     stats = np.concatenate(map_replicates(one_chunk, stream.substream(tag), replicates, 1, threads))
-    mean, se = _entry_mean_se(kind, times, stats)
-    entries = []
-    for ts, m, s in zip(times, mean, se):
-        b = bound(envelope, ts[0], ts[-1])
-        entries.append(MomentEntry(ts[0], ts[1] if spans == 2 else None, ts[-1], m, s, b, _verdict(m, s, b)))
-    return MomentReport(kind, tuple(entries), replicates, {"y": y_spec.echo(), "envelope": envelope.echo()})
+    return _assemble_report(kind, times, stats, [bound(envelope, ts[0], ts[-1]) for ts in times],
+                            {"y": y_spec.echo(), "envelope": envelope.echo()})
 
 
 def estimate_c1(y_spec: YGeneratorSpec, pairs, replicates: int, envelope: MomentEnvelope, stream: RngStream,
@@ -541,30 +539,6 @@ def partition_envelope_exponents(tau: Partition) -> tuple[float, float]:
     return p, q
 
 
-@dataclass(frozen=True)
-class TightnessResult:
-    t1: float
-    t_mid: float
-    t2: float
-    n_terms: int
-    estimate: float
-    se: float
-    bound: float
-    verdict: str
-
-    def row(self) -> dict:
-        return {
-            "t1": self.t1,
-            "t": self.t_mid,
-            "t2": self.t2,
-            "n": self.n_terms,
-            "estimate": self.estimate,
-            "se": self.se,
-            "envelope": self.bound,
-            "verdict": self.verdict,
-        }
-
-
 def tightness_functional(
     spec: SeriesSpec,
     n: int,
@@ -572,21 +546,22 @@ def tightness_functional(
     replicates: int,
     envelopes: tuple[MomentEnvelope, MomentEnvelope] | None = None,
     threads=1,
-) -> list[TightnessResult]:
+) -> MomentReport:
     """Fourth moment of weighted partial-sum increments vs its assembled bound, per triple.
 
     Requires ``epsilon_mode='truncated'`` and ``weight_mode='deterministic'``
-    (the partial sums whose tightness the bound controls).  The companion
-    bound is ``d^2 * sum_tau S_{n,tau} * Dhat_tau(t1, t, t2)`` with the
-    envelope exponents of :func:`partition_envelope_exponents`.
+    (the partial sums whose tightness the bound controls).  The report, of kind
+    ``"tightness"`` and meta ``{"n": n}``, has the entries of the moment reports:
+    the estimate of ``E|X_n(t2)-X_n(t)|^2 |X_n(t)-X_n(t1)|^2`` against the bound
+    ``d^2 * sum_tau S_{n,tau} * Dhat_tau(t1, t, t2)``, with the envelope exponents
+    of :func:`partition_envelope_exponents`.
 
     One series run of ``replicates`` paths serves every triple: triple ``k``
     reads its increments over (t1, t] and (t, t2] from columns ``2k`` and
     ``2k + 1`` of a single :func:`sample_weighted_increments` call, which
-    sums each interval on its own, so each result is the one a run of that
-    triple alone gives.  The triples share the time-order check and the
-    :func:`replicate_mean_se` reduction of the moment reports.  Every triple,
-    and ``replicates >= 2``, is checked before anything is drawn; a non-finite
+    sums each interval on its own, so each entry is the one a run of that
+    triple alone gives.  Every triple, and ``replicates >= 2``, is checked
+    before anything is drawn, and no triples draw nothing; a non-finite
     estimate raises :class:`ConfigurationError` naming its triple.
     """
     if spec.epsilon_mode != "truncated" or spec.weight_mode != "deterministic":
@@ -598,26 +573,22 @@ def tightness_functional(
     if replicates < 2:
         raise ConfigurationError(f"need at least 2 replicates, got {replicates}")
     if not checked:
-        return []
+        return MomentReport("tightness", (), replicates, {"n": int(n)})
     intervals = [iv for t1, t_mid, t2 in checked for iv in ((t1, t_mid), (t_mid, t2))]
     inc = sample_weighted_increments(replace(spec, truncation_n=int(n)), intervals, replicates, threads)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by _entry_mean_se, naming the triple
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _assemble_report, naming the triple
         sq = np.sum(inc * inc, axis=2)
         stats = sq[:, 1::2] * sq[:, 0::2]
-    mean, se = _entry_mean_se("tightness", checked, stats)
 
     env1, env2 = envelopes if envelopes is not None else default_envelopes(spec.y_gen)
     terms = [(partition_sum(tau, spec.alpha, spec.epsilon, int(n)), partition_envelope_exponents(tau))
              for tau in enumerate_partitions()]
-    d = spec.dimension
-    results = []
-    for (t1, t_mid, t2), estimate, s in zip(checked, mean, se):
-        g1 = env1.pair_bound(t1, t2)
-        g2 = env2.triple_bound(t1, t2) ** 0.5  # |F2(t2)-F2(t1)|^beta2
-        bound = 0.0
+
+    def bound(t1, t2) -> float:
+        g1, g2 = env1.pair_bound(t1, t2), env2.triple_bound(t1, t2) ** 0.5  # |F2(t2)-F2(t1)|^beta2
+        total = 0.0  # term by term in partition order: sum() of floats compensates on Python >= 3.12
         for s_val, (p, q) in terms:
-            bound += s_val * g1**p * g2**q
-        bound *= d * d
-        results.append(TightnessResult(t1, t_mid, t2, int(n), estimate, s, float(bound),
-                                       _verdict(estimate, s, bound)))
-    return results
+            total += s_val * g1**p * g2**q
+        return spec.dimension**2 * total
+
+    return _assemble_report("tightness", checked, stats, [bound(t1, t2) for t1, _, t2 in checked], {"n": int(n)})

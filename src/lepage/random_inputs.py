@@ -88,6 +88,25 @@ def _positive_exponentials(gen: np.random.Generator, n: int, out: np.ndarray | N
 # ---------------------------------------------------------------------------
 
 
+def _atom_table(values: np.ndarray, probs, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` (one atom per row) and ``probs`` as read-only arrays, once they are a law:
+    as many finite atoms as probabilities, each probability in [0, 1], summing to 1 within 1e-12.
+
+    A nan or infinite probability fails these tests, so it is refused too.
+    """
+    p = np.asarray(probs, dtype=np.float64).reshape(-1)
+    if p.size == 0 or len(values) != p.size:
+        raise ConfigurationError(f"{what} atoms and probabilities must be nonempty and equal length")
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{what} atoms must be finite, got {values.tolist()}")
+    if not (np.all((p >= 0.0) & (p <= 1.0)) and abs(p.sum() - 1.0) <= 1e-12):
+        raise ConfigurationError(f"{what} probabilities must be finite, lie in [0, 1] and sum to 1, "
+                                 f"got {p.tolist()}")
+    values.setflags(write=False)
+    p.setflags(write=False)
+    return values, p
+
+
 @dataclass(frozen=True)
 class EpsilonSpec:
     """Distribution of the i.i.d. real multipliers.
@@ -124,16 +143,8 @@ class EpsilonSpec:
                 raise ConfigurationError(
                     f"{self.family} spec needs atoms; use the EpsilonSpec.{self.family}() constructor"
                 )
-            v = np.asarray(self.atom_values, dtype=np.float64).reshape(-1)
-            p = np.asarray(self.atom_probs, dtype=np.float64).reshape(-1)
-            if v.size == 0 or v.shape != p.shape:
-                raise ConfigurationError("atom values and probabilities must be nonempty and equal length")
-            if np.any(p < 0.0) or np.any(p > 1.0) or abs(p.sum() - 1.0) > 1e-12:
-                raise ConfigurationError(f"probabilities must lie in [0,1] and sum to 1, got {p.tolist()}")
-            if not np.all(np.isfinite(v)):
-                raise ConfigurationError("atom values must be finite")
-            v.setflags(write=False)
-            p.setflags(write=False)
+            v, p = _atom_table(np.asarray(self.atom_values, dtype=np.float64).reshape(-1), self.atom_probs,
+                               "multiplier")
             object.__setattr__(self, "atom_values", v)
             object.__setattr__(self, "atom_probs", p)
         else:
@@ -337,8 +348,8 @@ class CdfGrid:
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=np.float64).reshape(-1)
         ys = np.asarray(self.ys, dtype=np.float64).reshape(-1)
-        if xs.size < 2 or xs.shape != ys.shape:
-            raise ConfigurationError("cdf grid needs matching xs/ys with at least two points")
+        if xs.size < 2 or xs.shape != ys.shape or not np.all(np.isfinite(xs) & np.isfinite(ys)):
+            raise ConfigurationError("cdf grid needs finite matching xs/ys with at least two points")
         if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0):
             raise ConfigurationError("cdf grid xs must increase strictly from 0 to 1")
         if ys[0] != 0.0 or ys[-1] != 1.0 or np.any(np.diff(ys) < 0):
@@ -367,14 +378,7 @@ class JumpHeightDist:
     probs: np.ndarray  # (k,)
 
     def __post_init__(self) -> None:
-        v = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        if v.shape[0] != p.size:
-            raise ConfigurationError("height atoms and probabilities must have equal length")
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ConfigurationError("height probabilities must be nonnegative and sum to 1")
-        v.setflags(write=False)
-        p.setflags(write=False)
+        v, p = _atom_table(np.atleast_2d(np.asarray(self.values, dtype=np.float64)), self.probs, "height")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
 

@@ -64,6 +64,16 @@ BN_CONVENTION_NOTE = (
 )
 
 
+_FLOAT = np.finfo(np.float64)
+# |ecf| band of the regression window, its log-spaced points, and the blocks of its SE
+_ECF_BAND = (0.05, 0.95)
+_GRID_SIZE = 32
+_SE_BLOCKS = 8
+# the level of the sum-stability KS test, and the oracle pairs of the family-distance baseline
+_KS_LEVEL = 0.01
+_BASELINE_PAIRS = 9
+
+
 class WindowError(ValueError):
     """Raised when the characteristic-function window is unusable."""
 
@@ -88,47 +98,39 @@ def _abs_ecf(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.abs(np.exp(1j * u[:, None] * x[None, :]).mean(axis=1))
 
 
-def auto_window(samples, lo: float = 0.05, hi: float = 0.95) -> tuple[float, float]:
-    """Bisect for the u-range on which ``|ecf|`` runs from ``hi`` down to ``lo``.
+def auto_window(samples) -> tuple[float, float]:
+    """The u-range on which ``|ecf|`` runs from 0.95 down to 0.05, bisected in ``log u``.
 
-    log(-log|ecf|) is numerically unstable outside roughly (0.05, 0.95),
-    so the regression window is confined there.
+    log(-log|ecf|) is numerically unstable outside roughly (0.05, 0.95), so the
+    regression window is confined there.  Each edge is one bisection whose
+    bracket is the float range: from the smallest normal float to the largest
+    ``u`` at which every ``u * x`` stays finite, so the window of any scale,
+    however small ``alpha`` makes it, lies inside the bracket.
     """
     x = _values(samples)
+    scale = float(np.max(np.abs(x)))
+    if not 0.0 < scale < math.inf:
+        raise WindowError(f"samples of largest magnitude {scale} have no ecf window; they look degenerate")
+    bottom = math.log(_FLOAT.tiny)
+    top = math.log(_FLOAT.max) - max(math.log(scale), 0.0) - 1.0  # u * x stays below max / e
 
-    def modulus(u: float) -> float:
-        return float(_abs_ecf(x, np.array([u]))[0])
+    def modulus(log_u: float) -> float:
+        return float(_abs_ecf(x, np.array([math.exp(log_u)]))[0])
 
-    # bracket the two crossings by doubling / halving from u = 1
-    u_hi = 1.0
-    for _ in range(80):
-        if modulus(u_hi) < lo:
-            break
-        u_hi *= 2.0
-    else:
+    lo, hi = _ECF_BAND
+    if not modulus(top) < lo:
         raise WindowError("could not push |ecf| below the lower band; samples look degenerate")
-    u_lo = 1.0
-    for _ in range(80):
-        if modulus(u_lo) > hi:
-            break
-        u_lo /= 2.0
-    else:
+    if not modulus(bottom) > hi:
         raise WindowError("could not push |ecf| above the upper band; samples look degenerate")
 
-    a, b = u_lo, u_hi  # modulus(a) > hi, modulus(b) < lo
-    lo_edge, hi_edge = a, b
-    for target, setter in ((hi, "lo_edge"), (lo, "hi_edge")):
-        left, right = a, b
-        for _ in range(60):
-            mid = math.sqrt(left * right)
-            if modulus(mid) > target:
-                left = mid
-            else:
-                right = mid
-        if setter == "lo_edge":
-            lo_edge = right
-        else:
-            hi_edge = left
+    def crossing(target: float) -> tuple[float, float]:
+        a, b = bottom, top  # modulus(a) > target >= modulus(b)
+        for _ in range(64):  # the bracket spans under 1420 in log u: 64 halvings pin u to a float's precision
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if modulus(mid) > target else (a, mid)
+        return a, b
+
+    lo_edge, hi_edge = math.exp(crossing(hi)[1]), math.exp(crossing(lo)[0])
     if not lo_edge < hi_edge:
         raise WindowError(f"degenerate ecf window [{lo_edge}, {hi_edge}]")
     return lo_edge, hi_edge
@@ -140,23 +142,17 @@ class AlphaEstimate:
     se: float
     u_min: float
     u_max: float
-    grid_size: int
     n_samples: int
 
 
-def estimate_alpha(
-    samples,
-    u_window: tuple[float, float] | None = None,
-    grid_size: int = 32,
-    se_blocks: int = 8,
-) -> AlphaEstimate:
+def estimate_alpha(samples, u_window: tuple[float, float] | None = None) -> AlphaEstimate:
     """Tail index via the log-log slope of ``-log|ecf|``.
 
     For a symmetric stable law ``-log|cf(u)| = (scale * u)^alpha``, so
     ``log(-log|ecf|)`` is affine in ``log u`` with slope alpha.  The slope
-    is fit by least squares on a log-spaced grid inside the window (auto
-    selected when not given); the standard error comes from refitting on
-    disjoint sample blocks.
+    is fit by least squares on 32 log-spaced points inside the window (auto
+    selected when not given); the standard error is that of the slopes
+    refit on 8 disjoint sample blocks, by :func:`replicate_mean_se`.
     """
     x = _values(samples)
     med = float(np.median(x))
@@ -172,20 +168,18 @@ def estimate_alpha(
     u_min, u_max = float(u_window[0]), float(u_window[1])
     if not 0.0 < u_min < u_max:
         raise WindowError(f"window must satisfy 0 < u_min < u_max, got ({u_min}, {u_max})")
-    u = np.exp(np.linspace(math.log(u_min), math.log(u_max), grid_size))
+    u = np.exp(np.linspace(math.log(u_min), math.log(u_max), _GRID_SIZE))
     mod = _abs_ecf(x, u)
     if np.any(mod == 0.0) or np.any(mod >= 1.0):
         raise WindowError("|ecf| hit 0 or 1 on the window; shrink the window toward moduli in (0.05, 0.95)")
     slope = _loglog_slope(u, mod)
-    block = x.size // se_blocks
-    slopes = []
+    block = x.size // _SE_BLOCKS
+    se = math.inf
     if block >= 2:
-        for b in range(se_blocks):
-            xb = x[b * block: (b + 1) * block]
-            mb = np.clip(_abs_ecf(xb, u), 1e-300, 1.0 - 1e-12)
-            slopes.append(_loglog_slope(u, mb))
-    se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes))) if len(slopes) > 1 else math.inf
-    return AlphaEstimate(slope, se, u_min, u_max, grid_size, x.size)
+        slopes = [_loglog_slope(u, np.clip(_abs_ecf(x[b * block: (b + 1) * block], u), 1e-300, 1.0 - 1e-12))
+                  for b in range(_SE_BLOCKS)]
+        se = float(replicate_mean_se([slopes])[1][0])
+    return AlphaEstimate(slope, se, u_min, u_max, x.size)
 
 
 def _loglog_slope(u: np.ndarray, mod: np.ndarray) -> float:
@@ -247,9 +241,9 @@ def ks_statistic(x, y) -> float:
     return float(np.max(np.abs(f1 - f2)))
 
 
-def ks_threshold(n1: int, n2: int, level: float = 0.01) -> float:
-    """Asymptotic two-sample KS critical value at the given level."""
-    c = math.sqrt(-math.log(level / 2.0) / 2.0)
+def ks_threshold(n1: int, n2: int) -> float:
+    """Asymptotic two-sample KS critical value at the 1% level."""
+    c = math.sqrt(-math.log(_KS_LEVEL / 2.0) / 2.0)
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
@@ -500,31 +494,29 @@ def regular_variation_table(
     (:func:`~lepage.series.sample_path_stats`).  Per (r, event): the conditional
     probability ``P(X/|X| in A | |X| > r b_n)`` next to the spectral
     prediction ``sigma(A)``, plus the scaled exceedance probability
-    ``n P(|X| > r b_n)`` next to its limit ``r^-alpha``.  Entries with no
-    exceedances are marked "no data" rather than failing.
+    ``n P(|X| > r b_n)`` next to its limit ``r^-alpha``.  The probabilities of
+    all events at one r and their SEs are one :func:`replicate_mean_se` call
+    over the exceedances.  Entries with no exceedances are marked "no data"
+    rather than failing, and one exceedance has no SE.
     """
     events = list(events)
     sup = stats.sup
     n_paths = sup.size
     b_n = tail_quantile_bn(sup, n)
     sign = np.ones(n_paths)
-    flags = {ev.name: ev.evaluate(sign, sup, stats.vmax, stats.vmin) for ev in events}
+    flags = np.array([ev.evaluate(sign, sup, stats.vmax, stats.vmin) for ev in events],
+                     np.float64).reshape(len(events), n_paths)
     rows = []
     for r in (float(r) for r in r_grid):
         exceed = sup > r * b_n
         count = int(exceed.sum())
-        scaled = n * count / n_paths
-        for ev in events:
-            if count == 0:
-                rows.append(RegVarRow(r, ev.name, 0, None, None,
-                                      None if sigma is None else sigma.mass(ev.name),
-                                      scaled, r**-alpha))
-                continue
-            p_hat = float(np.mean(flags[ev.name][exceed]))
-            se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / count)
-            rows.append(RegVarRow(r, ev.name, count, p_hat, se,
-                                  None if sigma is None else sigma.mass(ev.name),
-                                  scaled, r**-alpha))
+        cond = se = [None] * len(events)
+        if count >= 2:
+            cond, se = (v.tolist() for v in replicate_mean_se(flags[:, exceed]))
+        elif count:  # one draw has no SE
+            cond = flags[:, exceed][:, 0].tolist()
+        rows += [RegVarRow(r, ev.name, count, p, s, None if sigma is None else sigma.mass(ev.name),
+                           n * count / n_paths, r**-alpha) for ev, p, s in zip(events, cond, se)]
     return RegVarTable(b_n, n, alpha, n_paths, tuple(rows))
 
 
@@ -545,12 +537,7 @@ class FamilyDistance:
         return self.ks / self.baseline_median
 
 
-def oracle_family_distance(
-    samples,
-    alpha: float,
-    stream: RngStream,
-    baseline_pairs: int = 9,
-) -> FamilyDistance:
+def oracle_family_distance(samples, alpha: float, stream: RngStream) -> FamilyDistance:
     """KS distance to the stable family, scale calibrated by quartile matching.
 
     The unknown scale of the limit marginal is never asserted; it is
@@ -570,7 +557,7 @@ def oracle_family_distance(
     oracle = stable_oracle(alpha, scale, stream.substream(_TAG_ORACLE, 1), nx)
     d_obs = ks_statistic(x, oracle)
     baseline = []
-    for b in range(baseline_pairs):
+    for b in range(_BASELINE_PAIRS):
         a = stable_oracle(alpha, scale, stream.substream(_TAG_ORACLE, 2 + 2 * b), nx)
         c = stable_oracle(alpha, scale, stream.substream(_TAG_ORACLE, 3 + 2 * b), nx)
         baseline.append(ks_statistic(a, c))

@@ -157,10 +157,10 @@ def test_c07_tightness_chain():
     started = time.perf_counter()
     spec = SeriesSpec(1.5, 100, RAD, poisson_counts(1.0), seed=107,
                       weight_mode="deterministic", epsilon_mode="truncated")
-    results = diag.tightness_functional(spec, 100, TRIPLE_GRID, 10_000)
-    assert len(results) == len(TRIPLE_GRID)
-    for res in results:
-        assert res.estimate <= res.bound + 4.0 * res.se
+    entries = diag.tightness_functional(spec, 100, TRIPLE_GRID, 10_000).entries
+    assert len(entries) == len(TRIPLE_GRID)
+    for res in entries:
+        assert res.estimate <= res.envelope + 4.0 * res.se
     assert time.perf_counter() - started < 120.0
 
 

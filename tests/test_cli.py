@@ -182,6 +182,26 @@ class TestCommandTables:
         with pytest.raises(ConfigParseError, match=rf"line {line}: key 'y': user paths must share one dimension"):
             parse_config(text)
 
+    @pytest.mark.parametrize("alpha,key,value,message", [
+        # every marginal at t 0.5 read exactly 0.0, so the KS distance was 0 and the run "satisfied"
+        (1.5, "y", "{variant: example2, cdfs: [{xs: [0.0, .nan, 1.0], ys: [0.0, 0.5, 1.0]}]}",
+         r"cdf grid needs finite matching xs/ys"),
+        # drew the first atom every time
+        (0.8, "epsilon", "{family: table, values: [-1.0, 1.0], probabilities: [.nan, 1.0]}",
+         r"multiplier probabilities must be finite, lie in \[0, 1\] and sum to 1, got \[nan, 1\.0\]"),
+        (1.5, "y", "{variant: example2, heights: {values: [[1.0], [2.0]], probabilities: [.nan, 1.0]}}",
+         r"height probabilities must be finite, lie in \[0, 1\] and sum to 1, got \[nan, 1\.0\]"),
+        # drew, then blamed small alpha for the overflow
+        (1.5, "y", "{variant: example2, heights: {values: [[1.0], [.inf]], probabilities: [0.5, 0.5]}}",
+         r"height atoms must be finite, got \[\[1\.0\], \[inf\]\]"),
+    ], ids=["cdf_knot", "table_probability", "height_probability", "height"])
+    def test_non_finite_distribution_parameters_are_config_errors(self, alpha, key, value, message):
+        text = f"command: stability\nalpha: {alpha}\nepsilon: rademacher\ny: example1\nt: 0.5\n"
+        text = text.replace(f"{key}: {'rademacher' if key == 'epsilon' else 'example1'}", f"{key}: {value}")
+        line = 3 if key == "epsilon" else 4
+        with pytest.raises(ConfigParseError, match=rf"line {line}: key '{key}': {message}"):
+            parse_config(text)
+
     @pytest.mark.parametrize("n,message", [
         (10000, "regvar needs 1 <= n <= samples, got n 10000 and samples 8000"),
         (0, "must be >= 1, got 0"),  # the parser of n, shared with tightness

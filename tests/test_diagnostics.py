@@ -7,9 +7,10 @@ import pytest
 
 import lepage.diagnostics as diagnostics
 from lepage.diagnostics import (
+    MomentEntry,
     MomentEnvelope,
+    MomentReport,
     PARTITION_CARDINALITY_NOTE,
-    TightnessResult,
     _verdict,
     borel_cantelli_sum,
     centered_first_moment_sum,
@@ -517,18 +518,18 @@ class TestTightnessFunctional:
             tightness_functional(self.spec(epsilon_mode="raw"), 10, [(0.1, 0.2, 0.3)], 100)
 
     def test_degenerate_triple_exact_zero(self):
-        res = tightness_functional(self.spec(), 50, [(0.3, 0.3, 0.8)], 500)[0]
+        res, = tightness_functional(self.spec(), 50, [(0.3, 0.3, 0.8)], 500).entries
         assert res.estimate == 0.0 and res.se == 0.0
 
     def test_single_unit_jump_term_exact_zero(self):
         # one indicator jump cannot hit both intervals
         spec = self.spec(y_gen=unit_jump(), truncation_n=1)
-        res = tightness_functional(spec, 1, [(0.2, 0.5, 0.8)], 2000)[0]
+        res, = tightness_functional(spec, 1, [(0.2, 0.5, 0.8)], 2000).entries
         assert res.estimate == 0.0
 
     def test_estimate_below_assembled_bound(self):
-        res = tightness_functional(self.spec(), 100, [(0.2, 0.5, 0.8)], 4000)[0]
-        assert res.estimate <= res.bound + 4.0 * res.se
+        res, = tightness_functional(self.spec(), 100, [(0.2, 0.5, 0.8)], 4000).entries
+        assert res.estimate <= res.envelope + 4.0 * res.se
         assert res.verdict == "satisfied"
 
     def test_ordering_validated(self):
@@ -556,7 +557,7 @@ def reference_tightness(spec, n, triple, replicates):
         p, q = partition_envelope_exponents(tau)
         bound += partition_sum(tau, spec.alpha, spec.epsilon, n) * g1**p * g2**q
     bound *= spec.dimension**2
-    return TightnessResult(t1, t_mid, t2, n, estimate, se, float(bound), _verdict(estimate, se, bound))
+    return MomentEntry(t1, t_mid, t2, estimate, se, float(bound), _verdict(estimate, se, bound))
 
 
 WEIGHTED_2D_P3 = weighted_jumps(
@@ -582,7 +583,9 @@ class TestTightnessGrid:
                              ids=["poisson", "unit_jump", "weighted_2d_p3"])
     def test_matches_one_run_per_triple(self, y_gen, n, replicates):
         spec = self.spec(y_gen)
-        got = tightness_functional(spec, n, GRID, replicates)
+        report = tightness_functional(spec, n, GRID, replicates)
+        assert (report.kind, report.replicates, report.meta) == ("tightness", replicates, {"n": n})
+        got = report.entries
         assert len(got) == len(GRID)
         for triple, res in zip(GRID, got):
             assert res == reference_tightness(spec, n, triple, replicates), triple
@@ -598,7 +601,7 @@ class TestTightnessGrid:
 
         monkeypatch.setattr(diagnostics, "sample_weighted_increments", counting)
         got = tightness_functional(self.spec(poisson_counts(1.0)), 50, GRID, 300)
-        assert len(got) == len(GRID)
+        assert len(got.entries) == len(GRID)
         assert calls == [[iv for a, b, c in GRID for iv in ((a, b), (b, c))]]
 
     def test_bad_triple_raises_before_any_draw(self, monkeypatch):
@@ -622,4 +625,5 @@ class TestTightnessGrid:
 
     def test_no_triples_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
-        assert tightness_functional(self.spec(poisson_counts(1.0)), 50, [], 300) == []
+        assert tightness_functional(self.spec(poisson_counts(1.0)), 50, [], 300) == MomentReport(
+            "tightness", (), 300, {"n": 50})

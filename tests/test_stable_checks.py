@@ -13,7 +13,7 @@ from lepage.random_inputs import (
     weighted_jumps,
 )
 from lepage import stable_checks
-from lepage.parallel import chunk_size, map_replicates
+from lepage.parallel import chunk_size, map_replicates, replicate_mean_se
 from lepage.rng import RngStream
 from lepage.series import PathStatsSample, SeriesSpec, sample_path_stats
 from lepage.stable_checks import (
@@ -111,6 +111,13 @@ class TestEstimateAlpha:
         x = stable_oracle(1.5, 1.0, RngStream(6), 1000)
         with pytest.raises(WindowError):
             estimate_alpha(x, u_window=(-1.0, 1.0))
+
+    def test_small_alpha_window(self):
+        # at alpha 0.05, |ecf| > 0.95 needs u near 1e-26, below the 8e-25 that 80 halvings from 1 reach
+        x = stable_oracle(0.05, 1.0, RngStream(3), 20_000)
+        est = estimate_alpha(x)
+        assert est.u_min < 8e-25
+        assert abs(est.alpha - 0.05) < 4.0 * est.se
 
     def test_auto_window_band(self):
         x = stable_oracle(1.5, 1.0, RngStream(7), 50_000)
@@ -377,6 +384,17 @@ class TestRegularVariationTable:
         for row in table.rows:
             if row.event == "nonnegative_path" and row.exceed_count:
                 assert row.cond_prob == 1.0
+
+    def test_se_is_the_shared_estimator(self):
+        # 50 paths of sup k + 1, nonnegative for odd k; b_n at n 5 is 40
+        tops = np.arange(1.0, 51.0)
+        odd = np.arange(50) % 2 == 1
+        stats = PathStatsSample(sup=tops, vmax=np.where(odd, tops, 0.0), vmin=np.where(odd, 0.0, -tops))
+        ten, one = regular_variation_table(stats, [nonnegative_path()], [1.0, 1.24], 5, 1.5).rows
+        assert (ten.exceed_count, ten.cond_prob) == (10, 0.5)  # the paths of sup 41 to 50
+        assert ten.se == replicate_mean_se([odd[40:]])[1][0] == pytest.approx(math.sqrt(0.25 / 9), rel=1e-15)
+        # the path of sup 50 alone: one draw has no SE, and its cell is empty as with no data
+        assert (one.exceed_count, one.cond_prob, one.se, one.row()["se"]) == (1, 1.0, None, "")
 
 
 class TestOracleFamilyDistance:

@@ -98,3 +98,40 @@ def test_every_manifest_records_the_layout(tmp_path, command):
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) in (0, 2)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["versions"]["stream_layout"] == rng.STREAM_LAYOUT
+
+
+# result files of check commands on 3 chunks at 2 threads: the moment reports and tightness
+WEIGHTED_2D_Y = ("{variant: example2, p: 3, cdfs: [uniform, {xs: [0.0, 0.5, 1.0], ys: [0.0, 0.9, 1.0]}, uniform],\n"
+                 "    heights: {values: [[1.0, -0.5], [-0.75, 0.25], [0.5, 2.0]], probabilities: [0.5, 0.25, 0.25]}}")
+REPORT_RUNS = {
+    "tightness_poisson": (
+        "command: tightness\nalpha: 1.0\nepsilon: rademacher\ny: example3\nn: 8\nreplicates: 2100\n"
+        "triples: [[0.1, 0.35, 0.6], [0.2, 0.5, 0.9], [0.3, 0.3, 0.8]]\n",
+        {"tightness.csv": "b92b668dea8dc778f899c6d150469a41888de533af4c1f8bc83986a722a808f5",
+         "tightness.json": "c511ec9fb445559434b7df5e8909f02bba3311c34e3a3c0d67fcdeaba3fb4cef"}),
+    "tightness_weighted2d": (
+        f"command: tightness\nalpha: 1.0\nepsilon: rademacher\ny: {WEIGHTED_2D_Y}\n"
+        "envelope: {kind: poly, beta: 1.0, coeffs: [2.0, 1.0]}\n"
+        "n: 8\nreplicates: 2100\ntriples: [[0.1, 0.35, 0.6], [0.2, 0.5, 0.9]]\n",
+        {"tightness.csv": "da2c617afb20a58415ee9bc5a44c4bb17965d89b3fee538749eeb7f45ad03a6a",
+         "tightness.json": "e75297e78e85046bb5619ef4f740297ad97b3c14217713cd0510a72eca0f15ff"}),
+    "check-conditions": (
+        "command: check-conditions\ny: example1\nreplicates: 2100\n",
+        {"c1_report.csv": "c0fe85d8b2d24fefd1e33aa76ae9d01b36411044160cb314bbc1459fd9d19c87",
+         "c1_report.json": "e7c2de4f34244a47f019099b6ff110ca6f7ca8fe133f0e57403f249e5b9a7696",
+         "c2_report.csv": "120bf9e1d63cc557883fe85e103263120097b4a3b695d3211634d5a55e644c17",
+         "c2_report.json": "707d378f9e951a6bd0128d62d85ca627b1b9700f3889e17c740982dcf6940793"}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(REPORT_RUNS))
+def test_report_files_are_pinned(tmp_path, run):
+    text, digests = REPORT_RUNS[run]
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "--threads", str(THREADS)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "out").iterdir() if p.name != "manifest.json"}
+    assert got == digests, (
+        f"{run}: the result files changed under stream layout {LAYOUT} (numpy {np.__version__}); a change to "
+        "how a report is assembled or written must keep their bytes")
