@@ -7,11 +7,13 @@ JSON artifacts plus a ``manifest.json`` that suffices to reproduce the run.
 Every key is declared once, as ``key: (default, parser)``.  ``_COMMANDS``
 gives each command its handler and exactly the keys that handler reads,
 from shared groups (the series keys ``_SERIES``, the truncation and modes
-``_MODES``) and its own; every command also takes the run keys ``_RUN``
-(``command``, ``seed``, ``threads``, ``output``).  A missing or null key
-takes its default.  A key the command does not read, or a value its
-parser rejects, is a line-numbered :class:`ConfigParseError`: silent typos
-and ignored settings corrupt experiment claims.
+``_MODES``, the worker count ``_THREADS`` of each command that draws paths)
+and its own; every command also takes the run keys ``_RUN`` (``command``,
+``seed``, ``output``).  Counts, the seed and ``threads`` take whole numbers
+only, and no number key takes a boolean.  A missing or null key takes its
+default.  A key the command does not read, or a value its parser rejects,
+is a line-numbered :class:`ConfigParseError`: silent typos and ignored
+settings corrupt experiment claims.
 
 Exit codes: 0 success, 1 operational error, 2 statistical "violated"
 verdict from a check command (a refutation, not a breakage).
@@ -74,27 +76,37 @@ def _fail(text: str, key: str, message: str) -> None:
 
 # value parsers: config value -> parsed value, or ValueError/TypeError
 # (KeyError for a missing nested parameter)
+def _integer(v) -> int:
+    """``v`` as an int; a boolean or a number with a fractional part is refused, not rounded."""
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"must be a whole number, got {v!r}")
+    return int(v)
+
+
 def _count(v) -> int:
-    n = int(v)
+    n = _integer(v)
     if n < 0:
         raise ValueError(f"must be nonnegative, got {n}")
     return n
 
 
 def _positive(v) -> int:
-    if _count(v) < 1:
-        raise ValueError(f"must be >= 1, got {v}")
-    return int(v)
+    n = _count(v)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
 
 
 def _alpha(v) -> float:
-    alpha = float(v)
+    alpha = _finite(v)
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in the open interval (0, 2), got {alpha}")
     return alpha
 
 
 def _finite(v) -> float:
+    if isinstance(v, bool):
+        raise ValueError(f"must be a number, got {v!r}")
     x = float(v)
     if not math.isfinite(x):
         raise ValueError(f"must be finite, got {x}")
@@ -109,8 +121,9 @@ def _radius(v) -> float:
 
 
 def _threads(v):
+    v = v if v == "auto" else _integer(v)
     resolve_threads(v)
-    return v if v == "auto" else int(v)
+    return v
 
 
 def _bool(v) -> bool:
@@ -210,7 +223,7 @@ def _y(obj):
     if variant == "example3":
         return poisson_counts(obj.get("lambda", 1.0))
     if variant == "example2":
-        p = int(obj.get("p", 1))
+        p = _positive(obj.get("p", 1))
         cdfs_cfg = obj.get("cdfs", "uniform")
         if cdfs_cfg == "uniform":
             cdfs = [CdfGrid.uniform() for _ in range(p)]
@@ -220,11 +233,8 @@ def _y(obj):
                 raise ValueError(f"expected {p} cdfs, got {len(cdfs)}")
         h = obj.get("heights", {"constant": [1.0]})
         h = _fields(h, "heights", ("constant",) if "constant" in h else ("values", "probabilities"))
-        if "constant" in h:
-            dist = JumpHeightDist.constant(h["constant"])
-        else:
-            dist = JumpHeightDist(np.atleast_2d(np.asarray(h["values"], float)),
-                                  np.asarray(h["probabilities"], float))
+        dist = (JumpHeightDist.constant(h["constant"]) if "constant" in h
+                else JumpHeightDist(h["values"], h["probabilities"]))
         return weighted_jumps(cdfs, dist, obj.get("fourth_moment_bound", np.inf))
     files = sorted(Path(obj["paths_dir"]).glob("*.csv"))
     if not files:
@@ -259,10 +269,10 @@ _REQUIRED = object()  # the default of a key the config must give
 # key groups, {key: (default, parser)}; _COMMANDS gives each command its keys
 _RUN = {
     "command": (_REQUIRED, str),
-    "seed": (0, int),
-    "threads": (1, _threads),
+    "seed": (0, _integer),
     "output": ({"directory": "out", "formats": ["csv", "json"]}, _output),
 }
+_THREADS = {"threads": (1, _threads)}
 _SERIES = {"alpha": (_REQUIRED, _alpha), "epsilon": (_REQUIRED, _epsilon), "y": (_REQUIRED, _y)}
 _MODES = {
     "truncation_n": (10_000, _count),
@@ -313,7 +323,8 @@ def _resolved_config(cfg: ExperimentConfig) -> dict:
     """The config as run, in config spelling: the command's defaults under the given values."""
     resolved = {k: d for k, (d, _) in _KEYS[cfg.command].items() if d is not _REQUIRED}
     resolved.update((k, v) for k, v in cfg.raw.items() if v is not None)
-    resolved["threads"] = cfg.threads
+    if "threads" in resolved:
+        resolved["threads"] = cfg.threads
     resolved["output"] = {"directory": str(cfg.out_dir), "formats": list(cfg.formats)}
     return resolved
 
@@ -420,7 +431,7 @@ class _Writer:
         payload = {
             "command": self.cfg.command,
             "seed": self.cfg.seed,
-            "threads": self.cfg.threads,
+            **({"threads": self.cfg.threads} if hasattr(self.cfg, "threads") else {}),
             "config": _jsonable(self.cfg.raw),
             "resolved_config": _jsonable(_resolved_config(self.cfg)),
             "manifest_hash": self.manifest_hash,
@@ -585,20 +596,22 @@ _MOMENTS = {k: _SERIES[k] for k in ("alpha", "epsilon")}
 
 # command -> (handler, the keys it reads beside the run keys, as {key: (default, parser)})
 _COMMANDS = {
-    "simulate": (_cmd_simulate, {**_SERIES, **_MODES, "replicates": (1, _count),
+    # simulate runs one thread, but keeps the key that scripts pass to every command drawing paths
+    "simulate": (_cmd_simulate, {**_SERIES, **_MODES, **_THREADS, "replicates": (1, _count),
                                  "per_term_norms": (False, _bool)}),
-    "check-conditions": (_cmd_check_conditions, {"y": _SERIES["y"], "replicates": (100_000, _count),
+    "check-conditions": (_cmd_check_conditions, {"y": _SERIES["y"], **_THREADS, "replicates": (100_000, _count),
                                                  "pairs": _PAIRS, "triples": _TRIPLES, "envelope": _ENVELOPE}),
     "constants": (_cmd_constants, {**_MOMENTS, "m_values": ([2.0, 3.0, 4.0], _list_of(_finite)),
                                    "n_max": (10**6, _count)}),
     "partitions": (_cmd_partitions, {**_MOMENTS, "n_grid": ([1, 2, 4, 8, 16, 32, 64], _list_of(_count)),
                                      "constant_n_max": (10**5, _count)}),
-    "tightness": (_cmd_tightness, {**_SERIES, "replicates": (10_000, _count), "triples": _TRIPLES,
+    "tightness": (_cmd_tightness, {**_SERIES, **_THREADS, "replicates": (10_000, _count), "triples": _TRIPLES,
                                    "envelope": _ENVELOPE, "n": _N}),
-    "stability": (_cmd_stability, {**_SERIES, **_MODES, "t": (1.0, float), "samples": _SAMPLES}),
-    "spectral": (_cmd_spectral, {**_SERIES, "replicates": (100_000, _count), "events": _EVENTS}),
-    "regvar": (_cmd_regvar, {**_SERIES, **_MODES, "samples": _SAMPLES, "sigma_replicates": (100_000, _count),
-                             "events": _EVENTS, "r_grid": ([1.0, 2.0], _list_of(_radius)), "n": _N}),
+    "stability": (_cmd_stability, {**_SERIES, **_MODES, **_THREADS, "t": (1.0, _finite), "samples": _SAMPLES}),
+    "spectral": (_cmd_spectral, {**_SERIES, **_THREADS, "replicates": (100_000, _count), "events": _EVENTS}),
+    "regvar": (_cmd_regvar, {**_SERIES, **_MODES, **_THREADS, "samples": _SAMPLES,
+                             "sigma_replicates": (100_000, _count), "events": _EVENTS,
+                             "r_grid": ([1.0, 2.0], _list_of(_radius)), "n": _N}),
 }
 _KEYS = {name: {**_RUN, **own} for name, (_, own) in _COMMANDS.items()}
 
@@ -633,6 +646,8 @@ def main(argv=None) -> int:
         cfg.out_dir = args.out
     try:
         if args.threads is not None:
+            if not hasattr(cfg, "threads"):
+                raise ValueError(f"command {cfg.command!r} takes no --threads: it runs no worker threads")
             cfg.threads = _threads(args.threads)
         if args.format is not None:
             cfg.formats = _formats(f for f in args.format.split(",") if f)

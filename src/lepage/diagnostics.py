@@ -117,13 +117,9 @@ class MomentEnvelope:
             return np.interp(t, self.grid_xs, self.grid_ys)
         return sum(c * t**k for k, c in enumerate(self.coeffs, start=1))
 
-    def pair_bound(self, t1: float, t2: float) -> float:
-        """``|F(t2) - F(t1)|^beta``."""
-        return float(np.abs(self.f(t2) - self.f(t1)) ** self.beta)
-
-    def triple_bound(self, t1: float, t2: float) -> float:
-        """``|F(t2) - F(t1)|^(2 beta)``."""
-        return float(np.abs(self.f(t2) - self.f(t1)) ** (2.0 * self.beta))
+    def bound(self, t1: float, t2: float, spans: int = 1) -> float:
+        """``|F(t2) - F(t1)|^(spans * beta)``: beta for a pair, 2 beta for a triple."""
+        return float(np.abs(self.f(t2) - self.f(t1)) ** (spans * self.beta))
 
     def echo(self) -> dict:
         if self.grid_xs is None:
@@ -241,42 +237,45 @@ def _assemble_report(kind, times, stats, bounds, meta) -> MomentReport:
     return MomentReport(kind, entries, len(stats), meta)
 
 
-def _moment_report(kind, tag, statistic, bound, y_spec, times, replicates, envelope, stream, threads):
-    """The :class:`MomentReport` of ``statistic`` over ``times``, entries of 2 or 3 times.
+def _span_products(inc: np.ndarray, spans: int) -> np.ndarray:
+    """Per path and entry, the product of the squared increment norms over the entry's ``spans``
+    intervals, ``inc[:, e*spans:(e+1)*spans]`` for entry e; :func:`_assemble_report` reports overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _assemble_report, naming the entry
+        sq = np.sum(inc * inc, axis=2)
+        return np.prod(sq.reshape(len(sq), -1, spans), axis=2)
 
-    ``statistic(sq)`` maps ``sq[:, j, e]``, the squared norm of each path's increment
-    over the j-th interval of entry e, to one value per path and entry; the envelope
-    of entry ``(t1, ..., t2)`` is ``bound(envelope, t1, t2)``.  Each chunk of paths
-    returns its values, and :func:`_assemble_report` reduces them in chunk order.
+
+def _moment_report(kind, tag, y_spec, times, replicates, envelope, stream, threads):
+    """The :class:`MomentReport` of the span products of ``y_spec``'s increments over ``times``.
+
+    An entry of 2 times has 1 span, one of 3 times 2, and its envelope is
+    ``envelope.bound(t1, t2, spans)``.  Each chunk of paths returns its span
+    products, and :func:`_assemble_report` reduces them in chunk order.
     """
     times = _checked_times(kind, times)
     if replicates < 100:
         raise ConfigurationError(f"need at least 100 replicates, got {replicates}")
     spans = len(_ENTRY_TIMES[kind][1]) - 1
-    intervals = [(ts[j], ts[j + 1]) for j in range(spans) for ts in times]
+    intervals = [(ts[j], ts[j + 1]) for ts in times for j in range(spans)]
 
     def one_chunk(sub, m):
-        inc = interval_increments(y_spec.block_sampler(sub).take(m), intervals)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by _assemble_report, naming the entry
-            return statistic(np.sum(inc * inc, axis=2).reshape(m, spans, -1))
+        return _span_products(interval_increments(y_spec.block_sampler(sub).take(m), intervals), spans)
 
     stats = np.concatenate(map_replicates(one_chunk, stream.substream(tag), replicates, 1, threads))
-    return _assemble_report(kind, times, stats, [bound(envelope, ts[0], ts[-1]) for ts in times],
+    return _assemble_report(kind, times, stats, [envelope.bound(ts[0], ts[-1], spans) for ts in times],
                             {"y": y_spec.echo(), "envelope": envelope.echo()})
 
 
 def estimate_c1(y_spec: YGeneratorSpec, pairs, replicates: int, envelope: MomentEnvelope, stream: RngStream,
                 threads=1) -> MomentReport:
     """Monte Carlo second moments ``E|Y(t2) - Y(t1)|^2`` against the envelope."""
-    return _moment_report("increment_second_moment", _TAG_C1, lambda sq: sq[:, 0], MomentEnvelope.pair_bound,
-                          y_spec, pairs, replicates, envelope, stream, threads)
+    return _moment_report("increment_second_moment", _TAG_C1, y_spec, pairs, replicates, envelope, stream, threads)
 
 
 def estimate_c2(y_spec: YGeneratorSpec, triples, replicates: int, envelope: MomentEnvelope, stream: RngStream,
                 threads=1) -> MomentReport:
     """Monte Carlo cross moments ``E|Y(t2)-Y(t)|^2 |Y(t)-Y(t1)|^2``."""
-    return _moment_report("cross_moment", _TAG_C2, lambda sq: sq[:, 0] * sq[:, 1], MomentEnvelope.triple_bound,
-                          y_spec, triples, replicates, envelope, stream, threads)
+    return _moment_report("cross_moment", _TAG_C2, y_spec, triples, replicates, envelope, stream, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +290,14 @@ class MomentConstant:
     alpha: float
     m: float
     n_max: int
+
+
+def _index_terms(alpha: float, eps: EpsilonSpec, n: int, m: float | None = None) -> np.ndarray:
+    """The terms ``i^(-m/alpha) E|eps~_i|^m`` for i = 1..n, or ``i^(-1/alpha) |E eps~_i|`` when m is None."""
+    i = np.arange(1, n + 1, dtype=np.float64)
+    if m is None:
+        return i ** (-1.0 / alpha) * np.abs(eps.truncated_mean(i, alpha))
+    return i ** (-m / alpha) * eps.truncated_abs_moment(m, i, alpha)
 
 
 def moment_constant(alpha: float, m: float, eps: EpsilonSpec, n_max: int) -> MomentConstant:
@@ -308,8 +315,7 @@ def moment_constant(alpha: float, m: float, eps: EpsilonSpec, n_max: int) -> Mom
         raise ConfigurationError(f"n_max must be nonnegative, got {n_max}")
     if n_max == 0:
         return MomentConstant(0.0, False, alpha, m, 0)
-    i = np.arange(1, n_max + 1, dtype=np.float64)
-    terms = i ** (-m / alpha) * eps.truncated_abs_moment(m, i, alpha)
+    terms = _index_terms(alpha, eps, n_max, m)
     total = float(np.sum(terms))
     tail = float(np.sum(terms[n_max // 10:]))
     converged = total == 0.0 or (n_max >= 10 and tail < 1e-6 * total)
@@ -326,10 +332,7 @@ def centered_first_moment_sum(alpha: float, eps: EpsilonSpec, n_max: int) -> flo
         raise ConfigurationError(
             f"centered first-moment sum requires a mean-zero family, got mean {eps.mean()!r}"
         )
-    if n_max <= 0:
-        return 0.0
-    i = np.arange(1, n_max + 1, dtype=np.float64)
-    return float(np.sum(i ** (-1.0 / alpha) * np.abs(eps.truncated_mean(i, alpha))))
+    return float(np.sum(_index_terms(alpha, eps, n_max)))  # no terms for n_max <= 0
 
 
 @dataclass(frozen=True)
@@ -384,15 +387,7 @@ def _block_moment_factors(block_sizes, alpha: float, eps: EpsilonSpec, n: int) -
     Singleton blocks contribute ``|E eps~_i|``; larger blocks contribute
     ``E|eps~_i|^b`` (absolute values per factor, as in the bounding step).
     """
-    i = np.arange(1, n + 1, dtype=np.float64)
-    out = []
-    for b in block_sizes:
-        if b == 1:
-            mom = np.abs(eps.truncated_mean(i, alpha))
-        else:
-            mom = eps.truncated_abs_moment(float(b), i, alpha)
-        out.append(i ** (-b / alpha) * mom)
-    return out
+    return [_index_terms(alpha, eps, n, None if b == 1 else float(b)) for b in block_sizes]
 
 
 def _sum_distinct(gs: list[np.ndarray], depths) -> np.ndarray:
@@ -576,16 +571,14 @@ def tightness_functional(
         return MomentReport("tightness", (), replicates, {"n": int(n)})
     intervals = [iv for t1, t_mid, t2 in checked for iv in ((t1, t_mid), (t_mid, t2))]
     inc = sample_weighted_increments(replace(spec, truncation_n=int(n)), intervals, replicates, threads)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by _assemble_report, naming the triple
-        sq = np.sum(inc * inc, axis=2)
-        stats = sq[:, 1::2] * sq[:, 0::2]
+    stats = _span_products(inc, 2)
 
     env1, env2 = envelopes if envelopes is not None else default_envelopes(spec.y_gen)
     terms = [(partition_sum(tau, spec.alpha, spec.epsilon, int(n)), partition_envelope_exponents(tau))
              for tau in enumerate_partitions()]
 
     def bound(t1, t2) -> float:
-        g1, g2 = env1.pair_bound(t1, t2), env2.triple_bound(t1, t2) ** 0.5  # |F2(t2)-F2(t1)|^beta2
+        g1, g2 = env1.bound(t1, t2), env2.bound(t1, t2, 2) ** 0.5  # |F2(t2)-F2(t1)|^beta2
         total = 0.0  # term by term in partition order: sum() of floats compensates on Python >= 3.12
         for s_val, (p, q) in terms:
             total += s_val * g1**p * g2**q

@@ -107,6 +107,12 @@ def _atom_table(values: np.ndarray, probs, what: str) -> tuple[np.ndarray, np.nd
     return values, p
 
 
+def _atom_draws(values: np.ndarray, probs: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The atom (row of ``values``) of each uniform ``u`` by the inverse cdf, into ``out`` when given."""
+    idx = np.searchsorted(np.cumsum(probs), u, side="right")
+    return np.take(values, idx, axis=0, out=out, mode="clip")  # clip: u past the last cum
+
+
 @dataclass(frozen=True)
 class EpsilonSpec:
     """Distribution of the i.i.d. real multipliers.
@@ -255,8 +261,7 @@ class EpsilonSpec:
             v -= 1.0
             v *= self.a
             return v
-        idx = np.searchsorted(np.cumsum(self.atom_probs), v, side="right")
-        return np.take(self.atom_values, idx, out=v, mode="clip")  # clip: u past the last cum
+        return _atom_draws(self.atom_values, self.atom_probs, v, out=v)
 
     def echo(self) -> dict:
         out = {"family": self.family}
@@ -378,7 +383,7 @@ class JumpHeightDist:
     probs: np.ndarray  # (k,)
 
     def __post_init__(self) -> None:
-        v, p = _atom_table(np.atleast_2d(np.asarray(self.values, dtype=np.float64)), self.probs, "height")
+        v, p = _atom_table(np.atleast_2d(np.array(self.values, dtype=np.float64)), self.probs, "height")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
 
@@ -394,9 +399,7 @@ class JumpHeightDist:
         return float(np.dot(np.sum(self.values**2, axis=1) ** 2, self.probs))
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(cum, gen.random(size), side="right")
-        return self.values[np.minimum(idx, self.values.shape[0] - 1)]
+        return _atom_draws(self.values, self.probs, gen.random(size))
 
 
 class YGeneratorSpec:
@@ -485,13 +488,9 @@ class _WeightedJumpsSampler(YBlockSampler):
         p, d = spec.p, spec.dimension
         times = np.empty((n, p)) if out is None else out.reshape(n, p)
         heights = np.empty((n, p, d))
-        for j, cdf in enumerate(spec.cdfs):
-            tj = cdf.inverse(_draw_open_unit(self._locs[j], n))
+        for j, (cdf, loc) in enumerate(zip(spec.cdfs, self._locs)):
             # inverse cdf can land on 0 where the grid starts flat
-            while np.any(tj == 0.0):
-                zero = tj == 0.0
-                tj[zero] = cdf.inverse(_draw_open_unit(self._locs[j], int(zero.sum())))
-            times[:, j] = tj
+            times[:, j] = _nonzero_draws(lambda k: cdf.inverse(_draw_open_unit(loc, k)), n, None)
             heights[:, j] = spec.height_dist.sample(self._heights[j], n)
         return TermEvents(n, d, None, times.reshape(-1), heights.reshape(-1, d), np.broadcast_to(0.0, (n, d)), p)
 

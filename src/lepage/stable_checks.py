@@ -145,14 +145,14 @@ class AlphaEstimate:
     n_samples: int
 
 
-def estimate_alpha(samples, u_window: tuple[float, float] | None = None) -> AlphaEstimate:
+def estimate_alpha(samples) -> AlphaEstimate:
     """Tail index via the log-log slope of ``-log|ecf|``.
 
     For a symmetric stable law ``-log|cf(u)| = (scale * u)^alpha``, so
     ``log(-log|ecf|)`` is affine in ``log u`` with slope alpha.  The slope
-    is fit by least squares on 32 log-spaced points inside the window (auto
-    selected when not given); the standard error is that of the slopes
-    refit on 8 disjoint sample blocks, by :func:`replicate_mean_se`.
+    is fit by least squares on 32 log-spaced points inside the window of
+    :func:`auto_window`; the standard error is that of the slopes refit on
+    8 disjoint sample blocks, by :func:`replicate_mean_se`.
     """
     x = _values(samples)
     med = float(np.median(x))
@@ -163,15 +163,11 @@ def estimate_alpha(samples, u_window: tuple[float, float] | None = None) -> Alph
             "the log-log slope assumes a symmetric law",
             stacklevel=2,
         )
-    if u_window is None:
-        u_window = auto_window(x)
-    u_min, u_max = float(u_window[0]), float(u_window[1])
-    if not 0.0 < u_min < u_max:
-        raise WindowError(f"window must satisfy 0 < u_min < u_max, got ({u_min}, {u_max})")
+    u_min, u_max = auto_window(x)
     u = np.exp(np.linspace(math.log(u_min), math.log(u_max), _GRID_SIZE))
     mod = _abs_ecf(x, u)
     if np.any(mod == 0.0) or np.any(mod >= 1.0):
-        raise WindowError("|ecf| hit 0 or 1 on the window; shrink the window toward moduli in (0.05, 0.95)")
+        raise WindowError("|ecf| hit 0 or 1 inside the window; samples look degenerate")
     slope = _loglog_slope(u, mod)
     block = x.size // _SE_BLOCKS
     se = math.inf
@@ -435,12 +431,7 @@ def tail_quantile_bn(norm_samples, n: int) -> float:
         raise ConfigurationError(f"quantile resolution: need at least n = {n} samples, got {x.size}")
     if x.size < 10 * n:
         warnings.warn(f"only {x.size} samples for n = {n}; b_n is noisy below 10n", stacklevel=2)
-    k = x.size // n
-    j = x.size - 1 - k
-    s = np.sort(x)
-    if j < 0:
-        return float(s[-1])
-    return float(s[j])
+    return float(np.sort(x)[x.size - 1 - x.size // n])  # n = 1 reads index -1, the largest sample
 
 
 @dataclass(frozen=True)

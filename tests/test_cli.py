@@ -46,19 +46,20 @@ MINIMAL_BY_COMMAND = {
 DEFAULT_PAIRS = [(i / 20.0, i / 20.0 + 0.5) for i in range(10)]
 DEFAULT_TRIPLES = [(i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5) for i in range(10)]
 DEFAULT_EVENTS = ["full_sphere", "nonnegative_path"]
-RUN_DEFAULTS = {"seed": 0, "threads": 1, "out_dir": "out", "formats": ("csv", "json")}
+RUN_DEFAULTS = {"seed": 0, "out_dir": "out", "formats": ("csv", "json")}
 MODE_DEFAULTS = {"truncation_n": 10_000, "weight_mode": "gamma", "epsilon_mode": "raw"}
-# every key a command reads beside the run keys and the keys of its minimal config
+# every key a command reads beside the run keys and the keys of its minimal config; constants
+# and partitions draw no paths, so they take no threads
 COMMAND_DEFAULTS = {
-    "simulate": {**MODE_DEFAULTS, "replicates": 1, "per_term_norms": False},
-    "check-conditions": {"replicates": 100_000, "pairs": DEFAULT_PAIRS,
+    "simulate": {**MODE_DEFAULTS, "threads": 1, "replicates": 1, "per_term_norms": False},
+    "check-conditions": {"threads": 1, "replicates": 100_000, "pairs": DEFAULT_PAIRS,
                          "triples": DEFAULT_TRIPLES, "envelope": None},
     "constants": {"m_values": [2.0, 3.0, 4.0], "n_max": 10**6},
     "partitions": {"n_grid": [1, 2, 4, 8, 16, 32, 64], "constant_n_max": 10**5},
-    "tightness": {"replicates": 10_000, "triples": DEFAULT_TRIPLES, "envelope": None, "n": 100},
-    "stability": {**MODE_DEFAULTS, "samples": 30_000, "t": 1.0},
-    "spectral": {"replicates": 100_000, "events": DEFAULT_EVENTS},
-    "regvar": {**MODE_DEFAULTS, "samples": 30_000, "sigma_replicates": 100_000,
+    "tightness": {"threads": 1, "replicates": 10_000, "triples": DEFAULT_TRIPLES, "envelope": None, "n": 100},
+    "stability": {**MODE_DEFAULTS, "threads": 1, "samples": 30_000, "t": 1.0},
+    "spectral": {"threads": 1, "replicates": 100_000, "events": DEFAULT_EVENTS},
+    "regvar": {**MODE_DEFAULTS, "threads": 1, "samples": 30_000, "sigma_replicates": 100_000,
                "events": DEFAULT_EVENTS, "r_grid": [1.0, 2.0], "n": 100},
 }
 
@@ -99,7 +100,7 @@ class TestCommandTables:
             ("weight_mode", "gamma"), ("epsilon_mode", "raw"))],
         *[(command, key, value) for command in ("constants", "partitions") for key, value in (
             ("y", "example1"), ("replicates", "10"), ("truncation_n", "7"),
-            ("weight_mode", "gamma"), ("epsilon_mode", "raw"))],
+            ("weight_mode", "gamma"), ("epsilon_mode", "raw"), ("threads", "4"))],
         *[(command, key, value) for command in ("tightness", "spectral") for key, value in (
             ("truncation_n", "7"), ("weight_mode", "gamma"), ("epsilon_mode", "raw"))],
         ("stability", "replicates", "10"),
@@ -138,6 +139,15 @@ class TestCommandTables:
         ("check-conditions", "envelope", "{kind: grid, xs: [], ys: []}"),
         ("constants", "m_values", "[.nan]"),
         ("constants", "m_values", "[.inf]"),
+        # numbers coerced in silence before: a fraction truncated, a boolean read as 0 or 1
+        ("stability", "samples", "2.7"),
+        ("stability", "samples", "true"),
+        ("simulate", "seed", "3.9"),
+        ("simulate", "threads", "2.5"),
+        ("simulate", "threads", "true"),
+        ("simulate", "y", "{variant: example2, p: 2.9}"),
+        ("simulate", "alpha", "true"),
+        ("stability", "t", "true"),
     ])
     def test_malformed_value_is_a_line_numbered_error(self, tmp_path, capsys, command, key, value):
         text, line = _with_value(command, key, value)
@@ -292,6 +302,17 @@ class TestCommandTables:
         raw = {"command": "check-conditions", "y": "example1"}
         echo = json.dumps({"command": "check-conditions", "seed": 0, "config": raw}, sort_keys=True)
         assert manifest["manifest_hash"] == hashlib.sha256(echo.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("command", ["constants", "partitions"])
+    def test_commands_without_paths_take_no_threads(self, tmp_path, capsys, command):
+        text = MINIMAL_BY_COMMAND[command] + ("n_max: 100\n" if command == "constants" else "n_grid: [1, 2]\n")
+        code, _ = run_cli(tmp_path, text, "--threads", "4")
+        assert code == 1
+        assert f"command '{command}' takes no --threads" in capsys.readouterr().err
+        code, out = run_cli(tmp_path, text)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "threads" not in manifest and "threads" not in manifest["resolved_config"]
 
     def test_tightness_reports_the_series_it_runs(self, tmp_path):
         code, out = run_cli(tmp_path, MINIMAL_BY_COMMAND["tightness"]

@@ -100,8 +100,8 @@ class TestMomentEnvelope:
 
     def test_identity_bounds(self):
         env = MomentEnvelope(beta=1.0)
-        assert env.pair_bound(0.2, 0.7) == pytest.approx(0.5)
-        assert env.triple_bound(0.2, 0.7) == pytest.approx(0.25)
+        assert env.bound(0.2, 0.7) == pytest.approx(0.5)
+        assert env.bound(0.2, 0.7, 2) == pytest.approx(0.25)
 
     def test_poly(self):
         env = MomentEnvelope(beta=1.0, coeffs=(2.0, 4.0))
@@ -551,7 +551,7 @@ def reference_tightness(spec, n, triple, replicates):
     estimate = float(np.mean(stat))
     se = float(np.std(stat, ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
     env1, env2 = default_envelopes(spec.y_gen)
-    g1, g2 = env1.pair_bound(t1, t2), env2.triple_bound(t1, t2) ** 0.5
+    g1, g2 = env1.bound(t1, t2), env2.bound(t1, t2, 2) ** 0.5
     bound = 0.0
     for tau in enumerate_partitions():
         p, q = partition_envelope_exponents(tau)

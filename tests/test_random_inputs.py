@@ -306,6 +306,29 @@ class TestWeightedJumpsGenerator:
         frac = np.mean(events.times <= 0.5)
         assert abs(frac - 0.9) < 4.0 * math.sqrt(0.09 / 20000)
 
+    def test_locations_at_zero_are_redrawn(self):
+        # the inverse of this cdf rounds each u below 1/4 to the location 0.0, where no jump may sit
+        cdf = CdfGrid(np.array([0.0, 5e-324, 1.0]), np.array([0.0, 0.5, 1.0]))
+        events = weighted_jumps([cdf], JumpHeightDist.constant([1.0])).block_sampler(RngStream(37)).take(1000)
+        gen = RngStream(37).substream(0, 0).generator()  # the locations of component 0
+        want = cdf.inverse(_draw_open_unit(gen, 1000))
+        assert np.sum(want == 0.0) > 100
+        while np.any(want == 0.0):  # each 0.0 redrawn in place, from the same stream, until none is left
+            zero = want == 0.0
+            want[zero] = cdf.inverse(_draw_open_unit(gen, int(zero.sum())))
+        assert events.times.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("build,arrays", [
+        (JumpHeightDist, lambda: (np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([0.5, 0.5]))),
+        (EpsilonSpec.table, lambda: (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))),
+        (CdfGrid, lambda: (np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.9, 1.0]))),
+    ], ids=["heights", "table", "cdf"])
+    def test_caller_arrays_stay_writable(self, build, arrays):
+        # the spec freezes its own copy of the table, not the caller's arrays
+        arrays = arrays()
+        build(*arrays)
+        assert all(a.flags.writeable for a in arrays)
+
     def test_cdf_grid_validation(self):
         with pytest.raises(ConfigurationError):
             CdfGrid(np.array([0.0, 1.0]), np.array([0.2, 1.0]))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from lepage import CdfGrid, EpsilonSpec, JumpHeightDist, SeriesSpec, poisson_counts, rng, unit_jump, weighted_jumps
-from lepage.cli import _COMMANDS, main
+from lepage.cli import _COMMANDS, main, parse_config
 from lepage.parallel import chunk_size
 from lepage.series import sample_marginals, sample_path_stats, sample_weighted_increments
 
@@ -100,7 +100,8 @@ def test_every_manifest_records_the_layout(tmp_path, command):
     assert manifest["versions"]["stream_layout"] == rng.STREAM_LAYOUT
 
 
-# result files of check commands on 3 chunks at 2 threads: the moment reports and tightness
+# result files of check commands on 3 chunks at 2 threads (the moment reports and tightness), and
+# of the analytic sums, which run no threads
 WEIGHTED_2D_Y = ("{variant: example2, p: 3, cdfs: [uniform, {xs: [0.0, 0.5, 1.0], ys: [0.0, 0.9, 1.0]}, uniform],\n"
                  "    heights: {values: [[1.0, -0.5], [-0.75, 0.25], [0.5, 2.0]], probabilities: [0.5, 0.25, 0.25]}}")
 REPORT_RUNS = {
@@ -121,6 +122,29 @@ REPORT_RUNS = {
          "c1_report.json": "e7c2de4f34244a47f019099b6ff110ca6f7ca8fe133f0e57403f249e5b9a7696",
          "c2_report.csv": "120bf9e1d63cc557883fe85e103263120097b4a3b695d3211634d5a55e644c17",
          "c2_report.json": "707d378f9e951a6bd0128d62d85ca627b1b9700f3889e17c740982dcf6940793"}),
+    "check-conditions_poisson": (
+        "command: check-conditions\ny: {variant: example3, lambda: 1.0}\nreplicates: 2100\n",
+        {"c1_report.csv": "b7a9059111a6adeafa300e8da82cd573b9d2ec0a51e0cb132212477560080682",
+         "c1_report.json": "dc174d24b83874be2a53de5f59e97673f40451f6e2158275e46e37cc00bb3a33",
+         "c2_report.csv": "78909d7f841612218825f5096975ce5a3bbd293c8f30a812988629cd8ab2f010",
+         "c2_report.json": "b3718c334a01afe92f3d2f8236e86d1224b3dd8d1f7d4fa57b09de8007aa4b7d"}),
+    "check-conditions_weighted2d": (
+        f"command: check-conditions\ny: {WEIGHTED_2D_Y}\nreplicates: 2100\n",
+        {"c1_report.csv": "7459ce3352d147d376947e42972765039f473b5eb2ed9c32b0dc14cd383ac155",
+         "c1_report.json": "2cb32932976a4ae594dbf55937f0e443ea58eb0b69b40369f84524e7c8679941",
+         "c2_report.csv": "22d91476413e7898388716bec170e6cd36d06f883c47fa29216bdc5ec63ceead",
+         "c2_report.json": "f8b71b104ae9e1138127d9e26b4528dbec7c13fc45319e2353870c35a7e1f599"}),
+    # m = 1.0 is the moment series of E|eps~_i|, which differs from the centered sum of |E eps~_i|
+    "constants_table": (
+        "command: constants\nalpha: 0.8\n"
+        "epsilon: {family: table, values: [-2.0, 1.0], probabilities: [0.3333333333333333, 0.6666666666666666]}\n"
+        "m_values: [1.0, 2.0]\nn_max: 1000\n",
+        {"constants.csv": "319b03a8030e7f301eccdee3377f7e0e4017fddb166262b3840e03e24daa63b4",
+         "constants.json": "0db2e27057af472047dde4e1f51dd3281e667f19f531f24c29178e0a8c6447d6"}),
+    "partitions": (
+        "command: partitions\nalpha: 1.5\nepsilon: rademacher\nn_grid: [1, 2, 5]\nconstant_n_max: 1000\n",
+        {"partitions.csv": "043c0e09d7606f0e042c01868d60bf5287b768bf87ab5eb5d27b38ad51a3633b",
+         "partitions.json": "7b1ddbd7586c4e3f384ae4585de14abdf6ac225823f9531448f84502d2f0b94d"}),
 }
 
 
@@ -129,7 +153,8 @@ def test_report_files_are_pinned(tmp_path, run):
     text, digests = REPORT_RUNS[run]
     config = tmp_path / "config.yaml"
     config.write_text(text)
-    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "--threads", str(THREADS)]) == 0
+    threads = ["--threads", str(THREADS)] if hasattr(parse_config(text), "threads") else []
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), *threads]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "out").iterdir() if p.name != "manifest.json"}
     assert got == digests, (
