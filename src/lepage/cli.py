@@ -4,16 +4,19 @@ Experiments are described by a strict YAML (or JSON) config document and
 dispatched by the ``command`` key; the CLI writes plot-ready CSV and/or
 JSON artifacts plus a ``manifest.json`` that suffices to reproduce the run.
 
-Every key is declared once, as ``key: (default, parser)``.  ``_COMMANDS``
-gives each command its handler and exactly the keys that handler reads,
+Every key is declared once, as ``key: (default, parser)``, and one reader,
+:func:`_read_keys`, reads every mapping of a config against such a table.
+``_COMMANDS`` gives each command its handler and exactly the keys it reads,
 from shared groups (the series keys ``_SERIES``, the truncation and modes
-``_MODES``, the worker count ``_THREADS`` of each command that draws paths)
-and its own; every command also takes the run keys ``_RUN`` (``command``,
-``seed``, ``output``).  Counts, the seed and ``threads`` take whole numbers
-only, and no number key takes a boolean.  A missing or null key takes its
-default.  A key the command does not read, or a value its parser rejects,
-is a line-numbered :class:`ConfigParseError`: silent typos and ignored
-settings corrupt experiment claims.
+``_MODES``, the ``_THREADS`` of each command that draws paths) and its own,
+beside the run keys ``_RUN`` (``command``, ``seed``, ``output``).  Each epsilon
+family, y variant, envelope kind and events kind is a ``(constructor, keys)``
+entry, named by a bare string or by the mapping's ``family``, ``variant`` or
+``kind``.  Counts, the seed (in ``[0, 2^64)``) and ``threads`` take whole
+numbers only; no number key, nested or not, takes a boolean; a key left out
+or null takes its default at every level.  An unread key, or a value its
+parser rejects, is a :class:`ConfigParseError` naming the top-level key and
+its line: silent typos and ignored settings corrupt experiment claims.
 
 Exit codes: 0 success, 1 operational error, 2 statistical "violated"
 verdict from a check command (a refutation, not a breakage).
@@ -70,12 +73,47 @@ def _line_of(text: str, key: str) -> str:
     return f"line {min(hits)[1]}" if hits else "line ?"
 
 
-def _fail(text: str, key: str, message: str) -> None:
-    raise ConfigParseError(f"{_line_of(text, key)}: key '{key}': {message}")
+_REQUIRED = object()  # the default of a key the config must give
+
+
+def _read_keys(obj, keys: dict, what: str, fail=lambda key, message: ValueError(message)) -> dict:
+    """The values of the mapping ``obj`` under ``keys``, ``{key: (default, parser)}``, parsed, in table
+    order; a key left out or null takes its default, which is parsed too unless ``None``.  An unknown
+    key, a missing required one or a value its parser refuses raises ``fail(key, message)``."""
+    if not isinstance(obj, dict):
+        raise fail(what, f"{what} must be a mapping, got {obj!r}")
+    for k in obj:
+        if k not in keys:
+            raise fail(k, f"unknown key {k!r} for {what} (known: {sorted(keys)})")
+    values = {}
+    for key, (default, parse) in keys.items():
+        value = default if obj.get(key) is None else obj[key]
+        if value is _REQUIRED:
+            raise fail(key, f"{what} requires the key {key!r}")
+        try:
+            values[key] = None if value is None else parse(value)
+        except (ValueError, TypeError) as exc:
+            raise fail(key, str(exc)) from exc
+    return values
 
 
 # value parsers: config value -> parsed value, or ValueError/TypeError
-# (KeyError for a missing nested parameter)
+def _number(v):
+    """``v`` as given, a number or nested lists of them, once it holds no boolean (``true`` is no 1)."""
+    if isinstance(v, list):
+        return [_number(x) for x in v]
+    if isinstance(v, bool):
+        raise ValueError(f"must be a number, got {v!r}")
+    return v
+
+
+def _finite(v) -> float:
+    x = float(_number(v))
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
 def _integer(v) -> int:
     """``v`` as an int; a boolean or a number with a fractional part is refused, not rounded."""
     if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
@@ -97,20 +135,18 @@ def _positive(v) -> int:
     return n
 
 
+def _seed(v) -> int:
+    seed = _integer(v)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def _alpha(v) -> float:
     alpha = _finite(v)
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in the open interval (0, 2), got {alpha}")
     return alpha
-
-
-def _finite(v) -> float:
-    if isinstance(v, bool):
-        raise ValueError(f"must be a number, got {v!r}")
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {x}")
-    return x
 
 
 def _radius(v) -> float:
@@ -150,30 +186,11 @@ def _list_of(item):
 
 def _times(k: int):
     def parse(v) -> tuple[float, ...]:
-        times = tuple(map(float, v))
+        times = tuple(_list_of(_finite)(v))
         if len(times) != k:
             raise ValueError(f"each entry must hold {k} times, got {v!r}")
         return times
     return parse
-
-
-def _fields(obj, what: str, known: tuple[str, ...]) -> dict:
-    """``obj``, once it is a mapping that holds only ``known`` keys."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a mapping, got {obj!r}")
-    for k in obj:
-        if k not in known:
-            raise ValueError(f"unknown {what} key {k!r} (known: {sorted(known)})")
-    return obj
-
-
-def _chosen(obj, what: str, key: str, keys: dict, default=None) -> tuple[str, dict]:
-    """``obj[key]`` (``default`` when missing) and ``obj``, once ``obj`` is a mapping
-    that holds only ``key`` and the keys ``keys`` gives for that value."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a mapping, got {obj!r}")
-    choice = _choice(*keys)(obj.get(key, default))
-    return choice, _fields(obj, f"{choice} {what}", (key, *keys[choice]))
 
 
 def _formats(v) -> tuple[str, ...]:
@@ -183,97 +200,88 @@ def _formats(v) -> tuple[str, ...]:
     return formats
 
 
-def _output(obj) -> tuple[str, tuple[str, ...]]:
-    obj = _fields(obj, "output", ("directory", "formats"))
-    return obj.get("directory", "out"), _formats(obj.get("formats", ("csv", "json")))
+def _one_of(what: str, key: str, choices: dict, default=None):
+    """The parser of a mapping naming one of ``choices``, ``{name: (constructor, keys)}``, under ``key``
+    (``default`` if left out or null), or of the bare name: the constructor called on its keys' values."""
+    def parse(obj):
+        obj = obj if isinstance(obj, dict) else {key: obj}
+        name = _choice(*choices)(default if obj.get(key) is None else obj[key])
+        build, keys = choices[name]
+        return build(*_read_keys({k: v for k, v in obj.items() if k != key}, keys, f"{name} {what}").values())
+    return parse
 
 
-# the keys each epsilon family, y variant and envelope kind reads, beside the one naming it
-_EPSILON_KEYS = {"rademacher": (), "uniform_symmetric": ("a",), "two_point": ("p", "x_neg", "x_pos"),
-                 "table": ("values", "probabilities")}
-_Y_KEYS = {"example1": (), "example2": ("p", "cdfs", "heights", "fourth_moment_bound"),
-           "example3": ("lambda",), "user": ("paths_dir",)}
-_ENVELOPE_KEYS = {"identity": ("beta",), "affine": ("beta", "coeffs"), "poly": ("beta", "coeffs"),
-                  "grid": ("beta", "xs", "ys")}
+def _cdf(v) -> CdfGrid:
+    return CdfGrid.uniform() if v == "uniform" else CdfGrid(*_read_keys(v, _GRID, "cdf").values())
 
 
-def _epsilon(obj) -> EpsilonSpec:
-    family, obj = _chosen({"family": obj} if isinstance(obj, str) else obj, "epsilon", "family",
-                          _EPSILON_KEYS)
-    if family == "rademacher":
-        return EpsilonSpec.rademacher()
-    if family == "uniform_symmetric":
-        return EpsilonSpec.uniform_symmetric(obj.get("a", 1.0))
-    if family == "two_point":
-        return EpsilonSpec.two_point(obj["p"], obj["x_neg"], obj["x_pos"])
-    return EpsilonSpec.table(obj["values"], obj["probabilities"])
+def _heights(v) -> JumpHeightDist:
+    build, keys = ((JumpHeightDist.constant, {"constant": _ARRAY}) if isinstance(v, dict) and "constant" in v
+                   else (JumpHeightDist, {"values": _ARRAY, "probabilities": _ARRAY}))
+    return build(*_read_keys(v, keys, "heights").values())
 
 
-def _cdf(obj) -> CdfGrid:
-    if obj == "uniform":
-        return CdfGrid.uniform()
-    obj = _fields(obj, "cdf", ("xs", "ys"))
-    return CdfGrid(np.asarray(obj["xs"], float), np.asarray(obj["ys"], float))
+def _weighted_jumps(p: int, cdfs, heights: JumpHeightDist, fourth_moment_bound):
+    cdfs = [CdfGrid.uniform() for _ in range(p)] if cdfs == "uniform" else cdfs
+    if len(cdfs) != p:
+        raise ValueError(f"expected {p} cdfs, got {len(cdfs)}")
+    return weighted_jumps(cdfs, heights, fourth_moment_bound)
 
 
-def _y(obj):
-    variant, obj = _chosen({"variant": obj} if isinstance(obj, str) else obj, "y", "variant", _Y_KEYS)
-    if variant == "example1":
-        return unit_jump()
-    if variant == "example3":
-        return poisson_counts(obj.get("lambda", 1.0))
-    if variant == "example2":
-        p = _positive(obj.get("p", 1))
-        cdfs_cfg = obj.get("cdfs", "uniform")
-        if cdfs_cfg == "uniform":
-            cdfs = [CdfGrid.uniform() for _ in range(p)]
-        else:
-            cdfs = [_cdf(c) for c in cdfs_cfg]
-            if len(cdfs) != p:
-                raise ValueError(f"expected {p} cdfs, got {len(cdfs)}")
-        h = obj.get("heights", {"constant": [1.0]})
-        h = _fields(h, "heights", ("constant",) if "constant" in h else ("values", "probabilities"))
-        dist = (JumpHeightDist.constant(h["constant"]) if "constant" in h
-                else JumpHeightDist(h["values"], h["probabilities"]))
-        return weighted_jumps(cdfs, dist, obj.get("fourth_moment_bound", np.inf))
-    files = sorted(Path(obj["paths_dir"]).glob("*.csv"))
+def _user_paths(paths_dir: str):
+    files = sorted(Path(paths_dir).glob("*.csv"))
     if not files:
-        raise ValueError(f"no step-path CSV files in {obj['paths_dir']!r}")
+        raise ValueError(f"no step-path CSV files in {paths_dir!r}")
     return user_paths(paths_mod.path_from_csv(f.read_text()) for f in files)
 
 
-def _envelope(obj) -> diag.MomentEnvelope:
-    kind, obj = _chosen(obj, "envelope", "kind", _ENVELOPE_KEYS, "identity")
-    beta = obj.get("beta", 1.0)
-    if kind == "grid":
-        return diag.MomentEnvelope(beta, grid_xs=np.asarray(obj["xs"], float), grid_ys=np.asarray(obj["ys"], float))
-    coeffs = (1.0,) if kind == "identity" else tuple(obj["coeffs"])
-    if kind == "affine" and (len(coeffs) != 2 or not (coeffs[0] >= 0 and math.isfinite(coeffs[1]))):
-        raise ValueError(f"affine envelope needs finite coeffs (a, b) with a >= 0, got {list(coeffs)}")
-    return diag.MomentEnvelope(beta, coeffs[:1] if kind == "affine" else coeffs)  # b cancels in F(t2) - F(t1)
+def _affine_envelope(beta, coeffs) -> diag.MomentEnvelope:
+    if len(coeffs) != 2 or not (coeffs[0] >= 0 and math.isfinite(coeffs[1])):
+        raise ValueError(f"affine envelope needs finite coeffs (a, b) with a >= 0, got {coeffs}")
+    return diag.MomentEnvelope(beta, tuple(coeffs[:1]))  # b cancels in F(t2) - F(t1)
 
 
-def _event(obj) -> checks.SphereEvent:
-    if obj == "full_sphere":
-        return checks.full_sphere()
-    if obj == "nonnegative_path":
-        return checks.nonnegative_path()
-    obj = _fields(obj, "event", ("kind", "value", "name"))
-    if obj.get("kind") != "norm_equals":
-        raise ValueError(f"unknown event kind {obj.get('kind')!r}")
-    return checks.norm_equals(obj["value"], obj.get("name"))
-
-
-_REQUIRED = object()  # the default of a key the config must give
+# each epsilon family, y variant, envelope kind and event kind: (constructor, the keys it reads)
+_ARRAY = (_REQUIRED, _number)
+_GRID = {"xs": _ARRAY, "ys": _ARRAY}
+_BETA = {"beta": (1.0, _number)}
+_EPSILONS = {
+    "rademacher": (EpsilonSpec.rademacher, {}),
+    "uniform_symmetric": (EpsilonSpec.uniform_symmetric, {"a": (1.0, _number)}),
+    "two_point": (EpsilonSpec.two_point, {"p": _ARRAY, "x_neg": _ARRAY, "x_pos": _ARRAY}),
+    "table": (EpsilonSpec.table, {"values": _ARRAY, "probabilities": _ARRAY}),
+}
+_YS = {
+    "example1": (unit_jump, {}),
+    "example2": (_weighted_jumps, {"p": (1, _positive),
+                                   "cdfs": ("uniform", lambda v: v if v == "uniform" else _list_of(_cdf)(v)),
+                                   "heights": ({"constant": [1.0]}, _heights),
+                                   "fourth_moment_bound": (math.inf, _number)}),
+    "example3": (poisson_counts, {"lambda": (1.0, _number)}),
+    "user": (_user_paths, {"paths_dir": (_REQUIRED, str)}),
+}
+_ENVELOPES = {
+    "identity": (diag.MomentEnvelope, _BETA),
+    "affine": (_affine_envelope, {**_BETA, "coeffs": _ARRAY}),
+    "poly": (lambda beta, coeffs: diag.MomentEnvelope(beta, tuple(coeffs)), {**_BETA, "coeffs": _ARRAY}),
+    "grid": (lambda beta, xs, ys: diag.MomentEnvelope(beta, grid_xs=xs, grid_ys=ys), {**_BETA, **_GRID}),
+}
+_EVENT_KINDS = {
+    "full_sphere": (checks.full_sphere, {}),
+    "nonnegative_path": (checks.nonnegative_path, {}),
+    "norm_equals": (checks.norm_equals, {"value": _ARRAY, "name": (None, lambda name: name)}),
+}
+_OUTPUT = {"directory": ("out", str), "formats": (["csv", "json"], _formats)}
 
 # key groups, {key: (default, parser)}; _COMMANDS gives each command its keys
 _RUN = {
     "command": (_REQUIRED, str),
-    "seed": (0, _integer),
-    "output": ({"directory": "out", "formats": ["csv", "json"]}, _output),
+    "seed": (0, _seed),
+    "output": ({}, lambda v: tuple(_read_keys(v, _OUTPUT, "output").values())),
 }
 _THREADS = {"threads": (1, _threads)}
-_SERIES = {"alpha": (_REQUIRED, _alpha), "epsilon": (_REQUIRED, _epsilon), "y": (_REQUIRED, _y)}
+_SERIES = {"alpha": (_REQUIRED, _alpha), "epsilon": (_REQUIRED, _one_of("epsilon", "family", _EPSILONS)),
+           "y": (_REQUIRED, _one_of("y", "variant", _YS))}
 _MODES = {
     "truncation_n": (10_000, _count),
     "weight_mode": ("gamma", _choice("gamma", "deterministic")),
@@ -289,32 +297,22 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigParseError(f"config is not valid YAML/JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"config must be a mapping, got {type(raw).__name__}")
+
+    def fail(key, message: str) -> ConfigParseError:  # a key left out is named at the command requiring it
+        key = str(key) if key in raw else "command"
+        return ConfigParseError(f"{_line_of(text, key)}: key '{key}': {message}")
+
     command = raw.get("command")
     if not (isinstance(command, str) and command in _COMMANDS):
-        _fail(text, "command", f"must be one of {list(_COMMANDS)}, got {command!r}")
-
-    keys = _KEYS[command]
-    for key in raw:
-        if key not in keys:
-            _fail(text, str(key), f"unknown key for command {command!r} (known: {sorted(keys)})")
-    values = {}
-    for key, (default, parse) in keys.items():
-        value = default if raw.get(key) is None else raw[key]
-        if value is _REQUIRED:
-            _fail(text, "command", f"command {command!r} requires the key {key!r}")
-        try:
-            values[key] = None if value is None else parse(value)
-        except KeyError as exc:
-            _fail(text, key, f"missing parameter {exc}")
-        except (ValueError, TypeError) as exc:
-            _fail(text, key, str(exc))
+        raise fail("command", f"must be one of {list(_COMMANDS)}, got {command!r}")
+    values = _read_keys(raw, _KEYS[command], f"command {command!r}", fail)
     if "alpha" in values and "epsilon" in values:
         try:
             values["epsilon"].require_mean_zero(values["alpha"])
         except ConfigurationError as exc:
-            _fail(text, "epsilon", str(exc))
+            raise fail("epsilon", str(exc)) from exc
     if command == "regvar" and values["n"] > values["samples"]:  # as tail_quantile_bn needs
-        _fail(text, "n", f"regvar needs 1 <= n <= samples, got n {values['n']} and samples {values['samples']}")
+        raise fail("n", f"regvar needs 1 <= n <= samples, got n {values['n']} and samples {values['samples']}")
     values["out_dir"], values["formats"] = values.pop("output")
     return ExperimentConfig(raw=raw, **values)
 
@@ -356,24 +354,9 @@ def _csv_text(rows: list[dict], columns: list[str], manifest_hash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _json_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` of a :func:`_jsonable` value.
+    """``json.dumps(obj, indent=2, sort_keys=True)``, with numpy arrays and scalars written as
+    their ``tolist()``, tuples as lists and every key as its ``str``.
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder.  This
     lays out containers the same way, but writes a list of finite floats, or a
@@ -381,11 +364,14 @@ def _json_text(obj, indent: str = "\n") -> str:
     is the spelling ``json`` uses for a finite float); every other leaf goes
     through ``json.dumps`` itself.
     """
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
+        obj = {str(k): v for k, v in obj.items()}
         return "{" + inner + ("," + inner).join(
             json.dumps(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)) + indent + "}"
-    if not (isinstance(obj, list) and obj):
+    if not (isinstance(obj, (list, tuple)) and obj):
         return json.dumps(obj)
     floats, item = obj, "%r"
     if all(type(v) is list and len(v) == len(obj[0]) for v in obj):  # the rows of a matrix
@@ -402,7 +388,7 @@ def _json_file_text(payload: dict, manifest_hash: str, seed: int) -> str:
     body = dict(payload)
     body["manifest_hash"] = manifest_hash
     body.setdefault("seed", seed)
-    return _json_text(_jsonable(body)) + "\n"
+    return _json_text(body) + "\n"
 
 
 class _Writer:
@@ -410,7 +396,7 @@ class _Writer:
         self.cfg = cfg
         self.out_dir = out_dir
         self.files: list[str] = []
-        echo = {"command": cfg.command, "seed": cfg.seed, "config": _jsonable(cfg.raw)}
+        echo = {"command": cfg.command, "seed": cfg.seed, "config": cfg.raw}
         self.manifest_hash = hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()[:16]
 
     def emit(self, name: str, rows: list[dict], columns: list[str], payload: dict) -> None:
@@ -432,8 +418,8 @@ class _Writer:
             "command": self.cfg.command,
             "seed": self.cfg.seed,
             **({"threads": self.cfg.threads} if hasattr(self.cfg, "threads") else {}),
-            "config": _jsonable(self.cfg.raw),
-            "resolved_config": _jsonable(_resolved_config(self.cfg)),
+            "config": self.cfg.raw,
+            "resolved_config": _resolved_config(self.cfg),
             "manifest_hash": self.manifest_hash,
             "versions": {
                 "lepage": __version__,
@@ -444,7 +430,7 @@ class _Writer:
             "wall_time_s": wall_time,
             "files": sorted(self.files),
         }
-        (self.out_dir / "manifest.json").write_text(_json_text(_jsonable(payload)) + "\n")
+        (self.out_dir / "manifest.json").write_text(_json_text(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +574,8 @@ def _cmd_regvar(cfg, writer) -> int:
 
 _PAIRS = ([[i / 20.0, i / 20.0 + 0.5] for i in range(10)], _list_of(_times(2)))
 _TRIPLES = ([[i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5] for i in range(10)], _list_of(_times(3)))
-_ENVELOPE = (None, _envelope)
-_EVENTS = (["full_sphere", "nonnegative_path"], _list_of(_event))
+_ENVELOPE = (None, _one_of("envelope", "kind", _ENVELOPES, "identity"))
+_EVENTS = (["full_sphere", "nonnegative_path"], _list_of(_one_of("event", "kind", _EVENT_KINDS)))
 _SAMPLES = (30_000, _count)
 _N = (100, _positive)
 _MOMENTS = {k: _SERIES[k] for k in ("alpha", "epsilon")}
@@ -639,12 +625,11 @@ def main(argv=None) -> int:
         print(f"error: {config_path}: {exc}", file=sys.stderr)
         return 1
 
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.raw["seed"] = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
     try:
+        if args.seed is not None:
+            cfg.seed = cfg.raw["seed"] = _seed(args.seed)
         if args.threads is not None:
             if not hasattr(cfg, "threads"):
                 raise ValueError(f"command {cfg.command!r} takes no --threads: it runs no worker threads")

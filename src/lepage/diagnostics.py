@@ -381,13 +381,13 @@ def partition_label(tau: Partition) -> str:
     return "".join("{" + ",".join(str(x) for x in block) + "}" for block in tau)
 
 
-def _block_moment_factors(block_sizes, alpha: float, eps: EpsilonSpec, n: int) -> list[np.ndarray]:
-    """Per-block arrays g_B(i) = i^(-|B|/alpha) * moment factor of eps~_i.
+def _block_moment_factors(tau, alpha: float, eps: EpsilonSpec, n: int) -> list[np.ndarray]:
+    """Per-block arrays g_B(i) = i^(-|B|/alpha) * moment factor of eps~_i, for each block B of ``tau``.
 
     Singleton blocks contribute ``|E eps~_i|``; larger blocks contribute
     ``E|eps~_i|^b`` (absolute values per factor, as in the bounding step).
     """
-    return [_index_terms(alpha, eps, n, None if b == 1 else float(b)) for b in block_sizes]
+    return [_index_terms(alpha, eps, n, None if len(b) == 1 else float(len(b))) for b in tau]
 
 
 def _sum_distinct(gs: list[np.ndarray], depths) -> np.ndarray:
@@ -420,7 +420,7 @@ def partition_sum(tau: Partition, alpha: float, eps: EpsilonSpec, n: int) -> flo
         raise ConfigurationError(f"not a partition of {{1,2,3,4}}: {tau!r}")
     if n <= 0:
         return 0.0
-    return float(_sum_distinct(_block_moment_factors([len(b) for b in tau], alpha, eps, n), [n])[0])
+    return float(_sum_distinct(_block_moment_factors(tau, alpha, eps, n), [n])[0])
 
 
 @dataclass(frozen=True)
@@ -471,8 +471,8 @@ def partition_report(
     taus = enumerate_partitions()
     n_grid = tuple(int(n) for n in n_grid)
     depths = [max(n, 0) for n in n_grid]  # one DP per partition, read at every depth
-    s = np.array([_sum_distinct(_block_moment_factors([len(b) for b in tau], alpha, eps, max(depths, default=0)),
-                                depths) for tau in taus])
+    s = np.array([_sum_distinct(_block_moment_factors(tau, alpha, eps, max(depths, default=0)), depths)
+                  for tau in taus])
     c_of: dict[int, float] = {}
     for b in {len(block) for tau in taus for block in tau}:
         if b == 1:

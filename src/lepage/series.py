@@ -217,12 +217,12 @@ def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None =
     """
     n, k, w = spec.truncation_n, m * spec.truncation_n, spec.y_gen.width
     gamma_gen, eps_gen, y_sampler = draws
-    gaps = _positive_exponentials(gamma_gen, k, _buffer(scratch, "gaps", (m, n))).reshape(m, n)
     eps = spec.epsilon.sample(eps_gen, k, _buffer(scratch, "eps", (m, n))).reshape(m, n)
     y = (y_sampler.values_at_one(k, _buffer(scratch, "values", (k, spec.dimension))) if at_one
          else y_sampler.take(k, _buffer(scratch, "times", (k * w,)) if w else None))
-    if spec.weight_mode == "gamma":
-        weights = np.cumsum(gaps, axis=1, out=gaps)
+    if spec.weight_mode == "gamma":  # deterministic weights read no gaps, so none are drawn
+        weights = _positive_exponentials(gamma_gen, k, _buffer(scratch, "gaps", (m, n))).reshape(m, n)
+        np.cumsum(weights, axis=1, out=weights)
         weights **= -1.0 / spec.alpha
     else:
         weights = np.broadcast_to(np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / spec.alpha), (m, n))

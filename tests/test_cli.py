@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lepage import ConfigurationError, RngStream, SeriesSpec, EpsilonSpec, unit_jump, partial_sum
+from lepage import ConfigurationError, RngStream, SeriesSpec, EpsilonSpec, poisson_counts, unit_jump, partial_sum
 from lepage import diagnostics as diag, series
-from lepage.cli import ConfigParseError, _json_text, _jsonable, main, parse_config
+from lepage.cli import ConfigParseError, _json_text, main, parse_config
 from lepage.paths import StepPath, path_from_csv
 from test_paths import path_from_json, reference_path_csv
 
@@ -148,6 +148,19 @@ class TestCommandTables:
         ("simulate", "y", "{variant: example2, p: 2.9}"),
         ("simulate", "alpha", "true"),
         ("stability", "t", "true"),
+        # nested numbers read a boolean as 0 or 1 before
+        ("simulate", "y", "{variant: example3, lambda: true}"),
+        ("check-conditions", "pairs", "[[false, true]]"),
+        ("check-conditions", "envelope", "{kind: identity, beta: true}"),
+        ("check-conditions", "envelope", "{kind: poly, coeffs: [true]}"),
+        ("simulate", "epsilon", "{family: uniform_symmetric, a: true}"),
+        ("simulate", "y", "{variant: example2, heights: {constant: [true]}}"),
+        ("spectral", "events", "[{kind: norm_equals, value: true}]"),
+        # a seed no stream can take: written to the manifest, or refused only after the output
+        # directory was made, before
+        ("constants", "seed", "-1"),
+        ("simulate", "seed", "-1"),
+        ("simulate", "seed", "18446744073709551616"),
     ])
     def test_malformed_value_is_a_line_numbered_error(self, tmp_path, capsys, command, key, value):
         text, line = _with_value(command, key, value)
@@ -156,6 +169,35 @@ class TestCommandTables:
         code, _ = run_cli(tmp_path, text)
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command,key,value,want", [
+        ("simulate", "y", "{variant: example3, lambda: null}", lambda cfg: cfg.y == poisson_counts(1.0)),
+        ("simulate", "epsilon", "{family: uniform_symmetric, a: null}", lambda cfg: cfg.epsilon.a == 1.0),
+        ("check-conditions", "envelope", "{kind: null, beta: null}",
+         lambda cfg: cfg.envelope == diag.MomentEnvelope(1.0)),
+        ("simulate", "output", "{directory: null, formats: null}",
+         lambda cfg: (cfg.out_dir, cfg.formats) == ("out", ("csv", "json"))),
+    ], ids=["lambda", "a", "kind_and_beta", "output"])
+    def test_nested_null_takes_its_default(self, command, key, value, want):
+        assert want(parse_config(_with_value(command, key, value)[0]))
+
+    @pytest.mark.parametrize("command,key,bare,mapping", [
+        ("spectral", "events", "[full_sphere, nonnegative_path]", "[{kind: full_sphere}, {kind: nonnegative_path}]"),
+        ("check-conditions", "envelope", "identity", "{kind: identity}"),
+    ])
+    def test_a_bare_string_names_the_variant_family_or_kind(self, command, key, bare, mapping):
+        # as for y and epsilon; before, an events entry took full_sphere only bare, an envelope only as a mapping
+        def parsed(value):
+            return repr(getattr(parse_config(_with_value(command, key, value)[0]), key))
+
+        assert parsed(bare) == parsed(mapping)
+
+    @pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])
+    def test_seed_flag_outside_the_seed_range_writes_nothing(self, tmp_path, capsys, seed):
+        code, out = run_cli(tmp_path, MINIMAL + "truncation_n: 30\n", "--seed", seed)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2^64), got {seed}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value,written", [("false", False), ("true", True)])
     def test_per_term_norms_takes_a_boolean(self, tmp_path, value, written):
@@ -676,6 +718,24 @@ _PAYLOADS = st.recursive(
 )
 
 
+def _jsonable(obj):
+    """The reference conversion of a payload to what ``json`` writes: numpy arrays and scalars to
+    lists and Python scalars, tuples to lists, every key to its ``str``."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
 class TestJsonWriter:
     @staticmethod
     def reference(obj) -> str:
@@ -684,7 +744,7 @@ class TestJsonWriter:
     @given(_PAYLOADS)
     @settings(max_examples=300)
     def test_equals_json_dumps(self, obj):
-        assert _json_text(_jsonable(obj)) == self.reference(obj)
+        assert _json_text(obj) == self.reference(obj)
 
     @pytest.mark.parametrize("obj", [
         [-0.0, 5e-324, 1e308, 1.0 / 3.0],
@@ -700,9 +760,14 @@ class TestJsonWriter:
         np.arange(6.0).reshape(3, 2),
         np.array([[1.5], [np.inf]]),
         np.zeros((0, 2)),
+        # numpy scalars and tuples, which the writer converts itself
+        {"a": np.float64(0.5), "b": (np.int64(3), np.bool_(True)), "c": np.float64(np.nan)},
+        [np.float64(1.5), np.float64(-2.0)],
+        [(1.0, 2.0), (3.0, 4.0)],
+        (0.25, [np.arange(3)]),
     ])
     def test_equals_json_dumps_on_edge_cases(self, obj):
-        assert _json_text(_jsonable(obj)) == self.reference(obj)
+        assert _json_text(obj) == self.reference(obj)
 
 
 class TestDeterminism:

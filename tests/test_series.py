@@ -330,6 +330,19 @@ class TestGammaDeterministicGap:
         assert tails.mean() / heads.mean() < 0.10
         assert np.median(tails / heads) < 0.15
 
+    def test_deterministic_weights_draw_no_gaps(self, monkeypatch):
+        # the weights i^(-1/alpha) read no Gamma_i, so the gaps are not drawn
+        spec = rademacher_spec(n=40, y=poisson_counts(1.0), weight_mode="deterministic", epsilon_mode="truncated")
+        want = sample_weighted_increments(spec, [(0.1, 0.6), (0.6, 0.9)], 300)
+
+        def no_gaps(*args, **kwargs):
+            raise AssertionError("gaps were drawn")
+
+        monkeypatch.setattr(series, "_positive_exponentials", no_gaps)
+        assert np.array_equal(sample_weighted_increments(spec, [(0.1, 0.6), (0.6, 0.9)], 300), want)
+        with pytest.raises(AssertionError, match="gaps were drawn"):
+            sample_weighted_increments(replace(spec, weight_mode="gamma"), [(0.1, 0.6)], 300)
+
 
 def chunk_paths(spec, tag, m, terms=None):
     """The m paths of chunk 0 of a chunked sampler, rebuilt one replicate at a time

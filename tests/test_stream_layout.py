@@ -134,6 +134,14 @@ REPORT_RUNS = {
          "c1_report.json": "2cb32932976a4ae594dbf55937f0e443ea58eb0b69b40369f84524e7c8679941",
          "c2_report.csv": "22d91476413e7898388716bec170e6cd36d06f883c47fa29216bdc5ec63ceead",
          "c2_report.json": "f8b71b104ae9e1138127d9e26b4528dbec7c13fc45319e2353870c35a7e1f599"}),
+    # nested numbers as given: beta 1 and coeffs [8, 4] echo as integers in the report's meta
+    "check-conditions_integer_nested": (
+        "command: check-conditions\ny: {variant: example3, lambda: 2}\nreplicates: 2100\n"
+        "envelope: {kind: poly, beta: 1, coeffs: [8, 4]}\npairs: [[0, 1], [0.25, 0.75]]\n",
+        {"c1_report.csv": "8aee623e9315eca01a52295517c9a0d8cd9133484909aa608502dac6f1077393",
+         "c1_report.json": "dd2b3d80430ada495263b0d11ff82c232a87a234bf9cfe479a3d6145eeb3f398",
+         "c2_report.csv": "022e4c14cfe777b9ac5bdd0969e8d377d4075e34a1f7a9af0b28074ae2dd49b2",
+         "c2_report.json": "2b0346dec209f3c0e32ed01bd4d642f5f56aab3c0b1adcca007ba8c9fd41452d"}),
     # m = 1.0 is the moment series of E|eps~_i|, which differs from the centered sum of |E eps~_i|
     "constants_table": (
         "command: constants\nalpha: 0.8\n"
