@@ -184,13 +184,9 @@ def _list_of(item):
     return parse
 
 
-def _times(k: int):
-    def parse(v) -> tuple[float, ...]:
-        times = tuple(_list_of(_finite)(v))
-        if len(times) != k:
-            raise ValueError(f"each entry must hold {k} times, got {v!r}")
-        return times
-    return parse
+def _times(kind: str):
+    """The parser of a list of ``kind`` entries, each in time order, as :func:`diag._checked_times` checks."""
+    return lambda v: diag._checked_times(kind, _list_of(_list_of(_finite))(v))
 
 
 def _formats(v) -> tuple[str, ...]:
@@ -554,9 +550,10 @@ def _cmd_spectral(cfg, writer) -> int:
 
 def _cmd_regvar(cfg, writer) -> int:
     spec = cfg.series_spec()
-    stats = series_mod.sample_path_stats(spec, cfg.samples, cfg.threads)
+    # spectral_estimate first, so its checks refuse a config before any series path is drawn
     sigma = checks.spectral_estimate(cfg.epsilon, cfg.y, cfg.alpha, cfg.events,
                                      cfg.sigma_replicates, RngStream(cfg.seed), cfg.threads)
+    stats = series_mod.sample_path_stats(spec, cfg.samples, cfg.threads)
     table = checks.regular_variation_table(stats, cfg.events, cfg.r_grid, cfg.n, cfg.alpha, sigma)
     rows = [r.row() for r in table.rows]
     cols = list(rows[0].keys()) if rows else []
@@ -572,8 +569,8 @@ def _cmd_regvar(cfg, writer) -> int:
     return 0
 
 
-_PAIRS = ([[i / 20.0, i / 20.0 + 0.5] for i in range(10)], _list_of(_times(2)))
-_TRIPLES = ([[i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5] for i in range(10)], _list_of(_times(3)))
+_PAIRS = ([[i / 20.0, i / 20.0 + 0.5] for i in range(10)], _times("increment_second_moment"))
+_TRIPLES = ([[i / 20.0, i / 20.0 + 0.25, i / 20.0 + 0.5] for i in range(10)], _times("cross_moment"))
 _ENVELOPE = (None, _one_of("envelope", "kind", _ENVELOPES, "identity"))
 _EVENTS = (["full_sphere", "nonnegative_path"], _list_of(_one_of("event", "kind", _EVENT_KINDS)))
 _SAMPLES = (30_000, _count)

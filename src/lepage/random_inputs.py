@@ -38,7 +38,6 @@ __all__ = [
     "poisson_counts",
     "user_paths",
     "TermEvents",
-    "time_ordered",
     "interval_increments",
     "values_at",
     "term_sup_norms",
@@ -49,6 +48,8 @@ __all__ = [
 _GAMMA_ROLE = 0
 _EPSILON_ROLE = 1
 _Y_ROLE = 2
+
+_TILE_EVENTS = 1 << 14  # chunks are drawn and reduced, and term extremes padded, in tiles of this many events
 
 
 class ConfigurationError(ValueError):
@@ -289,8 +290,7 @@ class TermEvents:
     read-only broadcast.  ``width`` is set when every term has that many
     events (unit jumps 1, weighted jumps p): masked sums and
     :func:`_row_extremes` then reshape ``(n_terms, width)`` rows, and no
-    ``index`` is stored.  Readers that walk a path in time order call
-    :func:`time_ordered`.
+    ``index`` is stored.
     """
 
     n_terms: int
@@ -310,28 +310,18 @@ class TermEvents:
         """Number of events of the first ``n`` terms (the first event of term ``n``)."""
         return int(np.searchsorted(self.index, n)) if self.width is None else n * self.width
 
-    def prefix(self, n: int) -> "TermEvents":
-        """Events of the first ``n`` terms (shares the underlying arrays)."""
-        if n > self.n_terms:
-            raise ValueError(f"prefix of {n} terms requested from {self.n_terms}")
-        k = self.offset(n)
-        return TermEvents(n, self.dimension, None if self.index is None else self.index[:k],
-                          self.times[:k], self.heights[:k], self.initials[:n], self.width)
+    def terms(self, a: int, b: int) -> "TermEvents":
+        """Events of terms ``a`` to ``b - 1``, counted from 0 again (views of the times, heights and initials)."""
+        if not 0 <= a <= b <= self.n_terms:
+            raise ValueError(f"terms {a} to {b} requested from {self.n_terms}")
+        i, j = self.offset(a), self.offset(b)
+        return TermEvents(b - a, self.dimension, None if self.index is None else self.index[i:j] - a,
+                          self.times[i:j], self.heights[i:j], self.initials[a:b], self.width)
 
 
 def _draw_open_unit(gen: np.random.Generator, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform draws in (0, 1): zeros are resampled (a t=0 jump is illegal)."""
     return _nonzero_draws(gen.random, n, out)
-
-
-def time_ordered(events: TermEvents) -> TermEvents:
-    """The block sorted by ``(term, time)``; the block itself if it already is."""
-    ti, t = events.term_index, events.times
-    if np.all((ti[1:] > ti[:-1]) | (t[1:] >= t[:-1])):
-        return events
-    order = np.lexsort((t, ti))
-    return TermEvents(events.n_terms, events.dimension, None if events.width else ti[order], t[order],
-                      events.heights[order], events.initials, events.width)
 
 
 class YBlockSampler:
@@ -710,23 +700,16 @@ def term_sup_norms(events: TermEvents) -> np.ndarray:
 def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:
     """Largest and smallest segment value of each term's path (over coords), exactly.
 
-    A fixed-width block goes through :func:`_row_extremes`; any other is summed
-    flat in time order, one event column per pass, as a per-term ``cumsum`` adds.
+    Each tile of terms is rows of :func:`_row_extremes`, one term per row, so a
+    term adds in time order as its own ``cumsum`` does.  A tile holds at most
+    ``_TILE_EVENTS`` event slots once padded to the block's longest term (or that
+    one term, if longer), so padding never grows with the block.
     """
-    if events.width is not None:
-        return _row_extremes(events, np.broadcast_to(1.0, events.n_terms), events.initials)[1:]
-    ev = time_ordered(events)
-    counts = np.bincount(ev.term_index, minlength=ev.n_terms)
-    has = counts > 0
-    starts = (np.cumsum(counts) - counts)[has]  # first event of each term that has one
-    longest_first = starts[np.argsort(-counts[has])]
-    at_least = np.cumsum(np.bincount(counts)[::-1])[::-1]  # terms with >= j events
-    running = np.array(ev.heights, dtype=np.float64)
-    for j in range(1, at_least.size - 1):
-        e = longest_first[:at_least[j + 1]] + j
-        running[e] += running[e - 1]
-    running += ev.initials[ev.term_index]
-    vmax, vmin = ev.initials.max(axis=1), ev.initials.min(axis=1)
-    vmax[has] = np.maximum(vmax[has], np.maximum.reduceat(running.max(axis=1), starts))
-    vmin[has] = np.minimum(vmin[has], np.minimum.reduceat(running.min(axis=1), starts))
+    n = events.n_terms
+    widest = events.width or int(np.bincount(events.index, minlength=n).max(initial=0))
+    tile = max(1, _TILE_EVENTS // max(widest, 1))
+    ones, vmax, vmin = np.broadcast_to(1.0, min(tile, n)), np.empty(n), np.empty(n)
+    for a in range(0, n, tile):
+        part = events.terms(a, min(a + tile, n))
+        _, vmax[a:a + tile], vmin[a:a + tile] = _row_extremes(part, ones[:part.n_terms], part.initials)
     return vmax, vmin

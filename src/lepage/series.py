@@ -32,6 +32,7 @@ from .random_inputs import (
     YGeneratorSpec,
     _EPSILON_ROLE,
     _GAMMA_ROLE,
+    _TILE_EVENTS,
     _Y_ROLE,
     _buffer,
     _positive_exponentials,
@@ -56,7 +57,6 @@ __all__ = [
 _TAG_MARGINAL = 101
 _TAG_PATH_STATS = 102
 _TAG_INCREMENTS = 103
-_TILE_EVENTS = 1 << 14  # a chunk is drawn and reduced in tiles of this many events, in cache
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def coupled_partial_sums(
     if any(c < 0 for c in checkpoints):
         raise ConfigurationError(f"checkpoints must be nonnegative, got {checkpoints}")
     coeffs, events = _replicate_coeffs(spec, stream, max(checkpoints, default=0))
-    return [PartialSumResult(path=_combine_term_events(coeffs[:c], events.prefix(c)), terms_used=c)
+    return [PartialSumResult(path=_combine_term_events(coeffs[:c], events.terms(0, c)), terms_used=c)
             for c in checkpoints]
 
 

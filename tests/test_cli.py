@@ -121,6 +121,10 @@ class TestCommandTables:
         ("partitions", "n_grid", "5"),
         ("stability", "samples", "-5"),
         ("check-conditions", "pairs", "[[0.1]]"),
+        # times out of order, refused only after the draws of c1 and with no line before
+        ("check-conditions", "pairs", "[[0.8, 0.2]]"),
+        ("check-conditions", "triples", "[[0.5, 0.2, 0.8]]"),
+        ("tightness", "triples", "[[0.5, 0.2, 0.8]]"),
         ("simulate", "per_term_norms", '"false"'),  # a string, not a boolean
         ("simulate", "per_term_norms", "1"),
         ("check-conditions", "envelope", "{kind: sum_of_cdfs, beta: 2.0}"),
@@ -288,6 +292,22 @@ class TestCommandTables:
 
         monkeypatch.setattr(series, "sample_path_stats", no_draw)
         code, _ = run_cli(tmp_path, text)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,message", [
+        ("sigma_replicates: 10\n", "need at least 1000 replicates, got 10"),
+        ("sigma_replicates: 1000\nevents: [{kind: norm_equals, value: 1.0, name: a}, "
+         "{kind: norm_equals, value: 2.0, name: a}]\n", "event names must be distinct"),
+    ], ids=["replicate_floor", "duplicate_names"])
+    def test_regvar_runs_the_spectral_checks_before_drawing_paths(self, tmp_path, capsys, monkeypatch, extra,
+                                                                   message):
+        # both were refused only after every series path was drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("paths were drawn")
+
+        monkeypatch.setattr(series, "sample_path_stats", no_draw)
+        code, _ = run_cli(tmp_path, MINIMAL_BY_COMMAND["regvar"] + "truncation_n: 50\nsamples: 1000\n" + extra)
         assert code == 1
         assert message in capsys.readouterr().err
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from lepage.random_inputs import (
     poisson_counts,
     term_sup_norms,
     term_value_extremes,
-    time_ordered,
     unit_jump,
     user_paths,
     values_at,
@@ -30,11 +30,11 @@ from test_series import ReplicateOracle
 
 
 def term_path(events, r: int) -> StepPath:
-    """Term ``r`` of a block as a step path, its events put in time order by ``time_ordered``."""
-    events = time_ordered(events)
+    """Term ``r`` of a block as a step path, its events put in time order by a stable argsort."""
     lo, hi = events.offset(r), events.offset(r + 1)
-    values = events.initials[r][None, :] + np.cumsum(events.heights[lo:hi], axis=0)
-    return StepPath(events.dimension, events.initials[r], events.times[lo:hi], values)
+    order = lo + np.argsort(events.times[lo:hi], kind="stable")
+    values = events.initials[r][None, :] + np.cumsum(events.heights[order], axis=0)
+    return StepPath(events.dimension, events.initials[r], events.times[order], values)
 
 
 def arrival_times(n: int, stream: RngStream) -> np.ndarray:
@@ -416,12 +416,22 @@ class TestEventReductions:
     def _events(self, spec, n, seed):
         return spec.block_sampler(RngStream(seed)).take(n)
 
-    def test_prefix_consistency(self):
-        events = self._events(poisson_counts(2.0), 50, 40)
-        pre = events.prefix(20)
-        assert pre.n_terms == 20
-        assert np.all(pre.term_index < 20)
-        assert pre.times.size == int(np.sum(events.term_index < 20))
+    @pytest.mark.parametrize("y", [poisson_counts(2.0), unit_jump()], ids=["poisson", "unit"])
+    def test_terms_slice_a_middle_range_counted_from_zero(self, y):
+        events = self._events(y, 50, 40)
+        mid = events.terms(20, 35)
+        sel = (events.term_index >= 20) & (events.term_index < 35)
+        assert mid.n_terms == 15 and mid.width == events.width
+        assert np.array_equal(mid.term_index, events.term_index[sel] - 20)
+        for field in ("times", "heights"):
+            assert getattr(mid, field).tobytes() == getattr(events, field)[sel].tobytes()
+        assert np.array_equal(mid.initials, events.initials[20:35])
+        assert all(term_path(mid, r) == term_path(events, 20 + r) for r in range(15))
+        assert events.terms(0, 50).times.tobytes() == events.times.tobytes()
+        assert events.terms(50, 50).times.size == 0
+        for a, b in ((40, 51), (-1, 3), (5, 4)):
+            with pytest.raises(ValueError, match=f"terms {a} to {b} requested from 50"):
+                events.terms(a, b)
 
     def test_term_sup_norms_match_path_oracle(self):
         for spec, seed in ((poisson_counts(3.0), 41), (unit_jump(), 42)):
@@ -484,7 +494,6 @@ class TestTimeOrderedReaders:
         real = ReplicateOracle(spec)
         events = real.events
         assert not _is_time_ordered(events)
-        assert _is_time_ordered(time_ordered(events))
         vmax, vmin = term_value_extremes(events)
         sups = term_sup_norms(events)
         for r in range(60):
@@ -506,12 +515,6 @@ class TestTimeOrderedReaders:
             times, values = _argsort_oracle(block, 0)
             assert term_path(block, 0) == StepPath(y.dimension, block.initials[0], times, values)
         assert unordered > 0
-
-    def test_ordered_blocks_are_returned_untouched(self):
-        fixed = StepPath(1, [0.5], [0.25, 0.75], [[1.0], [-2.0]])
-        for y in (unit_jump(), user_paths([fixed])):
-            events = y.block_sampler(RngStream(51)).take(30)
-            assert time_ordered(events) is events
 
 
 def per_term_cumsum_extremes(events):
@@ -561,13 +564,36 @@ class TestTiedJumpTimes:
         assert sup.tolist() == [1.5, 2.5]
 
 
+def one_long_path_pool(d=2, seed=0):
+    """Eight :func:`_normal_path` draws and one path of more jumps than a tile of events holds."""
+    gen = np.random.default_rng(seed)
+    k = (1 << 14) + 1000
+    long = StepPath(d, gen.normal(size=d), np.sort(gen.random(k)), gen.normal(size=(k, d)))
+    return user_paths([_normal_path(gen, d) for _ in range(8)] + [long])
+
+
 class TestExactTermExtremes:
-    @pytest.mark.parametrize("y", [poisson_counts(1.0), poisson_counts(7.0), normal_pool(2)],
-                             ids=["poisson1", "poisson7", "user2d"])
-    def test_variable_width_blocks_match_per_term_cumsum(self, y):
-        events = y.block_sampler(RngStream(62)).take(3000)
+    @pytest.mark.parametrize("y,n", [
+        (poisson_counts(1.0), 3000), (poisson_counts(7.0), 3000), (normal_pool(2), 3000),
+        (poisson_counts(1.0), 40_000),  # 18 tiles of 2340 terms, padded to 7 events
+        (unit_jump(), 40_000),  # tiles of 2^14 terms, the last one partial
+        (one_long_path_pool(), 300),  # tiles of one term each
+    ], ids=["poisson1", "poisson7", "user2d", "poisson1_many_tiles", "unit_many_tiles", "user_one_long_path"])
+    def test_variable_width_blocks_match_per_term_cumsum(self, y, n):
+        events = y.block_sampler(RngStream(62)).take(n)
         for got, want in zip(term_value_extremes(events), per_term_cumsum_extremes(events)):
             assert got.tobytes() == want.tobytes()
+
+    def test_padding_stays_within_a_tile(self):
+        # each tile is padded on its own; the whole block padded into rows at once takes hundreds of MB
+        events = poisson_counts(1.0).block_sampler(RngStream(63)).take(10**6)
+        tracemalloc.start()
+        try:
+            term_value_extremes(events)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_weighted_jumps_match_per_term_cumsum(self):
         # sums of 1.1, -0.7 and 0.3 round differently in a block-wide cumsum
