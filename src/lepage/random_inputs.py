@@ -18,6 +18,7 @@ several truncation depths therefore share one realization bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -584,10 +585,17 @@ def user_paths(paths) -> YGeneratorSpec:
     d = paths[0].dimension
     if any(p.dimension != d for p in paths):
         raise PathValidationError(f"user paths must share one dimension, got {sorted({p.dimension for p in paths})}")
+    with np.errstate(over="ignore"):  # refused below, naming the path
+        heights = [np.diff(p.segment_values(), axis=0) for p in paths]
+    for k, h in enumerate(heights):
+        bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
+        if bad.size:
+            i, v = bad[0], paths[k].segment_values()
+            raise PathValidationError(f"user path {k} (counted from 0) jumps from {v[i].tolist()} to "
+                                      f"{v[i + 1].tolist()}, a height of {h[i].tolist()}; heights must be finite")
     counts = [p.n_jumps for p in paths]
     pool = TermEvents(len(paths), d, np.repeat(np.arange(len(paths), dtype=np.int64), counts),
-                      np.concatenate([p.jump_times for p in paths]),
-                      np.concatenate([np.diff(p.segment_values(), axis=0) for p in paths]),
+                      np.concatenate([p.jump_times for p in paths]), np.concatenate(heights),
                       np.array([p.initial_value for p in paths]))
     return _UserSpec(pool, np.concatenate([[0], np.cumsum(counts)]), values_at(pool, [1.0])[:, 0, :], d)
 
@@ -602,13 +610,17 @@ def _masked_term_sums(events: TermEvents, mask: np.ndarray, out: np.ndarray) -> 
 
     Heights add in event order from +0.0, as in ``np.bincount``, also across
     fixed-width row columns (``sum(axis=1)`` adds 8 or more pairwise).  A
-    masked-off height is skipped, not added as 0.0; the two agree because a
-    sum that starts at +0.0 never becomes -0.0.
+    variable-width block sums ``height * mask`` over all its events, so a
+    masked-off height adds +0.0 or -0.0; a fixed-width block skips it.  Both
+    give the bits of a sum over the masked events alone: a sum that starts at
+    +0.0 never becomes -0.0, so adding a signed zero changes no bit.  That
+    needs finite heights (``inf * 0`` is nan), which every generator ensures.
     """
     n, d, w = events.n_terms, events.dimension, events.width
     if w is None:
+        weights = np.empty(mask.size)
         for j in range(d):
-            out[:, j] = np.bincount(events.term_index[mask], events.heights[mask, j], n)
+            out[:, j] = np.bincount(events.index, np.multiply(events.heights[:, j], mask, out=weights), n)
         return out
     out[...] = 0.0
     heights = events.heights.reshape(n, w, d)
@@ -691,6 +703,25 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, t
     return np.maximum(np.abs(vmax), np.abs(vmin)), vmax, vmin
 
 
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[idx]``, by ``np.take`` where ``a`` is contiguous: it gathers rows many times as fast as
+    indexing, but copies a non-contiguous ``a`` (a read-only broadcast) whole first."""
+    return np.take(a, idx, axis=0) if a.flags.c_contiguous else a[idx]
+
+
+def _padded_terms(events: TermEvents, starts: np.ndarray, pick: np.ndarray) -> TermEvents:
+    """Terms ``pick`` of a variable-width block (term ``k`` holds its events ``starts[k]`` on) as a
+    fixed-width block: each term's events in their order, padded to the longest term with ``+inf``
+    times and zero heights, the rows :func:`_row_extremes` would scatter them into."""
+    counts = starts[pick + 1] - starts[pick]
+    col = np.arange(counts.max(initial=0))
+    slot = np.minimum(starts[pick, None] + col, max(events.times.size - 1, 0)).reshape(-1)
+    real = (col < counts[:, None]).reshape(-1)
+    return TermEvents(pick.size, events.dimension, None, np.where(real, _rows(events.times, slot), np.inf),
+                      np.where(real[:, None], _rows(events.heights, slot), 0.0), _rows(events.initials, pick),
+                      col.size)
+
+
 def term_sup_norms(events: TermEvents) -> np.ndarray:
     """Uniform norm of each term's path: ``max|v| = max(|max v|, |min v|)`` exactly."""
     vmax, vmin = term_value_extremes(events)
@@ -702,14 +733,31 @@ def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:
 
     Each tile of terms is rows of :func:`_row_extremes`, one term per row, so a
     term adds in time order as its own ``cumsum`` does.  A tile holds at most
-    ``_TILE_EVENTS`` event slots once padded to the block's longest term (or that
-    one term, if longer), so padding never grows with the block.
+    ``_TILE_EVENTS`` event slots once padded to its longest term (or that one
+    term, if longer), so padding never grows with the block.  A fixed-width
+    block is tiled in term order; any other in the stable order of its terms'
+    event counts, each tile gathered, so a long term pads only the tiles of
+    terms as long as itself.
     """
-    n = events.n_terms
-    widest = events.width or int(np.bincount(events.index, minlength=n).max(initial=0))
-    tile = max(1, _TILE_EVENTS // max(widest, 1))
-    ones, vmax, vmin = np.broadcast_to(1.0, min(tile, n)), np.empty(n), np.empty(n)
-    for a in range(0, n, tile):
-        part = events.terms(a, min(a + tile, n))
-        _, vmax[a:a + tile], vmin[a:a + tile] = _row_extremes(part, ones[:part.n_terms], part.initials)
+    n, w = events.n_terms, events.width
+    if w is not None:
+        tile = max(1, _TILE_EVENTS // max(w, 1))
+        tiles = ((slice(a, a + tile), events.terms(a, min(a + tile, n))) for a in range(0, n, tile))
+    else:
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(events.index, minlength=n), out=starts[1:])
+        # a term of a tile's events or more is a tile alone, so counts are clipped there, and
+        # 16 bits take numpy's radix sort
+        counts = np.minimum(np.diff(starts), _TILE_EVENTS).astype(np.uint16)
+        order = np.argsort(counts, kind="stable")
+        counts = np.maximum(counts[order], 1)  # padded slots per term of a tile, at least one
+        bounds = [0]
+        while bounds[-1] < n:  # each tile as long as it fits: (b - a) * counts[b - 1] grows with b
+            a = bounds[-1]
+            bounds.append(a + max(1, bisect.bisect_right(range(a + 1, n + 1), _TILE_EVENTS,
+                                                         key=lambda b: (b - a) * int(counts[b - 1]))))
+        tiles = ((order[a:b], _padded_terms(events, starts, order[a:b])) for a, b in zip(bounds, bounds[1:]))
+    vmax, vmin = np.empty(n), np.empty(n)
+    for where, part in tiles:
+        _, vmax[where], vmin[where] = _row_extremes(part, np.broadcast_to(1.0, part.n_terms), part.initials)
     return vmax, vmin

@@ -238,6 +238,16 @@ class TestCommandTables:
         with pytest.raises(ConfigParseError, match=rf"line {line}: key 'y': user paths must share one dimension"):
             parse_config(text)
 
+    def test_user_paths_whose_heights_overflow_are_a_config_error(self, tmp_path):
+        paths_dir = tmp_path / "overflow"
+        paths_dir.mkdir()
+        (paths_dir / "a.csv").write_text("t,value_1\n0,0\n0.5,1\n")
+        (paths_dir / "b.csv").write_text("t,value_1\n0,0\n0.25,1e308\n0.75,-1e308\n")
+        text, line = _with_value("stability", "y", f"{{variant: user, paths_dir: {paths_dir}}}")
+        with pytest.raises(ConfigParseError, match=rf"line {line}: key 'y': user path 1 \(counted from 0\) "
+                           r"jumps from \[1e\+308\] to \[-1e\+308\], a height of \[-inf\]"):
+            parse_config(text)
+
     @pytest.mark.parametrize("alpha,key,value,message", [
         # every marginal at t 0.5 read exactly 0.0, so the KS distance was 0 and the run "satisfied"
         (1.5, "y", "{variant: example2, cdfs: [{xs: [0.0, .nan, 1.0], ys: [0.0, 0.5, 1.0]}]}",

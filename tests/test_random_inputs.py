@@ -25,6 +25,7 @@ from lepage.random_inputs import (
     weighted_jumps,
 )
 from lepage.rng import RngStream
+import lepage.random_inputs as random_inputs
 from lepage.series import SeriesSpec, partial_sum
 from test_series import ReplicateOracle
 
@@ -383,6 +384,17 @@ class TestUserGenerator:
         with pytest.raises(PathValidationError, match=r"one dimension, got \[1, 2\]"):
             user_paths([one, two])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_overflowing_heights_rejected_at_construction(self, d):
+        # each value is finite, but the jump from 1e308 to -1e308 is -inf: values_at at t 0.8 read -inf
+        fine = StepPath(d, np.zeros(d), [0.5], np.ones((1, d)))
+        values = np.zeros((2, d))
+        values[:, -1] = [1e308, -1e308]
+        over = StepPath(d, np.zeros(d), [0.25, 0.75], values)
+        with pytest.raises(PathValidationError, match=r"user path 1 \(counted from 0\) jumps from .*1e\+308\] to "
+                                                      r".*-1e\+308\], a height of .*-inf\]; heights must be finite"):
+            user_paths([fine, over])
+
     def test_dimension_comes_from_the_paths(self):
         y = user_paths(_pool_with_empty_path(2))
         assert y.dimension == 2 and y.echo() == {"variant": "user", "dimension": 2}
@@ -572,13 +584,22 @@ def one_long_path_pool(d=2, seed=0):
     return user_paths([_normal_path(gen, d) for _ in range(8)] + [long])
 
 
+def long_tail_pool(seed=0):
+    """Seven paths of 1 to 3 jumps and one of 1000."""
+    gen = np.random.default_rng(seed)
+    return user_paths([StepPath(1, gen.normal(size=1), np.sort(gen.random(k)), gen.normal(size=(k, 1)))
+                       for k in (1, 2, 3, 1, 2, 3, 2, 1000)])
+
+
 class TestExactTermExtremes:
     @pytest.mark.parametrize("y,n", [
         (poisson_counts(1.0), 3000), (poisson_counts(7.0), 3000), (normal_pool(2), 3000),
-        (poisson_counts(1.0), 40_000),  # 18 tiles of 2340 terms, padded to 7 events
+        (poisson_counts(1.0), 40_000),  # tiles of 1 to 9 events per term, and one of terms with none
         (unit_jump(), 40_000),  # tiles of 2^14 terms, the last one partial
-        (one_long_path_pool(), 300),  # tiles of one term each
-    ], ids=["poisson1", "poisson7", "user2d", "poisson1_many_tiles", "unit_many_tiles", "user_one_long_path"])
+        (one_long_path_pool(), 300),  # the long path's terms in tiles of one term each
+        (long_tail_pool(), 20_000),  # the 1000-jump path's terms in tiles of 16
+    ], ids=["poisson1", "poisson7", "user2d", "poisson1_many_tiles", "unit_many_tiles", "user_one_long_path",
+            "user_long_tail"])
     def test_variable_width_blocks_match_per_term_cumsum(self, y, n):
         events = y.block_sampler(RngStream(62)).take(n)
         for got, want in zip(term_value_extremes(events), per_term_cumsum_extremes(events)):
@@ -594,6 +615,27 @@ class TestExactTermExtremes:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_a_long_term_pads_only_its_own_tiles(self, monkeypatch):
+        # one term in 8 has 1000 events; padding every tile to it took 7 times the slots of the events
+        events = long_tail_pool().block_sampler(RngStream(64)).take(50_000)
+        slots = []
+
+        def counted(part, *args):
+            widest = part.width if part.width is not None else np.bincount(part.index).max(initial=0)
+            slots.append(part.n_terms * int(widest))
+            return row_extremes(part, *args)
+
+        row_extremes = random_inputs._row_extremes
+        monkeypatch.setattr(random_inputs, "_row_extremes", counted)
+        tracemalloc.start()
+        try:
+            term_value_extremes(events)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(slots) < 1.01 * events.times.size
+        assert peak < 8e6
 
     def test_weighted_jumps_match_per_term_cumsum(self):
         # sums of 1.1, -0.7 and 0.3 round differently in a block-wide cumsum

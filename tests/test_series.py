@@ -566,6 +566,19 @@ FAST_PATH_YS = {
         [CdfGrid.uniform()] * 9, JumpHeightDist(np.array([[1.1], [-0.7], [0.3]]), np.full(3, 1.0 / 3.0))),
     "poisson": poisson_counts(2.0),
     "user_sixteenths": sixteenths_pool(),
+    # negative heights and paths back at exactly 0.0: a masked-off height weighs -0.0
+    "user_signed_zero": user_paths([
+        StepPath(1, [0.0], [0.25, 0.5], [[-0.75], [0.0]]),
+        StepPath(1, [0.0], [0.3, 0.8125, 1.0], [[-1.5], [-0.25], [0.0]]),
+        StepPath(1, [-0.0], [0.5], [[-2.0]]),
+        StepPath(1, [1.0], [0.125, 0.3, 0.8125], [[0.0], [-1.0], [0.0]]),
+    ]),
+    # a 2-d pool with a path of no jump
+    "user2d_no_jump": user_paths([
+        StepPath(2, [0.5, -1.0]),
+        StepPath(2, [0.0, 0.0], [0.25, 0.5, 0.8125], [[1.0, -1.0], [0.5, -2.0], [0.0, 0.0]]),
+        StepPath(2, [-1.0, 2.0], [0.3, 1.0], [[-1.5, 2.5], [-1.0, 2.0]]),
+    ]),
 }
 
 
@@ -887,12 +900,18 @@ class TestSeriesTailInSupNorm:
 FAULT_SCRIPT = """
 import resource, sys
 import lepage.cli  # what the command line imports shapes the heap a run starts from
-from lepage.random_inputs import EpsilonSpec, unit_jump
-from lepage.series import SeriesSpec, sample_marginals, sample_path_stats
+from lepage.random_inputs import EpsilonSpec, poisson_counts, unit_jump
+from lepage.series import SeriesSpec, sample_marginals, sample_path_stats, sample_weighted_increments
 case, n, samples, seed = sys.argv[1], *map(int, sys.argv[2:])
-spec = SeriesSpec(1.5, n, EpsilonSpec.rademacher(), unit_jump(), seed=seed)
+if case == "increments":  # the tightness workload: Poisson(1) paths over the intervals of two triples
+    spec = SeriesSpec(1.5, n, EpsilonSpec.rademacher(), poisson_counts(1.0), seed=seed,
+                      weight_mode="deterministic", epsilon_mode="truncated")
+    run = lambda: sample_weighted_increments(spec, [(0.0, 0.25), (0.25, 0.5), (0.05, 0.3), (0.3, 0.55)], samples)
+else:
+    spec = SeriesSpec(1.5, n, EpsilonSpec.rademacher(), unit_jump(), seed=seed)
+    run = lambda: sample_marginals(spec, 1.0, samples) if case == "marginals" else sample_path_stats(spec, samples)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-sample_marginals(spec, 1.0, samples) if case == "marginals" else sample_path_stats(spec, samples)
+run()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -903,7 +922,8 @@ class TestTiledPageFaults:
     # regrow between tiles; fresh per-tile temporaries took 81 948 and 47 886
     # minor faults on these runs, the buffers about 500
     @pytest.mark.parametrize("case, n, samples, seed", [("marginals", 2000, 4194, 0),
-                                                        ("path_stats", 500, 8192, 114)])
+                                                        ("path_stats", 500, 8192, 114),
+                                                        ("increments", 100, 10_000, 107)])
     def test_minor_faults_stay_low(self, case, n, samples, seed):
         src = str(Path(series.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
