@@ -325,15 +325,6 @@ def _draw_open_unit(gen: np.random.Generator, n: int, out: np.ndarray | None = N
     return _nonzero_draws(gen.random, n, out)
 
 
-class YBlockSampler:
-    """Stateful per-replicate sampler handing out terms in order.  Each defines ``take(n, out)``, drawing a
-    fixed-width block's jump times into ``out`` when given, and ``values_at_one(n, out)``, writing the next
-    ``n`` terms' ``Y(1)`` into ``out`` (n, d) with the bytes of ``values_at`` and drawing no jump location."""
-
-    def __init__(self, spec: "YGeneratorSpec"):
-        self.spec = spec
-
-
 @dataclass(frozen=True)
 class CdfGrid:
     """Continuous nondecreasing cdf on [0, 1], piecewise linear on a grid."""
@@ -400,7 +391,11 @@ class YGeneratorSpec:
     dimension: int = 1
     width: int | None = None  # events per path, when fixed (see TermEvents)
 
-    def block_sampler(self, stream: RngStream) -> YBlockSampler:
+    def block_sampler(self, stream: RngStream):
+        """A stateful sampler of this spec's paths from ``stream``, handing out terms in order.  Its
+        ``take(n, out)`` returns the next ``n`` terms' :class:`TermEvents`, drawing a fixed-width block's
+        jump times into ``out`` when given; its ``values_at_one(n, out)`` writes the next ``n`` terms'
+        ``Y(1)`` into ``out`` (n, d) with the bytes of ``values_at``, drawing no jump location."""
         raise NotImplementedError
 
     def echo(self) -> dict:
@@ -415,13 +410,13 @@ class _UnitJumpSpec(YGeneratorSpec):
     dimension: int = 1
     width = 1
 
-    def block_sampler(self, stream: RngStream) -> YBlockSampler:
+    def block_sampler(self, stream: RngStream):
         return _UnitJumpSampler(self, stream)
 
 
-class _UnitJumpSampler(YBlockSampler):
+class _UnitJumpSampler:
     def __init__(self, spec, stream):
-        super().__init__(spec)
+        self.spec = spec
         self._loc = stream.substream(0).generator()
 
     def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
@@ -459,7 +454,7 @@ class _WeightedJumpsSpec(YGeneratorSpec):
 
     width = p
 
-    def block_sampler(self, stream: RngStream) -> YBlockSampler:
+    def block_sampler(self, stream: RngStream):
         return _WeightedJumpsSampler(self, stream)
 
     def echo(self) -> dict:
@@ -467,9 +462,9 @@ class _WeightedJumpsSpec(YGeneratorSpec):
                 "fourth_moment_bound": self.fourth_moment_bound}
 
 
-class _WeightedJumpsSampler(YBlockSampler):
+class _WeightedJumpsSampler:
     def __init__(self, spec, stream):
-        super().__init__(spec)
+        self.spec = spec
         # one substream per component so extending a block never reshuffles draws
         self._locs = [stream.substream(0, j).generator() for j in range(spec.p)]
         self._heights = [stream.substream(1, j).generator() for j in range(spec.p)]
@@ -504,16 +499,16 @@ class _PoissonSpec(YGeneratorSpec):
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise ConfigurationError(f"poisson intensity must be positive, got {self.lam}")
 
-    def block_sampler(self, stream: RngStream) -> YBlockSampler:
+    def block_sampler(self, stream: RngStream):
         return _PoissonSampler(self, stream)
 
     def echo(self) -> dict:
         return {"variant": self.variant, "dimension": 1, "lambda": self.lam}
 
 
-class _PoissonSampler(YBlockSampler):
+class _PoissonSampler:
     def __init__(self, spec, stream):
-        super().__init__(spec)
+        self.spec = spec
         self._counts = stream.substream(0).generator()
         self._locs = stream.substream(1).generator()
 
@@ -538,13 +533,13 @@ class _UserSpec(YGeneratorSpec):
     dimension: int = 1
     variant: str = "user"
 
-    def block_sampler(self, stream: RngStream) -> YBlockSampler:
+    def block_sampler(self, stream: RngStream):
         return _UserSampler(self, stream)
 
 
-class _UserSampler(YBlockSampler):
+class _UserSampler:
     def __init__(self, spec, stream):
-        super().__init__(spec)
+        self.spec = spec
         self._gen = stream.substream(0).generator()
 
     def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
@@ -554,7 +549,7 @@ class _UserSampler(YBlockSampler):
         first = np.cumsum(counts) - counts  # each term's first event in the block
         at = np.arange(counts.sum()) + np.repeat(spec.starts[pick] - first, counts)  # their events in the pool
         return TermEvents(n, spec.dimension, np.repeat(np.arange(n, dtype=np.int64), counts),
-                          spec.pool.times[at], spec.pool.heights[at], spec.pool.initials[pick])
+                          spec.pool.times[at], _rows(spec.pool.heights, at), _rows(spec.pool.initials, pick))
 
     def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
         return np.take(self.spec.at_one, self._gen.integers(self.spec.pool.n_terms, size=n), axis=0, out=out)
@@ -656,27 +651,19 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, t
                   scratch: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sup norm, largest and smallest value (over coords) of each row's path.
 
-    Row ``r`` holds the next ``terms_per_row`` terms: it starts at ``initials[r]``
-    and jumps by ``scale[term] * height`` at each event.  A fixed-width block
-    is reshaped, any other scattered into rows padded with ``+inf`` times and
-    zero jumps.  numpy's default (SIMD) argsort gives the stable row order
-    unless a row holds two equal finite times; then the block is sorted stably,
-    and only values the path takes are counted: at a tie only the last event
-    at that time ends a segment, so a partial sum between tied events is skipped.
-    Each row's ``cumsum`` is its own, so its rounding reaches no other row.
-    A fixed-width block is sorted and summed in the ``scratch`` buffers, if given.
+    ``events`` is a fixed-width block (a variable-width one is padded into
+    rows by :func:`_padded_terms` first).  Row ``r`` holds the next
+    ``terms_per_row`` terms: it starts at ``initials[r]`` and jumps by
+    ``scale[term] * height`` at each event.  numpy's default (SIMD) argsort
+    gives the stable row order unless a row holds two equal finite times;
+    then the block is sorted stably, and only values the path takes are
+    counted: at a tie only the last event at that time ends a segment, so a
+    partial sum between tied events is skipped.  Each row's ``cumsum`` is its
+    own, so its rounding reaches no other row.  The block is sorted and
+    summed in the ``scratch`` buffers, if given.
     """
     rows, d = initials.shape[0], events.dimension
-    if events.width is None:
-        row = events.term_index // terms_per_row  # nondecreasing
-        counts = np.bincount(row, minlength=rows)
-        col = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-        times = np.full((rows, int(counts.max(initial=0))), np.inf)
-        times[row, col] = events.times
-        deltas = np.zeros(times.shape + (d,))
-        deltas[row, col] = events.heights * scale[events.term_index, None]
-    else:
-        times = events.times.reshape(rows, events.width * terms_per_row)
+    times = events.times.reshape(rows, events.width * terms_per_row)
     order, ends = None, True  # ends: the sorted positions that end a segment
     if times.shape[1] > 1:  # a row of one event is in time order already
         starts = np.arange(0, times.size, times.shape[1])[:, None]  # each row's order as flat positions
@@ -690,10 +677,9 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, t
             np.not_equal(steps, 0.0, out=ends[:, :-1, 0])
             order = np.argsort(times, axis=1, kind="stable")
             order += starts
-    if events.width is not None:  # into the buffer the tie check is done with
-        shape = (events.n_terms, events.width, d)
-        deltas = np.multiply(events.heights.reshape(shape), scale.reshape(-1, 1, 1),
-                             out=_buffer(scratch, "work", shape)).reshape(times.shape + (d,))
+    shape = (events.n_terms, events.width, d)  # into the buffer the tie check is done with
+    deltas = np.multiply(events.heights.reshape(shape), scale.reshape(-1, 1, 1),
+                         out=_buffer(scratch, "work", shape)).reshape(times.shape + (d,))
     running = deltas if order is None else np.take(deltas.reshape(-1, d), order, axis=0, mode="clip",
                                                    out=_buffer(scratch, "running", deltas.shape))
     np.cumsum(running, axis=1, out=running)
@@ -709,17 +695,17 @@ def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(a, idx, axis=0) if a.flags.c_contiguous else a[idx]
 
 
-def _padded_terms(events: TermEvents, starts: np.ndarray, pick: np.ndarray) -> TermEvents:
-    """Terms ``pick`` of a variable-width block (term ``k`` holds its events ``starts[k]`` on) as a
-    fixed-width block: each term's events in their order, padded to the longest term with ``+inf``
-    times and zero heights, the rows :func:`_row_extremes` would scatter them into."""
+def _padded_terms(events: TermEvents, starts: np.ndarray, pick: np.ndarray, initials: np.ndarray) -> TermEvents:
+    """Rows ``pick`` of a variable-width block as a fixed-width block for :func:`_row_extremes`, the one
+    place such a block is laid into rows.  Row ``i`` holds the block's events ``starts[pick[i]]`` to
+    ``starts[pick[i] + 1] - 1`` (one term's, or one replicate's) in their order, padded to the longest
+    row with ``+inf`` times and zero heights, and starts at ``initials[i]``."""
     counts = starts[pick + 1] - starts[pick]
     col = np.arange(counts.max(initial=0))
     slot = np.minimum(starts[pick, None] + col, max(events.times.size - 1, 0)).reshape(-1)
     real = (col < counts[:, None]).reshape(-1)
     return TermEvents(pick.size, events.dimension, None, np.where(real, _rows(events.times, slot), np.inf),
-                      np.where(real[:, None], _rows(events.heights, slot), 0.0), _rows(events.initials, pick),
-                      col.size)
+                      np.where(real[:, None], _rows(events.heights, slot), 0.0), initials, col.size)
 
 
 def term_sup_norms(events: TermEvents) -> np.ndarray:
@@ -736,8 +722,8 @@ def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:
     ``_TILE_EVENTS`` event slots once padded to its longest term (or that one
     term, if longer), so padding never grows with the block.  A fixed-width
     block is tiled in term order; any other in the stable order of its terms'
-    event counts, each tile gathered, so a long term pads only the tiles of
-    terms as long as itself.
+    event counts, each tile gathered by :func:`_padded_terms`, so a long term
+    pads only the tiles of terms as long as itself.
     """
     n, w = events.n_terms, events.width
     if w is not None:
@@ -756,7 +742,8 @@ def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:
             a = bounds[-1]
             bounds.append(a + max(1, bisect.bisect_right(range(a + 1, n + 1), _TILE_EVENTS,
                                                          key=lambda b: (b - a) * int(counts[b - 1]))))
-        tiles = ((order[a:b], _padded_terms(events, starts, order[a:b])) for a, b in zip(bounds, bounds[1:]))
+        picks = (order[a:b] for a, b in zip(bounds, bounds[1:]))
+        tiles = ((p, _padded_terms(events, starts, p, _rows(events.initials, p))) for p in picks)
     vmax, vmin = np.empty(n), np.empty(n)
     for where, part in tiles:
         _, vmax[where], vmin[where] = _row_extremes(part, np.broadcast_to(1.0, part.n_terms), part.initials)

@@ -12,6 +12,7 @@ from lepage.random_inputs import (
     JumpHeightDist,
     TermEvents,
     _Y_ROLE,
+    _padded_terms,
     _row_extremes,
     _draw_open_unit,
     _positive_exponentials,
@@ -27,7 +28,7 @@ from lepage.random_inputs import (
 from lepage.rng import RngStream
 import lepage.random_inputs as random_inputs
 from lepage.series import SeriesSpec, partial_sum
-from test_series import ReplicateOracle
+from test_series import ReplicateOracle, long_tail_pool
 
 
 def term_path(events, r: int) -> StepPath:
@@ -570,7 +571,9 @@ class TestTiedJumpTimes:
         # row 1 holds one event, so its row is padded with +inf times, which are not ties
         events = TermEvents(4, 1, np.array([0, 1, 1, 2]), np.array([0.3, 0.3, 0.9, 0.6]),
                             np.array([[4.0], [-4.0], [1.0], [-2.5]]), np.zeros((4, 1)))
-        sup, vmax, vmin = _row_extremes(events, np.ones(4), np.array([[0.5], [0.0]]), 2)
+        initials = np.array([[0.5], [0.0]])
+        rows = _padded_terms(events, np.searchsorted(events.index, [0, 2, 4]), np.arange(2), initials)
+        sup, vmax, vmin = _row_extremes(rows, np.ones(2), initials)
         assert vmax.tolist() == [1.5, 0.0]
         assert vmin.tolist() == [0.5, -2.5]
         assert sup.tolist() == [1.5, 2.5]
@@ -582,13 +585,6 @@ def one_long_path_pool(d=2, seed=0):
     k = (1 << 14) + 1000
     long = StepPath(d, gen.normal(size=d), np.sort(gen.random(k)), gen.normal(size=(k, d)))
     return user_paths([_normal_path(gen, d) for _ in range(8)] + [long])
-
-
-def long_tail_pool(seed=0):
-    """Seven paths of 1 to 3 jumps and one of 1000."""
-    gen = np.random.default_rng(seed)
-    return user_paths([StepPath(1, gen.normal(size=1), np.sort(gen.random(k)), gen.normal(size=(k, 1)))
-                       for k in (1, 2, 3, 1, 2, 3, 2, 1000)])
 
 
 class TestExactTermExtremes:
@@ -622,8 +618,7 @@ class TestExactTermExtremes:
         slots = []
 
         def counted(part, *args):
-            widest = part.width if part.width is not None else np.bincount(part.index).max(initial=0)
-            slots.append(part.n_terms * int(widest))
+            slots.append(part.n_terms * part.width)
             return row_extremes(part, *args)
 
         row_extremes = random_inputs._row_extremes

@@ -378,6 +378,13 @@ def sixteenths_pool(size=64, seed=16):
     return user_paths([_sixteenths_path(gen) for _ in range(size)])
 
 
+def long_tail_pool(seed=0):
+    """Seven paths of 1 to 3 jumps and one of 1000."""
+    gen = np.random.default_rng(seed)
+    return user_paths([StepPath(1, gen.normal(size=1), np.sort(gen.random(k)), gen.normal(size=(k, 1)))
+                       for k in (1, 2, 3, 1, 2, 3, 2, 1000)])
+
+
 # a cdf whose mass sits on the 5 floats from 0.5 to 0.5000000000000004, so 6 such
 # jumps always share a time; signed heights make the partial sum between them differ
 FIVE_FLOATS = "{xs: [0.0, 0.5, 0.5000000000000004, 1.0], ys: [0.0, 0.0, 1.0, 1.0]}"
@@ -579,6 +586,8 @@ FAST_PATH_YS = {
         StepPath(2, [0.0, 0.0], [0.25, 0.5, 0.8125], [[1.0, -1.0], [0.5, -2.0], [0.0, 0.0]]),
         StepPath(2, [-1.0, 2.0], [0.3, 1.0], [[-1.5, 2.5], [-1.0, 2.0]]),
     ]),
+    # one path in 8 has 1000 jumps, so replicate rows differ in length many times over
+    "user_long_tail": long_tail_pool(),
 }
 
 
