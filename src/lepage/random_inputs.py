@@ -7,10 +7,10 @@ is a pure function of an :class:`~lepage.rng.RngStream`, so replicate
 ``r`` sees the same draws whether it runs serially or on a thread pool.
 
 Path generators hand out their draws in *blocks of terms*
-(:class:`TermEvents`): a flat list of jump events tagged with the index of
-the term they belong to, grouped by term but not time-ordered inside a
-term, or flat ``(terms, width)`` rows when each term has ``width`` events
-(see :class:`TermEvents`).  Each ingredient consumes its own substream in term
+(:class:`TermEvents`): a flat list of jump events grouped by term but not
+time-ordered inside a term, with each term's first event at an offset the
+block holds, or flat ``(terms, width)`` rows when each term has ``width``
+events (see :class:`TermEvents`).  Each ingredient consumes its own substream in term
 order, which makes a realization extendable: asking a sampler for more
 terms never changes the terms already drawn.  Partial sums observed at
 several truncation depths therefore share one realization bit for bit.
@@ -284,19 +284,19 @@ class EpsilonSpec:
 class TermEvents:
     """Flat jump-event view of a block of i.i.d. paths.
 
-    ``term_index`` counts the block's terms from 0 and is nondecreasing;
-    within one term, events keep the order they were drawn in, which need
-    not be time order.  ``heights`` are the jump sizes (value deltas),
-    ``initials`` the t=0 value of each term's path, either possibly a
-    read-only broadcast.  ``width`` is set when every term has that many
-    events (unit jumps 1, weighted jumps p): masked sums and
+    Events are grouped by term, terms counted from 0: term ``r`` holds the
+    events ``starts[r]`` to ``starts[r + 1] - 1``, in the order they were
+    drawn, which need not be time order.  ``heights`` are the jump sizes
+    (value deltas), ``initials`` the t=0 value of each term's path, either
+    possibly a read-only broadcast.  ``width`` is set when every term has
+    that many events (unit jumps 1, weighted jumps p): masked sums and
     :func:`_row_extremes` then reshape ``(n_terms, width)`` rows, and no
-    ``index`` is stored.
+    ``starts`` are stored.
     """
 
     n_terms: int
     dimension: int
-    index: np.ndarray | None  # (k,) int64, nondecreasing; None when width is set
+    starts: np.ndarray | None  # (n_terms + 1,) int64 event offsets from 0; None when width is set
     times: np.ndarray  # (k,) float64 in (0, 1]
     heights: np.ndarray  # (k, d)
     initials: np.ndarray  # (n_terms, d)
@@ -304,19 +304,19 @@ class TermEvents:
 
     @property
     def term_index(self) -> np.ndarray:
-        """The term of each event; built on each read for a fixed-width block."""
-        return self.index if self.width is None else np.repeat(np.arange(self.n_terms), self.width)
+        """The term of each event, built on each read."""
+        return np.repeat(np.arange(self.n_terms), self.width if self.starts is None else np.diff(self.starts))
 
     def offset(self, n: int) -> int:
         """Number of events of the first ``n`` terms (the first event of term ``n``)."""
-        return int(np.searchsorted(self.index, n)) if self.width is None else n * self.width
+        return n * self.width if self.starts is None else int(self.starts[n])
 
     def terms(self, a: int, b: int) -> "TermEvents":
         """Events of terms ``a`` to ``b - 1``, counted from 0 again (views of the times, heights and initials)."""
         if not 0 <= a <= b <= self.n_terms:
             raise ValueError(f"terms {a} to {b} requested from {self.n_terms}")
         i, j = self.offset(a), self.offset(b)
-        return TermEvents(b - a, self.dimension, None if self.index is None else self.index[i:j] - a,
+        return TermEvents(b - a, self.dimension, None if self.starts is None else self.starts[a:b + 1] - i,
                           self.times[i:j], self.heights[i:j], self.initials[a:b], self.width)
 
 
@@ -514,9 +514,9 @@ class _PoissonSampler:
 
     def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
         spec: _PoissonSpec = self.spec
-        counts = self._counts.poisson(spec.lam, n)
-        total = int(counts.sum())
-        return TermEvents(n, 1, np.repeat(np.arange(n, dtype=np.int64), counts), _draw_open_unit(self._locs, total),
+        starts = np.concatenate(([0], np.cumsum(self._counts.poisson(spec.lam, n))))
+        total = int(starts[-1])
+        return TermEvents(n, 1, starts, _draw_open_unit(self._locs, total),
                           np.broadcast_to(1.0, (total, 1)), np.broadcast_to(0.0, (n, 1)))
 
     def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
@@ -525,10 +525,9 @@ class _PoissonSampler:
 
 @dataclass(frozen=True, eq=False)
 class _UserSpec(YGeneratorSpec):
-    """A pool of step paths: path k is term k of ``pool``, from event ``starts[k]``, with ``Y(1) = at_one[k]``."""
+    """A pool of step paths: path k is term k of ``pool``, with ``Y(1) = at_one[k]``."""
 
     pool: TermEvents
-    starts: np.ndarray  # (k + 1,) event offsets of the k paths
     at_one: np.ndarray  # (k, d)
     dimension: int = 1
     variant: str = "user"
@@ -543,13 +542,13 @@ class _UserSampler:
         self._gen = stream.substream(0).generator()
 
     def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
-        spec: _UserSpec = self.spec
-        pick = self._gen.integers(spec.pool.n_terms, size=n)
-        counts = np.diff(spec.starts)[pick]
-        first = np.cumsum(counts) - counts  # each term's first event in the block
-        at = np.arange(counts.sum()) + np.repeat(spec.starts[pick] - first, counts)  # their events in the pool
-        return TermEvents(n, spec.dimension, np.repeat(np.arange(n, dtype=np.int64), counts),
-                          spec.pool.times[at], _rows(spec.pool.heights, at), _rows(spec.pool.initials, pick))
+        pool: TermEvents = self.spec.pool
+        pick = self._gen.integers(pool.n_terms, size=n)
+        counts = pool.starts[pick + 1] - pool.starts[pick]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        at = np.arange(starts[-1]) + np.repeat(pool.starts[pick] - starts[:-1], counts)  # their events in the pool
+        return TermEvents(n, pool.dimension, starts, pool.times[at], _rows(pool.heights, at),
+                          _rows(pool.initials, pick))
 
     def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
         return np.take(self.spec.at_one, self._gen.integers(self.spec.pool.n_terms, size=n), axis=0, out=out)
@@ -588,11 +587,10 @@ def user_paths(paths) -> YGeneratorSpec:
             i, v = bad[0], paths[k].segment_values()
             raise PathValidationError(f"user path {k} (counted from 0) jumps from {v[i].tolist()} to "
                                       f"{v[i + 1].tolist()}, a height of {h[i].tolist()}; heights must be finite")
-    counts = [p.n_jumps for p in paths]
-    pool = TermEvents(len(paths), d, np.repeat(np.arange(len(paths), dtype=np.int64), counts),
+    pool = TermEvents(len(paths), d, np.cumsum([0] + [p.n_jumps for p in paths]),
                       np.concatenate([p.jump_times for p in paths]), np.concatenate(heights),
                       np.array([p.initial_value for p in paths]))
-    return _UserSpec(pool, np.concatenate([[0], np.cumsum(counts)]), values_at(pool, [1.0])[:, 0, :], d)
+    return _UserSpec(pool, values_at(pool, [1.0])[:, 0, :], d)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +598,9 @@ def user_paths(paths) -> YGeneratorSpec:
 # ---------------------------------------------------------------------------
 
 
-def _masked_term_sums(events: TermEvents, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of the masked event heights per term, written into ``out`` (n_terms, d).
+def _masked_term_sums(events: TermEvents, masks, out: np.ndarray) -> np.ndarray:
+    """Sum of the event heights per term under each of the event ``masks``, written into ``out``
+    (n_terms, len(masks), d).
 
     Heights add in event order from +0.0, as in ``np.bincount``, also across
     fixed-width row columns (``sum(axis=1)`` adds 8 or more pairwise).  A
@@ -613,14 +612,16 @@ def _masked_term_sums(events: TermEvents, mask: np.ndarray, out: np.ndarray) -> 
     """
     n, d, w = events.n_terms, events.dimension, events.width
     if w is None:
-        weights = np.empty(mask.size)
-        for j in range(d):
-            out[:, j] = np.bincount(events.index, np.multiply(events.heights[:, j], mask, out=weights), n)
+        index, weights = events.term_index, np.empty(events.times.size)  # once for all masks
+        for i, mask in enumerate(masks):
+            for j in range(d):
+                out[:, i, j] = np.bincount(index, np.multiply(events.heights[:, j], mask, out=weights), n)
         return out
     out[...] = 0.0
     heights = events.heights.reshape(n, w, d)
-    for j, m in enumerate(mask.reshape(n, w).T):
-        np.add(out, heights[:, j], out=out, where=m[:, None])
+    for i, mask in enumerate(masks):
+        for j, m in enumerate(mask.reshape(n, w).T):
+            np.add(out[:, i], heights[:, j], out=out[:, i], where=m[:, None])
     return out
 
 
@@ -630,45 +631,42 @@ def interval_increments(events: TermEvents, intervals, out: np.ndarray | None = 
     Returns shape ``(n_terms, len(intervals), d)``, written into ``out`` when given.
     """
     out = np.empty((events.n_terms, len(intervals), events.dimension)) if out is None else out
-    for j, (a, b) in enumerate(intervals):
+    for a, b in intervals:
         if not 0.0 <= a <= b <= 1.0:
             raise ConfigurationError(f"interval must satisfy 0 <= a <= b <= 1, got ({a}, {b})")
-        _masked_term_sums(events, (events.times > a) & (events.times <= b), out[:, j, :])
-    return out
+    return _masked_term_sums(events, ((events.times > a) & (events.times <= b) for a, b in intervals), out)
 
 
 def values_at(events: TermEvents, ts, out: np.ndarray | None = None) -> np.ndarray:
     """Per-term path values at each time, shape ``(n_terms, len(ts), d)``, into ``out`` when given."""
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     out = np.empty((events.n_terms, ts.size, events.dimension)) if out is None else out
-    for j, t in enumerate(ts):
-        _masked_term_sums(events, events.times <= t, out[:, j, :])
-        out[:, j, :] += events.initials
+    _masked_term_sums(events, (events.times <= t for t in ts), out)
+    out += events.initials[:, None, :]
     return out
 
 
-def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, terms_per_row: int = 1,
-                  scratch: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sup norm, largest and smallest value (over coords) of each row's path.
+def _row_extremes(events: TermEvents, scratch: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sup norm, largest and smallest value (over coords) of each term's path.
 
     ``events`` is a fixed-width block (a variable-width one is padded into
-    rows by :func:`_padded_terms` first).  Row ``r`` holds the next
-    ``terms_per_row`` terms: it starts at ``initials[r]`` and jumps by
-    ``scale[term] * height`` at each event.  numpy's default (SIMD) argsort
-    gives the stable row order unless a row holds two equal finite times;
-    then the block is sorted stably, and only values the path takes are
-    counted: at a tie only the last event at that time ends a segment, so a
-    partial sum between tied events is skipped.  Each row's ``cumsum`` is its
-    own, so its rounding reaches no other row.  The block is sorted and
-    summed in the ``scratch`` buffers, if given.
+    rows by :func:`_padded_terms` first), and each term one row: it starts
+    at its ``initials`` and jumps by its ``heights`` (a replicate's row is a
+    term whose heights are already scaled by their coefficients).  numpy's
+    default (SIMD) argsort gives the stable row order unless a row holds two
+    equal finite times; then the block is sorted stably, and only values the
+    path takes are counted: at a tie only the last event at that time ends a
+    segment, so a partial sum between tied events is skipped.  Each row's
+    ``cumsum`` is its own, so its rounding reaches no other row.  The block
+    is sorted and summed in the ``scratch`` buffers, if given.
     """
-    rows, d = initials.shape[0], events.dimension
-    times = events.times.reshape(rows, events.width * terms_per_row)
+    rows, d, initials = events.n_terms, events.dimension, events.initials
+    times = events.times.reshape(rows, events.width)
     order, ends = None, True  # ends: the sorted positions that end a segment
     if times.shape[1] > 1:  # a row of one event is in time order already
-        starts = np.arange(0, times.size, times.shape[1])[:, None]  # each row's order as flat positions
+        first = np.arange(0, times.size, times.shape[1])[:, None]  # each row's order as flat positions
         order = np.argsort(times, axis=1)
-        order += starts
+        order += first
         s = np.take(times, order, out=_buffer(scratch, "work", times.shape), mode="clip")
         with np.errstate(invalid="ignore"):  # equal +inf padding gives nan, not 0
             steps = np.subtract(s[:, 1:], s[:, :-1], out=_buffer(scratch, "running", (rows, times.shape[1] - 1)))
@@ -676,13 +674,11 @@ def _row_extremes(events: TermEvents, scale: np.ndarray, initials: np.ndarray, t
             ends = np.ones(times.shape + (1,), dtype=bool)
             np.not_equal(steps, 0.0, out=ends[:, :-1, 0])
             order = np.argsort(times, axis=1, kind="stable")
-            order += starts
-    shape = (events.n_terms, events.width, d)  # into the buffer the tie check is done with
-    deltas = np.multiply(events.heights.reshape(shape), scale.reshape(-1, 1, 1),
-                         out=_buffer(scratch, "work", shape)).reshape(times.shape + (d,))
-    running = deltas if order is None else np.take(deltas.reshape(-1, d), order, axis=0, mode="clip",
-                                                   out=_buffer(scratch, "running", deltas.shape))
-    np.cumsum(running, axis=1, out=running)
+            order += first
+    out = _buffer(scratch, "running", times.shape + (d,))
+    running = (np.positive(events.heights.reshape(times.shape + (d,)), out=out) if order is None
+               else np.take(events.heights, order, axis=0, mode="clip", out=out))
+    np.cumsum(running, axis=1, out=running)  # in place: running is a copy, never the block's heights
     running += initials[:, None, :]
     vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf, where=ends))
     vmin = np.minimum(initials.min(axis=1), running.min(axis=(1, 2), initial=np.inf, where=ends))
@@ -695,17 +691,17 @@ def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(a, idx, axis=0) if a.flags.c_contiguous else a[idx]
 
 
-def _padded_terms(events: TermEvents, starts: np.ndarray, pick: np.ndarray, initials: np.ndarray) -> TermEvents:
-    """Rows ``pick`` of a variable-width block as a fixed-width block for :func:`_row_extremes`, the one
-    place such a block is laid into rows.  Row ``i`` holds the block's events ``starts[pick[i]]`` to
-    ``starts[pick[i] + 1] - 1`` (one term's, or one replicate's) in their order, padded to the longest
-    row with ``+inf`` times and zero heights, and starts at ``initials[i]``."""
-    counts = starts[pick + 1] - starts[pick]
+def _padded_terms(events: TermEvents, pick: np.ndarray) -> TermEvents:
+    """Terms ``pick`` of a variable-width block as a fixed-width block for :func:`_row_extremes`, the one
+    place such a block is laid into rows.  Row ``i`` holds term ``pick[i]``'s events in their order,
+    padded to the longest row with ``+inf`` times and zero heights, and starts at its initial value."""
+    first, counts = events.starts[pick], events.starts[pick + 1] - events.starts[pick]
     col = np.arange(counts.max(initial=0))
-    slot = np.minimum(starts[pick, None] + col, max(events.times.size - 1, 0)).reshape(-1)
+    slot = np.minimum(first[:, None] + col, max(events.times.size - 1, 0)).reshape(-1)
     real = (col < counts[:, None]).reshape(-1)
     return TermEvents(pick.size, events.dimension, None, np.where(real, _rows(events.times, slot), np.inf),
-                      np.where(real[:, None], _rows(events.heights, slot), 0.0), initials, col.size)
+                      np.where(real[:, None], _rows(events.heights, slot), 0.0), _rows(events.initials, pick),
+                      col.size)
 
 
 def term_sup_norms(events: TermEvents) -> np.ndarray:
@@ -730,11 +726,9 @@ def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:
         tile = max(1, _TILE_EVENTS // max(w, 1))
         tiles = ((slice(a, a + tile), events.terms(a, min(a + tile, n))) for a in range(0, n, tile))
     else:
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(events.index, minlength=n), out=starts[1:])
         # a term of a tile's events or more is a tile alone, so counts are clipped there, and
         # 16 bits take numpy's radix sort
-        counts = np.minimum(np.diff(starts), _TILE_EVENTS).astype(np.uint16)
+        counts = np.minimum(np.diff(events.starts), _TILE_EVENTS).astype(np.uint16)
         order = np.argsort(counts, kind="stable")
         counts = np.maximum(counts[order], 1)  # padded slots per term of a tile, at least one
         bounds = [0]
@@ -743,8 +737,8 @@ def term_value_extremes(events: TermEvents) -> tuple[np.ndarray, np.ndarray]:
             bounds.append(a + max(1, bisect.bisect_right(range(a + 1, n + 1), _TILE_EVENTS,
                                                          key=lambda b: (b - a) * int(counts[b - 1]))))
         picks = (order[a:b] for a, b in zip(bounds, bounds[1:]))
-        tiles = ((p, _padded_terms(events, starts, p, _rows(events.initials, p))) for p in picks)
+        tiles = ((p, _padded_terms(events, p)) for p in picks)
     vmax, vmin = np.empty(n), np.empty(n)
     for where, part in tiles:
-        _, vmax[where], vmin[where] = _row_extremes(part, np.broadcast_to(1.0, part.n_terms), part.initials)
+        _, vmax[where], vmin[where] = _row_extremes(part)
     return vmax, vmin

@@ -13,8 +13,9 @@ chunked samplers at the bottom draw fixed-size chunks of replicates (one
 substream each) and work through each chunk in cache-sized tiles that reuse
 the chunk's buffers, so memory does not grow with the chunk or churn between
 tiles, and results are bit-reproducible for any thread count.  Path statistics
-reduce each replicate's row on its own (``random_inputs._row_extremes``); a
-variable-width block reaches those rows only through ``random_inputs._padded_terms``.
+regroup each chunk so that each replicate is one term, and reduce its row on its own
+(``random_inputs._row_extremes``); a variable-width block reaches those rows only
+through ``random_inputs._padded_terms``.
 """
 
 from __future__ import annotations
@@ -290,19 +291,23 @@ class PathStatsSample:
 def sample_path_stats(spec: SeriesSpec, n_samples: int, threads=1) -> PathStatsSample:
     """Norms and extreme segment values of i.i.d. partial-sum paths.
 
-    Each chunk's replicates are the rows of ``random_inputs._row_extremes``.  Poisson and user
-    paths scale each event's height by its term's coefficient and pad each replicate's events into
-    one row with ``random_inputs._padded_terms``.
+    Each chunk is regrouped so that each replicate is one term of ``random_inputs._row_extremes``:
+    its heights scaled by their terms' coefficients, its initial value the combination of theirs.
+    A fixed-width chunk is rows of ``n * width`` events; a Poisson or user-path chunk is padded
+    into rows by ``random_inputs._padded_terms``.
     """
     n, d = spec.truncation_n, spec.dimension
 
     def reduce(coeffs, events, m, scratch):
         initials = np.einsum("mi,mid->md", coeffs, events.initials.reshape(m, n, d))
-        if events.width is not None:
-            return _row_extremes(events, coeffs.reshape(-1), initials, n, scratch)
-        scaled = replace(events, heights=events.heights * coeffs.reshape(-1)[events.index, None])
-        rows = _padded_terms(scaled, np.searchsorted(events.index, np.arange(m + 1) * n), np.arange(m), initials)
-        return _row_extremes(rows, np.broadcast_to(1.0, m), initials, 1, scratch)
+        w = events.width
+        if w is not None:
+            heights = np.multiply(events.heights.reshape(m * n, w, d), coeffs.reshape(-1, 1, 1),
+                                  out=_buffer(scratch, "heights", (m * n, w, d)))
+            return _row_extremes(TermEvents(m, d, None, events.times, heights.reshape(-1, d), initials, n * w), scratch)
+        heights = events.heights * np.repeat(coeffs.reshape(-1), np.diff(events.starts))[:, None]
+        rows = TermEvents(m, d, events.starts[np.arange(m + 1) * n], events.times, heights, initials)
+        return _row_extremes(_padded_terms(rows, np.arange(m)), scratch)
 
     return PathStatsSample(*_sample_chunks(spec, _TAG_PATH_STATS, n_samples, reduce, threads))
 

@@ -28,7 +28,7 @@ from lepage.random_inputs import (
 from lepage.rng import RngStream
 import lepage.random_inputs as random_inputs
 from lepage.series import SeriesSpec, partial_sum
-from test_series import ReplicateOracle, long_tail_pool
+from test_series import WEIGHTED_2D, ReplicateOracle, long_tail_pool
 
 
 def term_path(events, r: int) -> StepPath:
@@ -341,14 +341,14 @@ class TestWeightedJumpsGenerator:
 def callback_take(paths, gen, n):
     """Oracle: the per-term callback loop that user pools replaced, one ``gen.integers`` per term."""
     d = paths[0].dimension
-    blocks_t, blocks_h, blocks_i, initials = [], [], [], []
+    blocks_t, blocks_h, counts, initials = [], [], [], []
     for k in range(n):
         path = paths[gen.integers(len(paths))]
         blocks_t.append(path.jump_times)
         blocks_h.append(np.diff(path.segment_values(), axis=0))
-        blocks_i.append(np.full(path.n_jumps, k, dtype=np.int64))
+        counts.append(path.n_jumps)
         initials.append(path.initial_value)
-    return TermEvents(n, d, np.concatenate([np.empty(0, np.int64)] + blocks_i),
+    return TermEvents(n, d, np.cumsum([0] + counts),
                       np.concatenate([np.empty(0)] + blocks_t),
                       np.concatenate([np.empty((0, d))] + blocks_h), np.array(initials).reshape(n, d))
 
@@ -408,7 +408,7 @@ class TestUserGenerator:
         gen = RngStream(38).substream(0).generator()
         got, want = sampler.take(n), callback_take(paths, gen, n)
         assert got.n_terms == want.n_terms == n and got.dimension == want.dimension == d
-        for field in ("term_index", "times", "heights", "initials"):
+        for field in ("starts", "term_index", "times", "heights", "initials"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
         assert _same_state(sampler._gen, gen)
@@ -445,6 +445,24 @@ class TestEventReductions:
         for a, b in ((40, 51), (-1, 3), (5, 4)):
             with pytest.raises(ValueError, match=f"terms {a} to {b} requested from 50"):
                 events.terms(a, b)
+
+    @pytest.mark.parametrize("y", [unit_jump(), WEIGHTED_2D, poisson_counts(1.0), user_paths(_pool_with_empty_path(2)),
+                                   long_tail_pool()], ids=["unit", "weighted2d", "poisson1", "user2d", "user_long_tail"])
+    def test_block_layout(self, y):
+        # term r holds the events offset(r) to offset(r + 1) - 1; a variable-width block stores those
+        # offsets as its starts, a fixed-width block none
+        events = self._events(y, 300, 44)
+        for a, b in ((0, 300), (17, 230), (299, 300), (0, 0), (120, 120), (300, 300)):
+            block = events.terms(a, b)
+            starts = np.array([block.offset(r) for r in range(block.n_terms + 1)], dtype=np.int64)
+            assert (block.starts is None) == (block.width is not None)
+            if block.starts is not None:
+                assert block.starts.dtype == np.int64 and np.array_equal(block.starts, starts)
+            assert starts[0] == 0 and np.all(np.diff(starts) >= 0) and starts[-1] == block.times.size
+            index = block.term_index
+            assert index.size == block.times.size and np.all(np.diff(index) >= 0)
+            assert np.array_equal(np.searchsorted(index, np.arange(block.n_terms + 1)), starts)
+            assert block.times.tobytes() == events.times[events.offset(a):events.offset(b)].tobytes()
 
     def test_term_sup_norms_match_path_oracle(self):
         for spec, seed in ((poisson_counts(3.0), 41), (unit_jump(), 42)):
@@ -567,13 +585,11 @@ class TestTiedJumpTimes:
         assert vmin.tolist() == [0.0, -1.0]
 
     def test_cross_term_tie_in_one_row_skips_the_partial_sum(self):
-        # row 0: term 0 jumps +4 and term 1 jumps -4, both at 0.3, then term 1 jumps +1 at 0.9;
+        # row 0 holds two terms: term 0 jumps +4 and term 1 jumps -4, both at 0.3, then term 1 jumps +1 at 0.9;
         # row 1 holds one event, so its row is padded with +inf times, which are not ties
-        events = TermEvents(4, 1, np.array([0, 1, 1, 2]), np.array([0.3, 0.3, 0.9, 0.6]),
-                            np.array([[4.0], [-4.0], [1.0], [-2.5]]), np.zeros((4, 1)))
-        initials = np.array([[0.5], [0.0]])
-        rows = _padded_terms(events, np.searchsorted(events.index, [0, 2, 4]), np.arange(2), initials)
-        sup, vmax, vmin = _row_extremes(rows, np.ones(2), initials)
+        rows = TermEvents(2, 1, np.array([0, 3, 4]), np.array([0.3, 0.3, 0.9, 0.6]),
+                          np.array([[4.0], [-4.0], [1.0], [-2.5]]), np.array([[0.5], [0.0]]))
+        sup, vmax, vmin = _row_extremes(_padded_terms(rows, np.arange(2)))
         assert vmax.tolist() == [1.5, 0.0]
         assert vmin.tolist() == [0.5, -2.5]
         assert sup.tolist() == [1.5, 2.5]
@@ -610,7 +626,7 @@ class TestExactTermExtremes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 32e6
 
     def test_a_long_term_pads_only_its_own_tiles(self, monkeypatch):
         # one term in 8 has 1000 events; padding every tile to it took 7 times the slots of the events

@@ -279,7 +279,7 @@ class TestCoupledPartialSums:
         pa, pb = coupled_partial_sums(spec, [12, 30], RngStream(8, 1))
         ev = real.events
         mask = ev.term_index >= 12
-        tail_events = TermEvents(30, 1, ev.term_index[mask], ev.times[mask],
+        tail_events = TermEvents(30, 1, np.searchsorted(ev.term_index[mask], np.arange(31)), ev.times[mask],
                                  ev.heights[mask], ev.initials)
         tail = _combine_term_events(real.coeffs, tail_events)
         got = difference_on_union_grid(pb.path, pa.path)
@@ -355,10 +355,17 @@ def chunk_paths(spec, tag, m, terms=None):
     paths = []
     for r in range(m):
         sel = (rep == r) & (term < terms)
-        own = TermEvents(terms, spec.dimension, term[sel], events.times[sel],
+        own = TermEvents(terms, spec.dimension, np.searchsorted(term[sel], np.arange(terms + 1)), events.times[sel],
                          events.heights[sel], events.initials[r * n:r * n + terms])
         paths.append(_combine_term_events(coeffs[r, :terms], own))
     return paths
+
+
+def replicate_rows(coeffs, events):
+    """A unit-jump tile as one term per replicate for ``_row_extremes``: its heights scaled by their
+    coefficients, from 0, where unit-jump paths start."""
+    m, n = coeffs.shape
+    return TermEvents(m, 1, None, events.times, events.heights * coeffs.reshape(-1, 1), np.zeros((m, 1)), n)
 
 
 WEIGHTED_2D = weighted_jumps([CdfGrid.uniform(), CdfGrid.uniform()],
@@ -448,7 +455,7 @@ class TestChunkedSamplers:
             coeffs, events = _chunk_coeffs(spec, draws, m)
             finite = np.isfinite(np.abs(coeffs).sum(axis=1))
             # unit-jump paths start at 0
-            stats = random_inputs._row_extremes(events, coeffs.reshape(-1), np.zeros((m, 1)), 500)
+            stats = random_inputs._row_extremes(replicate_rows(coeffs, events))
         assert 0 < finite.sum() < m
         for field in stats:
             assert np.all(np.isfinite(field[finite]))
@@ -502,13 +509,15 @@ class TestChunkedSamplers:
 
     @pytest.mark.parametrize("n, n_samples", [(0, 5), (0, 0), (10, 0)])
     def test_empty_terms_or_samples_give_shaped_zeros(self, n, n_samples):
-        spec = rademacher_spec(n=n, seed=15, y=poisson_counts(1.0))
-        assert np.array_equal(sample_marginals(spec, 0.5, n_samples), np.zeros((n_samples, 1)))
-        stats = sample_path_stats(spec, n_samples)
-        for field in (stats.sup, stats.vmax, stats.vmin):
-            assert np.array_equal(field, np.zeros(n_samples))
-        inc = sample_weighted_increments(spec, [(0.1, 0.4)], n_samples)
-        assert np.array_equal(inc, np.zeros((n_samples, 1, 1)))
+        # at n 0 every replicate of a user-path chunk starts at event 0, and ends there
+        for y in (poisson_counts(1.0), long_tail_pool()):
+            spec = rademacher_spec(n=n, seed=15, y=y)
+            assert np.array_equal(sample_marginals(spec, 0.5, n_samples), np.zeros((n_samples, 1)))
+            stats = sample_path_stats(spec, n_samples)
+            for field in (stats.sup, stats.vmax, stats.vmin):
+                assert np.array_equal(field, np.zeros(n_samples))
+            inc = sample_weighted_increments(spec, [(0.1, 0.4)], n_samples)
+            assert np.array_equal(inc, np.zeros((n_samples, 1, 1)))
 
     def test_weighted_increments_zero_intervals(self):
         spec = SeriesSpec(1.5, 30, EpsilonSpec.rademacher(), poisson_counts(1.0),
@@ -850,7 +859,7 @@ def tail_sup_and_end(spec, n, samples):
 
     def reduce(coeffs, events, m, scratch):
         coeffs[:, :n] = 0.0  # only the terms n+1..N jump
-        sup, _, _ = random_inputs._row_extremes(events, coeffs.reshape(-1), np.zeros((m, 1)), big_n, scratch)
+        sup, _, _ = random_inputs._row_extremes(replicate_rows(coeffs, events), scratch)
         return sup, coeffs.sum(axis=1)  # every unit-jump path ends at 1
 
     return series._sample_chunks(spec, series._TAG_PATH_STATS, samples, reduce, 1)
@@ -925,6 +934,21 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+@pytest.fixture(scope="module")
+def compiled_env(tmp_path_factory):
+    """The environment of a fault-counting child, with ``src`` and every module the child imports
+    byte-compiled first into a cache of its own (``PYTHONPYCACHEPREFIX``).  Imports then read the
+    same bytecode whether or not the tree's own ``__pycache__`` is stale or written at all, so the
+    heap a run starts from does not depend on it."""
+    src = str(Path(series.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "PYTHONPYCACHEPREFIX": str(tmp_path_factory.mktemp("pycache"))}
+    subprocess.run([sys.executable, "-c", "import compileall, sys, lepage.cli, lepage.series\n"
+                    "compileall.compile_dir(sys.argv[1], quiet=1)", src],
+                   env={**env, "PYTHONDONTWRITEBYTECODE": ""}, check=True)  # writes what the imports read
+    return env
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor page faults")
 class TestTiledPageFaults:
     # each chunk's tiles reuse its buffers, so the heap does not shrink and
@@ -933,9 +957,7 @@ class TestTiledPageFaults:
     @pytest.mark.parametrize("case, n, samples, seed", [("marginals", 2000, 4194, 0),
                                                         ("path_stats", 500, 8192, 114),
                                                         ("increments", 100, 10_000, 107)])
-    def test_minor_faults_stay_low(self, case, n, samples, seed):
-        src = str(Path(series.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    def test_minor_faults_stay_low(self, case, n, samples, seed, compiled_env):
         run = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, case, str(n), str(samples), str(seed)],
-                             env=env, capture_output=True, text=True, check=True)
+                             env=compiled_env, capture_output=True, text=True, check=True)
         assert int(run.stdout) < 5000
