@@ -255,6 +255,9 @@ def _moment_report(kind, tag, y_spec, times, replicates, envelope, stream, threa
     times = _checked_times(kind, times)
     if replicates < 100:
         raise ConfigurationError(f"need at least 100 replicates, got {replicates}")
+    meta = {"y": y_spec.echo(), "envelope": envelope.echo()}
+    if not times:  # nothing to estimate, so no path is drawn
+        return MomentReport(kind, (), replicates, meta)
     spans = len(_ENTRY_TIMES[kind][1]) - 1
     intervals = [(ts[j], ts[j + 1]) for ts in times for j in range(spans)]
 
@@ -262,8 +265,7 @@ def _moment_report(kind, tag, y_spec, times, replicates, envelope, stream, threa
         return _span_products(interval_increments(y_spec.block_sampler(sub).take(m), intervals), spans)
 
     stats = np.concatenate(map_replicates(one_chunk, stream.substream(tag), replicates, 1, threads))
-    return _assemble_report(kind, times, stats, [envelope.bound(ts[0], ts[-1], spans) for ts in times],
-                            {"y": y_spec.echo(), "envelope": envelope.echo()})
+    return _assemble_report(kind, times, stats, [envelope.bound(ts[0], ts[-1], spans) for ts in times], meta)
 
 
 def estimate_c1(y_spec: YGeneratorSpec, pairs, replicates: int, envelope: MomentEnvelope, stream: RngStream,

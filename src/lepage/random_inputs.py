@@ -289,9 +289,8 @@ class TermEvents:
     drawn, which need not be time order.  ``heights`` are the jump sizes
     (value deltas), ``initials`` the t=0 value of each term's path, either
     possibly a read-only broadcast.  ``width`` is set when every term has
-    that many events (unit jumps 1, weighted jumps p): masked sums and
-    :func:`_row_extremes` then reshape ``(n_terms, width)`` rows, and no
-    ``starts`` are stored.
+    that many events (unit jumps 1, weighted jumps p): :func:`_row_values`
+    then reshapes ``(n_terms, width)`` rows, and no ``starts`` are stored.
     """
 
     n_terms: int
@@ -602,26 +601,17 @@ def _masked_term_sums(events: TermEvents, masks, out: np.ndarray) -> np.ndarray:
     """Sum of the event heights per term under each of the event ``masks``, written into ``out``
     (n_terms, len(masks), d).
 
-    Heights add in event order from +0.0, as in ``np.bincount``, also across
-    fixed-width row columns (``sum(axis=1)`` adds 8 or more pairwise).  A
-    variable-width block sums ``height * mask`` over all its events, so a
-    masked-off height adds +0.0 or -0.0; a fixed-width block skips it.  Both
-    give the bits of a sum over the masked events alone: a sum that starts at
-    +0.0 never becomes -0.0, so adding a signed zero changes no bit.  That
-    needs finite heights (``inf * 0`` is nan), which every generator ensures.
+    Every block, of fixed width or not, is one full-length ``np.bincount`` per
+    coordinate over ``height * mask``: each term's heights add in event order
+    from +0.0, and a masked-off height adds +0.0 or -0.0.  That gives the bits
+    of a sum over the masked events alone: a sum that starts at +0.0 never
+    becomes -0.0, so adding a signed zero changes no bit.  It needs finite
+    heights (``inf * 0`` is nan), which every generator ensures.
     """
-    n, d, w = events.n_terms, events.dimension, events.width
-    if w is None:
-        index, weights = events.term_index, np.empty(events.times.size)  # once for all masks
-        for i, mask in enumerate(masks):
-            for j in range(d):
-                out[:, i, j] = np.bincount(index, np.multiply(events.heights[:, j], mask, out=weights), n)
-        return out
-    out[...] = 0.0
-    heights = events.heights.reshape(n, w, d)
+    index, weights = events.term_index, np.empty(events.times.size)  # once for all masks
     for i, mask in enumerate(masks):
-        for j, m in enumerate(mask.reshape(n, w).T):
-            np.add(out[:, i], heights[:, j], out=out[:, i], where=m[:, None])
+        for j in range(events.dimension):
+            out[:, i, j] = np.bincount(index, np.multiply(events.heights[:, j], mask, out=weights), events.n_terms)
     return out
 
 
@@ -646,8 +636,9 @@ def values_at(events: TermEvents, ts, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _row_extremes(events: TermEvents, scratch: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sup norm, largest and smallest value (over coords) of each term's path.
+def _row_values(events: TermEvents, scratch: dict | None = None) -> tuple:
+    """Each term's path as one row: its sorted jump times (rows, width), the running value after
+    each of them (rows, width, d), and which sorted events end a segment.
 
     ``events`` is a fixed-width block (a variable-width one is padded into
     rows by :func:`_padded_terms` first), and each term one row: it starts
@@ -655,14 +646,15 @@ def _row_extremes(events: TermEvents, scratch: dict | None = None) -> tuple[np.n
     term whose heights are already scaled by their coefficients).  numpy's
     default (SIMD) argsort gives the stable row order unless a row holds two
     equal finite times; then the block is sorted stably, and only values the
-    path takes are counted: at a tie only the last event at that time ends a
-    segment, so a partial sum between tied events is skipped.  Each row's
-    ``cumsum`` is its own, so its rounding reaches no other row.  The block
-    is sorted and summed in the ``scratch`` buffers, if given.
+    path takes end a segment: at a tie only the last event at that time does,
+    so a partial sum between tied events is skipped.  The segment ends are
+    ``True`` when no row holds a tie, else a (rows, width, 1) mask.  Each
+    row's ``cumsum`` is its own, so its rounding reaches no other row.  The
+    block is sorted and summed in the ``scratch`` buffers, if given.
     """
-    rows, d, initials = events.n_terms, events.dimension, events.initials
-    times = events.times.reshape(rows, events.width)
-    order, ends = None, True  # ends: the sorted positions that end a segment
+    rows, d = events.n_terms, events.dimension
+    times = s = events.times.reshape(rows, events.width)
+    order, ends = None, True
     if times.shape[1] > 1:  # a row of one event is in time order already
         first = np.arange(0, times.size, times.shape[1])[:, None]  # each row's order as flat positions
         order = np.argsort(times, axis=1)
@@ -679,7 +671,15 @@ def _row_extremes(events: TermEvents, scratch: dict | None = None) -> tuple[np.n
     running = (np.positive(events.heights.reshape(times.shape + (d,)), out=out) if order is None
                else np.take(events.heights, order, axis=0, mode="clip", out=out))
     np.cumsum(running, axis=1, out=running)  # in place: running is a copy, never the block's heights
-    running += initials[:, None, :]
+    running += events.initials[:, None, :]
+    return s, running, ends
+
+
+def _row_extremes(events: TermEvents, scratch: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sup norm, largest and smallest value (over coords) of each term's path: its initial value
+    and the running values of :func:`_row_values` at segment ends."""
+    _, running, ends = _row_values(events, scratch)
+    initials = events.initials
     vmax = np.maximum(initials.max(axis=1), running.max(axis=(1, 2), initial=-np.inf, where=ends))
     vmin = np.minimum(initials.min(axis=1), running.min(axis=(1, 2), initial=np.inf, where=ends))
     return np.maximum(np.abs(vmax), np.abs(vmin)), vmax, vmin
@@ -692,7 +692,7 @@ def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _padded_terms(events: TermEvents, pick: np.ndarray) -> TermEvents:
-    """Terms ``pick`` of a variable-width block as a fixed-width block for :func:`_row_extremes`, the one
+    """Terms ``pick`` of a variable-width block as a fixed-width block for :func:`_row_values`, the one
     place such a block is laid into rows.  Row ``i`` holds term ``pick[i]``'s events in their order,
     padded to the longest row with ``+inf`` times and zero heights, and starts at its initial value."""
     first, counts = events.starts[pick], events.starts[pick + 1] - events.starts[pick]

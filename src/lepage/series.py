@@ -13,9 +13,9 @@ chunked samplers at the bottom draw fixed-size chunks of replicates (one
 substream each) and work through each chunk in cache-sized tiles that reuse
 the chunk's buffers, so memory does not grow with the chunk or churn between
 tiles, and results are bit-reproducible for any thread count.  Path statistics
-regroup each chunk so that each replicate is one term, and reduce its row on its own
-(``random_inputs._row_extremes``); a variable-width block reaches those rows only
-through ``random_inputs._padded_terms``.
+and the partial-sum paths regroup their terms so that each replicate is one row
+(``_replicate_rows``), and read its sorted running values from one row reducer
+(``random_inputs._row_values``); so a written path and its statistics agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .random_inputs import (
     _padded_terms,
     _positive_exponentials,
     _row_extremes,
+    _row_values,
     interval_increments,
     term_sup_norms,
     values_at,
@@ -125,23 +126,12 @@ def _truncate_block(eps: np.ndarray, indices, alpha: float, mag: np.ndarray | No
 
 
 def _combine_term_events(coeffs: np.ndarray, events: TermEvents) -> StepPath:
-    """n-ary linear combination on one merged jump grid.
-
-    Evaluation agrees with direct per-term scalar accumulation to within
-    summation-order rounding (well inside 2^-40 relative).
-    """
-    d = events.dimension
-    initial = coeffs @ events.initials
-    if events.times.size == 0:
-        return _paths._compressed(d, initial, np.empty(0), np.empty((0, d)))
-    deltas = events.heights * coeffs[events.term_index, None]
-    order = np.argsort(events.times, kind="stable")
-    t_sorted = events.times[order]
-    d_sorted = deltas[order]
-    uniq, first = np.unique(t_sorted, return_index=True)
-    merged = np.add.reduceat(d_sorted, first, axis=0)
-    values = initial[None, :] + np.cumsum(merged, axis=0)
-    return _paths._compressed(d, initial, uniq, values)
+    """The path of one replicate: its terms as one row of :func:`_replicate_rows`, and the running
+    values of ``random_inputs._row_values`` at segment ends, those ``sample_path_stats`` reads."""
+    rows = _replicate_rows(coeffs[None], events)
+    times, running, ends = _row_values(rows)
+    keep = np.broadcast_to(ends, running.shape[:2] + (1,))[0, :, 0]
+    return _paths._compressed(events.dimension, rows.initials[0], times[0, keep], running[0, keep])
 
 
 def _replicate_coeffs(spec: SeriesSpec, stream: RngStream | None, n: int) -> tuple[np.ndarray, TermEvents]:
@@ -288,26 +278,27 @@ class PathStatsSample:
     vmin: np.ndarray  # smallest segment value over all coordinates
 
 
-def sample_path_stats(spec: SeriesSpec, n_samples: int, threads=1) -> PathStatsSample:
-    """Norms and extreme segment values of i.i.d. partial-sum paths.
+def _replicate_rows(coeffs: np.ndarray, events: TermEvents, scratch: dict | None = None) -> TermEvents:
+    """The ``(m, n)`` replicates of ``coeffs`` as a fixed-width block of one term per replicate: its
+    terms' heights scaled by their coefficients, its initial value the ``einsum`` of theirs.  A block
+    of width w gives rows of ``n * w`` events; any other is padded by ``random_inputs._padded_terms``."""
+    (m, n), d, w = coeffs.shape, events.dimension, events.width
+    initials = np.einsum("mi,mid->md", coeffs, events.initials.reshape(m, n, d))
+    if w is not None:
+        heights = np.multiply(events.heights.reshape(m * n, w, d), coeffs.reshape(-1, 1, 1),
+                              out=_buffer(scratch, "heights", (m * n, w, d)))
+        return TermEvents(m, d, None, events.times, heights.reshape(-1, d), initials, n * w)
+    heights = events.heights * np.repeat(coeffs.reshape(-1), np.diff(events.starts))[:, None]
+    return _padded_terms(TermEvents(m, d, events.starts[np.arange(m + 1) * n], events.times, heights, initials),
+                         np.arange(m))
 
-    Each chunk is regrouped so that each replicate is one term of ``random_inputs._row_extremes``:
-    its heights scaled by their terms' coefficients, its initial value the combination of theirs.
-    A fixed-width chunk is rows of ``n * width`` events; a Poisson or user-path chunk is padded
-    into rows by ``random_inputs._padded_terms``.
-    """
-    n, d = spec.truncation_n, spec.dimension
+
+def sample_path_stats(spec: SeriesSpec, n_samples: int, threads=1) -> PathStatsSample:
+    """Norms and extreme segment values of i.i.d. partial-sum paths: each tile's
+    :func:`_replicate_rows` reduced by ``random_inputs._row_extremes``."""
 
     def reduce(coeffs, events, m, scratch):
-        initials = np.einsum("mi,mid->md", coeffs, events.initials.reshape(m, n, d))
-        w = events.width
-        if w is not None:
-            heights = np.multiply(events.heights.reshape(m * n, w, d), coeffs.reshape(-1, 1, 1),
-                                  out=_buffer(scratch, "heights", (m * n, w, d)))
-            return _row_extremes(TermEvents(m, d, None, events.times, heights.reshape(-1, d), initials, n * w), scratch)
-        heights = events.heights * np.repeat(coeffs.reshape(-1), np.diff(events.starts))[:, None]
-        rows = TermEvents(m, d, events.starts[np.arange(m + 1) * n], events.times, heights, initials)
-        return _row_extremes(_padded_terms(rows, np.arange(m)), scratch)
+        return _row_extremes(_replicate_rows(coeffs, events, scratch), scratch)
 
     return PathStatsSample(*_sample_chunks(spec, _TAG_PATH_STATS, n_samples, reduce, threads))
 

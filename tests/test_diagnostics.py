@@ -258,6 +258,23 @@ def test_moment_reports_match_chan_pooled_chunks():
         assert [e.se for e in rep.entries] == pytest.approx(se.tolist(), rel=1e-12, abs=0.0)
 
 
+class _NoPathsDrawn(type(poisson_counts(5.0))):
+    """Poisson(lam) counts whose sampler refuses to draw."""
+
+    def block_sampler(self, stream):
+        raise AssertionError("a path was drawn")
+
+
+@pytest.mark.parametrize("estimate,kind", [(estimate_c1, "increment_second_moment"), (estimate_c2, "cross_moment")])
+def test_no_entries_draw_nothing(estimate, kind):
+    y = _NoPathsDrawn(lam=5.0)
+    env = MomentEnvelope(beta=1.0)
+    assert estimate(y, [], 1_000_000, env, RngStream(65)) == MomentReport(
+        kind, (), 1_000_000, {"y": y.echo(), "envelope": env.echo()})
+    with pytest.raises(ConfigurationError, match="at least 100 replicates"):
+        estimate(y, [], 99, env, RngStream(65))
+
+
 class TestOverflowingMoments:
     def test_cross_moment_names_the_entry(self):
         # (0.3, 0.5] holds a jump to 1e200 and (0.5, 0.7] none: inf * 0 reads nan

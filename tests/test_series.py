@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lepage.paths import StepPath, sup_norm
+from lepage.paths import StepPath, _compressed, sup_norm
 from lepage.random_inputs import (
     CdfGrid,
     ConfigurationError,
@@ -80,6 +80,20 @@ def reference_assembly(spec, gaps, eps):
     return weights, eps
 
 
+def reference_combine(coeffs, events) -> StepPath:
+    """Oracle of ``_combine_term_events``: the events merged on one jump grid by their own stable
+    sort by time, the heights at one time added first, and the initial value by ``@``."""
+    d = events.dimension
+    initial = coeffs @ events.initials
+    if events.times.size == 0:
+        return _compressed(d, initial, np.empty(0), np.empty((0, d)))
+    deltas = events.heights * coeffs[events.term_index, None]
+    order = np.argsort(events.times, kind="stable")
+    uniq, first = np.unique(events.times[order], return_index=True)
+    values = initial[None, :] + np.cumsum(np.add.reduceat(deltas[order], first, axis=0), axis=0)
+    return _compressed(d, initial, uniq, values)
+
+
 class ReplicateOracle:
     """Per-replicate oracle of ``partial_sum``: the replicate's ``spec.truncation_n`` terms drawn
     from ``_chunk_draws(spec, stream)`` into fresh arrays and assembled as
@@ -94,7 +108,7 @@ class ReplicateOracle:
         self.coeffs = self.weights * self.eps_used
 
     def path(self) -> StepPath:
-        return _combine_term_events(self.coeffs, self.events)
+        return reference_combine(self.coeffs, self.events)
 
 
 def path_bytes(path: StepPath) -> bytes:
@@ -256,7 +270,7 @@ class TestCoupledPartialSums:
 
     @pytest.mark.parametrize("epsilon_mode", ["raw", "truncated"])
     @pytest.mark.parametrize("weight_mode", ["gamma", "deterministic"])
-    @pytest.mark.parametrize("name", ["unit", "poisson", "weighted2d_p3", "user_sixteenths"])
+    @pytest.mark.parametrize("name", ["unit", "poisson", "weighted2d_p3", "user_sixteenths", "user2d_no_jump"])
     def test_every_checkpoint_equals_partial_sum_and_oracle(self, name, weight_mode, epsilon_mode):
         # uniform multipliers on [-40, 40] are truncated at the early terms
         spec = rademacher_spec(alpha=0.8, n=40, seed=23, y=FAST_PATH_YS[name], weight_mode=weight_mode,
@@ -267,7 +281,14 @@ class TestCoupledPartialSums:
             direct = partial_sum(at_c, RngStream(23, 4), with_term_norms=True)
             real = ReplicateOracle(at_c, RngStream(23, 4))
             assert coupled.terms_used == direct.terms_used == c
-            assert path_bytes(coupled.path) == path_bytes(direct.path) == path_bytes(real.path())
+            assert path_bytes(coupled.path) == path_bytes(direct.path)
+            if name.startswith("user"):
+                # tied times and a summed initial value: equal within summation rounding
+                oracle = real.path()
+                scale = max(1.0, sup_norm(oracle))
+                assert np.max(np.abs(difference_on_union_grid(direct.path, oracle))) <= 1e-12 * scale
+            else:
+                assert path_bytes(direct.path) == path_bytes(real.path())
             want = np.abs(real.coeffs) * term_sup_norms(real.events)
             assert direct.per_term_norms.tobytes() == want.tobytes()
         assert np.any(real.eps_used != real.eps_raw) == (epsilon_mode == "truncated")
@@ -281,7 +302,7 @@ class TestCoupledPartialSums:
         mask = ev.term_index >= 12
         tail_events = TermEvents(30, 1, np.searchsorted(ev.term_index[mask], np.arange(31)), ev.times[mask],
                                  ev.heights[mask], ev.initials)
-        tail = _combine_term_events(real.coeffs, tail_events)
+        tail = reference_combine(real.coeffs, tail_events)
         got = difference_on_union_grid(pb.path, pa.path)
         want = tail([0.0, *pb.path.jump_times, *pa.path.jump_times])
         scale = max(1.0, float(np.max(np.abs(want))))
@@ -344,9 +365,9 @@ class TestGammaDeterministicGap:
             sample_weighted_increments(replace(spec, weight_mode="gamma"), [(0.1, 0.6)], 300)
 
 
-def chunk_paths(spec, tag, m, terms=None):
-    """The m paths of chunk 0 of a chunked sampler, rebuilt one replicate at a time
-    from the first ``terms`` (default all) of each replicate's terms."""
+def chunk_paths(spec, tag, m, terms=None, combine=reference_combine):
+    """The m paths of chunk 0 of a chunked sampler, rebuilt one replicate at a time by ``combine``
+    (the oracle by default) from the first ``terms`` (default all) of each replicate's terms."""
     n = spec.truncation_n
     terms = n if terms is None else terms
     draws = _chunk_draws(spec, RngStream(spec.seed).substream(tag, 0))
@@ -357,15 +378,8 @@ def chunk_paths(spec, tag, m, terms=None):
         sel = (rep == r) & (term < terms)
         own = TermEvents(terms, spec.dimension, np.searchsorted(term[sel], np.arange(terms + 1)), events.times[sel],
                          events.heights[sel], events.initials[r * n:r * n + terms])
-        paths.append(_combine_term_events(coeffs[r, :terms], own))
+        paths.append(combine(coeffs[r, :terms], own))
     return paths
-
-
-def replicate_rows(coeffs, events):
-    """A unit-jump tile as one term per replicate for ``_row_extremes``: its heights scaled by their
-    coefficients, from 0, where unit-jump paths start."""
-    m, n = coeffs.shape
-    return TermEvents(m, 1, None, events.times, events.heights * coeffs.reshape(-1, 1), np.zeros((m, 1)), n)
 
 
 WEIGHTED_2D = weighted_jumps([CdfGrid.uniform(), CdfGrid.uniform()],
@@ -454,8 +468,7 @@ class TestChunkedSamplers:
             draws = _chunk_draws(spec, RngStream(spec.seed).substream(series._TAG_PATH_STATS, 0))
             coeffs, events = _chunk_coeffs(spec, draws, m)
             finite = np.isfinite(np.abs(coeffs).sum(axis=1))
-            # unit-jump paths start at 0
-            stats = random_inputs._row_extremes(replicate_rows(coeffs, events))
+            stats = random_inputs._row_extremes(series._replicate_rows(coeffs, events))
         assert 0 < finite.sum() < m
         for field in stats:
             assert np.all(np.isfinite(field[finite]))
@@ -598,6 +611,20 @@ FAST_PATH_YS = {
     # one path in 8 has 1000 jumps, so replicate rows differ in length many times over
     "user_long_tail": long_tail_pool(),
 }
+
+
+class TestWrittenPathsMatchTheirStatistics:
+    @pytest.mark.parametrize("name", sorted(FAST_PATH_YS))
+    def test_bit_for_bit(self, name):
+        # the path partial_sum writes and the statistics sample_path_stats reads of it are one
+        # reduction, so their extremes agree exactly, at tied times and with nonzero initials too
+        spec = rademacher_spec(alpha=0.8, n=40, seed=17, y=FAST_PATH_YS[name])
+        m = 300
+        paths = chunk_paths(spec, series._TAG_PATH_STATS, m, combine=_combine_term_events)
+        stats = sample_path_stats(spec, m)
+        assert np.array_equal(stats.vmax, [p.segment_values().max() for p in paths])
+        assert np.array_equal(stats.vmin, [p.segment_values().min() for p in paths])
+        assert np.array_equal(stats.sup, [sup_norm(p) for p in paths])
 
 
 class TestFastPathsMatchFlatReference:
@@ -859,7 +886,7 @@ def tail_sup_and_end(spec, n, samples):
 
     def reduce(coeffs, events, m, scratch):
         coeffs[:, :n] = 0.0  # only the terms n+1..N jump
-        sup, _, _ = random_inputs._row_extremes(replicate_rows(coeffs, events), scratch)
+        sup, _, _ = random_inputs._row_extremes(series._replicate_rows(coeffs, events, scratch), scratch)
         return sup, coeffs.sum(axis=1)  # every unit-jump path ends at 1
 
     return series._sample_chunks(spec, series._TAG_PATH_STATS, samples, reduce, 1)

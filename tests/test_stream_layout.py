@@ -10,6 +10,7 @@ summation order, not on a platform's ``pow``.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from lepage import CdfGrid, EpsilonSpec, JumpHeightDist, SeriesSpec, poisson_counts, rng, unit_jump, weighted_jumps
 from lepage.cli import _COMMANDS, main, parse_config
 from lepage.parallel import chunk_size
-from lepage.series import sample_marginals, sample_path_stats, sample_weighted_increments
+from lepage.series import partial_sum, sample_marginals, sample_path_stats, sample_weighted_increments
 
 # 8 terms and 2100 samples are three chunks, 1024, 1024 and 52, run on 2 threads
 N, SAMPLES, THREADS = 8, 2100, 2
@@ -40,6 +41,12 @@ def path_stats(y) -> str:
     return digest(*vars(sample_path_stats(spec(y), SAMPLES, THREADS)).values())
 
 
+def partial_sum_paths(y) -> str:
+    """The bytes of three 200-term partial-sum paths, replicates 0 to 2."""
+    paths = [partial_sum(replace(spec(y), truncation_n=200), rng.RngStream(20, r)).path for r in range(3)]
+    return digest(*(a for p in paths for a in (p.initial_value, p.jump_times, p.post_jump_values)))
+
+
 OUTPUTS = {
     "marginals_at_1": lambda: digest(sample_marginals(spec(unit_jump()), 1.0, SAMPLES, THREADS)),
     "marginals_at_0.6": lambda: digest(sample_marginals(spec(unit_jump()), 0.6, SAMPLES, THREADS)),
@@ -48,6 +55,10 @@ OUTPUTS = {
         spec(poisson_counts(1.0)), [(0.1, 0.4), (0.4, 0.9)], SAMPLES, THREADS)),
     "poisson_path_stats": lambda: path_stats(poisson_counts(1.0)),
     "weighted2d_path_stats": lambda: path_stats(WEIGHTED_2D),
+    "weighted2d_increments": lambda: digest(sample_weighted_increments(
+        spec(WEIGHTED_2D), [(0.1, 0.4), (0.4, 0.9)], SAMPLES, THREADS)),
+    "partial_sum_paths": lambda: partial_sum_paths(unit_jump()),
+    "weighted2d_partial_sum_paths": lambda: partial_sum_paths(WEIGHTED_2D),
 }
 
 # layout 2: SFC64 generators keyed by SeedSequence, chunks of max(1, min(1024, 2**22 // n))
@@ -59,6 +70,9 @@ DIGESTS = {
     "poisson_increments": "bb88b5f07fd17d334973916598a382bd7a48061978d2c0d16d4d92fbfc868523",
     "poisson_path_stats": "45c217f18ee9036b12ac505dbca0df3ed7c115874473f389be410a59475c2e18",
     "weighted2d_path_stats": "6670caee7192425f4aba7634c9fc439b577275faf917e65bf7a09b3553193186",
+    "weighted2d_increments": "f2dbff5fc455e9f899c3c6c21c7019830165a40bde97763dfd7420693a874484",
+    "partial_sum_paths": "7e62692e90ab336018f36fabd5047734505cab0bdbc122082c6afe3630736cda",
+    "weighted2d_partial_sum_paths": "6dd9cfd906cc4f9ab75b2808582f9fb8a98586c7a48f2df9c5ffae80c3956aa8",
 }
 
 
