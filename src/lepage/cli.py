@@ -43,7 +43,7 @@ from . import diagnostics as diag
 from . import paths as paths_mod
 from . import series as series_mod
 from . import stable_checks as checks
-from .parallel import resolve_threads
+from .parallel import chunk_runner, resolve_threads
 from .random_inputs import CdfGrid, ConfigurationError, EpsilonSpec, JumpHeightDist
 from .random_inputs import poisson_counts, unit_jump, user_paths, weighted_jumps
 from .rng import STREAM_LAYOUT, RngStream
@@ -231,12 +231,6 @@ def _user_paths(paths_dir: str):
     return user_paths(paths_mod.path_from_csv(f.read_text()) for f in files)
 
 
-def _affine_envelope(beta, coeffs) -> diag.MomentEnvelope:
-    if len(coeffs) != 2 or not (coeffs[0] >= 0 and math.isfinite(coeffs[1])):
-        raise ValueError(f"affine envelope needs finite coeffs (a, b) with a >= 0, got {coeffs}")
-    return diag.MomentEnvelope(beta, tuple(coeffs[:1]))  # b cancels in F(t2) - F(t1)
-
-
 # each epsilon family, y variant, envelope kind and event kind: (constructor, the keys it reads)
 _ARRAY = (_REQUIRED, _number)
 _GRID = {"xs": _ARRAY, "ys": _ARRAY}
@@ -258,7 +252,6 @@ _YS = {
 }
 _ENVELOPES = {
     "identity": (diag.MomentEnvelope, _BETA),
-    "affine": (_affine_envelope, {**_BETA, "coeffs": _ARRAY}),
     "poly": (lambda beta, coeffs: diag.MomentEnvelope(beta, tuple(coeffs)), {**_BETA, "coeffs": _ARRAY}),
     "grid": (lambda beta, xs, ys: diag.MomentEnvelope(beta, grid_xs=xs, grid_ys=ys), {**_BETA, **_GRID}),
 }
@@ -447,10 +440,9 @@ def run(cfg: ExperimentConfig) -> int:
 
 def _cmd_simulate(cfg, writer) -> int:
     spec = cfg.series_spec()
-    index_rows = []
-    for r in range(cfg.replicates):
-        result = series_mod.partial_sum(spec, RngStream(cfg.seed, r),
-                                        with_term_norms=cfg.per_term_norms)
+
+    def one_replicate(r, _):
+        result = series_mod.partial_sum(spec, RngStream(cfg.seed, r), with_term_norms=cfg.per_term_norms)
         name, path = f"path_{r:04d}", result.path
         if "csv" in cfg.formats:
             # the step-path CSV schema is fixed (bit-exact round trip), so the
@@ -461,12 +453,14 @@ def _cmd_simulate(cfg, writer) -> int:
             writer.emit_json(name, {"dimension": path.dimension, "initial_value": path.initial_value,
                                     "jump_times": path.jump_times,
                                     "post_jump_values": path.post_jump_values})
-        row = {"replicate": r, "terms_used": result.terms_used,
-               "sup_norm": paths_mod.sup_norm(path), "file": name}
-        index_rows.append(row)
         if cfg.per_term_norms:
-            writer.emit_json(f"{name}_term_norms",
-                             {"replicate": r, "per_term_norms": result.per_term_norms})
+            writer.emit_json(f"{name}_term_norms", {"replicate": r, "per_term_norms": result.per_term_norms})
+        return {"replicate": r, "terms_used": result.terms_used,
+                "sup_norm": paths_mod.sup_norm(path), "file": name}
+
+    # replicate r draws from RngStream(seed, r), so threads move no byte; a pool for one replicate costs memory
+    run = chunk_runner(cfg.threads if cfg.replicates > 1 else 1)
+    index_rows = run(one_replicate, [(r, 1) for r in range(cfg.replicates)])
     payload = {"spec": spec.echo(), "replicates": cfg.replicates, "samples": index_rows}
     writer.emit("samples", index_rows, ["replicate", "terms_used", "sup_norm", "file"], payload)
     return 0
@@ -579,7 +573,6 @@ _MOMENTS = {k: _SERIES[k] for k in ("alpha", "epsilon")}
 
 # command -> (handler, the keys it reads beside the run keys, as {key: (default, parser)})
 _COMMANDS = {
-    # simulate runs one thread, but keeps the key that scripts pass to every command drawing paths
     "simulate": (_cmd_simulate, {**_SERIES, **_MODES, **_THREADS, "replicates": (1, _count),
                                  "per_term_norms": (False, _bool)}),
     "check-conditions": (_cmd_check_conditions, {"y": _SERIES["y"], **_THREADS, "replicates": (100_000, _count),

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +114,19 @@ def _atom_draws(values: np.ndarray, probs: np.ndarray, u: np.ndarray, out: np.nd
     return np.take(values, idx, axis=0, out=out, mode="clip")  # clip: u past the last cum
 
 
+def _require_two_point(values: np.ndarray, probs: np.ndarray) -> None:
+    """Refuses a two_point law other than ``x_neg`` at probability p in (0, 1) and ``x_pos``, with mean zero."""
+    if values.size != 2 or probs.size != 2:
+        raise ConfigurationError(f"two_point needs two atoms, got {values.tolist()} at {probs.tolist()}")
+    (x_neg, x_pos), p = values.tolist(), float(probs[0])
+    if not 0.0 < p < 1.0:
+        raise ConfigurationError(f"two_point needs p in (0,1), got {p}")
+    mean = p * x_neg + (1.0 - p) * x_pos
+    if abs(mean) > 1e-12 * max(abs(x_neg), abs(x_pos), 1.0):
+        raise ConfigurationError(f"two_point multipliers must have mean zero, got {mean!r} from "
+                                 f"({p} * {x_neg} + {1.0 - p} * {x_pos})")
+
+
 @dataclass(frozen=True)
 class EpsilonSpec:
     """Distribution of the i.i.d. real multipliers.
@@ -151,8 +163,13 @@ class EpsilonSpec:
                 raise ConfigurationError(
                     f"{self.family} spec needs atoms; use the EpsilonSpec.{self.family}() constructor"
                 )
-            v, p = _atom_table(np.asarray(self.atom_values, dtype=np.float64).reshape(-1), self.atom_probs,
-                               "multiplier")
+            v = np.asarray(self.atom_values, dtype=np.float64).reshape(-1)
+            if self.family == "two_point":
+                _require_two_point(v, np.asarray(self.atom_probs, dtype=np.float64).reshape(-1))
+            v, p = _atom_table(v, self.atom_probs, "multiplier")
+            if self.family == "rademacher" and (v.tolist(), p.tolist()) != ([-1.0, 1.0], [0.5, 0.5]):
+                raise ConfigurationError(f"rademacher multipliers are -1 and +1 at probability 1/2 each, "
+                                         f"got atoms {v.tolist()} at probabilities {p.tolist()}")
             object.__setattr__(self, "atom_values", v)
             object.__setattr__(self, "atom_probs", p)
         else:
@@ -170,15 +187,6 @@ class EpsilonSpec:
 
     @classmethod
     def two_point(cls, p: float, x_neg: float, x_pos: float) -> "EpsilonSpec":
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(f"two_point needs p in (0,1), got {p}")
-        mean = p * x_neg + (1.0 - p) * x_pos
-        scale = max(abs(x_neg), abs(x_pos), 1.0)
-        if abs(mean) > 1e-12 * scale:
-            raise ConfigurationError(
-                f"two_point multipliers must have mean zero, got {mean!r} from "
-                f"({p} * {x_neg} + {1.0 - p} * {x_pos})"
-            )
         return cls("two_point", atom_values=np.array([x_neg, x_pos]), atom_probs=np.array([p, 1.0 - p]))
 
     @classmethod
@@ -440,12 +448,9 @@ class _WeightedJumpsSpec(YGeneratorSpec):
             raise ConfigurationError("weighted_jumps needs at least one location cdf")
         object.__setattr__(self, "dimension", self.height_dist.dimension)
         m4 = self.height_dist.fourth_moment()
-        if m4 > self.fourth_moment_bound * (1.0 + 1e-12):
-            warnings.warn(
-                f"declared fourth-moment bound {self.fourth_moment_bound} is exceeded by "
-                f"the height distribution's E|R|^4 = {m4}",
-                stacklevel=2,
-            )
+        if m4 > self.fourth_moment_bound * (1.0 + 1e-12):  # the default envelope is built from the bound
+            raise ConfigurationError(f"declared fourth-moment bound {self.fourth_moment_bound} is exceeded by "
+                                     f"the height distribution's E|R|^4 = {m4}")
 
     @property
     def p(self) -> int:

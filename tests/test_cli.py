@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import threading
 import warnings
 from pathlib import Path
 
@@ -128,6 +129,10 @@ class TestCommandTables:
         ("simulate", "per_term_norms", '"false"'),  # a string, not a boolean
         ("simulate", "per_term_norms", "1"),
         ("check-conditions", "envelope", "{kind: sum_of_cdfs, beta: 2.0}"),
+        # the offset b of an affine envelope was parsed, checked and dropped; poly [a] is that envelope
+        ("check-conditions", "envelope", "{kind: affine, coeffs: [2.0, 1.0]}"),
+        # a declared fourth-moment bound below E R^4 = 1 would build the default envelope from a false bound
+        ("check-conditions", "y", "{variant: example2, p: 3, fourth_moment_bound: 0.01}"),
         # a nested key that the chosen variant, family or kind does not read
         ("simulate", "y", "{variant: example1, lambda: 3.0}"),
         ("simulate", "epsilon", "{family: rademacher, a: 5.0}"),
@@ -212,7 +217,7 @@ class TestCommandTables:
 
     @pytest.mark.parametrize("kind,params,f", [
         ("identity", "", lambda t: t),
-        ("affine", ", coeffs: [2.0, 1.0]", lambda t: 2 * t),  # the offset cancels in every difference
+        ("poly", ", coeffs: [2.0]", lambda t: 2 * t),  # a t: an offset would cancel in every difference
         ("poly", ", coeffs: [1.0, 0.5]", lambda t: t + 0.5 * t**2),
         ("grid", ", xs: [0.0, 1.0], ys: [0.0, 1.0]", lambda t: t),
     ])
@@ -226,7 +231,7 @@ class TestCommandTables:
     def test_other_envelope_kinds_name_the_buildable_ones(self):
         text, line = _with_value("check-conditions", "envelope", "{kind: sum_of_cdfs, beta: 2.0}")
         with pytest.raises(ConfigParseError, match=rf"line {line}: key 'envelope': must be "
-                           r"'identity' or 'affine' or 'poly' or 'grid', got 'sum_of_cdfs'"):
+                           r"'identity' or 'poly' or 'grid', got 'sum_of_cdfs'"):
             parse_config(text)
 
     def test_user_paths_of_mixed_dimension_are_a_config_error(self, tmp_path):
@@ -459,6 +464,18 @@ class TestSimulateCommand:
         got_json = path_from_json((out / "path_0000.json").read_text())
         assert got_csv == want
         assert got_json == want
+
+    def test_replicates_run_on_the_threads_set(self, tmp_path, monkeypatch):
+        # each replicate waits at a barrier for the other, which only two threads running at once pass
+        barrier, draw = threading.Barrier(2, timeout=10.0), series.partial_sum
+
+        def waiting_partial_sum(*args, **kwargs):
+            barrier.wait()
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(series, "partial_sum", waiting_partial_sum)
+        code, _ = run_cli(tmp_path, MINIMAL + "truncation_n: 50\nreplicates: 2\n", "--threads", "2")
+        assert code == 0  # c14 checks the bytes against one thread
 
     def test_zero_replicates(self, tmp_path):
         code, out = run_cli(tmp_path, MINIMAL + "replicates: 0\n")

@@ -120,6 +120,30 @@ class TestEpsilonSpec:
         with pytest.raises(ConfigurationError, match="mean zero"):
             EpsilonSpec.two_point(0.5, -1.0, 4.0)
 
+    @pytest.mark.parametrize("values,probs", [
+        ([0.0, 5.0], [0.5, 0.5]),  # sampled as +-1, yet read as mean 2.5 before
+        ([-1.0, 1.0], [0.25, 0.75]),
+        ([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]),
+    ])
+    def test_rademacher_law_other_than_fair_signs_is_refused(self, values, probs):
+        with pytest.raises(ConfigurationError, match=r"rademacher multipliers are -1 and \+1"):
+            EpsilonSpec("rademacher", atom_values=values, atom_probs=probs)
+
+    @pytest.mark.parametrize("values,probs,message", [
+        ([-1.0, 0.0, 4.0], [0.5, 0.3, 0.2], "two atoms"),
+        ([-1.0, 4.0], [0.5, 0.5], "mean zero"),
+        ([-1.0, 4.0], [0.0, 1.0], r"p in \(0,1\), got 0.0"),
+    ])
+    def test_two_point_law_is_checked_by_the_constructor(self, values, probs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            EpsilonSpec("two_point", atom_values=values, atom_probs=probs)
+
+    def test_two_point_classmethod_names_p_and_the_mean(self):
+        with pytest.raises(ConfigurationError, match=r"two_point needs p in \(0,1\), got 1.5"):
+            EpsilonSpec.two_point(1.5, -1.0, 4.0)
+        with pytest.raises(ConfigurationError, match=r"mean zero, got 1.5 from \(0.5 \* -1.0 \+ 0.5 \* 4.0\)"):
+            EpsilonSpec.two_point(0.5, -1.0, 4.0)
+
     def test_table_probabilities_validated(self):
         with pytest.raises(ConfigurationError, match="sum to 1"):
             EpsilonSpec.table([1.0, 2.0], [0.5, 0.6])
@@ -295,10 +319,12 @@ class TestWeightedJumpsGenerator:
         assert np.all(inc == 2.0)
         assert np.all(inc**2 == 4.0)
 
-    def test_fourth_moment_audit_warns(self):
+    def test_fourth_moment_bound_below_the_heights_is_refused(self):
+        # the default example2 envelope is built from the declared bound, so a false one is no warning
         heights = JumpHeightDist(np.array([[3.0]]), np.array([1.0]))  # E R^4 = 81
-        with pytest.warns(UserWarning, match="fourth-moment"):
+        with pytest.raises(ConfigurationError, match="fourth-moment bound 1.0 is exceeded"):
             weighted_jumps([CdfGrid.uniform()], heights, fourth_moment_bound=1.0)
+        assert weighted_jumps([CdfGrid.uniform()], heights, fourth_moment_bound=81.0).fourth_moment_bound == 81.0
 
     def test_grid_cdf_inverse_sampling(self):
         # cdf concentrating mass on [0, 0.5]
