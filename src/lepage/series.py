@@ -220,7 +220,12 @@ def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None =
     else:
         weights = np.broadcast_to(np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / spec.alpha), (m, n))
     if spec.epsilon_mode == "truncated":
-        _truncate_block(eps, np.arange(1, n + 1, dtype=np.float64), spec.alpha, _buffer(scratch, "mag", (m, n)))
+        # no |eps|^alpha exceeds max_abs^alpha (the slack covers pow's rounding), so the
+        # columns past that index keep every multiplier
+        with np.errstate(over="ignore"):
+            r = int(min(n, np.float64(spec.epsilon.max_abs()) ** spec.alpha * (1.0 + 1e-9)))
+        _truncate_block(eps[:, :r], np.arange(1, r + 1, dtype=np.float64), spec.alpha,
+                        _buffer(scratch, "mag", (m, r)))
     return np.multiply(weights, eps, out=eps), y
 
 

@@ -156,6 +156,18 @@ class TestTruncateEpsilon:
         want = np.array([truncate_epsilon(e, int(i), alpha) for e, i in zip(eps, indices)])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [40, 10], ids=["reach_below_n", "reach_above_n"])
+    def test_chunk_truncates_only_reachable_columns_as_the_oracle(self, n):
+        # 5^1.9 = 21.3: columns 1..21 can lose a multiplier, and the chunk truncates only those
+        spec = rademacher_spec(alpha=1.9, n=n, seed=5, epsilon=EpsilonSpec.uniform_symmetric(5.0),
+                               weight_mode="deterministic", epsilon_mode="truncated")
+        stream = RngStream(5).substream(9)
+        coeffs, _ = _chunk_coeffs(spec, _chunk_draws(spec, stream), 60)
+        raw = spec.epsilon.sample(_chunk_draws(spec, stream)[1], 60 * n).reshape(60, n)
+        used = np.array([[truncate_epsilon(e, i + 1, spec.alpha) for i, e in enumerate(row)] for row in raw])
+        assert coeffs.tobytes() == (np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / spec.alpha) * used).tobytes()
+        assert np.any(used[:, min(n, 21) - 1] == 0.0) and np.all(used[:, 21:] == raw[:, 21:])
+
 
 class TestSeriesSpec:
     def test_alpha_open_interval(self):
