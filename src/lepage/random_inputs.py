@@ -311,7 +311,16 @@ class TermEvents:
 
     @property
     def term_index(self) -> np.ndarray:
-        """The term of each event, built on each read."""
+        """The term of each event, built on each read.
+
+        From term offsets, a ``bincount`` of the offsets and its ``cumsum`` cost about 2 ns a term
+        and 3 an event, ``np.repeat`` about 7 ns a term and 1 an event: so blocks of at most 4
+        events a term (Poisson(1) is 10% faster in ``interval_increments``) take the first, denser
+        ones (Poisson(7) is 1-6% slower by it) the second.
+        """
+        k = self.times.size
+        if self.starts is not None and k <= 4 * self.n_terms:
+            return np.cumsum(np.bincount(self.starts[1:-1], minlength=k + 1)[:k])
         return np.repeat(np.arange(self.n_terms), self.width if self.starts is None else np.diff(self.starts))
 
     def offset(self, n: int) -> int:

@@ -455,6 +455,18 @@ class TestEventReductions:
     def _events(self, spec, n, seed):
         return spec.block_sampler(RngStream(seed)).take(n)
 
+    # empty first, last and consecutive terms, no events or no terms, at most 4 events a term
+    # (the bincount) and more (the repeat)
+    @pytest.mark.parametrize("counts", [[0, 2, 0, 0, 1, 0], [0, 0, 0], [], [3], [1, 0, 0, 9, 0, 12, 0],
+                                        [0, 9, 0, 0, 12, 1], [5]])
+    def test_term_index_equals_the_repeat_of_term_numbers(self, counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        k = int(starts[-1])
+        block = TermEvents(counts.size, 1, starts, np.full(k, 0.5), np.ones((k, 1)), np.zeros((counts.size, 1)))
+        want = np.repeat(np.arange(counts.size), counts)
+        assert block.term_index.dtype == want.dtype and block.term_index.tolist() == want.tolist()
+
     @pytest.mark.parametrize("y", [poisson_counts(2.0), unit_jump()], ids=["poisson", "unit"])
     def test_terms_slice_a_middle_range_counted_from_zero(self, y):
         events = self._events(y, 50, 40)
