@@ -19,7 +19,9 @@ several truncation depths therefore share one realization bit for bit.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,12 +262,13 @@ class EpsilonSpec:
 
     # -- sampling -------------------------------------------------------
 
-    def sample(self, gen: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``size`` multipliers, drawn into ``out`` when given (same draws, same bytes)."""
-        v = gen.random(size) if out is None else gen.random(out=out)
+    def sample(self, source, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``size`` multipliers from ``source``, a generator or a chunk's :class:`_EpsilonSource`,
+        drawn into ``out`` when given (same draws, same bytes).  Rademacher signs are raw bits (see
+        :meth:`_EpsilonSource.signs`); every other family reads one ``random()`` double each."""
         if self.family == "rademacher":
-            v -= 0.5  # exact, and u == 0.5 gives +0.0, so sign +1
-            return np.copysign(1.0, v, out=v)
+            return (source if isinstance(source, _EpsilonSource) else _EpsilonSource(source)).signs(size, out)
+        v = source.random(size) if out is None else source.random(out=out)
         if self.family == "uniform_symmetric":
             v *= 2.0
             v -= 1.0
@@ -280,6 +283,35 @@ class EpsilonSpec:
         elif self.family != "rademacher":
             out["values"] = self.atom_values.tolist()
             out["probabilities"] = self.atom_probs.tolist()
+        return out
+
+
+_SIGNS = np.array([-1.0, 1.0])  # 2b - 1 for b in {0, 1}
+
+
+class _EpsilonSource:
+    """A chunk's multiplier stream: its generator, and the bits of the raw words drawn for signs
+    but not yet used, which the next Rademacher draw takes first.  So the tiles of a chunk draw
+    the signs of one call over the whole chunk, whatever their sizes."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self._bits = np.empty(0, dtype=np.uint8)
+
+    def random(self, size=None, out=None) -> np.ndarray:
+        return self.gen.random(size, out=out)
+
+    def signs(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next ``n`` bits ``b`` as signs ``2b - 1``: each raw 64-bit word of the generator gives
+        64 bits, its least significant first, read as little-endian bytes whatever the platform's
+        byte order."""
+        words = self.gen.bit_generator.random_raw(max(0, -(-(n - self._bits.size) // 64)))
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+        if self._bits.size:
+            bits = np.concatenate((self._bits, bits))
+        self._bits = bits[n:]
+        out = np.empty(n) if out is None else out
+        np.take(_SIGNS, bits[:n], out=out.reshape(n), mode="clip")  # a view: the buffers are contiguous
         return out
 
 
@@ -509,14 +541,56 @@ class _PoissonSpec(YGeneratorSpec):
     dimension: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0 and np.isfinite(self.lam)):
-            raise ConfigurationError(f"poisson intensity must be positive, got {self.lam}")
+        if not (0.0 < self.lam <= _MAX_LAMBDA):
+            raise ConfigurationError(f"poisson intensity must lie in (0, {_MAX_LAMBDA:g}], got {self.lam}")
+        object.__setattr__(self, "_table", _PoissonTable(self.lam))  # built once per spec, not per chunk
 
     def block_sampler(self, stream: RngStream):
         return _PoissonSampler(self, stream)
 
     def echo(self) -> dict:
         return {"variant": self.variant, "dimension": 1, "lambda": self.lam}
+
+
+# the guide table has a bucket of [0, 1) per 4096th; the cdf table about 19 sqrt(lambda)
+# entries, 190 000 (1.5 MB) at this largest intensity
+_GUIDE_BUCKETS = 4096
+_MAX_LAMBDA = 1e8
+
+
+class _PoissonTable:
+    """Inverse cdf of Poisson(lam) with a guide table (Chen & Asau 1974; Devroye 1986, §III.2).
+
+    ``cdf[i]`` is ``P(N <= first + i)``, built from ``math`` scalars by the ratio recursion
+    ``p(k+1) = p(k) lam / (k+1)`` out of the mode and normalized by their ``fsum``.  It keeps
+    the counts whose probability is at least 2^-64 of the mode's, so it starts at the lower
+    tail and grows like ``sqrt(lam)``; its last entry is an ``inf`` sentinel, which gives the
+    last count the whole upper tail.  ``guide[j]`` is the first ``i`` with ``cdf[i] > j / 4096``,
+    so a uniform ``u`` in bucket ``j`` has its count at ``guide[j]`` unless a step of the cdf
+    lies inside that bucket below ``u``; only those few are searched.
+    """
+
+    def __init__(self, lam: float):
+        mode = math.floor(lam)
+
+        def ratios(factors):  # p(k) / p(mode) outward from the mode, while at least 2^-64
+            return list(itertools.takewhile(lambda p: p >= 2.0**-64, itertools.accumulate(factors, operator.mul)))
+
+        down, up = ratios(k / lam for k in range(mode, 0, -1)), ratios(lam / k for k in itertools.count(mode + 1))
+        weights = [*reversed(down), 1.0, *up]
+        total = math.fsum(weights)
+        self.first = mode - len(down)
+        self.cdf = np.array([*itertools.accumulate(w / total for w in weights[:-1]), math.inf])
+        self.guide = np.searchsorted(self.cdf, np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, side="right")
+
+    def counts(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` Poisson counts (int64), one ``random()`` double each."""
+        u = gen.random(n)
+        i = self.guide[(u * _GUIDE_BUCKETS).astype(np.intp)]  # u * 4096 is exact
+        step = np.flatnonzero(self.cdf[i] <= u)
+        i[step] = np.searchsorted(self.cdf, u[step], side="right")
+        i += self.first
+        return i
 
 
 class _PoissonSampler:
@@ -526,14 +600,13 @@ class _PoissonSampler:
         self._locs = stream.substream(1).generator()
 
     def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
-        spec: _PoissonSpec = self.spec
-        starts = np.concatenate(([0], np.cumsum(self._counts.poisson(spec.lam, n))))
+        starts = np.concatenate(([0], np.cumsum(self.spec._table.counts(self._counts, n))))
         total = int(starts[-1])
         return TermEvents(n, 1, starts, _draw_open_unit(self._locs, total),
                           np.broadcast_to(1.0, (total, 1)), np.broadcast_to(0.0, (n, 1)))
 
     def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
-        return np.add(self._counts.poisson(self.spec.lam, n)[:, None], 0.0, out=out)  # count + initial
+        return np.add(self.spec._table.counts(self._counts, n)[:, None], 0.0, out=out)  # count + initial
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,10 +14,22 @@ as Philox (numpy 2.4, x86-64).
 Each fixed-size chunk of replicates draws from one substream per chunk (see
 :mod:`lepage.parallel`), so results do not depend on thread scheduling.
 
-:data:`STREAM_LAYOUT` versions how names become draws: the generator and the
-chunk plan.  Layout 1 was Philox with chunks of up to 4096 replicates;
-layout 2 is SFC64 with chunks of up to 1024.  Any change to what a name
-draws bumps it, and every ``manifest.json`` records it.
+:data:`STREAM_LAYOUT` versions how names become draws: the generator, the
+chunk plan and how each law reads its stream.  Layout 1 was Philox with
+chunks of up to 4096 replicates; layout 2 is SFC64 with chunks of up to 1024.
+Layout 3 keeps both and changes two draws:
+
+* a Poisson count is one ``random()`` double read through a guide-table
+  inverse cdf (``random_inputs._PoissonTable``), not ``Generator.poisson``;
+* a Rademacher sign is one bit of the generator's raw 64-bit words, least
+  significant first, not the sign of ``random() - 0.5``.
+
+Exponential gaps stay on ``standard_exponential``.  As ``-log U`` they would
+go through numpy's SIMD ``log``, whose last bit depends on the CPU, and no
+result file may depend on the CPU (the canary in ``tests/test_stream_layout.py``
+runs at alpha 1 to keep ``pow`` out of its digests for the same reason).
+Any change to what a name draws bumps the layout, and every ``manifest.json``
+records it.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ import numpy as np
 
 __all__ = ["STREAM_LAYOUT", "RngStream"]
 
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .random_inputs import (
     TermEvents,
     YGeneratorSpec,
     _EPSILON_ROLE,
+    _EpsilonSource,
     _GAMMA_ROLE,
     _TILE_EVENTS,
     _Y_ROLE,
@@ -191,8 +192,9 @@ def coupled_partial_sums(
 
 
 def _chunk_draws(spec: SeriesSpec, stream: RngStream) -> tuple:
-    """The gamma and epsilon generators and the Y block sampler of a replicate or chunk."""
-    return (stream.substream(_GAMMA_ROLE).generator(), stream.substream(_EPSILON_ROLE).generator(),
+    """The gamma generator, the epsilon source and the Y block sampler of a replicate or chunk."""
+    return (stream.substream(_GAMMA_ROLE).generator(),
+            _EpsilonSource(stream.substream(_EPSILON_ROLE).generator()),
             spec.y_gen.block_sampler(stream.substream(_Y_ROLE)))
 
 

@@ -11,6 +11,7 @@ from lepage.random_inputs import (
     EpsilonSpec,
     JumpHeightDist,
     TermEvents,
+    _EpsilonSource,
     _Y_ROLE,
     _padded_terms,
     _row_extremes,
@@ -89,25 +90,24 @@ class TestGammaSequence:
 
 class TestEpsilonSpec:
     def test_rademacher_frequencies(self):
-        draws = EpsilonSpec.rademacher().sample(RngStream(20).generator(), 10**6)
+        # balanced overall and at each bit position of the raw words, and no lag-1 dependence
+        draws = EpsilonSpec.rademacher().sample(RngStream(20).generator(), 64 * 20_000)
         assert set(np.unique(draws)) == {-1.0, 1.0}
-        p_hat = np.mean(draws == 1.0)
-        assert abs(p_hat - 0.5) < 4.0 * math.sqrt(0.25 / draws.size)
+        n = draws.size
+        assert abs(draws.mean()) < 4.0 / math.sqrt(n)
+        assert abs(np.mean(draws[1:] * draws[:-1])) < 4.0 / math.sqrt(n - 1)
+        assert np.all(np.abs(draws.reshape(-1, 64).mean(axis=0)) < 4.5 / math.sqrt(n / 64))
 
-    def test_rademacher_signs_equal_the_where_form(self):
-        draws = EpsilonSpec.rademacher().sample(RngStream(22).generator(), 10**6)
-        want = np.where(RngStream(22).generator().random(10**6) < 0.5, -1.0, 1.0)
-        assert draws.tobytes() == want.tobytes()
-
-        class Fixed:  # a generator whose uniforms are the edge values
-            def random(self, size):
-                return edges.copy()
-
-        edges = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
-                          np.nextafter(1.0, 0.0)])
-        draws = EpsilonSpec.rademacher().sample(Fixed(), edges.size)
-        assert draws.tobytes() == np.where(edges < 0.5, -1.0, 1.0).tobytes()
-        assert draws.tolist() == [-1.0, -1.0, 1.0, 1.0, 1.0]
+    def test_rademacher_signs_are_the_raw_bits_lowest_first(self):
+        # oracle by integer shifts: bit b of raw word w is the sign 2 ((w >> b) & 1) - 1
+        words = RngStream(22).generator().bit_generator.random_raw(40)
+        want = [2.0 * ((int(w) >> b) & 1) - 1.0 for w in words for b in range(64)]
+        assert EpsilonSpec.rademacher().sample(RngStream(22).generator(), 2000).tolist() == want[:2000]
+        # a chunk's source keeps the bits a draw leaves, so draws of any sizes read one bit stream
+        source = _EpsilonSource(RngStream(22).generator())
+        sizes = [1, 63, 64, 65, 0, 130, 7, 1700]
+        got = np.concatenate([EpsilonSpec.rademacher().sample(source, k) for k in sizes])
+        assert got.tolist() == want[:sum(sizes)]
 
     def test_two_point_mean_zero_accepted(self):
         spec = EpsilonSpec.two_point(0.8, -1.0, 4.0)
@@ -212,6 +212,10 @@ class ZeroingGenerator:
     def standard_exponential(self, size=None, out=None):
         return self._draw("standard_exponential", size, out)
 
+    @property
+    def bit_generator(self):  # Rademacher signs read raw words, which hold no 0.0 to redraw
+        return self.gen.bit_generator
+
 
 OUT_DRAWS = {
     "exponentials": _positive_exponentials,
@@ -285,6 +289,33 @@ class TestPoissonGenerator:
         totals = values_at(events, [1.0])[:, 0, 0]
         se = totals.std() / math.sqrt(totals.size)
         assert abs(totals.mean() - lam) < 4.0 * se
+
+    @pytest.mark.parametrize("lam, seed", [(0.05, 36), (1.0, 37), (7.0, 38), (60.0, 39), (1e4, 40)])
+    def test_counts_follow_the_poisson_pmf(self, lam, seed):
+        # chi-square of 10^6 counts, each tail pooled into the last cell that expects 5 or more,
+        # against the pmf from lgamma; 99.9% point by Wilson-Hilferty
+        n = 10**6
+        counts = poisson_counts(lam).block_sampler(RngStream(seed)).values_at_one(n, np.empty((n, 1)))
+        ks = range(int(lam + 12.0 * math.sqrt(lam)) + 20)
+        pmf = [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in ks]
+        cells = [k for k in ks if n * pmf[k] >= 5.0]
+        lo, hi = cells[0], cells[-1]
+        expected = n * np.array([math.fsum(pmf[:lo + 1]), *pmf[lo + 1:hi], 1.0 - math.fsum(pmf[:hi])])
+        observed = np.bincount(np.clip(counts[:, 0].astype(np.int64), lo, hi) - lo, minlength=hi - lo + 1)
+        chi2, df = float(np.sum((observed - expected) ** 2 / expected)), hi - lo
+        assert chi2 < df * (1.0 - 2.0 / (9 * df) + 3.090 * math.sqrt(2.0 / (9 * df))) ** 3, (chi2, df)
+
+    @pytest.mark.parametrize("lam", [1e-300, 0.05, 1.0, 7.0, 60.0, 1e4, 1e8])
+    def test_count_table_grows_like_sqrt_lambda(self, lam):
+        table = poisson_counts(lam)._table
+        assert table.cdf.size <= 25 + 19 * math.sqrt(lam)
+        assert table.cdf[-1] == math.inf and np.all(np.diff(table.cdf) >= 0)
+        assert table.guide.size == 4096 and table.guide.max() < table.cdf.size
+
+    def test_intensity_above_the_largest_table_is_refused(self):
+        for lam in (1.0000001e8, math.inf, math.nan, 0.0):
+            with pytest.raises(ConfigurationError, match=r"poisson intensity must lie in \(0, 1e\+08\]"):
+                poisson_counts(lam)
 
     def test_jump_locations_uniform(self):
         events = poisson_counts(1.0).block_sampler(RngStream(33)).take(20000)

@@ -705,9 +705,10 @@ def reference_weighted_increments(spec, intervals, n_samples):
 # end each chunk in a short tile; a full chunk of 2000 terms is tiles of 8, and 17 more
 # are a chunk of one tile of 8 and one of 9 (no tile holds one replicate); 5 of 16500
 # terms are tiles of 2 and 3, and one more than a full chunk of them (tiles of 2) leaves
-# a chunk of 1
+# a chunk of 1; Poisson tiles of 163 replicates of 100 terms (the tightness workload's) draw
+# 16 300 signs each, which leaves 44 bits of a raw word to the next tile
 TILE_CASES = [*((name, 24, chunk_size(24) + 476) for name in ("unit", "weighted2d_p3", "poisson")),
-              ("user_sixteenths", 24, 700), ("unit", 2000, chunk_size(2000) + 17),
+              ("user_sixteenths", 24, 700), ("unit", 2000, chunk_size(2000) + 17), ("poisson", 100, 400),
               *((name, 16500, 5) for name in ("unit", "weighted2d_p3", "poisson")),
               ("unit", 16500, chunk_size(16500) + 1)]
 

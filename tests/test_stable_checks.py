@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from lepage.random_inputs import (
 from lepage import stable_checks
 from lepage.parallel import chunk_size, map_replicates, replicate_mean_se
 from lepage.rng import RngStream
-from lepage.series import PathStatsSample, SeriesSpec, sample_path_stats
+from lepage.series import PathStatsSample, SeriesSpec, sample_marginals, sample_path_stats
 from lepage.stable_checks import (
     WindowError,
     auto_window,
@@ -95,6 +96,17 @@ class TestEstimateAlpha:
         a1 = estimate_alpha(x).alpha
         a2 = estimate_alpha(1000.0 * x).alpha
         assert abs(a1 - a2) < 1e-6
+
+    def test_skewed_stable_limit_gives_no_warning(self):
+        # multipliers +1 at 0.9 and -1 at 0.1 give a limit of skewness 0.8: its median sits half an
+        # IQR from 0, yet |cf| and so the log-log slope do not depend on the skewness
+        spec = SeriesSpec(0.7, 200, EpsilonSpec.table([1.0, -1.0], [0.9, 0.1]), unit_jump(), seed=31)
+        x = sample_marginals(spec, 1.0, 20_000)
+        assert abs(np.median(x)) > 0.5 * np.subtract(*np.percentile(x, [75, 25]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_alpha(x)
+        assert abs(est.alpha - 0.7) < 4.0 * est.se
 
     def test_window_errors(self):
         # degenerate constant samples pin |ecf| = 1 at every u, so auto_window finds no window

@@ -61,18 +61,19 @@ OUTPUTS = {
     "weighted2d_partial_sum_paths": lambda: partial_sum_paths(WEIGHTED_2D),
 }
 
-# layout 2: SFC64 generators keyed by SeedSequence, chunks of max(1, min(1024, 2**22 // n))
-LAYOUT = 2
+# layout 3: SFC64 generators keyed by SeedSequence, chunks of max(1, min(1024, 2**22 // n)),
+# Poisson counts from a guide table and Rademacher signs from raw bits
+LAYOUT = 3
 DIGESTS = {
-    "marginals_at_1": "4931b32b9d98fee6d6c079386ba0890e9e4102a07e5e8e635d2e03f4b1fe1962",
-    "marginals_at_0.6": "d587e08c4aec264adff8556b2fef21fad245abbb15e41e3ef9708867bb4e668b",
-    "path_stats": "302dc89c4bf6674f4f5890d3ccb32530c9f46b085c1574befea4dc6c8eb4dc74",
-    "poisson_increments": "bb88b5f07fd17d334973916598a382bd7a48061978d2c0d16d4d92fbfc868523",
-    "poisson_path_stats": "45c217f18ee9036b12ac505dbca0df3ed7c115874473f389be410a59475c2e18",
-    "weighted2d_path_stats": "6670caee7192425f4aba7634c9fc439b577275faf917e65bf7a09b3553193186",
-    "weighted2d_increments": "f2dbff5fc455e9f899c3c6c21c7019830165a40bde97763dfd7420693a874484",
-    "partial_sum_paths": "7e62692e90ab336018f36fabd5047734505cab0bdbc122082c6afe3630736cda",
-    "weighted2d_partial_sum_paths": "6dd9cfd906cc4f9ab75b2808582f9fb8a98586c7a48f2df9c5ffae80c3956aa8",
+    "marginals_at_1": "b83eeefafed092696e560263c01ecc9ed99722282b5bfbcc83bd59f40c2e905c",
+    "marginals_at_0.6": "e2499e5148f723352514b3c7b327fac0b4cbde76ad7f655b2073e5cfa19643e7",
+    "path_stats": "267aab97e5246fc7dd1f3b4fcb4dfccab85716e78245091b82ce82396fe3d404",
+    "poisson_increments": "43655702269edab8fa3f7e0771f3343104d90effe250306e7e9ffcbb9314595b",
+    "poisson_path_stats": "e8cf0e406fc3053bf6aa995cf26a3bcbfbeb7665398ce2c1936da285fc89d27c",
+    "weighted2d_path_stats": "a545857ab1963253c56898437d75682b0323cead3c6d65467e56fd7cc6f6dc68",
+    "weighted2d_increments": "0deb040a861b75ac77d19233ee558d1cc8bc5bccbd5ccbde7b5b3d808caadb70",
+    "partial_sum_paths": "2f5d26aa6e16afcc934551a1003b93d000d6115080ede36fa96a217b432aeaeb",
+    "weighted2d_partial_sum_paths": "9d2621ace2dd22d3d15f6af3d91fb92130732445435864aefecd2b477a4b04a9",
 }
 
 
@@ -122,14 +123,14 @@ REPORT_RUNS = {
     "tightness_poisson": (
         "command: tightness\nalpha: 1.0\nepsilon: rademacher\ny: example3\nn: 8\nreplicates: 2100\n"
         "triples: [[0.1, 0.35, 0.6], [0.2, 0.5, 0.9], [0.3, 0.3, 0.8]]\n",
-        {"tightness.csv": "b92b668dea8dc778f899c6d150469a41888de533af4c1f8bc83986a722a808f5",
-         "tightness.json": "c511ec9fb445559434b7df5e8909f02bba3311c34e3a3c0d67fcdeaba3fb4cef"}),
+        {"tightness.csv": "965a559f1201a86f3d39f88f61c05d3233af202251c1581b1de1d85f39c5f5b1",
+         "tightness.json": "e3597a0a645199ffa59e9d754b44a4dafa7941adc0b8724d8bf5fb3c61577170"}),
     "tightness_weighted2d": (
         f"command: tightness\nalpha: 1.0\nepsilon: rademacher\ny: {WEIGHTED_2D_Y}\n"
         "envelope: {kind: poly, beta: 1.0, coeffs: [2.0, 1.0]}\n"
         "n: 8\nreplicates: 2100\ntriples: [[0.1, 0.35, 0.6], [0.2, 0.5, 0.9]]\n",
-        {"tightness.csv": "da2c617afb20a58415ee9bc5a44c4bb17965d89b3fee538749eeb7f45ad03a6a",
-         "tightness.json": "e75297e78e85046bb5619ef4f740297ad97b3c14217713cd0510a72eca0f15ff"}),
+        {"tightness.csv": "d499bf9cf4d2a540a1755794d9d3231d05145bdbef2e0149cd0b37804cf877d3",
+         "tightness.json": "3b942e80523e09e0e1041297105cf9b65e357e09c97fb7e454668cd45c75bc33"}),
     "check-conditions": (
         "command: check-conditions\ny: example1\nreplicates: 2100\n",
         {"c1_report.csv": "c0fe85d8b2d24fefd1e33aa76ae9d01b36411044160cb314bbc1459fd9d19c87",
@@ -138,10 +139,10 @@ REPORT_RUNS = {
          "c2_report.json": "707d378f9e951a6bd0128d62d85ca627b1b9700f3889e17c740982dcf6940793"}),
     "check-conditions_poisson": (
         "command: check-conditions\ny: {variant: example3, lambda: 1.0}\nreplicates: 2100\n",
-        {"c1_report.csv": "b7a9059111a6adeafa300e8da82cd573b9d2ec0a51e0cb132212477560080682",
-         "c1_report.json": "dc174d24b83874be2a53de5f59e97673f40451f6e2158275e46e37cc00bb3a33",
-         "c2_report.csv": "78909d7f841612218825f5096975ce5a3bbd293c8f30a812988629cd8ab2f010",
-         "c2_report.json": "b3718c334a01afe92f3d2f8236e86d1224b3dd8d1f7d4fa57b09de8007aa4b7d"}),
+        {"c1_report.csv": "5ab18a51dd2ea015a95525b1e9d47e42bf3cf3e87cfa05fcd55b89c28c343232",
+         "c1_report.json": "4c0832b891a613afdbe105685ae62de831357e48ce5a1e3f5cef71542076a54f",
+         "c2_report.csv": "db4276dbd53c5ae156ed494a5b011562053803b8856a391d86dbefaf0c9da0b3",
+         "c2_report.json": "dab87bf37720ea2fb4bea556ac09f2625ef3f974c6a204c02fb21f4dcd698bb5"}),
     "check-conditions_weighted2d": (
         f"command: check-conditions\ny: {WEIGHTED_2D_Y}\nreplicates: 2100\n",
         {"c1_report.csv": "7459ce3352d147d376947e42972765039f473b5eb2ed9c32b0dc14cd383ac155",
@@ -152,10 +153,10 @@ REPORT_RUNS = {
     "check-conditions_integer_nested": (
         "command: check-conditions\ny: {variant: example3, lambda: 2}\nreplicates: 2100\n"
         "envelope: {kind: poly, beta: 1, coeffs: [8, 4]}\npairs: [[0, 1], [0.25, 0.75]]\n",
-        {"c1_report.csv": "8aee623e9315eca01a52295517c9a0d8cd9133484909aa608502dac6f1077393",
-         "c1_report.json": "dd2b3d80430ada495263b0d11ff82c232a87a234bf9cfe479a3d6145eeb3f398",
-         "c2_report.csv": "022e4c14cfe777b9ac5bdd0969e8d377d4075e34a1f7a9af0b28074ae2dd49b2",
-         "c2_report.json": "2b0346dec209f3c0e32ed01bd4d642f5f56aab3c0b1adcca007ba8c9fd41452d"}),
+        {"c1_report.csv": "89598cfef0f2f2abeb7567f2b67556137df54b43ecfa82d1b3871661d04719bd",
+         "c1_report.json": "88f923fecc9071a569c5366efd6e7ae55a05f7e09b1f5d01a509eae507c670d5",
+         "c2_report.csv": "a6b4a566bbc98c8d03e9dcc01ee5f0edc81f03cbe3b02caebba79c2b5ebc73f2",
+         "c2_report.json": "ef617a039242bad921ab7b8d7bfc327245aa619113d9f7d64af3c36e4c9727bc"}),
     # m = 1.0 is the moment series of E|eps~_i|, which differs from the centered sum of |E eps~_i|
     "constants_table": (
         "command: constants\nalpha: 0.8\n"
