@@ -262,13 +262,13 @@ class EpsilonSpec:
 
     # -- sampling -------------------------------------------------------
 
-    def sample(self, source, size: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``size`` multipliers from ``source``, a generator or a chunk's :class:`_EpsilonSource`,
-        drawn into ``out`` when given (same draws, same bytes).  Rademacher signs are raw bits (see
-        :meth:`_EpsilonSource.signs`); every other family reads one ``random()`` double each."""
+    def sample(self, source: _EpsilonSource, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next ``size`` multipliers of ``source``, drawn into ``out`` when given (same draws,
+        same bytes).  Rademacher signs are raw bits (see :meth:`_EpsilonSource.signs`); every other
+        family reads one ``random()`` double each of the source's generator."""
         if self.family == "rademacher":
-            return (source if isinstance(source, _EpsilonSource) else _EpsilonSource(source)).signs(size, out)
-        v = source.random(size) if out is None else source.random(out=out)
+            return source.signs(size, out)
+        v = source.gen.random(size) if out is None else source.gen.random(out=out)
         if self.family == "uniform_symmetric":
             v *= 2.0
             v -= 1.0
@@ -297,9 +297,6 @@ class _EpsilonSource:
     def __init__(self, gen: np.random.Generator):
         self.gen = gen
         self._bits = np.empty(0, dtype=np.uint8)
-
-    def random(self, size=None, out=None) -> np.ndarray:
-        return self.gen.random(size, out=out)
 
     def signs(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next ``n`` bits ``b`` as signs ``2b - 1``: each raw 64-bit word of the generator gives
@@ -343,16 +340,7 @@ class TermEvents:
 
     @property
     def term_index(self) -> np.ndarray:
-        """The term of each event, built on each read.
-
-        From term offsets, a ``bincount`` of the offsets and its ``cumsum`` cost about 2 ns a term
-        and 3 an event, ``np.repeat`` about 7 ns a term and 1 an event: so blocks of at most 4
-        events a term (Poisson(1) is 10% faster in ``interval_increments``) take the first, denser
-        ones (Poisson(7) is 1-6% slower by it) the second.
-        """
-        k = self.times.size
-        if self.starts is not None and k <= 4 * self.n_terms:
-            return np.cumsum(np.bincount(self.starts[1:-1], minlength=k + 1)[:k])
+        """The term of each event, built on each read."""
         return np.repeat(np.arange(self.n_terms), self.width if self.starts is None else np.diff(self.starts))
 
     def offset(self, n: int) -> int:
@@ -542,7 +530,8 @@ class _PoissonSpec(YGeneratorSpec):
 
     def __post_init__(self) -> None:
         if not (0.0 < self.lam <= _MAX_LAMBDA):
-            raise ConfigurationError(f"poisson intensity must lie in (0, {_MAX_LAMBDA:g}], got {self.lam}")
+            raise ConfigurationError(f"poisson intensity must lie in (0, {_MAX_LAMBDA:g}], got {self.lam}: its count "
+                                     f"table grows like sqrt(lambda), to 1.5 MB at {_MAX_LAMBDA:g}")
         object.__setattr__(self, "_table", _PoissonTable(self.lam))  # built once per spec, not per chunk
 
     def block_sampler(self, stream: RngStream):
@@ -553,7 +542,7 @@ class _PoissonSpec(YGeneratorSpec):
 
 
 # the guide table has a bucket of [0, 1) per 4096th; the cdf table about 19 sqrt(lambda)
-# entries, 190 000 (1.5 MB) at this largest intensity
+# entries, 190 000 (1.5 MB) at this largest intensity, which bounds the table's memory
 _GUIDE_BUCKETS = 4096
 _MAX_LAMBDA = 1e8
 

@@ -211,8 +211,8 @@ def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None =
     buffers and assembled there in place; without one, into fresh arrays.
     """
     n, k, w = spec.truncation_n, m * spec.truncation_n, spec.y_gen.width
-    gamma_gen, eps_gen, y_sampler = draws
-    eps = spec.epsilon.sample(eps_gen, k, _buffer(scratch, "eps", (m, n))).reshape(m, n)
+    gamma_gen, eps_source, y_sampler = draws
+    eps = spec.epsilon.sample(eps_source, k, _buffer(scratch, "eps", (m, n))).reshape(m, n)
     y = (y_sampler.values_at_one(k, _buffer(scratch, "values", (k, spec.dimension))) if at_one
          else y_sampler.take(k, _buffer(scratch, "times", (k * w,)) if w else None))
     if spec.weight_mode == "gamma":  # deterministic weights read no gaps, so none are drawn

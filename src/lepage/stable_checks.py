@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .parallel import map_replicates, replicate_mean_se
-from .random_inputs import ConfigurationError, EpsilonSpec, YGeneratorSpec, term_value_extremes
+from .random_inputs import ConfigurationError, EpsilonSpec, YGeneratorSpec, _EpsilonSource, term_value_extremes
 from .rng import RngStream
 from .series import PathStatsSample
 
@@ -378,7 +378,7 @@ def spectral_estimate(
     if len(set(names)) != len(names):
         raise ConfigurationError(f"event names must be distinct, got {names}")
     def one_chunk(sub, m):
-        eps = eps_spec.sample(sub.substream(0).generator(), m)
+        eps = eps_spec.sample(_EpsilonSource(sub.substream(0).generator()), m)
         blk = y_spec.block_sampler(sub.substream(1)).take(m)
         vmax, vmin = term_value_extremes(blk)
         sup = np.maximum(np.abs(vmax), np.abs(vmin))

@@ -91,7 +91,7 @@ class TestGammaSequence:
 class TestEpsilonSpec:
     def test_rademacher_frequencies(self):
         # balanced overall and at each bit position of the raw words, and no lag-1 dependence
-        draws = EpsilonSpec.rademacher().sample(RngStream(20).generator(), 64 * 20_000)
+        draws = EpsilonSpec.rademacher().sample(_EpsilonSource(RngStream(20).generator()), 64 * 20_000)
         assert set(np.unique(draws)) == {-1.0, 1.0}
         n = draws.size
         assert abs(draws.mean()) < 4.0 / math.sqrt(n)
@@ -102,7 +102,7 @@ class TestEpsilonSpec:
         # oracle by integer shifts: bit b of raw word w is the sign 2 ((w >> b) & 1) - 1
         words = RngStream(22).generator().bit_generator.random_raw(40)
         want = [2.0 * ((int(w) >> b) & 1) - 1.0 for w in words for b in range(64)]
-        assert EpsilonSpec.rademacher().sample(RngStream(22).generator(), 2000).tolist() == want[:2000]
+        assert EpsilonSpec.rademacher().sample(_EpsilonSource(RngStream(22).generator()), 2000).tolist() == want[:2000]
         # a chunk's source keeps the bits a draw leaves, so draws of any sizes read one bit stream
         source = _EpsilonSource(RngStream(22).generator())
         sizes = [1, 63, 64, 65, 0, 130, 7, 1700]
@@ -153,7 +153,7 @@ class TestEpsilonSpec:
     def test_mean_zero_families_average_to_zero(self):
         for spec in (EpsilonSpec.rademacher(), EpsilonSpec.uniform_symmetric(2.0),
                      EpsilonSpec.two_point(0.8, -1.0, 4.0)):
-            draws = spec.sample(RngStream(21).generator(), 10**6)
+            draws = spec.sample(_EpsilonSource(RngStream(21).generator()), 10**6)
             se = draws.std() / math.sqrt(draws.size)
             assert abs(draws.mean()) < 4.0 * se
 
@@ -189,7 +189,7 @@ class TestEpsilonSpec:
 
     def test_draw_reproducible(self):
         spec = EpsilonSpec.table([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
-        first, again = (spec.sample(RngStream(5, 1).generator(), 1)[0] for _ in range(2))
+        first, again = (spec.sample(_EpsilonSource(RngStream(5, 1).generator()), 1)[0] for _ in range(2))
         assert first == again
 
 
@@ -217,10 +217,15 @@ class ZeroingGenerator:
         return self.gen.bit_generator
 
 
+def _eps_draw(spec):
+    """``spec.sample`` from a generator, through a new epsilon source."""
+    return lambda gen, n, out=None: spec.sample(_EpsilonSource(gen), n, out)
+
+
 OUT_DRAWS = {
     "exponentials": _positive_exponentials,
     "open_unit": _draw_open_unit,
-    **{f"eps_{name}": spec.sample for name, spec in {
+    **{f"eps_{name}": _eps_draw(spec) for name, spec in {
         "rademacher": EpsilonSpec.rademacher(),
         "uniform_symmetric": EpsilonSpec.uniform_symmetric(2.5),
         "two_point": EpsilonSpec.two_point(0.8, -1.0, 4.0),
@@ -485,18 +490,6 @@ class TestUserGenerator:
 class TestEventReductions:
     def _events(self, spec, n, seed):
         return spec.block_sampler(RngStream(seed)).take(n)
-
-    # empty first, last and consecutive terms, no events or no terms, at most 4 events a term
-    # (the bincount) and more (the repeat)
-    @pytest.mark.parametrize("counts", [[0, 2, 0, 0, 1, 0], [0, 0, 0], [], [3], [1, 0, 0, 9, 0, 12, 0],
-                                        [0, 9, 0, 0, 12, 1], [5]])
-    def test_term_index_equals_the_repeat_of_term_numbers(self, counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        k = int(starts[-1])
-        block = TermEvents(counts.size, 1, starts, np.full(k, 0.5), np.ones((k, 1)), np.zeros((counts.size, 1)))
-        want = np.repeat(np.arange(counts.size), counts)
-        assert block.term_index.dtype == want.dtype and block.term_index.tolist() == want.tolist()
 
     @pytest.mark.parametrize("y", [poisson_counts(2.0), unit_jump()], ids=["poisson", "unit"])
     def test_terms_slice_a_middle_range_counted_from_zero(self, y):

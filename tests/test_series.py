@@ -63,9 +63,9 @@ def truncate_epsilon(eps: float, index: int, alpha: float) -> float:
 def reference_draws(spec, draws, m, n):
     """Gaps and raw multipliers, both (m, n), and the path events of m replicates of n terms,
     drawn into fresh arrays."""
-    gamma_gen, eps_gen, y_sampler = draws
+    gamma_gen, eps_source, y_sampler = draws
     return (_positive_exponentials(gamma_gen, m * n).reshape(m, n),
-            spec.epsilon.sample(eps_gen, m * n).reshape(m, n), y_sampler.take(m * n))
+            spec.epsilon.sample(eps_source, m * n).reshape(m, n), y_sampler.take(m * n))
 
 
 def reference_assembly(spec, gaps, eps):

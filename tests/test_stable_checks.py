@@ -9,6 +9,7 @@ from lepage.random_inputs import (
     ConfigurationError,
     EpsilonSpec,
     JumpHeightDist,
+    _EpsilonSource,
     poisson_counts,
     unit_jump,
     weighted_jumps,
@@ -208,7 +209,7 @@ def raw_moment_spectral(eps_spec, y, alpha, events, replicates, stream):
     divide by R, not R - 1."""
 
     def one_chunk(sub, m):
-        eps = eps_spec.sample(sub.substream(0).generator(), m)
+        eps = eps_spec.sample(_EpsilonSource(sub.substream(0).generator()), m)
         vmax, vmin = stable_checks.term_value_extremes(y.block_sampler(sub.substream(1)).take(m))
         sup = np.maximum(np.abs(vmax), np.abs(vmin))
         w = np.abs(eps) ** alpha * sup**alpha
