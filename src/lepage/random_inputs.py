@@ -514,7 +514,7 @@ class _WeightedJumpsSampler:
         return TermEvents(n, d, None, times.reshape(-1), heights.reshape(-1, d), np.broadcast_to(0.0, (n, d)), p)
 
     def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
-        out.fill(0.0)  # the heights from +0.0 in component order, as _masked_term_sums adds
+        out.fill(0.0)  # the heights from +0.0 in component order, as interval_increments adds
         for gen in self._heights:
             out += self.spec.height_dist.sample(gen, n)
         return out  # the initial +0.0 added to a sum that is not -0.0 changes no bit
@@ -673,41 +673,34 @@ def user_paths(paths) -> YGeneratorSpec:
 # ---------------------------------------------------------------------------
 
 
-def _masked_term_sums(events: TermEvents, masks, out: np.ndarray) -> np.ndarray:
-    """Sum of the event heights per term under each of the event ``masks``, written into ``out``
-    (n_terms, len(masks), d).
-
-    Every block, of fixed width or not, is one full-length ``np.bincount`` per
-    coordinate over ``height * mask``: each term's heights add in event order
-    from +0.0, and a masked-off height adds +0.0 or -0.0.  That gives the bits
-    of a sum over the masked events alone: a sum that starts at +0.0 never
-    becomes -0.0, so adding a signed zero changes no bit.  It needs finite
-    heights (``inf * 0`` is nan), which every generator ensures.
-    """
-    index, weights = events.term_index, np.empty(events.times.size)  # once for all masks
-    for i, mask in enumerate(masks):
-        for j in range(events.dimension):
-            out[:, i, j] = np.bincount(index, np.multiply(events.heights[:, j], mask, out=weights), events.n_terms)
-    return out
-
-
 def interval_increments(events: TermEvents, intervals, out: np.ndarray | None = None) -> np.ndarray:
     """Per-term increments ``Y(b) - Y(a)`` for each half-open interval (a, b].
 
     Returns shape ``(n_terms, len(intervals), d)``, written into ``out`` when given.
+    This is the one masked sum: every block, of fixed width or not, is one
+    full-length ``np.bincount`` per coordinate over ``height * mask``.  Each
+    term's heights add in event order from +0.0, and a masked-off height adds
+    +0.0 or -0.0.  That gives the bits of a sum over the masked events alone:
+    a sum that starts at +0.0 never becomes -0.0, so adding a signed zero
+    changes no bit.  It needs finite heights (``inf * 0`` is nan), which every
+    generator ensures.
     """
     out = np.empty((events.n_terms, len(intervals), events.dimension)) if out is None else out
     for a, b in intervals:
         if not 0.0 <= a <= b <= 1.0:
             raise ConfigurationError(f"interval must satisfy 0 <= a <= b <= 1, got ({a}, {b})")
-    return _masked_term_sums(events, ((events.times > a) & (events.times <= b) for a, b in intervals), out)
+    index, weights = events.term_index, np.empty(events.times.size)  # once for all intervals
+    for i, (a, b) in enumerate(intervals):
+        mask = (events.times > a) & (events.times <= b)
+        for j in range(events.dimension):
+            out[:, i, j] = np.bincount(index, np.multiply(events.heights[:, j], mask, out=weights), events.n_terms)
+    return out
 
 
 def values_at(events: TermEvents, ts, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-term path values at each time, shape ``(n_terms, len(ts), d)``, into ``out`` when given."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    out = np.empty((events.n_terms, ts.size, events.dimension)) if out is None else out
-    _masked_term_sums(events, (events.times <= t for t in ts), out)
+    """Per-term path values at each time in [0, 1], shape ``(n_terms, len(ts), d)``, into ``out`` when
+    given: the initial values plus the increments over ``(0, t]`` (every event time lies in (0, 1])."""
+    out = interval_increments(events, [(0.0, t) for t in np.atleast_1d(np.asarray(ts, dtype=np.float64))], out)
     out += events.initials[:, None, :]
     return out
 

@@ -1,13 +1,12 @@
 """Distributional checks on the simulated limit.
 
-Marginal samples of the series are probed for heavy-tail index (log-log
-regression on the empirical characteristic function), for the defining
-sum-stability property (two independent copies, rescaled by ``2^(1/alpha)``,
-must reproduce the law), and for family membership against an exact
-symmetric-stable oracle sampler that shares no code with the series
-construction.  Path samples are probed for their directional distribution
-(spectral masses of named sphere events) and for the regular-variation
-tail limit with its normalizing quantiles ``b_n``.
+Marginal samples of the series are probed for the defining sum-stability
+property (two independent copies, rescaled by ``2^(1/alpha)``, must
+reproduce the law).  Path samples are probed for their directional
+distribution (spectral masses of named sphere events) and for the
+regular-variation tail limit with its normalizing quantiles ``b_n``.  The
+tail-index fit and the exact stable sampler that gates c08 and c10 read
+are test oracles and live in ``tests/stable_oracles.py``.
 
 ``b_n`` deserves a note: the defining display reads like a lower quantile
 (``P(norm < r) <= 1/n``), which would not normalize the upper tail, so this
@@ -29,12 +28,7 @@ from .rng import RngStream
 from .series import PathStatsSample
 
 __all__ = [
-    "WindowError",
     "DegenerateGeneratorError",
-    "auto_window",
-    "AlphaEstimate",
-    "estimate_alpha",
-    "stable_oracle",
     "ks_statistic",
     "ks_threshold",
     "StabilityResult",
@@ -49,14 +43,11 @@ __all__ = [
     "RegVarRow",
     "RegVarTable",
     "regular_variation_table",
-    "FamilyDistance",
-    "oracle_family_distance",
     "BN_CONVENTION_NOTE",
 ]
 
 _TAG_SPECTRAL = 301
 _TAG_STABILITY = 302
-_TAG_ORACLE = 303
 
 BN_CONVENTION_NOTE = (
     "b_n computed as the upper-tail quantile inf{r : P(norm > r) <= 1/n}; "
@@ -64,18 +55,8 @@ BN_CONVENTION_NOTE = (
 )
 
 
-_FLOAT = np.finfo(np.float64)
-# |ecf| band of the regression window, its log-spaced points, and the blocks of its SE
-_ECF_BAND = (0.05, 0.95)
-_GRID_SIZE = 32
-_SE_BLOCKS = 8
-# the level of the sum-stability KS test, and the oracle pairs of the family-distance baseline
+# the level of the sum-stability KS test
 _KS_LEVEL = 0.01
-_BASELINE_PAIRS = 9
-
-
-class WindowError(ValueError):
-    """Raised when the characteristic-function window is unusable."""
 
 
 class DegenerateGeneratorError(ValueError):
@@ -87,133 +68,6 @@ def _values(samples) -> np.ndarray:
     if v.size == 0:
         raise ConfigurationError("sample set must be nonempty")
     return v
-
-
-# ---------------------------------------------------------------------------
-# empirical characteristic function and tail index
-# ---------------------------------------------------------------------------
-
-
-def _abs_ecf(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.abs(np.exp(1j * u[:, None] * x[None, :]).mean(axis=1))
-
-
-def auto_window(samples) -> tuple[float, float]:
-    """The u-range on which ``|ecf|`` runs from 0.95 down to 0.05, bisected in ``log u``.
-
-    log(-log|ecf|) is numerically unstable outside roughly (0.05, 0.95), so the
-    regression window is confined there.  Each edge is one bisection whose
-    bracket is the float range: from the smallest normal float to the largest
-    ``u`` at which every ``u * x`` stays finite, so the window of any scale,
-    however small ``alpha`` makes it, lies inside the bracket.
-    """
-    x = _values(samples)
-    scale = float(np.max(np.abs(x)))
-    if not 0.0 < scale < math.inf:
-        raise WindowError(f"samples of largest magnitude {scale} have no ecf window; they look degenerate")
-    bottom = math.log(_FLOAT.tiny)
-    top = math.log(_FLOAT.max) - max(math.log(scale), 0.0) - 1.0  # u * x stays below max / e
-
-    def modulus(log_u: float) -> float:
-        return float(_abs_ecf(x, np.array([math.exp(log_u)]))[0])
-
-    lo, hi = _ECF_BAND
-    if not modulus(top) < lo:
-        raise WindowError("could not push |ecf| below the lower band; samples look degenerate")
-    if not modulus(bottom) > hi:
-        raise WindowError("could not push |ecf| above the upper band; samples look degenerate")
-
-    def crossing(target: float) -> tuple[float, float]:
-        a, b = bottom, top  # modulus(a) > target >= modulus(b)
-        for _ in range(64):  # the bracket spans under 1420 in log u: 64 halvings pin u to a float's precision
-            mid = 0.5 * (a + b)
-            a, b = (mid, b) if modulus(mid) > target else (a, mid)
-        return a, b
-
-    lo_edge, hi_edge = math.exp(crossing(hi)[1]), math.exp(crossing(lo)[0])
-    if not lo_edge < hi_edge:
-        raise WindowError(f"degenerate ecf window [{lo_edge}, {hi_edge}]")
-    return lo_edge, hi_edge
-
-
-@dataclass(frozen=True)
-class AlphaEstimate:
-    alpha: float
-    se: float
-    u_min: float
-    u_max: float
-    n_samples: int
-
-
-def estimate_alpha(samples) -> AlphaEstimate:
-    """Tail index via the log-log slope of ``-log|ecf|``.
-
-    For a strictly stable law ``-log|cf(u)| = (scale * u)^alpha`` whatever its
-    skewness, which moves only the phase of ``cf`` (Samorodnitsky & Taqqu
-    1994, Thm 1.4.5), so ``log(-log|ecf|)`` is affine in ``log u`` with slope
-    alpha for skewed samples too.  The slope
-    is fit by least squares on 32 log-spaced points inside the window of
-    :func:`auto_window`; the standard error is that of the slopes refit on
-    8 disjoint sample blocks, by :func:`replicate_mean_se`.
-    """
-    x = _values(samples)
-    u_min, u_max = auto_window(x)
-    u = np.exp(np.linspace(math.log(u_min), math.log(u_max), _GRID_SIZE))
-    mod = _abs_ecf(x, u)
-    if np.any(mod == 0.0) or np.any(mod >= 1.0):
-        raise WindowError("|ecf| hit 0 or 1 inside the window; samples look degenerate")
-    slope = _loglog_slope(u, mod)
-    block = x.size // _SE_BLOCKS
-    se = math.inf
-    if block >= 2:
-        slopes = [_loglog_slope(u, np.clip(_abs_ecf(x[b * block: (b + 1) * block], u), 1e-300, 1.0 - 1e-12))
-                  for b in range(_SE_BLOCKS)]
-        se = float(replicate_mean_se([slopes])[1][0])
-    return AlphaEstimate(slope, se, u_min, u_max, x.size)
-
-
-def _loglog_slope(u: np.ndarray, mod: np.ndarray) -> float:
-    xs = np.log(u)
-    ys = np.log(-np.log(mod))
-    xbar = xs.mean()
-    return float(np.dot(xs - xbar, ys - ys.mean()) / np.dot(xs - xbar, xs - xbar))
-
-
-# ---------------------------------------------------------------------------
-# exact symmetric stable oracle
-# ---------------------------------------------------------------------------
-
-
-def stable_oracle(alpha: float, scale: float, stream: RngStream, size: int = 1) -> np.ndarray:
-    """Exact symmetric alpha-stable draws via the trigonometric transform.
-
-    Independent of the series construction: one uniform angle on
-    (-pi/2, pi/2) and one unit exponential per draw.  ``alpha = 2`` reduces
-    to Normal(0, 2 scale^2), ``alpha = 1`` to Cauchy(scale).
-    """
-    if not 0.0 < alpha <= 2.0:
-        raise ConfigurationError(f"oracle is defined for alpha in (0, 2], got {alpha}")
-    if scale <= 0.0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
-    gen = stream.generator()
-    u = gen.random(size)
-    w = gen.standard_exponential(size)
-    while True:
-        bad = (u == 0.0) | (w == 0.0)
-        if not bad.any():
-            break
-        k = int(bad.sum())
-        u[bad] = gen.random(k)
-        w[bad] = gen.standard_exponential(k)
-    theta = math.pi * (u - 0.5)
-    if alpha == 1.0:
-        return scale * np.tan(theta)
-    x = (
-        np.sin(alpha * theta)
-        / np.cos(theta) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha)
-    )
-    return scale * x
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +315,6 @@ class RegVarTable:
     rows: tuple[RegVarRow, ...]
     convention_note: str = BN_CONVENTION_NOTE
 
-    def exceed_counts(self) -> dict:
-        return {row.r: row.exceed_count for row in self.rows if row.event == "full_sphere"}
-
 
 def regular_variation_table(
     stats: PathStatsSample,
@@ -503,47 +354,3 @@ def regular_variation_table(
         rows += [RegVarRow(r, ev.name, count, p, s, None if sigma is None else sigma.mass(ev.name),
                            n * count / n_paths, r**-alpha) for ev, p, s in zip(events, cond, se)]
     return RegVarTable(b_n, n, alpha, n_paths, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# family membership against the oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FamilyDistance:
-    ks: float
-    baseline_median: float
-    scale: float
-    n: int
-
-    @property
-    def ratio(self) -> float:
-        return self.ks / self.baseline_median
-
-
-def oracle_family_distance(samples, alpha: float, stream: RngStream) -> FamilyDistance:
-    """KS distance to the stable family, scale calibrated by quartile matching.
-
-    The unknown scale of the limit marginal is never asserted; it is
-    estimated by matching interquartile ranges against a unit-scale oracle
-    draw, then the sample set is compared to an oracle set of that scale.
-    The baseline is the median KS distance between independent oracle
-    pairs of the same size, i.e. the pure sampling-noise floor.
-    """
-    x = _values(samples)
-    nx = x.size
-    ref = stable_oracle(alpha, 1.0, stream.substream(_TAG_ORACLE, 0), nx)
-    iqr_ref = float(np.subtract(*np.percentile(ref, [75, 25])))
-    iqr_x = float(np.subtract(*np.percentile(x, [75, 25])))
-    if iqr_ref <= 0 or iqr_x <= 0:
-        raise ConfigurationError("interquartile calibration failed (degenerate samples)")
-    scale = iqr_x / iqr_ref
-    oracle = stable_oracle(alpha, scale, stream.substream(_TAG_ORACLE, 1), nx)
-    d_obs = ks_statistic(x, oracle)
-    baseline = []
-    for b in range(_BASELINE_PAIRS):
-        a = stable_oracle(alpha, scale, stream.substream(_TAG_ORACLE, 2 + 2 * b), nx)
-        c = stable_oracle(alpha, scale, stream.substream(_TAG_ORACLE, 3 + 2 * b), nx)
-        baseline.append(ks_statistic(a, c))
-    return FamilyDistance(d_obs, float(np.median(baseline)), scale, nx)

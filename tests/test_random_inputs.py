@@ -552,6 +552,14 @@ class TestEventReductions:
         vals = values_at(events, [0.4999, 0.5, 1.0])
         assert np.array_equal(vals[:, :, 0], [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
 
+    @pytest.mark.parametrize("t", [-0.5, 1.5, math.nan])
+    def test_values_at_refuses_a_time_outside_the_unit_interval(self, t):
+        # values at t are the increments over (0, t], so t must lie in [0, 1] as an interval end does
+        events = self._events(unit_jump(), 5, 45)
+        with pytest.raises(ConfigurationError, match="0 <= a <= b <= 1"):
+            values_at(events, [0.5, t])
+        assert values_at(events, [0.0])[:, 0, 0].tolist() == [0.0] * 5
+
 
 def _signed_weighted_jumps():
     cdfs = [CdfGrid.uniform(), CdfGrid(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.9, 1.0])),

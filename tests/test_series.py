@@ -844,13 +844,14 @@ def truncated_limit_cf(alpha, u, n, y_atoms=(1.0,), y_probs=(1.0,)):
     ``sum_{i<=n} Gamma_i^(-1/alpha) eps_i Y_i`` with Rademacher ``eps`` and ``Y`` on the
     given atoms (unit jumps at t = 1: ``Y = 1``).
 
-    ``C_alpha = (1 - alpha) / (Gamma(2 - alpha) cos(pi alpha / 2))``
-    (Samorodnitsky & Taqqu 1994, Thm 1.4.5) and
+    ``C_alpha = (1 - alpha) / (Gamma(2 - alpha) cos(pi alpha / 2))``, with its limit
+    ``C_1 = 2 / pi`` at alpha 1 (Samorodnitsky & Taqqu 1994, Thm 1.4.5), and
     ``rho_n(u) = E int_n^inf (cos(u s^(-1/alpha) Y) - 1) ds``, summed as its power
     series, whose k-th term carries ``E[Y^(2k)]``.
     """
     y, p = np.asarray(y_atoms, dtype=float), np.asarray(y_probs, dtype=float)
-    c_alpha = (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0))
+    c_alpha = (2.0 / math.pi if alpha == 1.0
+               else (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0)))
     rho = sum((-1) ** k * u ** (2 * k) * float(p @ y ** (2 * k)) * n ** (1.0 - 2.0 * k / alpha)
               / (math.factorial(2 * k) * (2.0 * k / alpha - 1.0)) for k in range(1, 30))
     return math.exp(-float(p @ np.abs(y) ** alpha) * abs(u) ** alpha / c_alpha - rho)
@@ -866,7 +867,7 @@ def assert_cf_matches(x, alpha, n, y_atoms=(1.0,), y_probs=(1.0,)):
 class TestLimitLawScale:
     """Pins the scale of the simulated limit, which c08-c10 leave free."""
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.2, 1.5, 1.8])
     def test_characteristic_function_at_one(self, alpha):
         n, samples = 500, 20_000
         x = sample_marginals(rademacher_spec(alpha=alpha, n=n, seed=4), 1.0, samples)[:, 0]
