@@ -458,9 +458,7 @@ def _cmd_simulate(cfg, writer) -> int:
         return {"replicate": r, "terms_used": result.terms_used,
                 "sup_norm": paths_mod.sup_norm(path), "file": name}
 
-    # replicate r draws from RngStream(seed, r), so threads move no byte; a pool for one replicate costs memory
-    run = chunk_runner(cfg.threads if cfg.replicates > 1 else 1)
-    index_rows = run(one_replicate, [(r, 1) for r in range(cfg.replicates)])
+    index_rows = chunk_runner(cfg.threads)(one_replicate, [(r, 1) for r in range(cfg.replicates)])
     payload = {"spec": spec.echo(), "replicates": cfg.replicates, "samples": index_rows}
     writer.emit("samples", index_rows, ["replicate", "terms_used", "sup_norm", "file"], payload)
     return 0
@@ -515,7 +513,7 @@ def _cmd_partitions(cfg, writer) -> int:
 def _cmd_tightness(cfg, writer) -> int:
     envelopes = (cfg.envelope,) * 2 if cfg.envelope is not None else None
     spec = cfg.series_spec(truncation_n=cfg.n, weight_mode="deterministic", epsilon_mode="truncated")
-    report = diag.tightness_functional(spec, cfg.n, cfg.triples, cfg.replicates, envelopes, cfg.threads)
+    report = diag.tightness_functional(spec, cfg.triples, cfg.replicates, envelopes, cfg.threads)
     rows = [{**row, "n": cfg.n} for row in report.rows()]
     writer.emit("tightness", rows, ["t1", "t", "t2", "n", "estimate", "se", "envelope", "verdict"],
                 {"spec": spec.echo(), "n": cfg.n, "replicates": cfg.replicates, "entries": rows})

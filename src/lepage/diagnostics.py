@@ -26,7 +26,7 @@ Dhat_tau``, for every triple of a grid from one series run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -538,7 +538,6 @@ def partition_envelope_exponents(tau: Partition) -> tuple[float, float]:
 
 def tightness_functional(
     spec: SeriesSpec,
-    n: int,
     triples,
     replicates: int,
     envelopes: tuple[MomentEnvelope, MomentEnvelope] | None = None,
@@ -547,8 +546,8 @@ def tightness_functional(
     """Fourth moment of weighted partial-sum increments vs its assembled bound, per triple.
 
     Requires ``epsilon_mode='truncated'`` and ``weight_mode='deterministic'``
-    (the partial sums whose tightness the bound controls).  The report, of kind
-    ``"tightness"`` and meta ``{"n": n}``, has the entries of the moment reports:
+    (the partial sums whose tightness the bound controls), at ``n = spec.truncation_n``.
+    The report, of kind ``"tightness"`` and meta ``{"n": n}``, has the entries of the moment reports:
     the estimate of ``E|X_n(t2)-X_n(t)|^2 |X_n(t)-X_n(t1)|^2`` against the bound
     ``d^2 * sum_tau S_{n,tau} * Dhat_tau(t1, t, t2)``, with the envelope exponents
     of :func:`partition_envelope_exponents`.
@@ -569,14 +568,15 @@ def tightness_functional(
     checked = _checked_times("tightness", triples)
     if replicates < 2:
         raise ConfigurationError(f"need at least 2 replicates, got {replicates}")
+    meta = {"n": spec.truncation_n}
     if not checked:
-        return MomentReport("tightness", (), replicates, {"n": int(n)})
+        return MomentReport("tightness", (), replicates, meta)
     intervals = [iv for t1, t_mid, t2 in checked for iv in ((t1, t_mid), (t_mid, t2))]
-    inc = sample_weighted_increments(replace(spec, truncation_n=int(n)), intervals, replicates, threads)
+    inc = sample_weighted_increments(spec, intervals, replicates, threads)
     stats = _span_products(inc, 2)
 
     env1, env2 = envelopes if envelopes is not None else default_envelopes(spec.y_gen)
-    terms = [(partition_sum(tau, spec.alpha, spec.epsilon, int(n)), partition_envelope_exponents(tau))
+    terms = [(partition_sum(tau, spec.alpha, spec.epsilon, spec.truncation_n), partition_envelope_exponents(tau))
              for tau in enumerate_partitions()]
 
     def bound(t1, t2) -> float:
@@ -586,4 +586,4 @@ def tightness_functional(
             total += s_val * g1**p * g2**q
         return spec.dimension**2 * total
 
-    return _assemble_report("tightness", checked, stats, [bound(t1, t2) for t1, _, t2 in checked], {"n": int(n)})
+    return _assemble_report("tightness", checked, stats, [bound(t1, t2) for t1, _, t2 in checked], meta)

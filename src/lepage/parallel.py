@@ -43,12 +43,12 @@ def resolve_threads(threads) -> int:
 
 
 def chunk_runner(threads):
-    """A ``run(fn, ranges)`` callable returning ``[fn(c, m) for c, m in ranges]``."""
+    """A ``run(fn, ranges)`` callable returning ``[fn(c, m) for c, m in ranges]``, on a pool only for two or more."""
     t = resolve_threads(threads)
-    if t <= 1:
-        return lambda fn, ranges: [fn(c, m) for c, m in ranges]
 
     def run(fn, ranges):
+        if t <= 1 or len(ranges) <= 1:
+            return [fn(c, m) for c, m in ranges]
         with ThreadPoolExecutor(max_workers=t) as pool:
             futures = [pool.submit(fn, c, m) for c, m in ranges]
             return [f.result() for f in futures]

@@ -114,7 +114,7 @@ class StepPath:
         """Value at time(s) ``t`` in [0, 1], the post-jump value at a jump time (right-continuity).
         Scalar ``t`` gives shape ``(d,)``; an array gives ``(len(t), d)``."""
         ts = np.asarray(t, dtype=np.float64)
-        if np.any(ts < 0.0) or np.any(ts > 1.0):
+        if not np.all((ts >= 0.0) & (ts <= 1.0)):  # nan fails both
             raise DomainError(f"evaluation time outside [0, 1]: {t!r}")
         # searchsorted(right) counts jumps with time <= t; index 0 is the initial segment
         return self.segment_values()[np.searchsorted(self.jump_times, ts, side="right")]

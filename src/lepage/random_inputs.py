@@ -63,10 +63,10 @@ class ConfigurationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _buffer(scratch: dict | None, name: str, shape) -> np.ndarray | None:
-    """A float64 ``shape`` view of ``scratch[name]``, grown when too small; None without scratch."""
+def _buffer(scratch: dict | None, name: str, shape) -> np.ndarray:
+    """A float64 ``shape`` view of ``scratch[name]``, grown when too small; a fresh array without scratch."""
     if scratch is None:
-        return None
+        return np.empty(shape)
     size = math.prod(shape)
     if name not in scratch or scratch[name].size < size:
         scratch[name] = np.empty(size)
@@ -425,13 +425,12 @@ class YGeneratorSpec:
 
     variant: str = "base"
     dimension: int = 1
-    width: int | None = None  # events per path, when fixed (see TermEvents)
 
     def block_sampler(self, stream: RngStream):
         """A stateful sampler of this spec's paths from ``stream``, handing out terms in order.  Its
-        ``take(n, out)`` returns the next ``n`` terms' :class:`TermEvents`, drawing a fixed-width block's
-        jump times into ``out`` when given; its ``values_at_one(n, out)`` writes the next ``n`` terms'
-        ``Y(1)`` into ``out`` (n, d) with the bytes of ``values_at``, drawing no jump location."""
+        ``take(n, scratch=None)`` returns the next ``n`` terms' :class:`TermEvents` (fixed-width jump times
+        drawn into ``scratch["times"]``); its ``values_at_one(n, out)`` writes the next ``n`` terms' ``Y(1)``
+        into ``out`` (n, d) with the bytes of ``values_at``, drawing no jump location."""
         raise NotImplementedError
 
     def echo(self) -> dict:
@@ -444,7 +443,6 @@ class _UnitJumpSpec(YGeneratorSpec):
 
     variant: str = "example1"
     dimension: int = 1
-    width = 1
 
     def block_sampler(self, stream: RngStream):
         return _UnitJumpSampler(self, stream)
@@ -455,8 +453,8 @@ class _UnitJumpSampler:
         self.spec = spec
         self._loc = stream.substream(0).generator()
 
-    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
-        return TermEvents(n, 1, None, _draw_open_unit(self._loc, n, out),
+    def take(self, n: int, scratch: dict | None = None) -> TermEvents:
+        return TermEvents(n, 1, None, _draw_open_unit(self._loc, n, _buffer(scratch, "times", (n,))),
                           np.broadcast_to(1.0, (n, 1)), np.broadcast_to(0.0, (n, 1)), 1)
 
     def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
@@ -477,15 +475,13 @@ class _WeightedJumpsSpec(YGeneratorSpec):
             raise ConfigurationError("weighted_jumps needs at least one location cdf")
         object.__setattr__(self, "dimension", self.height_dist.dimension)
         m4 = self.height_dist.fourth_moment()
-        if m4 > self.fourth_moment_bound * (1.0 + 1e-12):  # the default envelope is built from the bound
+        if not m4 <= self.fourth_moment_bound * (1.0 + 1e-12):  # refuses a nan bound; the default envelope reads it
             raise ConfigurationError(f"declared fourth-moment bound {self.fourth_moment_bound} is exceeded by "
                                      f"the height distribution's E|R|^4 = {m4}")
 
     @property
     def p(self) -> int:
         return len(self.cdfs)
-
-    width = p
 
     def block_sampler(self, stream: RngStream):
         return _WeightedJumpsSampler(self, stream)
@@ -502,10 +498,10 @@ class _WeightedJumpsSampler:
         self._locs = [stream.substream(0, j).generator() for j in range(spec.p)]
         self._heights = [stream.substream(1, j).generator() for j in range(spec.p)]
 
-    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
+    def take(self, n: int, scratch: dict | None = None) -> TermEvents:
         spec: _WeightedJumpsSpec = self.spec
         p, d = spec.p, spec.dimension
-        times = np.empty((n, p)) if out is None else out.reshape(n, p)
+        times = _buffer(scratch, "times", (n, p))
         heights = np.empty((n, p, d))
         for j, (cdf, loc) in enumerate(zip(spec.cdfs, self._locs)):
             # inverse cdf can land on 0 where the grid starts flat
@@ -588,7 +584,7 @@ class _PoissonSampler:
         self._counts = stream.substream(0).generator()
         self._locs = stream.substream(1).generator()
 
-    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
+    def take(self, n: int, scratch: dict | None = None) -> TermEvents:
         starts = np.concatenate(([0], np.cumsum(self.spec._table.counts(self._counts, n))))
         total = int(starts[-1])
         return TermEvents(n, 1, starts, _draw_open_unit(self._locs, total),
@@ -600,10 +596,10 @@ class _PoissonSampler:
 
 @dataclass(frozen=True, eq=False)
 class _UserSpec(YGeneratorSpec):
-    """A pool of step paths: path k is term k of ``pool``, with ``Y(1) = at_one[k]``."""
+    """A pool of step paths: path k is term k of ``pool``, with ``Y(1) = y1[k]``."""
 
     pool: TermEvents
-    at_one: np.ndarray  # (k, d)
+    y1: np.ndarray  # (k, d)
     dimension: int = 1
     variant: str = "user"
 
@@ -616,7 +612,7 @@ class _UserSampler:
         self.spec = spec
         self._gen = stream.substream(0).generator()
 
-    def take(self, n: int, out: np.ndarray | None = None) -> TermEvents:
+    def take(self, n: int, scratch: dict | None = None) -> TermEvents:
         pool: TermEvents = self.spec.pool
         pick = self._gen.integers(pool.n_terms, size=n)
         counts = pool.starts[pick + 1] - pool.starts[pick]
@@ -626,7 +622,7 @@ class _UserSampler:
                           _rows(pool.initials, pick))
 
     def values_at_one(self, n: int, out: np.ndarray) -> np.ndarray:
-        return np.take(self.spec.at_one, self._gen.integers(self.spec.pool.n_terms, size=n), axis=0, out=out)
+        return np.take(self.spec.y1, self._gen.integers(self.spec.pool.n_terms, size=n), axis=0, out=out)
 
 
 def unit_jump() -> YGeneratorSpec:

@@ -141,14 +141,15 @@ def _replicate_coeffs(spec: SeriesSpec, stream: RngStream | None, n: int) -> tup
     A non-finite coefficient raises :class:`ConfigurationError` naming alpha and the replicate.
     """
     stream = RngStream(spec.seed) if stream is None else stream
+    draws = _chunk_draws(spec, stream)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its cause
-        coeffs, events = _chunk_coeffs(replace(spec, truncation_n=n), _chunk_draws(spec, stream), 1)
+        coeffs = _chunk_coeffs(replace(spec, truncation_n=n), draws, 1)
     bad = np.flatnonzero(~np.isfinite(coeffs[0]))
     if bad.size:
         raise ConfigurationError(f"alpha {spec.alpha}: replicate {stream.stream_id} has coefficient "
                                  f"{coeffs[0, bad[0]]} at term {bad[0] + 1}; small alpha overflows "
                                  "Gamma_i^(-1/alpha)")
-    return coeffs[0], events
+    return coeffs[0], draws[2].take(n)
 
 
 def partial_sum(
@@ -198,23 +199,18 @@ def _chunk_draws(spec: SeriesSpec, stream: RngStream) -> tuple:
             spec.y_gen.block_sampler(stream.substream(_Y_ROLE)))
 
 
-def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None = None,
-                  at_one: bool = False) -> tuple:
-    """One tile: the next m replicates of n terms from a chunk's draws; coeffs (m, n) and events,
-    or with ``at_one`` each term's ``Y(1)`` (m * n, d) in ``scratch``, drawing no jump locations.
+def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None = None) -> np.ndarray:
+    """One tile: the coefficients ``w_i eps_i`` (m, n) of the next m replicates of n terms, from a
+    chunk's gaps and multipliers; its paths are drawn by each reduce (see :func:`_sample_chunks`).
 
-    Event term index k encodes (replicate k // n, term k % n) within the tile.
     Generators consume their streams in sequence, so consecutive tiles get the
-    draws of one call over the whole chunk, save where a 0.0 is redrawn; equal
-    jump times are kept, and the path reducers decide ties.
-    Gaps, multipliers and fixed-width jump times are drawn into the ``scratch``
-    buffers and assembled there in place; without one, into fresh arrays.
+    draws of one call over the whole chunk, save where a 0.0 is redrawn.
+    Gaps and multipliers are drawn into the ``scratch`` buffers and assembled
+    there in place; without one, into fresh arrays.
     """
-    n, k, w = spec.truncation_n, m * spec.truncation_n, spec.y_gen.width
-    gamma_gen, eps_source, y_sampler = draws
+    n, k = spec.truncation_n, m * spec.truncation_n
+    gamma_gen, eps_source, _ = draws
     eps = spec.epsilon.sample(eps_source, k, _buffer(scratch, "eps", (m, n))).reshape(m, n)
-    y = (y_sampler.values_at_one(k, _buffer(scratch, "values", (k, spec.dimension))) if at_one
-         else y_sampler.take(k, _buffer(scratch, "times", (k * w,)) if w else None))
     if spec.weight_mode == "gamma":  # deterministic weights read no gaps, so none are drawn
         weights = _positive_exponentials(gamma_gen, k, _buffer(scratch, "gaps", (m, n))).reshape(m, n)
         np.cumsum(weights, axis=1, out=weights)
@@ -228,12 +224,15 @@ def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None =
             r = int(min(n, np.float64(spec.epsilon.max_abs()) ** spec.alpha * (1.0 + 1e-9)))
         _truncate_block(eps[:, :r], np.arange(1, r + 1, dtype=np.float64), spec.alpha,
                         _buffer(scratch, "mag", (m, r)))
-    return np.multiply(weights, eps, out=eps), y
+    return np.multiply(weights, eps, out=eps)
 
 
-def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads, at_one=False) -> list[np.ndarray]:
-    """Each field of ``reduce(coeffs, y, k, scratch)`` over the tiles of all chunks, concatenated.
+def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) -> list[np.ndarray]:
+    """Each field of ``reduce(coeffs, paths, m, scratch)`` over the tiles of all chunks, concatenated.
 
+    A tile of m replicates has the (m, n) ``coeffs`` of :func:`_chunk_coeffs`; the reduce draws its
+    ``m * n`` paths from the chunk's sampler ``paths``, term k for (replicate k // n, term k % n), by
+    ``take`` or ``values_at_one``.  Equal jump times are kept, and the path reducers decide ties.
     Chunk ``c`` draws from ``RngStream(spec.seed).substream(tag, c)``, so the result is a
     pure function of ``(spec, tag, n_samples)``.  Each chunk call owns a ``scratch`` of
     tile-sized buffers that all its tiles draw, assemble and reduce into, never shared.
@@ -247,7 +246,7 @@ def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads, 
         draws, tile = _chunk_draws(spec, stream), max(2, _TILE_EVENTS // max(1, spec.truncation_n))
         bounds, scratch = [*range(0, max(m - 1, 1), tile), m], {}
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its cause
-            return [reduce(*_chunk_coeffs(spec, draws, b - a, scratch, at_one), b - a, scratch)
+            return [reduce(_chunk_coeffs(spec, draws, b - a, scratch), draws[2], b - a, scratch)
                     for a, b in zip(bounds, bounds[1:])]
 
     parts = map_replicates(one_chunk, RngStream(spec.seed).substream(tag), n_samples,
@@ -268,12 +267,12 @@ def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, threads=1) -> n
         raise ConfigurationError(f"marginal time must lie in [0, 1], got {t}")
     n, d = spec.truncation_n, spec.dimension
 
-    def reduce(coeffs, y, m, scratch):
-        if t != 1.0:  # y holds the events, else each term's Y(1) in the same buffer
-            y = values_at(y, [t], _buffer(scratch, "values", (m * n, 1, d)))[:, 0, :]
+    def reduce(coeffs, paths, m, scratch):
+        y = (paths.values_at_one(m * n, _buffer(scratch, "values", (m * n, d))) if t == 1.0
+             else values_at(paths.take(m * n, scratch), [t], _buffer(scratch, "values", (m * n, 1, d))))
         return (np.einsum("mi,mid->md", coeffs, y.reshape(m, n, d)),)
 
-    return _sample_chunks(spec, _TAG_MARGINAL, n_samples, reduce, threads, t == 1.0)[0]
+    return _sample_chunks(spec, _TAG_MARGINAL, n_samples, reduce, threads)[0]
 
 
 @dataclass(frozen=True)
@@ -304,8 +303,8 @@ def sample_path_stats(spec: SeriesSpec, n_samples: int, threads=1) -> PathStatsS
     """Norms and extreme segment values of i.i.d. partial-sum paths: each tile's
     :func:`_replicate_rows` reduced by ``random_inputs._row_extremes``."""
 
-    def reduce(coeffs, events, m, scratch):
-        return _row_extremes(_replicate_rows(coeffs, events, scratch), scratch)
+    def reduce(coeffs, paths, m, scratch):
+        return _row_extremes(_replicate_rows(coeffs, paths.take(coeffs.size, scratch), scratch), scratch)
 
     return PathStatsSample(*_sample_chunks(spec, _TAG_PATH_STATS, n_samples, reduce, threads))
 
@@ -318,8 +317,9 @@ def sample_weighted_increments(spec: SeriesSpec, intervals, n_samples: int, thre
     n, d = spec.truncation_n, spec.dimension
     intervals = [(float(a), float(b)) for a, b in intervals]
 
-    def reduce(coeffs, events, m, scratch):
-        inc = interval_increments(events, intervals, _buffer(scratch, "values", (m * n, len(intervals), d)))
+    def reduce(coeffs, paths, m, scratch):
+        inc = interval_increments(paths.take(m * n, scratch), intervals,
+                                  _buffer(scratch, "values", (m * n, len(intervals), d)))
         return (np.einsum("mi,mijd->mjd", coeffs, inc.reshape(m, n, len(intervals), d)),)
 
     return _sample_chunks(spec, _TAG_INCREMENTS, n_samples, reduce, threads)[0]

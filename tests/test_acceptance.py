@@ -158,7 +158,7 @@ def test_c07_tightness_chain():
     started = time.perf_counter()
     spec = SeriesSpec(1.5, 100, RAD, poisson_counts(1.0), seed=107,
                       weight_mode="deterministic", epsilon_mode="truncated")
-    entries = diag.tightness_functional(spec, 100, TRIPLE_GRID, 10_000).entries
+    entries = diag.tightness_functional(spec, TRIPLE_GRID, 10_000).entries
     assert len(entries) == len(TRIPLE_GRID)
     for res in entries:
         assert res.estimate <= res.envelope + 4.0 * res.se

@@ -265,7 +265,9 @@ class TestCommandTables:
         # drew, then blamed small alpha for the overflow
         (1.5, "y", "{variant: example2, heights: {values: [[1.0], [.inf]], probabilities: [0.5, 0.5]}}",
          r"height atoms must be finite, got \[\[1\.0\], \[inf\]\]"),
-    ], ids=["cdf_knot", "table_probability", "height_probability", "height"])
+        # passed, and the echo wrote the bound as the non-JSON token NaN
+        (1.5, "y", "{variant: example2, fourth_moment_bound: .nan}", r"declared fourth-moment bound nan is exceeded"),
+    ], ids=["cdf_knot", "table_probability", "height_probability", "height", "fourth_moment_bound"])
     def test_non_finite_distribution_parameters_are_config_errors(self, alpha, key, value, message):
         text = f"command: stability\nalpha: {alpha}\nepsilon: rademacher\ny: example1\nt: 0.5\n"
         text = text.replace(f"{key}: {'rademacher' if key == 'epsilon' else 'example1'}", f"{key}: {value}")
@@ -476,6 +478,18 @@ class TestSimulateCommand:
         monkeypatch.setattr(series, "partial_sum", waiting_partial_sum)
         code, _ = run_cli(tmp_path, MINIMAL + "truncation_n: 50\nreplicates: 2\n", "--threads", "2")
         assert code == 0  # c14 checks the bytes against one thread
+
+    def test_one_replicate_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # a pool for one task moves no byte and costs its thread, so none is started
+        caller, draw, seen = threading.get_ident(), series.partial_sum, []
+
+        def noting_partial_sum(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(series, "partial_sum", noting_partial_sum)
+        code, _ = run_cli(tmp_path, MINIMAL + "truncation_n: 50\n", "--threads", "4")
+        assert code == 0 and seen == [caller]
 
     def test_zero_replicates(self, tmp_path):
         code, out = run_cli(tmp_path, MINIMAL + "replicates: 0\n")

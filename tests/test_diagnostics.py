@@ -530,39 +530,37 @@ class TestTightnessFunctional:
 
     def test_mode_requirements(self):
         with pytest.raises(ConfigurationError):
-            tightness_functional(self.spec(weight_mode="gamma"), 10, [(0.1, 0.2, 0.3)], 100)
+            tightness_functional(self.spec(weight_mode="gamma", truncation_n=10), [(0.1, 0.2, 0.3)], 100)
         with pytest.raises(ConfigurationError):
-            tightness_functional(self.spec(epsilon_mode="raw"), 10, [(0.1, 0.2, 0.3)], 100)
+            tightness_functional(self.spec(epsilon_mode="raw", truncation_n=10), [(0.1, 0.2, 0.3)], 100)
 
     def test_degenerate_triple_exact_zero(self):
-        res, = tightness_functional(self.spec(), 50, [(0.3, 0.3, 0.8)], 500).entries
+        res, = tightness_functional(self.spec(truncation_n=50), [(0.3, 0.3, 0.8)], 500).entries
         assert res.estimate == 0.0 and res.se == 0.0
 
     def test_single_unit_jump_term_exact_zero(self):
         # one indicator jump cannot hit both intervals
         spec = self.spec(y_gen=unit_jump(), truncation_n=1)
-        res, = tightness_functional(spec, 1, [(0.2, 0.5, 0.8)], 2000).entries
+        res, = tightness_functional(spec, [(0.2, 0.5, 0.8)], 2000).entries
         assert res.estimate == 0.0
 
     def test_estimate_below_assembled_bound(self):
-        res, = tightness_functional(self.spec(), 100, [(0.2, 0.5, 0.8)], 4000).entries
+        res, = tightness_functional(self.spec(), [(0.2, 0.5, 0.8)], 4000).entries
         assert res.estimate <= res.envelope + 4.0 * res.se
         assert res.verdict == "satisfied"
 
     def test_ordering_validated(self):
         with pytest.raises(DomainError):
-            tightness_functional(self.spec(), 10, [(0.5, 0.2, 0.8)], 100)
+            tightness_functional(self.spec(truncation_n=10), [(0.5, 0.2, 0.8)], 100)
 
 
 # -- tightness over a grid of triples: one series run for all ----------------------
 
 
-def reference_tightness(spec, n, triple, replicates):
+def reference_tightness(spec, triple, replicates):
     """The per-triple computation: its own sampler call over [(t1, t), (t, t2)]."""
     t1, t_mid, t2 = triple
-    run_spec = SeriesSpec(spec.alpha, n, spec.epsilon, spec.y_gen, seed=spec.seed,
-                          weight_mode="deterministic", epsilon_mode="truncated")
-    inc = sample_weighted_increments(run_spec, [(t1, t_mid), (t_mid, t2)], replicates)
+    inc = sample_weighted_increments(spec, [(t1, t_mid), (t_mid, t2)], replicates)
     sq = np.sum(inc * inc, axis=2)
     stat = sq[:, 1] * sq[:, 0]
     estimate = float(np.mean(stat))
@@ -572,7 +570,7 @@ def reference_tightness(spec, n, triple, replicates):
     bound = 0.0
     for tau in enumerate_partitions():
         p, q = partition_envelope_exponents(tau)
-        bound += partition_sum(tau, spec.alpha, spec.epsilon, n) * g1**p * g2**q
+        bound += partition_sum(tau, spec.alpha, spec.epsilon, spec.truncation_n) * g1**p * g2**q
     bound *= spec.dimension**2
     return MomentEntry(t1, t_mid, t2, estimate, se, float(bound), _verdict(estimate, se, bound))
 
@@ -590,8 +588,8 @@ def _no_draw(*args, **kwargs):
 
 
 class TestTightnessGrid:
-    def spec(self, y_gen, seed=11):
-        return SeriesSpec(1.5, 100, RAD, y_gen, seed=seed, weight_mode="deterministic", epsilon_mode="truncated")
+    def spec(self, y_gen, n=50):
+        return SeriesSpec(1.5, n, RAD, y_gen, seed=11, weight_mode="deterministic", epsilon_mode="truncated")
 
     # n 60 runs many tiles in two chunks; n 9000 puts more than 8192 terms in a row,
     # where einsum buffers its sum differently
@@ -599,13 +597,13 @@ class TestTightnessGrid:
     @pytest.mark.parametrize("y_gen", [poisson_counts(1.0), unit_jump(), WEIGHTED_2D_P3],
                              ids=["poisson", "unit_jump", "weighted_2d_p3"])
     def test_matches_one_run_per_triple(self, y_gen, n, replicates):
-        spec = self.spec(y_gen)
-        report = tightness_functional(spec, n, GRID, replicates)
+        spec = self.spec(y_gen, n)
+        report = tightness_functional(spec, GRID, replicates)
         assert (report.kind, report.replicates, report.meta) == ("tightness", replicates, {"n": n})
         got = report.entries
         assert len(got) == len(GRID)
         for triple, res in zip(GRID, got):
-            assert res == reference_tightness(spec, n, triple, replicates), triple
+            assert res == reference_tightness(spec, triple, replicates), triple
         assert got[0] == got[2]
         assert got[3].estimate == 0.0 and got[4].estimate == 0.0
 
@@ -617,7 +615,7 @@ class TestTightnessGrid:
             return sample_weighted_increments(run_spec, intervals, replicates, threads)
 
         monkeypatch.setattr(diagnostics, "sample_weighted_increments", counting)
-        got = tightness_functional(self.spec(poisson_counts(1.0)), 50, GRID, 300)
+        got = tightness_functional(self.spec(poisson_counts(1.0)), GRID, 300)
         assert len(got.entries) == len(GRID)
         assert calls == [[iv for a, b, c in GRID for iv in ((a, b), (b, c))]]
 
@@ -625,22 +623,22 @@ class TestTightnessGrid:
         monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
         spec = self.spec(poisson_counts(1.0))
         with pytest.raises(DomainError, match=r"\(0\.5, 0\.2, 0\.8\)"):
-            tightness_functional(spec, 50, GRID + [(0.5, 0.2, 0.8)], 300)
+            tightness_functional(spec, GRID + [(0.5, 0.2, 0.8)], 300)
         with pytest.raises(DomainError, match=r"\(0\.1, 0\.2, 1\.5\)"):
-            tightness_functional(spec, 50, [(0.1, 0.2, 1.5)] + GRID, 300)
+            tightness_functional(spec, [(0.1, 0.2, 1.5)] + GRID, 300)
 
     def test_two_time_entry_raises_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
         with pytest.raises(DomainError, match=r"triple must satisfy 0 <= t1 <= t <= t2 <= 1, got \(0\.1, 0\.2\)"):
-            tightness_functional(self.spec(poisson_counts(1.0)), 50, GRID + [(0.1, 0.2)], 300)
+            tightness_functional(self.spec(poisson_counts(1.0)), GRID + [(0.1, 0.2)], 300)
 
     def test_mode_checked_before_triples_and_draws(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
-        spec = SeriesSpec(1.5, 100, RAD, unit_jump(), seed=1, weight_mode="gamma", epsilon_mode="truncated")
+        spec = SeriesSpec(1.5, 50, RAD, unit_jump(), seed=1, weight_mode="gamma", epsilon_mode="truncated")
         with pytest.raises(ConfigurationError):
-            tightness_functional(spec, 50, [(0.5, 0.2, 0.8)], 300)
+            tightness_functional(spec, [(0.5, 0.2, 0.8)], 300)
 
     def test_no_triples_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
-        assert tightness_functional(self.spec(poisson_counts(1.0)), 50, [], 300) == MomentReport(
+        assert tightness_functional(self.spec(poisson_counts(1.0)), [], 300) == MomentReport(
             "tightness", (), 300, {"n": 50})

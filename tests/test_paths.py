@@ -57,6 +57,14 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             p(1.1)
 
+    def test_nan_time_is_a_domain_error(self):
+        # nan < 0 and nan > 1 are both false: the path read its last value
+        p = unit_jump_path(0.5)
+        with pytest.raises(DomainError):
+            p(float("nan"))
+        with pytest.raises(DomainError):
+            p([0.2, float("nan")])
+
     def test_vectorized(self):
         p = unit_jump_path(0.5)
         out = p([0.0, 0.5, 0.9])

@@ -362,6 +362,13 @@ class TestWeightedJumpsGenerator:
             weighted_jumps([CdfGrid.uniform()], heights, fourth_moment_bound=1.0)
         assert weighted_jumps([CdfGrid.uniform()], heights, fourth_moment_bound=81.0).fourth_moment_bound == 81.0
 
+    def test_nan_fourth_moment_bound_is_refused(self):
+        # nan compares false both ways: it passed, and its echo wrote the non-JSON token NaN
+        heights = JumpHeightDist.constant([1.0])
+        with pytest.raises(ConfigurationError, match="fourth-moment bound nan is exceeded"):
+            weighted_jumps([CdfGrid.uniform()], heights, fourth_moment_bound=math.nan)
+        assert weighted_jumps([CdfGrid.uniform()], heights).fourth_moment_bound == math.inf
+
     def test_grid_cdf_inverse_sampling(self):
         # cdf concentrating mass on [0, 0.5]
         cdf = CdfGrid(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.9, 1.0]))

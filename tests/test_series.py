@@ -162,7 +162,7 @@ class TestTruncateEpsilon:
         spec = rademacher_spec(alpha=1.9, n=n, seed=5, epsilon=EpsilonSpec.uniform_symmetric(5.0),
                                weight_mode="deterministic", epsilon_mode="truncated")
         stream = RngStream(5).substream(9)
-        coeffs, _ = _chunk_coeffs(spec, _chunk_draws(spec, stream), 60)
+        coeffs = _chunk_coeffs(spec, _chunk_draws(spec, stream), 60)
         raw = spec.epsilon.sample(_chunk_draws(spec, stream)[1], 60 * n).reshape(60, n)
         used = np.array([[truncate_epsilon(e, i + 1, spec.alpha) for i, e in enumerate(row)] for row in raw])
         assert coeffs.tobytes() == (np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / spec.alpha) * used).tobytes()
@@ -383,7 +383,7 @@ def chunk_paths(spec, tag, m, terms=None, combine=reference_combine):
     n = spec.truncation_n
     terms = n if terms is None else terms
     draws = _chunk_draws(spec, RngStream(spec.seed).substream(tag, 0))
-    coeffs, events = _chunk_coeffs(spec, draws, m)
+    coeffs, events = _chunk_coeffs(spec, draws, m), draws[2].take(m * n)
     rep, term = np.divmod(events.term_index, n)
     paths = []
     for r in range(m):
@@ -478,7 +478,7 @@ class TestChunkedSamplers:
         m = chunk_size(500)  # exactly the path-stats sampler's chunk 0
         with np.errstate(over="ignore", invalid="ignore"):
             draws = _chunk_draws(spec, RngStream(spec.seed).substream(series._TAG_PATH_STATS, 0))
-            coeffs, events = _chunk_coeffs(spec, draws, m)
+            coeffs, events = _chunk_coeffs(spec, draws, m), draws[2].take(m * spec.truncation_n)
             finite = np.isfinite(np.abs(coeffs).sum(axis=1))
             stats = random_inputs._row_extremes(series._replicate_rows(coeffs, events))
         assert 0 < finite.sum() < m
@@ -645,7 +645,7 @@ class TestFastPathsMatchFlatReference:
         spec = rademacher_spec(alpha=0.8, n=40, seed=17, y=FAST_PATH_YS[name])
         m = 64
         draws = _chunk_draws(spec, RngStream(17).substream(series._TAG_PATH_STATS, 0))
-        coeffs, events = _chunk_coeffs(spec, draws, m)
+        coeffs, events = _chunk_coeffs(spec, draws, m), draws[2].take(m * spec.truncation_n)
         ts = [0.0, 0.3, 0.5, 1.0]
         intervals = [(0.0, 0.5), (0.25, 0.8125), (0.5, 1.0), (0.3, 0.3)]
         assert values_at(events, ts).tobytes() == reference_values_at(events, ts).tobytes()
@@ -801,12 +801,12 @@ class TestMarginalsAtOne:
             return draws
 
         def overflow_in_chunk_1(spec, draws, m, *rest):
-            coeffs, y = coeffs_of(spec, draws, m, *rest)
+            coeffs = coeffs_of(spec, draws, m, *rest)
             first = done[id(draws[0])]
             done[id(draws[0])] = first + m
             if chunk_of[id(draws[0])] == 1 and first <= 2 < first + m:
                 coeffs[2 - first, 0] = np.inf
-            return coeffs, y
+            return coeffs
 
         monkeypatch.setattr(series, "_chunk_draws", tagged_draws)
         monkeypatch.setattr(series, "_chunk_coeffs", overflow_in_chunk_1)
@@ -898,8 +898,9 @@ def tail_sup_and_end(spec, n, samples):
     one row per replicate of the path-stats sampler's draws."""
     big_n = spec.truncation_n
 
-    def reduce(coeffs, events, m, scratch):
+    def reduce(coeffs, paths, m, scratch):
         coeffs[:, :n] = 0.0  # only the terms n+1..N jump
+        events = paths.take(coeffs.size, scratch)
         sup, _, _ = random_inputs._row_extremes(series._replicate_rows(coeffs, events, scratch), scratch)
         return sup, coeffs.sum(axis=1)  # every unit-jump path ends at 1
 
@@ -955,6 +956,60 @@ class TestSeriesTailInSupNorm:
             assert abs(sup[r] - np.max(np.abs(difference_on_union_grid(whole[r], head[r])))) <= 1e-12 * scale
             assert abs(end[r] - (whole[r](1.0) - head[r](1.0))[0]) <= 1e-12 * scale
 
+
+
+def term_order_values(events, scratch=None):
+    """A mutant of ``random_inputs._row_values``: each row summed in term order, not time order."""
+    rows, width, d = events.n_terms, events.width, events.dimension
+    running = np.cumsum(events.heights.reshape(rows, width, d), axis=1) + events.initials[:, None, :]
+    return events.times.reshape(rows, width), running, True
+
+
+def positives_and_argmax(spec, samples, row_values=random_inputs._row_values):
+    """``N_n``, the number of positive values among ``X_n`` after each of its n jumps, and ``L_n``, the
+    first argmax of ``0, S_1, ..., S_n``, per replicate of the path-stats sampler's tiles (1-d paths)."""
+
+    def reduce(coeffs, paths, m, scratch):
+        _, running, _ = row_values(series._replicate_rows(coeffs, paths.take(coeffs.size, scratch), scratch), scratch)
+        walk = running[:, :, 0]
+        return (walk > 0.0).sum(axis=1), np.argmax(np.concatenate((np.zeros((m, 1)), walk), axis=1), axis=1)
+
+    return series._sample_chunks(spec, series._TAG_PATH_STATS, samples, reduce, 1)
+
+
+def arcsine_chi_square(counts, n) -> float:
+    """Pearson's chi-square of counts in 0..n against the discrete arcsine law ``u_2k u_(2n-2k)``."""
+    u = [math.comb(2 * k, k) / 4**k for k in range(n + 1)]
+    want = counts.size * np.array([u[k] * u[n - k] for k in range(n + 1)])
+    return float(np.sum((np.bincount(counts, minlength=n + 1) - want) ** 2 / want))
+
+
+class TestSparreAndersenArcsineLaws:
+    """Exact path laws at every n, through the production tiles and row reducer.
+
+    Given gamma weights, the steps of a unit-jump series ``X_n`` in time order are
+    the values ``w_i eps_i`` in a uniformly random order with independent symmetric
+    signs, and no partial sum is zero.  Sparre Andersen's theorem then gives both the
+    number ``N_n`` of positive partial sums and the index ``L_n`` of the first maximum
+    of ``0, S_1, ..., S_n`` the discrete arcsine law ``P(k) = u_2k u_(2n-2k)``, with
+    ``u_2k = C(2k, k) / 4^k`` (Sparre Andersen, Math. Scand. 1953-54; Feller 1971,
+    vol. II, section XII.8), whatever alpha is.
+    """
+
+    N, SAMPLES, BOUND = 16, 200_000, 39.25  # 39.25: the 99.9% point of chi-square on 16 df
+
+    def spec(self, alpha):
+        return SeriesSpec(alpha, self.N, EpsilonSpec.rademacher(), unit_jump(), seed=1)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.9])
+    def test_positives_and_argmax_follow_the_arcsine_law(self, alpha):
+        for counts in positives_and_argmax(self.spec(alpha), self.SAMPLES):
+            assert arcsine_chi_square(counts, self.N) <= self.BOUND
+
+    def test_summing_in_term_order_is_rejected(self):
+        # the largest weights come first in term order, so the walk follows their signs
+        for counts in positives_and_argmax(self.spec(1.5), self.SAMPLES, term_order_values):
+            assert arcsine_chi_square(counts, self.N) > self.BOUND
 
 FAULT_SCRIPT = """
 import resource, sys
