@@ -345,39 +345,68 @@ def _csv_text(rows: list[dict], columns: list[str], manifest_hash: str) -> str:
 
 def _json_text(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, with numpy arrays and scalars written as
-    their ``tolist()``, tuples as lists and every key as its ``str``.
+    their ``tolist()``, tuples as lists and every key as its ``str``: the pieces of :func:`_json_chunks`
+    joined (``indent`` is the newline and indentation of ``obj``'s own line)."""
+    return "".join(_json_chunks(obj, indent))
+
+
+def _json_chunks(obj, indent: str = "\n"):
+    """The text of :func:`_json_text` in pieces, so that a writer can stream it.
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder.  This
-    lays out containers the same way, but writes a list of finite floats, or a
-    list of equally long lists of them, through one ``%r`` template (``repr``
-    is the spelling ``json`` uses for a finite float); every other leaf goes
-    through ``json.dumps`` itself.
+    lays out containers the same way, one dict member at a time, but writes
+    floats through one ``%r`` template (``repr`` is the spelling ``json`` uses
+    for a finite float): a nonempty finite float64 array, 1-d or 2-d, in blocks
+    of ``paths._BLOCK_ROWS`` rows from each block's ``tolist()``, and a list of
+    finite floats, or a list of equally long lists of them, at once.  Every
+    other leaf goes through ``json.dumps`` itself.
     """
+    inner = indent + "  "
+    if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size
+            and np.isfinite(obj).all()):
+        item, b = _json_row(obj.shape[1] if obj.ndim == 2 else None, inner), paths_mod._BLOCK_ROWS
+        for a in range(0, len(obj), b):
+            block = obj[a:a + b]
+            yield ("," if a else "[") + inner + ("," + inner).join([item] * len(block)) % tuple(block.ravel().tolist())
+        yield indent + "]"
+        return
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
-    inner = indent + "  "
     if isinstance(obj, dict) and obj:
         obj = {str(k): v for k, v in obj.items()}
-        return "{" + inner + ("," + inner).join(
-            json.dumps(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)) + indent + "}"
+        for i, k in enumerate(sorted(obj)):
+            yield ("," if i else "{") + inner + json.dumps(k) + ": "
+            yield from _json_chunks(obj[k], inner)
+        yield indent + "}"
+        return
     if not (isinstance(obj, (list, tuple)) and obj):
-        return json.dumps(obj)
+        yield json.dumps(obj)
+        return
     floats, item = obj, "%r"
     if all(type(v) is list and len(v) == len(obj[0]) for v in obj):  # the rows of a matrix
-        floats = [x for v in obj for x in v]
-        item = "[" + inner + "  " + ("," + inner + "  ").join(["%r"] * len(obj[0])) + inner + "]"
+        floats, item = [x for v in obj for x in v], _json_row(len(obj[0]), inner)
     if floats and all(type(x) is float for x in floats) and all(map(math.isfinite, floats)):
-        items = ("," + inner).join([item] * len(obj)) % tuple(floats)
-    else:
-        items = ("," + inner).join([_json_text(v, inner) for v in obj])
-    return "[" + inner + items + indent + "]"
+        yield "[" + inner + ("," + inner).join([item] * len(obj)) % tuple(floats) + indent + "]"
+        return
+    for i, v in enumerate(obj):
+        yield ("," if i else "[") + inner
+        yield from _json_chunks(v, inner)
+    yield indent + "]"
 
 
-def _json_file_text(payload: dict, manifest_hash: str, seed: int) -> str:
+def _json_row(width: int | None, indent: str) -> str:
+    """The ``%r`` template of one float (``width`` None) or of a list of ``width`` floats, at ``indent``."""
+    if width is None:
+        return "%r"
+    return "[" + indent + "  " + ("," + indent + "  ").join(["%r"] * width) + indent + "]"
+
+
+def _json_file_chunks(payload: dict, manifest_hash: str, seed: int):
     body = dict(payload)
     body["manifest_hash"] = manifest_hash
     body.setdefault("seed", seed)
-    return _json_text(body) + "\n"
+    yield from _json_chunks(body)
+    yield "\n"
 
 
 class _Writer:
@@ -390,17 +419,19 @@ class _Writer:
 
     def emit(self, name: str, rows: list[dict], columns: list[str], payload: dict) -> None:
         if "csv" in self.cfg.formats:
-            self.emit_text(f"{name}.csv", _csv_text(rows, columns, self.manifest_hash))
+            self.emit_text(f"{name}.csv", [_csv_text(rows, columns, self.manifest_hash)])
         if "json" in self.cfg.formats:
             self.emit_json(name, payload)
 
-    def emit_text(self, name: str, text: str) -> None:
+    def emit_text(self, name: str, pieces) -> None:
+        """Writes the text ``pieces`` to ``name`` one at a time, so no file is held whole."""
         p = self.out_dir / name
-        p.write_text(text)
+        with p.open("w") as fh:
+            fh.writelines(pieces)
         self.files.append(p.name)
 
     def emit_json(self, name: str, payload: dict) -> None:
-        self.emit_text(f"{name}.json", _json_file_text(payload, self.manifest_hash, self.cfg.seed))
+        self.emit_text(f"{name}.json", _json_file_chunks(payload, self.manifest_hash, self.cfg.seed))
 
     def manifest(self, wall_time: float, extra: dict | None = None) -> None:
         payload = {
@@ -447,7 +478,7 @@ def _cmd_simulate(cfg, writer) -> int:
         if "csv" in cfg.formats:
             # the step-path CSV schema is fixed (bit-exact round trip), so the
             # manifest hash for these files lives in the samples index instead
-            writer.emit_text(f"{name}.csv", paths_mod.path_to_csv(path))
+            writer.emit_text(f"{name}.csv", paths_mod._csv_blocks(path))
         if "json" in cfg.formats:
             # the fields of paths.path_to_json, as arrays
             writer.emit_json(name, {"dimension": path.dimension, "initial_value": path.initial_value,

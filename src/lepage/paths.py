@@ -84,7 +84,7 @@ class StepPath:
                 raise PathValidationError("jump_times must be finite")
             if times[0] <= 0.0 or times[-1] > 1.0:
                 raise PathValidationError("jump_times must lie in (0, 1]")
-            if np.any(np.diff(times) <= 0.0):
+            if np.any(times[1:] <= times[:-1]):
                 raise PathValidationError("jump_times must be strictly increasing")
         if not (np.all(np.isfinite(init)) and np.all(np.isfinite(values))):
             raise PathValidationError("path values must be finite")
@@ -121,11 +121,15 @@ class StepPath:
 
 
 def _compressed(d: int, initial: np.ndarray, times: np.ndarray, values: np.ndarray) -> StepPath:
-    """Drop jumps whose post value equals the previous segment value exactly."""
+    """Drop jumps whose post value equals the previous segment value exactly; when none is dropped,
+    the path holds ``times`` and ``values`` themselves, not copies."""
     if times.size == 0:
         return StepPath(d, initial)
-    prev = np.concatenate([initial[None, :], values[:-1]], axis=0)
-    keep = np.any(values != prev, axis=1)
+    keep = np.empty(times.size, dtype=bool)
+    keep[0] = np.any(values[0] != initial)
+    np.any(values[1:] != values[:-1], axis=1, out=keep[1:])
+    if keep.all():
+        return StepPath(d, initial, times, values)
     return StepPath(d, initial, times[keep], values[keep])
 
 
@@ -139,17 +143,31 @@ def sup_norm(path: StepPath) -> float:
 #
 # CSV: header "t,value_1,...,value_d", one row per segment start, first row
 # t=0.  Cells are "%.17g" of finite floats (the same text as format(x,
-# ".17g")), so the round trip is bit-exact and no cell needs CSV quoting;
-# the whole body is one template filled from one tolist().
-# JSON uses native float encoding (shortest round-trip repr).
+# ".17g")), so the round trip is bit-exact and no cell needs CSV quoting.
+# The text is made in blocks of _BLOCK_ROWS rows, each one template filled
+# from that block's tolist(), so a writer can stream it and no whole-path
+# copy or string is made; the bytes do not depend on the block size.
+# JSON uses native float encoding (shortest round-trip repr); the CLI writes
+# a path's arrays in the same spelling and the same row blocks
+# (cli._json_text).
 # ---------------------------------------------------------------------------
+
+_BLOCK_ROWS = 4096  # rows a serializer formats at once
+
+
+def _csv_blocks(path: StepPath):
+    """The text of :func:`path_to_csv` in pieces: the header and t=0 row, then blocks of ``_BLOCK_ROWS`` rows."""
+    row = ",".join(["%.17g"] * (path.dimension + 1)) + "\n"
+    yield ",".join(["t"] + [f"value_{i + 1}" for i in range(path.dimension)]) + "\n"
+    yield row % (0.0, *path.initial_value.tolist())
+    times, values = path.jump_times, path.post_jump_values
+    for a in range(0, times.size, _BLOCK_ROWS):
+        block = np.column_stack((times[a:a + _BLOCK_ROWS], values[a:a + _BLOCK_ROWS]))
+        yield row * len(block) % tuple(block.ravel().tolist())
 
 
 def path_to_csv(path: StepPath) -> str:
-    header = ",".join(["t"] + [f"value_{i + 1}" for i in range(path.dimension)])
-    table = np.column_stack([np.concatenate([[0.0], path.jump_times]), path.segment_values()])
-    row = ",".join(["%.17g"] * table.shape[1])
-    return header + "\n" + "\n".join([row] * len(table)) % tuple(table.ravel().tolist()) + "\n"
+    return "".join(_csv_blocks(path))
 
 
 def path_from_csv(text: str) -> StepPath:

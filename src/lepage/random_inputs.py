@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import PathValidationError, StepPath
+from .paths import DomainError, PathValidationError, StepPath
 from .rng import RngStream
 
 __all__ = [
@@ -679,12 +679,13 @@ def interval_increments(events: TermEvents, intervals, out: np.ndarray | None = 
     +0.0 or -0.0.  That gives the bits of a sum over the masked events alone:
     a sum that starts at +0.0 never becomes -0.0, so adding a signed zero
     changes no bit.  It needs finite heights (``inf * 0`` is nan), which every
-    generator ensures.
+    generator ensures.  An interval that leaves [0, 1] or is reversed raises
+    :class:`~lepage.paths.DomainError`.
     """
     out = np.empty((events.n_terms, len(intervals), events.dimension)) if out is None else out
     for a, b in intervals:
         if not 0.0 <= a <= b <= 1.0:
-            raise ConfigurationError(f"interval must satisfy 0 <= a <= b <= 1, got ({a}, {b})")
+            raise DomainError(f"interval must satisfy 0 <= a <= b <= 1, got ({a}, {b})")
     index, weights = events.term_index, np.empty(events.times.size)  # once for all intervals
     for i, (a, b) in enumerate(intervals):
         mask = (events.times > a) & (events.times <= b)
@@ -732,6 +733,7 @@ def _row_values(events: TermEvents, scratch: dict | None = None) -> tuple:
             np.not_equal(steps, 0.0, out=ends[:, :-1, 0])
             order = np.argsort(times, axis=1, kind="stable")
             order += first
+        del steps  # without scratch, freed before running is allocated
     out = _buffer(scratch, "running", times.shape + (d,))
     running = (np.positive(events.heights.reshape(times.shape + (d,)), out=out) if order is None
                else np.take(events.heights, order, axis=0, mode="clip", out=out))

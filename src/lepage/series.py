@@ -131,8 +131,10 @@ def _combine_term_events(coeffs: np.ndarray, events: TermEvents) -> StepPath:
     values of ``random_inputs._row_values`` at segment ends, those ``sample_path_stats`` reads."""
     rows = _replicate_rows(coeffs[None], events)
     times, running, ends = _row_values(rows)
-    keep = np.broadcast_to(ends, running.shape[:2] + (1,))[0, :, 0]
-    return _paths._compressed(events.dimension, rows.initials[0], times[0, keep], running[0, keep])
+    times, running = times[0], running[0]  # views: without a tie every event ends a segment
+    if ends is not True:
+        times, running = times[ends[0, :, 0]], running[ends[0, :, 0]]
+    return _paths._compressed(events.dimension, rows.initials[0], times, running)
 
 
 def _replicate_coeffs(spec: SeriesSpec, stream: RngStream | None, n: int) -> tuple[np.ndarray, TermEvents]:
@@ -262,9 +264,10 @@ def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) 
 
 def sample_marginals(spec: SeriesSpec, t: float, n_samples: int, threads=1) -> np.ndarray:
     """i.i.d. samples of the partial-sum marginal ``X_n(t)``, shape (n, d); at ``t == 1`` no path draws
-    jump locations, and a non-finite marginal raises :class:`ConfigurationError`."""
+    jump locations.  A ``t`` outside [0, 1] raises :class:`~lepage.paths.DomainError`, and a
+    non-finite marginal :class:`ConfigurationError`."""
     if not 0.0 <= t <= 1.0:
-        raise ConfigurationError(f"marginal time must lie in [0, 1], got {t}")
+        raise _paths.DomainError(f"marginal time must lie in [0, 1], got {t}")
     n, d = spec.truncation_n, spec.dimension
 
     def reduce(coeffs, paths, m, scratch):

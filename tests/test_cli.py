@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lepage import ConfigurationError, RngStream, SeriesSpec, EpsilonSpec, poisson_counts, unit_jump, partial_sum
 from lepage import diagnostics as diag, series
 from lepage.cli import ConfigParseError, _json_text, main, parse_config
 from lepage.paths import StepPath, path_from_csv
-from test_paths import path_from_json, reference_path_csv
+from test_paths import BLOCK_BOUNDARY_JUMPS, boundary_path, path_from_json, reference_path_csv
 
 
 def run_cli(tmp_path: Path, config: str, *args) -> tuple[int, Path]:
@@ -771,8 +772,11 @@ _LEAVES = (_FLOATS | st.integers() | st.booleans() | st.none()
 # lists of equally long float lists, as nested lists and as 2-d arrays
 _ROWS = st.integers(1, 3).flatmap(lambda w: st.lists(st.lists(_FLOATS, min_size=w, max_size=w),
                                                      max_size=5))
+# float64 arrays, 1-d and 2-d, empty and zero-column ones too, finite or with nan and inf
+_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                     elements=st.floats(allow_nan=False, allow_infinity=False) | _FLOATS)
 _PAYLOADS = st.recursive(
-    _LEAVES | st.lists(_FLOATS) | _ROWS | _ROWS.map(np.array),
+    _LEAVES | st.lists(_FLOATS) | _ROWS | _ROWS.map(np.array) | _ARRAYS,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text() | st.integers(), children, max_size=4),
     max_leaves=30,
@@ -821,6 +825,13 @@ class TestJsonWriter:
         np.arange(6.0).reshape(3, 2),
         np.array([[1.5], [np.inf]]),
         np.zeros((0, 2)),
+        # float64 arrays: finite ones are written in row blocks, the rest keep json's spelling
+        np.array([0.1, -0.0, 5e-324]),
+        np.zeros(0),
+        np.zeros((3, 0)),
+        np.array([1.0, np.nan]),
+        np.array([[1.0, -np.inf], [0.5, 2.0]]),
+        {"a": np.array([2.5]), "b": [np.array([[1.0]]), np.float32(0.5)]},
         # numpy scalars and tuples, which the writer converts itself
         {"a": np.float64(0.5), "b": (np.int64(3), np.bool_(True)), "c": np.float64(np.nan)},
         [np.float64(1.5), np.float64(-2.0)],
@@ -828,6 +839,15 @@ class TestJsonWriter:
         (0.25, [np.arange(3)]),
     ])
     def test_equals_json_dumps_on_edge_cases(self, obj):
+        assert _json_text(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("jumps", BLOCK_BOUNDARY_JUMPS)
+    def test_equals_json_dumps_at_block_boundaries(self, jumps, d):
+        # a path file's payload, as simulate writes it, around the writer's row blocks
+        p = boundary_path(jumps, d)
+        obj = {"dimension": d, "initial_value": p.initial_value, "jump_times": p.jump_times,
+               "post_jump_values": p.post_jump_values}
         assert _json_text(obj) == self.reference(obj)
 
 

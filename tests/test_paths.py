@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lepage import paths
 from lepage.paths import (
     DomainError,
     PathValidationError,
@@ -188,6 +189,28 @@ def test_csv_equals_reference_writer_on_awkward_floats():
     negative_zero = StepPath(1, [-0.0], [0.5, 1.0], [[-0.0], [1e16]])
     for p in (AWKWARD, negative_zero, StepPath(3, np.zeros(3))):
         assert path_to_csv(p) == reference_path_csv(p)
+
+
+def boundary_path(jumps: int, d: int) -> StepPath:
+    """A path of ``jumps`` jumps at awkward times and values, for checks at serializer block boundaries."""
+    rng = np.random.default_rng(jumps * 10 + d)
+    times = np.cumsum(rng.random(jumps) + 0.25)
+    values = rng.standard_normal((jumps, d)) * 10.0 ** rng.integers(-300, 300, (jumps, d))
+    return StepPath(d, rng.standard_normal(d) / 3.0, times / times[-1] if jumps else times, values)
+
+
+BLOCK_BOUNDARY_JUMPS = [0, 1, paths._BLOCK_ROWS - 1, paths._BLOCK_ROWS, paths._BLOCK_ROWS + 1,
+                        2 * paths._BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("jumps", BLOCK_BOUNDARY_JUMPS)
+def test_csv_equals_reference_writer_at_block_boundaries(jumps, d):
+    p = boundary_path(jumps, d)
+    pieces = list(paths._csv_blocks(p))
+    assert "".join(pieces) == path_to_csv(p) == reference_path_csv(p)
+    # the header, the t=0 row and one piece per block: the text is never made whole
+    assert len(pieces) == 2 + -(-jumps // paths._BLOCK_ROWS)
 
 
 def test_csv_format_shape():

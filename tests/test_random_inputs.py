@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lepage.paths import PathValidationError, StepPath, sup_norm
+from lepage.paths import DomainError, PathValidationError, StepPath, sup_norm
 from lepage.random_inputs import (
     CdfGrid,
     ConfigurationError,
@@ -563,7 +563,7 @@ class TestEventReductions:
     def test_values_at_refuses_a_time_outside_the_unit_interval(self, t):
         # values at t are the increments over (0, t], so t must lie in [0, 1] as an interval end does
         events = self._events(unit_jump(), 5, 45)
-        with pytest.raises(ConfigurationError, match="0 <= a <= b <= 1"):
+        with pytest.raises(DomainError, match="0 <= a <= b <= 1"):
             values_at(events, [0.5, t])
         assert values_at(events, [0.0])[:, 0, 0].tolist() == [0.0] * 5
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lepage.paths import StepPath, _compressed, sup_norm
+from lepage.paths import DomainError, StepPath, _compressed, sup_norm
 from lepage.random_inputs import (
     CdfGrid,
     ConfigurationError,
@@ -44,6 +44,7 @@ from lepage.series import (
 )
 import lepage.stable_checks as sc
 from lepage.cli import main, parse_config
+import lepage.cli as cli
 from test_paths import difference_on_union_grid
 
 
@@ -755,6 +756,13 @@ class TestTilesEqualWholeChunk:
             assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("t", [-0.5, 1.5, math.nan])
+def test_sample_marginals_refuses_a_time_outside_the_unit_interval(t):
+    # the same exception as StepPath.__call__ and values_at give for the same time
+    with pytest.raises(DomainError, match=r"marginal time must lie in \[0, 1\]"):
+        sample_marginals(rademacher_spec(n=10), t, 5)
+
+
 class TestMarginalsAtOne:
     @pytest.mark.parametrize("name", ["unit", "poisson", "weighted2d_p3"])
     def test_built_in_paths_draw_no_locations(self, name, monkeypatch):
@@ -837,6 +845,21 @@ class TestTiledMemory:
                 2 * chunk_size(400)),
         }[case]
         assert traced_peak_mb(run) <= 8.0
+
+
+class TestPartialSumMemory:
+    # n = 200 000 unit jumps: the path's times and values take 3.2 MB; the whole-file writers
+    # and the path-size copies of partial_sum peaked at 49.5 and 17.8 MB on these runs
+    def test_partial_sum_peak_stays_within_budget(self):
+        assert traced_peak_mb(lambda: partial_sum(rademacher_spec(n=200_000), RngStream(7, 0))) <= 12.0
+
+    def test_simulate_peak_stays_within_budget(self, tmp_path):
+        cfg = parse_config("command: simulate\nalpha: 1.5\nepsilon: rademacher\ny: example1\n"
+                           "truncation_n: 200000\nseed: 7\n")
+        cfg.out_dir = str(tmp_path)
+        assert traced_peak_mb(lambda: cli.run(cfg)) <= 12.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "path_0000.csv", "path_0000.json", "samples.csv", "samples.json"]
 
 
 def truncated_limit_cf(alpha, u, n, y_atoms=(1.0,), y_probs=(1.0,)):
