@@ -24,8 +24,8 @@ verdict from a check command (a refutation, not a breakage).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
+import importlib
 import json
 import math
 import platform
@@ -36,13 +36,10 @@ import types
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
-from . import diagnostics as diag
 from . import paths as paths_mod
 from . import series as series_mod
-from . import stable_checks as checks
 from .parallel import chunk_runner, resolve_threads
 from .random_inputs import CdfGrid, ConfigurationError, EpsilonSpec, JumpHeightDist
 from .random_inputs import poisson_counts, unit_jump, user_paths, weighted_jumps
@@ -52,6 +49,16 @@ from .series import SeriesSpec
 
 class ConfigParseError(ValueError):
     pass
+
+
+class _Deferred(types.SimpleNamespace):
+    """A module of this package that only some commands use; parse_config imports it for those (``_COMMANDS``)."""
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self.name), attr)
+
+
+diag, checks = _Deferred(name="lepage.diagnostics"), _Deferred(name="lepage.stable_checks")
 
 
 class ExperimentConfig(types.SimpleNamespace):
@@ -251,14 +258,14 @@ _YS = {
     "user": (_user_paths, {"paths_dir": (_REQUIRED, str)}),
 }
 _ENVELOPES = {
-    "identity": (diag.MomentEnvelope, _BETA),
+    "identity": (lambda beta: diag.MomentEnvelope(beta), _BETA),
     "poly": (lambda beta, coeffs: diag.MomentEnvelope(beta, tuple(coeffs)), {**_BETA, "coeffs": _ARRAY}),
     "grid": (lambda beta, xs, ys: diag.MomentEnvelope(beta, grid_xs=xs, grid_ys=ys), {**_BETA, **_GRID}),
 }
 _EVENT_KINDS = {
-    "full_sphere": (checks.full_sphere, {}),
-    "nonnegative_path": (checks.nonnegative_path, {}),
-    "norm_equals": (checks.norm_equals, {"value": _ARRAY, "name": (None, lambda name: name)}),
+    "full_sphere": (lambda: checks.full_sphere(), {}),
+    "nonnegative_path": (lambda: checks.nonnegative_path(), {}),
+    "norm_equals": (lambda *args: checks.norm_equals(*args), {"value": _ARRAY, "name": (None, lambda name: name)}),
 }
 _OUTPUT = {"directory": ("out", str), "formats": (["csv", "json"], _formats)}
 
@@ -278,12 +285,38 @@ _MODES = {
 }
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document against its command's table of keys."""
+def _yaml_float(token: str) -> float:
+    """JSON's float ``token``, if YAML 1.1 reads one from it: from ``1.5`` or ``-1.5e+3``, not ``1e5`` or ``NaN``."""
+    if not re.fullmatch(r"-?[0-9]+\.[0-9]+(?:[eE][-+][0-9]+)?", token):
+        raise ValueError(f"YAML 1.1 reads {token} as a string")
+    return float(token)
+
+
+def _simple_keys(text: str) -> bool:
+    """Whether each key of the JSON ``text`` has its colon on its line, at most 1024 characters after its quote."""
+    parts = text.split('"')  # with no backslash escape, the odd parts are the contents of the strings
+    colons = ((key, re.match(r"( *)(\s*):", after)) for key, after in zip(parts[1::2], parts[2::2]))
+    return not any(m and (m[2] or len(key) + len(m[1]) > 1022) for key, m in colons)
+
+
+def _read(text: str):
+    """The document ``text`` as ``yaml.safe_load`` reads it.  A JSON document of printable ASCII with no
+    backslash or tab, with simple keys and YAML floats, reads the same through ``json``, with no ``yaml``."""
+    if re.fullmatch(r"[\n\r\x20-\x5b\x5d-\x7e]*", text) and _simple_keys(text):
+        try:
+            return json.loads(text, parse_float=_yaml_float, parse_constant=_yaml_float)
+        except (ValueError, RecursionError):  # not JSON, or outside the gate: YAML reads it as before
+            pass
+    import yaml
     try:
-        raw = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"config is not valid YAML/JSON: {exc}") from exc
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a config document against its command's table of keys."""
+    raw = _read(text)
     if not isinstance(raw, dict):
         raise ConfigParseError(f"config must be a mapping, got {type(raw).__name__}")
 
@@ -294,6 +327,8 @@ def parse_config(text: str) -> ExperimentConfig:
     command = raw.get("command")
     if not (isinstance(command, str) and command in _COMMANDS):
         raise fail("command", f"must be one of {list(_COMMANDS)}, got {command!r}")
+    if _COMMANDS[command][2] is not None:
+        importlib.import_module(_COMMANDS[command][2].name)
     values = _read_keys(raw, _KEYS[command], f"command {command!r}", fail)
     if "alpha" in values and "epsilon" in values:
         try:
@@ -600,28 +635,29 @@ _SAMPLES = (30_000, _count)
 _N = (100, _positive)
 _MOMENTS = {k: _SERIES[k] for k in ("alpha", "epsilon")}
 
-# command -> (handler, the keys it reads beside the run keys, as {key: (default, parser)})
+# command -> (handler, the keys it reads beside the run keys as {key: (default, parser)}, its _Deferred or None)
 _COMMANDS = {
     "simulate": (_cmd_simulate, {**_SERIES, **_MODES, **_THREADS, "replicates": (1, _count),
-                                 "per_term_norms": (False, _bool)}),
+                                 "per_term_norms": (False, _bool)}, None),
     "check-conditions": (_cmd_check_conditions, {"y": _SERIES["y"], **_THREADS, "replicates": (100_000, _count),
-                                                 "pairs": _PAIRS, "triples": _TRIPLES, "envelope": _ENVELOPE}),
+                                                 "pairs": _PAIRS, "triples": _TRIPLES, "envelope": _ENVELOPE}, diag),
     "constants": (_cmd_constants, {**_MOMENTS, "m_values": ([2.0, 3.0, 4.0], _list_of(_finite)),
-                                   "n_max": (10**6, _count)}),
+                                   "n_max": (10**6, _count)}, diag),
     "partitions": (_cmd_partitions, {**_MOMENTS, "n_grid": ([1, 2, 4, 8, 16, 32, 64], _list_of(_count)),
-                                     "constant_n_max": (10**5, _count)}),
+                                     "constant_n_max": (10**5, _count)}, diag),
     "tightness": (_cmd_tightness, {**_SERIES, **_THREADS, "replicates": (10_000, _count), "triples": _TRIPLES,
-                                   "envelope": _ENVELOPE, "n": _N}),
-    "stability": (_cmd_stability, {**_SERIES, **_MODES, **_THREADS, "t": (1.0, _finite), "samples": _SAMPLES}),
-    "spectral": (_cmd_spectral, {**_SERIES, **_THREADS, "replicates": (100_000, _count), "events": _EVENTS}),
+                                   "envelope": _ENVELOPE, "n": _N}, diag),
+    "stability": (_cmd_stability, {**_SERIES, **_MODES, **_THREADS, "t": (1.0, _finite), "samples": _SAMPLES}, checks),
+    "spectral": (_cmd_spectral, {**_SERIES, **_THREADS, "replicates": (100_000, _count), "events": _EVENTS}, checks),
     "regvar": (_cmd_regvar, {**_SERIES, **_MODES, **_THREADS, "samples": _SAMPLES,
                              "sigma_replicates": (100_000, _count), "events": _EVENTS,
-                             "r_grid": ([1.0, 2.0], _list_of(_radius)), "n": _N}),
+                             "r_grid": ([1.0, 2.0], _list_of(_radius)), "n": _N}, checks),
 }
-_KEYS = {name: {**_RUN, **own} for name, (_, own) in _COMMANDS.items()}
+_KEYS = {name: {**_RUN, **own} for name, (_, own, _) in _COMMANDS.items()}
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at the top: parse_config and run need none of it
     parser = argparse.ArgumentParser(
         prog="lepage",
         description="Simulate truncated weighted-jump series on step paths and "

@@ -374,9 +374,12 @@ def _set_partitions(items: tuple[int, ...]) -> list[Partition]:
     return sorted(set(canon))
 
 
+_PARTITIONS = tuple(_set_partitions((1, 2, 3, 4)))
+
+
 def enumerate_partitions() -> list[Partition]:
     """The 15 set partitions of {1, 2, 3, 4}, in canonical sorted order."""
-    return _set_partitions((1, 2, 3, 4))
+    return list(_PARTITIONS)
 
 
 def partition_label(tau: Partition) -> str:
@@ -418,7 +421,7 @@ def partition_sum(tau: Partition, alpha: float, eps: EpsilonSpec, n: int) -> flo
     distinct indices.  A sum with no nonzero term is exactly 0.0, and the
     values never decrease in n.
     """
-    if tau not in enumerate_partitions():
+    if tau not in _PARTITIONS:
         raise ConfigurationError(f"not a partition of {{1,2,3,4}}: {tau!r}")
     if n <= 0:
         return 0.0
@@ -577,7 +580,7 @@ def tightness_functional(
 
     env1, env2 = envelopes if envelopes is not None else default_envelopes(spec.y_gen)
     terms = [(partition_sum(tau, spec.alpha, spec.epsilon, spec.truncation_n), partition_envelope_exponents(tau))
-             for tau in enumerate_partitions()]
+             for tau in _PARTITIONS]
 
     def bound(t1, t2) -> float:
         g1, g2 = env1.bound(t1, t2), env2.bound(t1, t2, 2) ** 0.5  # |F2(t2)-F2(t1)|^beta2

@@ -134,8 +134,9 @@ def _compressed(d: int, initial: np.ndarray, times: np.ndarray, values: np.ndarr
 
 
 def sup_norm(path: StepPath) -> float:
-    """Coordinatewise uniform norm, exact for step paths."""
-    return float(np.max(np.abs(path.segment_values())))
+    """Coordinatewise uniform norm, exact for step paths, read from the values' extremes with no copy."""
+    init, v = np.abs(path.initial_value).max(), path.post_jump_values
+    return float(max(init, abs(v.max()), abs(v.min())) if v.size else init)
 
 
 # ---------------------------------------------------------------------------

@@ -575,6 +575,22 @@ triples: [[0.3, 0.5, 0.7]]
         assert report["entries"][0]["estimate"] == 100.0
         assert report["entries"][0]["verdict"] == "violated"
 
+    def test_degenerate_generator_exits_one(self, tmp_path, capsys):
+        # a pool of zero paths gives every replicate zero weight: the spectral normalizer is 0
+        paths_dir = tmp_path / "zeropaths"
+        paths_dir.mkdir()
+        (paths_dir / "flat.csv").write_text("t,value_1\n0,0\n")
+        (paths_dir / "still.csv").write_text("t,value_1\n0,0\n0.5,0\n")
+        code, _ = run_cli(tmp_path, f"""
+command: spectral
+alpha: 1.5
+epsilon: rademacher
+y: {{variant: user, paths_dir: {paths_dir}}}
+replicates: 1000
+""")
+        assert code == 1
+        assert "all replicates have zero weight; the generator is degenerate" in capsys.readouterr().err
+
     def test_operational_error_exits_one(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(MINIMAL.replace("alpha: 1.5", "alpha: 3.0"))

@@ -138,6 +138,18 @@ def test_scaling_of_sup_norm_is_exact(p, a):
     assert np.max(np.abs(a * p([0.0, *p.jump_times]))) == abs(a) * sup_norm(p)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+@given(data=st.data())
+@settings(max_examples=100)
+def test_sup_norm_is_the_largest_segment_value(dimension, data):
+    # every path with no jumps too: sup_norm reads the extremes of the post-jump values, not a copy of all
+    p = data.draw(step_paths(dimension=dimension))
+    no_jumps = StepPath(dimension, p.initial_value)
+    for path in (p, no_jumps):
+        got = sup_norm(path)
+        assert type(got) is float and repr(got) == repr(float(np.max(np.abs(path.segment_values()))))
+
+
 @given(st.data())
 @settings(max_examples=100)
 def test_triangle_inequality(data):

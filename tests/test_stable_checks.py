@@ -12,13 +12,16 @@ from lepage.random_inputs import (
     _EpsilonSource,
     poisson_counts,
     unit_jump,
+    user_paths,
     weighted_jumps,
 )
 from lepage import stable_checks
+from lepage.paths import StepPath
 from lepage.parallel import chunk_size, map_replicates, replicate_mean_se
 from lepage.rng import RngStream
 from lepage.series import PathStatsSample, SeriesSpec, sample_marginals, sample_path_stats
 from lepage.stable_checks import (
+    DegenerateGeneratorError,
     full_sphere,
     ks_statistic,
     ks_threshold,
@@ -284,6 +287,14 @@ class TestSpectralEstimate:
     def test_replicate_floor(self):
         with pytest.raises(ConfigurationError):
             spectral_estimate(RAD, unit_jump(), 1.5, [full_sphere()], 999, RngStream(24))
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_all_zero_paths_are_degenerate(self, dimension):
+        # every term is a zero path, one with a jump of height 0 too, so every replicate's normalizer is 0
+        zero = np.zeros(dimension)
+        y = user_paths([StepPath(dimension, zero), StepPath(dimension, zero, [0.5], [zero])])
+        with pytest.raises(DegenerateGeneratorError, match="all replicates have zero weight"):
+            spectral_estimate(RAD, y, 1.5, [full_sphere(), nonnegative_path()], 1000, RngStream(27))
 
     @staticmethod
     def check_extremes_equal_per_term_cumsum(monkeypatch, y, events):
