@@ -11,7 +11,11 @@ of 1024 rather than 4096 replicates balance small thread counts.  Threads
 only decide which worker executes a chunk, and results come back in chunk
 order, so outputs are byte-identical for any ``threads`` setting.  The
 series samplers reduce each chunk in small tiles, so each thread adds one
-tile's memory, not a chunk's.
+tile's memory, not a chunk's.  Each numpy call of a tile takes the GIL back
+from the other chunks' threads, so marginals tile at 2^15 events, halving those
+hand-offs; path stats keep 2^14, faster on one thread, and increments too, as their
+fresh tile-long arrays would cross glibc's mmap threshold (``series._TILE_EVENTS_OF``).
+``threads="auto"`` is the number of CPUs this process may run on.
 
 :func:`replicate_mean_se` is the one mean-and-standard-error estimator: every
 Monte Carlo report concatenates its per-replicate values in chunk order and
@@ -34,8 +38,8 @@ _MAX_CHUNK = 1024
 
 
 def resolve_threads(threads) -> int:
-    if threads in (None, "auto"):
-        return os.cpu_count() or 1
+    if threads in (None, "auto"):  # the CPUs of this process's affinity mask, not the host's
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     t = int(threads)
     if t < 1:
         raise ValueError(f"threads must be >= 1 or 'auto', got {threads!r}")

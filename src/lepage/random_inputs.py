@@ -527,7 +527,7 @@ class _PoissonSpec(YGeneratorSpec):
     def __post_init__(self) -> None:
         if not (0.0 < self.lam <= _MAX_LAMBDA):
             raise ConfigurationError(f"poisson intensity must lie in (0, {_MAX_LAMBDA:g}], got {self.lam}: its count "
-                                     f"table grows like sqrt(lambda), to 1.5 MB at {_MAX_LAMBDA:g}")
+                                     f"table grows like sqrt(lambda), to 1.4 MB at {_MAX_LAMBDA:g}")
         object.__setattr__(self, "_table", _PoissonTable(self.lam))  # built once per spec, not per chunk
 
     def block_sampler(self, stream: RngStream):
@@ -537,8 +537,8 @@ class _PoissonSpec(YGeneratorSpec):
         return {"variant": self.variant, "dimension": 1, "lambda": self.lam}
 
 
-# the guide table has a bucket of [0, 1) per 4096th; the cdf table about 19 sqrt(lambda)
-# entries, 190 000 (1.5 MB) at this largest intensity, which bounds the table's memory
+# the guide table has a bucket of [0, 1) per 4096th; the cdf table about 18 sqrt(lambda)
+# entries, 176 000 (1.4 MB) at this largest intensity, which bounds the table's memory
 _GUIDE_BUCKETS = 4096
 _MAX_LAMBDA = 1e8
 
@@ -546,13 +546,16 @@ _MAX_LAMBDA = 1e8
 class _PoissonTable:
     """Inverse cdf of Poisson(lam) with a guide table (Chen & Asau 1974; Devroye 1986, §III.2).
 
-    ``cdf[i]`` is ``P(N <= first + i)``, built from ``math`` scalars by the ratio recursion
-    ``p(k+1) = p(k) lam / (k+1)`` out of the mode and normalized by their ``fsum``.  It keeps
-    the counts whose probability is at least 2^-64 of the mode's, so it starts at the lower
-    tail and grows like ``sqrt(lam)``; its last entry is an ``inf`` sentinel, which gives the
-    last count the whole upper tail.  ``guide[j]`` is the first ``i`` with ``cdf[i] > j / 4096``,
-    so a uniform ``u`` in bucket ``j`` has its count at ``guide[j]`` unless a step of the cdf
-    lies inside that bucket below ``u``; only those few are searched.
+    The counts whose probability is at least 2^-64 of the mode's come from ``math`` scalars by the
+    ratio recursion ``p(k+1) = p(k) lam / (k+1)`` out of the mode, normalized by their ``fsum``; their
+    running sums are ``P(N <= k)``.  A ``random()`` double is a multiple of 2^-53 below 1, so ``cdf``
+    keeps only the counts one reaches: ``cdf[0]`` is the lowest count ``first``, which ``u = 0.0``
+    maps to, and entry ``i > 0`` the count ``offset + i``, from the one ``2^-53`` maps to up to the
+    one ``1 - 2^-53`` maps to, whose entry is an ``inf`` sentinel.  So the table grows like
+    ``sqrt(lam)``.  For the bucket ``j`` of [0, 1) per 4096th, ``guide_counts[j]`` is the count of
+    the first entry with ``cdf > j / 4096`` and ``guide_cdf[j]`` that entry's ``cdf``; a uniform ``u``
+    in bucket ``j`` has that count unless ``guide_cdf[j] <= u``, a step of the cdf inside the bucket
+    below ``u``, and only those few are searched.
     """
 
     def __init__(self, lam: float):
@@ -564,18 +567,24 @@ class _PoissonTable:
         down, up = ratios(k / lam for k in range(mode, 0, -1)), ratios(lam / k for k in itertools.count(mode + 1))
         weights = [*reversed(down), 1.0, *up]
         total = math.fsum(weights)
-        self.first = mode - len(down)
-        self.cdf = np.array([*itertools.accumulate(w / total for w in weights[:-1]), math.inf])
-        self.guide = np.searchsorted(self.cdf, np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, side="right")
+        cdf = np.array([*itertools.accumulate(w / total for w in weights[:-1]), math.inf])
+        lo, hi = np.searchsorted(cdf, [2.0**-53, 1.0 - 2.0**-53], side="right")  # the entries they map to
+        lo = max(int(lo), 1)
+        self.cdf = cdf[np.r_[0, lo:hi + 1]]
+        self.cdf[-1] = math.inf  # above every uniform, as the entry it replaces
+        self.first, self.offset = mode - len(down), mode - len(down) + lo - 1
+        guide = np.searchsorted(self.cdf, np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, side="right")
+        self.guide_counts = np.where(guide > 0, guide + self.offset, self.first)
+        self.guide_cdf = self.cdf[guide]
 
     def counts(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """``n`` Poisson counts (int64), one ``random()`` double each."""
         u = gen.random(n)
-        i = self.guide[(u * _GUIDE_BUCKETS).astype(np.intp)]  # u * 4096 is exact
-        step = np.flatnonzero(self.cdf[i] <= u)
-        i[step] = np.searchsorted(self.cdf, u[step], side="right")
-        i += self.first
-        return i
+        bucket = (u * _GUIDE_BUCKETS).astype(np.intp)  # u * 4096 is exact
+        counts = self.guide_counts[bucket]
+        step = np.flatnonzero(self.guide_cdf[bucket] <= u)
+        counts[step] = np.searchsorted(self.cdf, u[step], side="right") + self.offset  # entries past cdf[0]
+        return counts
 
 
 class _PoissonSampler:

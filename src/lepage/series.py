@@ -12,7 +12,13 @@ Replicate ``r`` of any experiment uses the stream ``(seed, r)``; the
 chunked samplers at the bottom draw fixed-size chunks of replicates (one
 substream each) and work through each chunk in cache-sized tiles that reuse
 the chunk's buffers, so memory does not grow with the chunk or churn between
-tiles, and results are bit-reproducible for any thread count.  Path statistics
+tiles, and results are bit-reproducible for any thread count.  Each sampler
+sets its tile's events (``_TILE_EVENTS_OF``): marginals tile at 2^15, since
+each numpy call takes the GIL back from the other chunk threads and a larger
+tile halves those hand-offs per replicate.  Path stats keep 2^14, as their
+one-thread run is about 10% slower at 2^15, and so do increments, whose fresh
+tile-long ``bincount`` arrays would cross glibc's 128 KiB mmap threshold at
+2^15 and fault in again on every tile.  Path statistics
 and the partial-sum paths regroup their terms so that each replicate is one row
 (``_replicate_rows``), and read its sorted running values from one row reducer
 (``random_inputs._row_values``); so a written path and its statistics agree bit for bit.
@@ -58,10 +64,11 @@ __all__ = [
     "PathStatsSample",
 ]
 
-# substream tags for the chunked multi-replicate samplers
+# substream tags for the chunked multi-replicate samplers, and the events per tile of each
 _TAG_MARGINAL = 101
 _TAG_PATH_STATS = 102
 _TAG_INCREMENTS = 103
+_TILE_EVENTS_OF = {_TAG_MARGINAL: 2 * _TILE_EVENTS, _TAG_PATH_STATS: _TILE_EVENTS, _TAG_INCREMENTS: _TILE_EVENTS}
 
 
 @dataclass(frozen=True)
@@ -232,9 +239,11 @@ def _chunk_coeffs(spec: SeriesSpec, draws: tuple, m: int, scratch: dict | None =
 def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) -> list[np.ndarray]:
     """Each field of ``reduce(coeffs, paths, m, scratch)`` over the tiles of all chunks, concatenated.
 
-    A tile of m replicates has the (m, n) ``coeffs`` of :func:`_chunk_coeffs`; the reduce draws its
-    ``m * n`` paths from the chunk's sampler ``paths``, term k for (replicate k // n, term k % n), by
-    ``take`` or ``values_at_one``.  Equal jump times are kept, and the path reducers decide ties.
+    A tile holds ``max(2, _TILE_EVENTS_OF[tag] // n)`` replicates of n terms, the last one of a
+    chunk fewer; its size moves no draw.  A tile of m replicates has the (m, n) ``coeffs`` of
+    :func:`_chunk_coeffs`; the reduce draws its ``m * n`` paths from the chunk's sampler ``paths``,
+    term k for (replicate k // n, term k % n), by ``take`` or ``values_at_one``.  Equal jump times
+    are kept, and the path reducers decide ties.
     Chunk ``c`` draws from ``RngStream(spec.seed).substream(tag, c)``, so the result is a
     pure function of ``(spec, tag, n_samples)``.  Each chunk call owns a ``scratch`` of
     tile-sized buffers that all its tiles draw, assemble and reduce into, never shared.
@@ -245,7 +254,7 @@ def _sample_chunks(spec: SeriesSpec, tag: int, n_samples: int, reduce, threads) 
     """
 
     def one_chunk(stream, m):
-        draws, tile = _chunk_draws(spec, stream), max(2, _TILE_EVENTS // max(1, spec.truncation_n))
+        draws, tile = _chunk_draws(spec, stream), max(2, _TILE_EVENTS_OF[tag] // max(1, spec.truncation_n))
         bounds, scratch = [*range(0, max(m - 1, 1), tile), m], {}
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its cause
             return [reduce(_chunk_coeffs(spec, draws, b - a, scratch), draws[2], b - a, scratch)

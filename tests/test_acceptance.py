@@ -362,7 +362,7 @@ replicates: 2
 per_term_norms: true
 seed: 7
 """,
-        # Poisson paths in tiles of 54 replicates: four chunks of 1024 and one of 904, each
+        # Poisson paths in tiles of 109 replicates: four chunks of 1024 and one of 904, each
         # ending in an uneven tile
         "stability_poisson_tiles": """
 command: stability

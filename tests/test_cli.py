@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import threading
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lepage import ConfigurationError, RngStream, SeriesSpec, EpsilonSpec, poisson_counts, unit_jump, partial_sum
-from lepage import diagnostics as diag, series
+from lepage import diagnostics as diag, parallel, series
 from lepage.cli import ConfigParseError, _json_text, main, parse_config
 from lepage.paths import StepPath, path_from_csv
 from test_paths import BLOCK_BOUNDARY_JUMPS, boundary_path, path_from_json, reference_path_csv
@@ -491,6 +492,14 @@ class TestSimulateCommand:
         monkeypatch.setattr(series, "partial_sum", noting_partial_sum)
         code, _ = run_cli(tmp_path, MINIMAL + "truncation_n: 50\n", "--threads", "4")
         assert code == 0 and seen == [caller]
+
+    def test_auto_threads_are_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # under an affinity mask of one CPU, more threads would only contend for the GIL
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parallel.resolve_threads("auto") == parallel.resolve_threads(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity masks
+        assert parallel.resolve_threads("auto") == 64
 
     def test_zero_replicates(self, tmp_path):
         code, out = run_cli(tmp_path, MINIMAL + "replicates: 0\n")

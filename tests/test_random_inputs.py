@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -287,6 +289,31 @@ class TestUnitJumpGenerator:
             assert abs(x.mean() - (b - a)) < 4.0 * se
 
 
+class LayoutThreePoissonTable:
+    """The guide-table inverse cdf of Poisson counts as layout 3 pinned it: every count whose weight is
+    at least 2^-64 of the mode's, whether a uniform reaches it or not."""
+
+    def __init__(self, lam):
+        mode = math.floor(lam)
+
+        def ratios(factors):
+            return list(itertools.takewhile(lambda p: p >= 2.0**-64, itertools.accumulate(factors, operator.mul)))
+
+        down, up = ratios(k / lam for k in range(mode, 0, -1)), ratios(lam / k for k in itertools.count(mode + 1))
+        weights = [*reversed(down), 1.0, *up]
+        total = math.fsum(weights)
+        self.first = mode - len(down)
+        self.cdf = np.array([*itertools.accumulate(w / total for w in weights[:-1]), math.inf])
+        self.guide = np.searchsorted(self.cdf, np.arange(4096) / 4096, side="right")
+
+    def counts(self, gen, n):
+        u = gen.random(n)
+        i = self.guide[(u * 4096).astype(np.intp)]
+        step = np.flatnonzero(self.cdf[i] <= u)
+        i[step] = np.searchsorted(self.cdf, u[step], side="right")
+        return i + self.first
+
+
 class TestPoissonGenerator:
     def test_total_count_mean(self):
         lam = 2.0
@@ -315,7 +342,22 @@ class TestPoissonGenerator:
         table = poisson_counts(lam)._table
         assert table.cdf.size <= 25 + 19 * math.sqrt(lam)
         assert table.cdf[-1] == math.inf and np.all(np.diff(table.cdf) >= 0)
-        assert table.guide.size == 4096 and table.guide.max() < table.cdf.size
+        assert table.guide_counts.size == table.guide_cdf.size == 4096
+        assert np.all(np.isin(table.guide_cdf, table.cdf))
+        assert table.first <= table.guide_counts.min() and table.guide_counts.max() <= table.offset + table.cdf.size
+
+    @pytest.mark.parametrize("lam", [1.0, 7.0, 1e4, 1e8])
+    def test_count_table_keeps_every_count_a_uniform_reaches(self, lam):
+        # the smallest and largest uniforms, the first nonzero one, and 10^6 more, against the
+        # table cut at 2^-64 of the mode's weight that layout 3 was pinned with
+        u = np.concatenate(([0.0, 2.0**-53, 1.0 - 2.0**-53], np.random.default_rng(3).random(10**6)))
+        draws = type("Draws", (), {"random": lambda self, n: u[:n].copy()})()
+        table, reference = poisson_counts(lam)._table, LayoutThreePoissonTable(lam)
+        assert np.array_equal(table.counts(draws, u.size), reference.counts(draws, u.size))
+        # entries below 2^-53 (but u = 0.0's) and above 1 - 2^-53 are cut
+        assert np.sum(table.cdf[1:] <= 2.0**-53) == 0 and np.sum(table.cdf[:-1] > 1.0 - 2.0**-53) == 0
+        if lam == 1e4:
+            assert (reference.cdf.size, table.cdf.size) == (1884, 1611)
 
     def test_intensity_above_the_largest_table_is_refused(self):
         for lam in (1.0000001e8, math.inf, math.nan, 0.0):

@@ -702,27 +702,45 @@ def reference_weighted_increments(spec, intervals, n_samples):
     return whole_chunk_reference(spec, series._TAG_INCREMENTS, n_samples, reduce)[0]
 
 
-# (y, n, samples): tiles hold 682 replicates of 24 terms, so a full chunk and 476 more
-# end each chunk in a short tile; a full chunk of 2000 terms is tiles of 8, and 17 more
-# are a chunk of one tile of 8 and one of 9 (no tile holds one replicate); 5 of 16500
-# terms are tiles of 2 and 3, and one more than a full chunk of them (tiles of 2) leaves
-# a chunk of 1; Poisson tiles of 163 replicates of 100 terms (the tightness workload's) draw
-# 16 300 signs each, which leaves 44 bits of a raw word to the next tile
-TILE_CASES = [*((name, 24, chunk_size(24) + 476) for name in ("unit", "weighted2d_p3", "poisson")),
-              ("user_sixteenths", 24, 700), ("unit", 2000, chunk_size(2000) + 17), ("poisson", 100, 400),
-              *((name, 16500, 5) for name in ("unit", "weighted2d_p3", "poisson")),
-              ("unit", 16500, chunk_size(16500) + 1)]
+def tile_of(tag, n) -> int:
+    """The replicates in each tile of the sampler with substream ``tag``, at n terms."""
+    return max(2, series._TILE_EVENTS_OF[tag] // n)
+
+
+SAMPLER_TAGS = {"marginals": series._TAG_MARGINAL, "increments": series._TAG_INCREMENTS,
+                "path_stats": series._TAG_PATH_STATS}
+
+
+def tile_cases(tag):
+    """(y, n, samples) that give the sampler with substream ``tag`` every edge of its tiles.
+
+    Tiles hold 682 replicates of 24 terms per 2^14 events of the sampler's tile, so a full chunk
+    and 476 more end in a short tile; a full chunk of 2000 terms is tiles of T (8 per 2^14
+    events), and 2T + 1 more are a chunk of one tile of T and one of T + 1 (no tile holds one
+    replicate); 5 of 16500 terms are tiles of 2 and 3, and one more than a full chunk of them (tiles
+    of 2) leaves a chunk of 1; Poisson tiles of 100 terms (the tightness workload's) draw 16 300
+    signs at 2^14 events and 32 700 at 2^15, neither a multiple of 64, so the first tile leaves 20
+    or 4 bits of a raw word to the next.
+    """
+    n, t = 24 * series._TILE_EVENTS_OF[tag] // 2**14, tile_of(tag, 2000)
+    return [*((name, n, chunk_size(n) + 476) for name in ("unit", "weighted2d_p3", "poisson")),
+            ("user_sixteenths", n, 700), ("unit", 2000, chunk_size(2000) + 2 * t + 1), ("poisson", 100, 400),
+            *((name, 16500, 5) for name in ("unit", "weighted2d_p3", "poisson")),
+            ("unit", 16500, chunk_size(16500) + 1)]
+
+
+TILE_CASES = [(sampler, *case) for sampler, tag in SAMPLER_TAGS.items() for case in tile_cases(tag)]
 
 
 # (y, n, samples, spec keywords): weight and multiplier modes, and every
 # multiplier family; uniform multipliers on [-40, 40] and the table's -30 atom
-# are truncated at the early terms
+# are truncated at the early terms; 48 terms make chunks of several tiles at 2^14 and 2^15 events
 MODE_CASES = {
-    "deterministic": ("unit", 24, 1500, {"weight_mode": "deterministic"}),
-    "truncated_weighted": ("weighted2d_p3", 24, 1500, {"epsilon_mode": "truncated",
+    "deterministic": ("unit", 48, 1500, {"weight_mode": "deterministic"}),
+    "truncated_weighted": ("weighted2d_p3", 48, 1500, {"epsilon_mode": "truncated",
                                                         "epsilon": EpsilonSpec.uniform_symmetric(40.0)}),
-    "uniform_symmetric_poisson": ("poisson", 24, 1500, {"epsilon": EpsilonSpec.uniform_symmetric(2.0)}),
-    "two_point": ("unit", 24, 1500, {"epsilon": EpsilonSpec.two_point(0.8, -1.0, 4.0)}),
+    "uniform_symmetric_poisson": ("poisson", 48, 1500, {"epsilon": EpsilonSpec.uniform_symmetric(2.0)}),
+    "two_point": ("unit", 48, 1500, {"epsilon": EpsilonSpec.two_point(0.8, -1.0, 4.0)}),
     "table_deterministic_truncated": ("unit", 500, 100, {
         "epsilon": EpsilonSpec.table([-30.0, 0.5, 1.0], [0.1, 0.45, 0.45]),
         "weight_mode": "deterministic", "epsilon_mode": "truncated"}),
@@ -730,30 +748,59 @@ MODE_CASES = {
 
 
 class TestTilesEqualWholeChunk:
-    @pytest.mark.parametrize("name, n, n_samples", TILE_CASES)
-    def test_bit_for_bit(self, name, n, n_samples):
-        self.check(rademacher_spec(alpha=0.8, n=n, seed=19, y=FAST_PATH_YS[name]), n_samples)
+    @pytest.mark.parametrize("sampler, name, n, n_samples", TILE_CASES)
+    def test_bit_for_bit(self, sampler, name, n, n_samples):
+        self.check(sampler, rademacher_spec(alpha=0.8, n=n, seed=19, y=FAST_PATH_YS[name]), n_samples)
 
+    @pytest.mark.parametrize("sampler", sorted(SAMPLER_TAGS))
     @pytest.mark.parametrize("case", sorted(MODE_CASES))
-    def test_modes_and_multipliers_bit_for_bit(self, case):
+    def test_modes_and_multipliers_bit_for_bit(self, case, sampler):
         name, n, n_samples, kw = MODE_CASES[case]
-        self.check(rademacher_spec(alpha=0.8, n=n, seed=19, y=FAST_PATH_YS[name], **kw), n_samples)
+        self.check(sampler, rademacher_spec(alpha=0.8, n=n, seed=19, y=FAST_PATH_YS[name], **kw), n_samples)
 
     @staticmethod
-    def check(spec, n_samples):
-        assert max(2, series._TILE_EVENTS // spec.truncation_n) < n_samples  # more than one tile
+    def check(sampler, spec, n_samples):
+        n = spec.truncation_n
+        assert tile_of(SAMPLER_TAGS[sampler], n) < min(n_samples, chunk_size(n))  # a chunk of several tiles
         t, intervals = 0.8125, [(0.0, 0.5), (0.25, 0.8125)]
-        assert (sample_marginals(spec, t, n_samples).tobytes()
-                == reference_marginals(spec, t, n_samples).tobytes())
-        # at t = 1 the built-in paths draw no jump locations; the reference draws and masks them
-        assert (sample_marginals(spec, 1.0, n_samples).tobytes()
-                == reference_marginals(spec, 1.0, n_samples).tobytes())
-        assert (sample_weighted_increments(spec, intervals, n_samples).tobytes()
-                == reference_weighted_increments(spec, intervals, n_samples).tobytes())
+        if sampler == "marginals":
+            assert (sample_marginals(spec, t, n_samples).tobytes()
+                    == reference_marginals(spec, t, n_samples).tobytes())
+            # at t = 1 the built-in paths draw no jump locations; the reference draws and masks them
+            assert (sample_marginals(spec, 1.0, n_samples).tobytes()
+                    == reference_marginals(spec, 1.0, n_samples).tobytes())
+        elif sampler == "increments":
+            assert (sample_weighted_increments(spec, intervals, n_samples).tobytes()
+                    == reference_weighted_increments(spec, intervals, n_samples).tobytes())
+        else:
+            stats = sample_path_stats(spec, n_samples)
+            want = whole_chunk_reference(spec, series._TAG_PATH_STATS, n_samples, reference_path_stats)
+            for got, ref in zip((stats.sup, stats.vmax, stats.vmin), want):
+                assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["unit", "poisson", "weighted2d_p3", "user_sixteenths"])
+def test_tiles_of_2_14_and_2_15_events_give_the_same_bytes(name, monkeypatch):
+    # every sampler's _sample_chunks at both tile sizes; 40 terms make tiles of 409 and 819 replicates
+    spec, n_samples = rademacher_spec(alpha=0.8, n=40, seed=23, y=FAST_PATH_YS[name]), 1500
+    assemble, tiles = series._chunk_coeffs, []
+
+    def noting_chunk_coeffs(spec, draws, m, scratch=None):
+        tiles.append(m)
+        return assemble(spec, draws, m, scratch)
+
+    monkeypatch.setattr(series, "_chunk_coeffs", noting_chunk_coeffs)
+    runs = []
+    for events in (2**14, 2**15):
+        for tag in SAMPLER_TAGS.values():
+            monkeypatch.setitem(series._TILE_EVENTS_OF, tag, events)
+        tiles.clear()
         stats = sample_path_stats(spec, n_samples)
-        want = whole_chunk_reference(spec, series._TAG_PATH_STATS, n_samples, reference_path_stats)
-        for got, ref in zip((stats.sup, stats.vmax, stats.vmin), want):
-            assert got.tobytes() == ref.tobytes()
+        runs.append([sample_marginals(spec, 0.8125, n_samples).tobytes(), sample_marginals(spec, 1.0, n_samples).tobytes(),
+                     sample_weighted_increments(spec, [(0.0, 0.5), (0.25, 0.8125)], n_samples).tobytes(),
+                     stats.sup.tobytes(), stats.vmax.tobytes(), stats.vmin.tobytes()])
+        assert max(tiles) == events // 40
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("t", [-0.5, 1.5, math.nan])
