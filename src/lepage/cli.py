@@ -18,14 +18,17 @@ or null takes its default at every level.  An unread key, or a value its
 parser rejects, is a :class:`ConfigParseError` naming the top-level key and
 its line: silent typos and ignored settings corrupt experiment claims.
 
-Exit codes: 0 success, 1 operational error, 2 statistical "violated"
-verdict from a check command (a refutation, not a breakage).
+A key given twice in one mapping is refused too, naming its line.
+
+Exit codes: 0 success, 1 operational or usage error, 2 statistical
+"violated" verdict from a check command (a refutation, not a breakage).
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import platform
@@ -299,17 +302,36 @@ def _simple_keys(text: str) -> bool:
     return not any(m and (m[2] or len(key) + len(m[1]) > 1022) for key, m in colons)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a key given twice raises ValueError, so YAML reads the document."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError("a key given twice")
+    return obj
+
+
 def _read(text: str):
-    """The document ``text`` as ``yaml.safe_load`` reads it.  A JSON document of printable ASCII with no
-    backslash or tab, with simple keys and YAML floats, reads the same through ``json``, with no ``yaml``."""
+    """The document ``text`` as ``yaml.safe_load`` reads it, save that a key given twice in one mapping is a
+    :class:`ConfigParseError` naming its line.  A JSON document of printable ASCII with no backslash or tab,
+    with simple keys and YAML floats, reads the same through ``json``, with no ``yaml``."""
     if re.fullmatch(r"[\n\r\x20-\x5b\x5d-\x7e]*", text) and _simple_keys(text):
         try:
-            return json.loads(text, parse_float=_yaml_float, parse_constant=_yaml_float)
-        except (ValueError, RecursionError):  # not JSON, or outside the gate: YAML reads it as before
+            return json.loads(text, parse_float=_yaml_float, parse_constant=_yaml_float, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError):  # not JSON, outside the gate or a key given twice: YAML reads it
             pass
     import yaml
+
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:  # a scalar key constructs to a hashable value; merge keys (<<) may repeat
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                    if (key := self.construct_object(key_node)) in seen:
+                        raise ConfigParseError(f"line {key_node.start_mark.line + 1}: key '{key}': given twice")
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
+
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"config is not valid YAML/JSON: {exc}") from exc
 
@@ -389,17 +411,17 @@ def _json_chunks(obj, indent: str = "\n"):
     """The text of :func:`_json_text` in pieces, so that a writer can stream it.
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder.  This
-    lays out containers the same way, one dict member at a time, but writes
-    floats through one ``%r`` template (``repr`` is the spelling ``json`` uses
-    for a finite float): a nonempty finite float64 array, 1-d or 2-d, in blocks
-    of ``paths._BLOCK_ROWS`` rows from each block's ``tolist()``, and a list of
-    finite floats, or a list of equally long lists of them, at once.  Every
-    other leaf goes through ``json.dumps`` itself.
+    lays out containers the same way, one dict member at a time, but writes a
+    nonempty finite float64 array, 1-d or 2-d, through one ``%r`` template
+    (``repr`` is the spelling ``json`` uses for a finite float), in blocks of
+    ``paths._BLOCK_ROWS`` rows from each block's ``tolist()``.  Every other
+    leaf goes through ``json.dumps`` itself.
     """
     inner = indent + "  "
     if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size
             and np.isfinite(obj).all()):
-        item, b = _json_row(obj.shape[1] if obj.ndim == 2 else None, inner), paths_mod._BLOCK_ROWS
+        item = "%r" if obj.ndim == 1 else "[" + ",".join([inner + "  %r"] * obj.shape[1]) + inner + "]"
+        b = paths_mod._BLOCK_ROWS
         for a in range(0, len(obj), b):
             block = obj[a:a + b]
             yield ("," if a else "[") + inner + ("," + inner).join([item] * len(block)) % tuple(block.ravel().tolist())
@@ -417,31 +439,10 @@ def _json_chunks(obj, indent: str = "\n"):
     if not (isinstance(obj, (list, tuple)) and obj):
         yield json.dumps(obj)
         return
-    floats, item = obj, "%r"
-    if all(type(v) is list and len(v) == len(obj[0]) for v in obj):  # the rows of a matrix
-        floats, item = [x for v in obj for x in v], _json_row(len(obj[0]), inner)
-    if floats and all(type(x) is float for x in floats) and all(map(math.isfinite, floats)):
-        yield "[" + inner + ("," + inner).join([item] * len(obj)) % tuple(floats) + indent + "]"
-        return
     for i, v in enumerate(obj):
         yield ("," if i else "[") + inner
         yield from _json_chunks(v, inner)
     yield indent + "]"
-
-
-def _json_row(width: int | None, indent: str) -> str:
-    """The ``%r`` template of one float (``width`` None) or of a list of ``width`` floats, at ``indent``."""
-    if width is None:
-        return "%r"
-    return "[" + indent + "  " + ("," + indent + "  ").join(["%r"] * width) + indent + "]"
-
-
-def _json_file_chunks(payload: dict, manifest_hash: str, seed: int):
-    body = dict(payload)
-    body["manifest_hash"] = manifest_hash
-    body.setdefault("seed", seed)
-    yield from _json_chunks(body)
-    yield "\n"
 
 
 class _Writer:
@@ -466,7 +467,9 @@ class _Writer:
         self.files.append(p.name)
 
     def emit_json(self, name: str, payload: dict) -> None:
-        self.emit_text(f"{name}.json", _json_file_chunks(payload, self.manifest_hash, self.cfg.seed))
+        """Writes ``payload``, with the manifest hash and (unless it has one) the seed, as JSON."""
+        body = {"seed": self.cfg.seed, **payload, "manifest_hash": self.manifest_hash}
+        self.emit_text(f"{name}.json", itertools.chain(_json_chunks(body), ["\n"]))
 
     def manifest(self, wall_time: float, extra: dict | None = None) -> None:
         payload = {
@@ -663,8 +666,10 @@ def main(argv=None) -> int:
         description="Simulate truncated weighted-jump series on step paths and "
         "verify their moment conditions and limit distribution.",
     )
+    # a usage error exits 1, as an operational error: 2 is the "violated" verdict
+    parser.error = lambda message: parser.exit(1, f"{parser.format_usage()}{parser.prog}: error: {message}\n")
     parser.add_argument("--config", required=True, help="YAML/JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", default=None, help="override the config seed")
     parser.add_argument("--threads", default=None, help="worker threads (integer or 'auto')")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--format", default=None, help="comma-separated subset of csv,json")

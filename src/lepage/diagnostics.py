@@ -21,6 +21,11 @@ Two families of quantities live here:
 ``"tightness"`` holds the Monte Carlo fourth moment of weighted partial-sum
 increments next to its assembled bound ``d^2 * sum_tau S_{n,tau} *
 Dhat_tau``, for every triple of a grid from one series run.
+
+The three reports estimate one quantity, the mean product of squared increment
+norms over an entry's spans, in one body, ``_moment_report``, which checks the
+entries and replicates, draws through its caller's function, reduces and compares;
+each caller settles its bounds (envelopes, partition sums) before anything is drawn.
 """
 
 from __future__ import annotations
@@ -220,64 +225,58 @@ def _checked_times(kind, times) -> list[tuple[float, ...]]:
     return times
 
 
-def _assemble_report(kind, times, stats, bounds, meta) -> MomentReport:
-    """The :class:`MomentReport` of the entries ``times``, each against its bound ``bounds[e]``.
-
-    ``stats[:, e]`` holds entry e's value per replicate, in chunk order, and
-    :func:`replicate_mean_se` reduces it.  A non-finite estimate or SE raises
-    :class:`ConfigurationError` naming its entry.
-    """
-    mean, se = replicate_mean_se(stats.T)
-    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(se)))
-    if bad.size:
-        raise ConfigurationError(f"{kind} entry {times[bad[0]]}: estimate {mean[bad[0]]}, se {se[bad[0]]}; "
-                                 "the squared increments overflow")
-    entries = tuple(MomentEntry(ts[0], ts[1] if len(ts) == 3 else None, ts[-1], m, s, b, _verdict(m, s, b))
-                    for ts, m, s, b in zip(times, mean.tolist(), se.tolist(), bounds))
-    return MomentReport(kind, entries, len(stats), meta)
-
-
 def _span_products(inc: np.ndarray, spans: int) -> np.ndarray:
     """Per path and entry, the product of the squared increment norms over the entry's ``spans``
-    intervals, ``inc[:, e*spans:(e+1)*spans]`` for entry e; :func:`_assemble_report` reports overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by _assemble_report, naming the entry
+    intervals, ``inc[:, e*spans:(e+1)*spans]`` for entry e; :func:`_moment_report` reports overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _moment_report, naming the entry
         sq = np.sum(inc * inc, axis=2)
         return np.prod(sq.reshape(len(sq), -1, spans), axis=2)
 
 
-def _moment_report(kind, tag, y_spec, times, replicates, envelope, stream, threads):
-    """The :class:`MomentReport` of the span products of ``y_spec``'s increments over ``times``.
-
-    An entry of 2 times has 1 span, one of 3 times 2, and its envelope is
-    ``envelope.bound(t1, t2, spans)``.  Each chunk of paths returns its span
-    products, and :func:`_assemble_report` reduces them in chunk order.
-    """
+def _moment_report(kind, times, replicates, minimum, span_products, bound, meta) -> MomentReport:
+    """The :class:`MomentReport` of the entries ``times`` (2 times for 1 span, 3 for 2), once they and
+    ``replicates >= minimum`` are checked; no entries draw nothing.  ``span_products(intervals, spans)``
+    gives one row per replicate, in chunk order, of every entry's span product; entry e's mean is compared
+    with ``bound(t1, t2, spans)``, and a non-finite mean or SE raises :class:`ConfigurationError` naming e."""
     times = _checked_times(kind, times)
-    if replicates < 100:
-        raise ConfigurationError(f"need at least 100 replicates, got {replicates}")
-    meta = {"y": y_spec.echo(), "envelope": envelope.echo()}
+    if replicates < minimum:
+        raise ConfigurationError(f"need at least {minimum} replicates, got {replicates}")
     if not times:  # nothing to estimate, so no path is drawn
         return MomentReport(kind, (), replicates, meta)
     spans = len(_ENTRY_TIMES[kind][1]) - 1
-    intervals = [(ts[j], ts[j + 1]) for ts in times for j in range(spans)]
+    mean, se = replicate_mean_se(span_products([(ts[j], ts[j + 1]) for ts in times for j in range(spans)], spans).T)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(se)))
+    if bad.size:
+        raise ConfigurationError(f"{kind} entry {times[bad[0]]}: estimate {mean[bad[0]]}, se {se[bad[0]]}; "
+                                 "the squared increments overflow")
+    bounds = [bound(ts[0], ts[-1], spans) for ts in times]
+    entries = tuple(MomentEntry(ts[0], ts[1] if len(ts) == 3 else None, ts[-1], m, s, b, _verdict(m, s, b))
+                    for ts, m, s, b in zip(times, mean.tolist(), se.tolist(), bounds))
+    return MomentReport(kind, entries, replicates, meta)
 
-    def one_chunk(sub, m):
-        return _span_products(interval_increments(y_spec.block_sampler(sub).take(m), intervals), spans)
 
-    stats = np.concatenate(map_replicates(one_chunk, stream.substream(tag), replicates, 1, threads))
-    return _assemble_report(kind, times, stats, [envelope.bound(ts[0], ts[-1], spans) for ts in times], meta)
+def _path_moments(kind, tag, y_spec, times, replicates, envelope, stream, threads) -> MomentReport:
+    """:func:`_moment_report` of ``y_spec``'s paths against ``envelope``; each chunk of paths
+    is reduced to its span products, so no chunk's increments outlive it."""
+    def span_products(intervals, spans):
+        def one_chunk(sub, m):
+            return _span_products(interval_increments(y_spec.block_sampler(sub).take(m), intervals), spans)
+        return np.concatenate(map_replicates(one_chunk, stream.substream(tag), replicates, 1, threads))
+
+    return _moment_report(kind, times, replicates, 100, span_products, envelope.bound,
+                          {"y": y_spec.echo(), "envelope": envelope.echo()})
 
 
 def estimate_c1(y_spec: YGeneratorSpec, pairs, replicates: int, envelope: MomentEnvelope, stream: RngStream,
                 threads=1) -> MomentReport:
     """Monte Carlo second moments ``E|Y(t2) - Y(t1)|^2`` against the envelope."""
-    return _moment_report("increment_second_moment", _TAG_C1, y_spec, pairs, replicates, envelope, stream, threads)
+    return _path_moments("increment_second_moment", _TAG_C1, y_spec, pairs, replicates, envelope, stream, threads)
 
 
 def estimate_c2(y_spec: YGeneratorSpec, triples, replicates: int, envelope: MomentEnvelope, stream: RngStream,
                 threads=1) -> MomentReport:
     """Monte Carlo cross moments ``E|Y(t2)-Y(t)|^2 |Y(t)-Y(t1)|^2``."""
-    return _moment_report("cross_moment", _TAG_C2, y_spec, triples, replicates, envelope, stream, threads)
+    return _path_moments("cross_moment", _TAG_C2, y_spec, triples, replicates, envelope, stream, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -559,34 +558,27 @@ def tightness_functional(
     reads its increments over (t1, t] and (t, t2] from columns ``2k`` and
     ``2k + 1`` of a single :func:`sample_weighted_increments` call, which
     sums each interval on its own, so each entry is the one a run of that
-    triple alone gives.  Every triple, and ``replicates >= 2``, is checked
-    before anything is drawn, and no triples draw nothing; a non-finite
-    estimate raises :class:`ConfigurationError` naming its triple.
+    triple alone gives.  The envelopes, every triple and ``replicates >= 2``
+    are checked before anything is drawn, and no triples draw nothing; a
+    non-finite estimate raises :class:`ConfigurationError` naming its triple.
     """
     if spec.epsilon_mode != "truncated" or spec.weight_mode != "deterministic":
         raise ConfigurationError(
             "tightness functional is defined for epsilon_mode='truncated', "
             f"weight_mode='deterministic'; got {spec.epsilon_mode!r}, {spec.weight_mode!r}"
         )
-    checked = _checked_times("tightness", triples)
-    if replicates < 2:
-        raise ConfigurationError(f"need at least 2 replicates, got {replicates}")
-    meta = {"n": spec.truncation_n}
-    if not checked:
-        return MomentReport("tightness", (), replicates, meta)
-    intervals = [iv for t1, t_mid, t2 in checked for iv in ((t1, t_mid), (t_mid, t2))]
-    inc = sample_weighted_increments(spec, intervals, replicates, threads)
-    stats = _span_products(inc, 2)
-
     env1, env2 = envelopes if envelopes is not None else default_envelopes(spec.y_gen)
     terms = [(partition_sum(tau, spec.alpha, spec.epsilon, spec.truncation_n), partition_envelope_exponents(tau))
              for tau in _PARTITIONS]
 
-    def bound(t1, t2) -> float:
-        g1, g2 = env1.bound(t1, t2), env2.bound(t1, t2, 2) ** 0.5  # |F2(t2)-F2(t1)|^beta2
+    def bound(t1, t2, spans) -> float:
+        g1, g2 = env1.bound(t1, t2), env2.bound(t1, t2, spans) ** 0.5  # |F2(t2)-F2(t1)|^beta2
         total = 0.0  # term by term in partition order: sum() of floats compensates on Python >= 3.12
         for s_val, (p, q) in terms:
             total += s_val * g1**p * g2**q
         return spec.dimension**2 * total
 
-    return _assemble_report("tightness", checked, stats, [bound(t1, t2) for t1, _, t2 in checked], meta)
+    def span_products(intervals, spans):  # one series run for every triple
+        return _span_products(sample_weighted_increments(spec, intervals, replicates, threads), spans)
+
+    return _moment_report("tightness", triples, replicates, 2, span_products, bound, {"n": spec.truncation_n})

@@ -210,6 +210,22 @@ class TestCommandTables:
         assert capsys.readouterr().err == f"error: seed must lie in [0, 2^64), got {seed}\n"
         assert not out.exists()
 
+    def test_seed_flag_that_is_no_number_exits_1(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, MINIMAL + "truncation_n: 30\n", "--seed", "abc")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    # argparse's own usage errors exit 1 too: exit 2 is the "violated" verdict of a check command
+    @pytest.mark.parametrize("argv,code", [([], 1), (["--config"], 1), (["--config", "x.yaml", "--bogus"], 1),
+                                           (["--help"], 0)])
+    def test_usage_errors_exit_1_and_help_0(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lepage") if code else not err
+
     @pytest.mark.parametrize("value,written", [("false", False), ("true", True)])
     def test_per_term_norms_takes_a_boolean(self, tmp_path, value, written):
         text, _ = _with_value("simulate", "per_term_norms", value)
@@ -446,6 +462,22 @@ class TestParseConfig:
             {"command": "simulate", "alpha": 1.5, "epsilon": "rademacher", "y": "example1"}
         ))
         assert cfg.alpha == 1.5
+
+    # a key given twice is refused, naming the line of its second mention, not run at its last value
+    @pytest.mark.parametrize("text,line,key", [
+        (MINIMAL + "alpha: 0.8\n", 6, "alpha"),
+        ('{"command": "simulate", "alpha": 1.5, "epsilon": "rademacher", "y": "example1",\n"alpha": 0.8}', 2, "alpha"),
+        (MINIMAL.replace("y: example1", "y: {variant: example3, lambda: 2.0, lambda: 5.0}"), 5, "lambda"),
+        ('{"command": "simulate", "alpha": 1.5, "epsilon": "rademacher",\n'
+         ' "y": {"variant": "example3",\n "lambda": 2.0, "lambda": 5.0}}', 3, "lambda"),
+    ], ids=["yaml", "json", "yaml_nested", "json_nested"])
+    def test_repeated_key_refused(self, tmp_path, capsys, text, line, key):
+        with pytest.raises(ConfigParseError, match=rf"^line {line}: key '{key}': given twice$"):
+            parse_config(text)
+        code, out = run_cli(tmp_path, text)
+        assert code == 1
+        assert capsys.readouterr().err.endswith(f"line {line}: key '{key}': given twice\n")
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -638,6 +638,16 @@ class TestTightnessGrid:
         with pytest.raises(ConfigurationError):
             tightness_functional(spec, [(0.5, 0.2, 0.8)], 300)
 
+    def test_missing_envelope_raises_before_any_draw(self, monkeypatch):
+        # user paths have no default envelope; the bound is resolved before the series is drawn
+        monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
+        spec = self.spec(user_paths([StepPath(1, [0.0], [0.5], [[1.0]])]))
+        with pytest.raises(ConfigurationError, match="no default envelope for generator variant 'user'"):
+            tightness_functional(spec, GRID, 300)
+        env = MomentEnvelope(beta=1.0)
+        monkeypatch.setattr(diagnostics, "sample_weighted_increments", sample_weighted_increments)
+        assert len(tightness_functional(spec, GRID, 300, (env, env)).entries) == len(GRID)
+
     def test_no_triples_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "sample_weighted_increments", _no_draw)
         assert tightness_functional(self.spec(poisson_counts(1.0)), [], 300) == MomentReport(

@@ -1,5 +1,6 @@
 """The start of a command: what ``import lepage.cli`` and ``parse_config`` import, and the JSON reader
-that lets a JSON config skip ``yaml``, checked against ``yaml.safe_load`` on drawn documents."""
+that lets a JSON config skip ``yaml``, checked against ``yaml.safe_load`` on drawn documents (with a key
+given twice in one mapping refused)."""
 
 import json
 import os
@@ -172,12 +173,32 @@ def outcome(read, text: str):
         return f"ConfigParseError: {exc}"
 
 
+def first_repeated_key(text: str):
+    """The key node of ``text`` that first repeats an earlier key of its mapping, or None.  yaml constructs
+    the mappings of a document level by level from the root, each level in document order, and so
+    this looks for them; a JSON key is a quoted string, so equal keys have equal node values."""
+    level = [node for node in [yaml.compose(text)] if node is not None]
+    while level:
+        for node in level:
+            keys = [k.value for k, _ in node.value] if isinstance(node, yaml.MappingNode) else []
+            repeats = [k for j, (k, _) in enumerate(node.value) if k.value in keys[:j]] if keys else []
+            if repeats:
+                return repeats[0]
+        level = [v for node in level if isinstance(node, yaml.CollectionNode)
+                 for v in (node.value if isinstance(node, yaml.SequenceNode) else (v for _, v in node.value))]
+    return None
+
+
 def yaml_read(text: str):
-    """``yaml.safe_load``, with its error as parse_config words it."""
+    """``yaml.safe_load``, with its error as parse_config words it, refusing a key given twice in one mapping."""
     try:
-        return yaml.safe_load(text)
+        value = yaml.safe_load(text)
+        repeated = first_repeated_key(text)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"config is not valid YAML/JSON: {exc}") from exc
+    if repeated is not None:
+        raise ConfigParseError(f"line {repeated.start_mark.line + 1}: key '{repeated.value}': given twice")
+    return value
 
 
 @given(json_documents())
@@ -190,8 +211,10 @@ def test_reader_gives_what_yaml_gives(text):
 @settings(max_examples=200, deadline=None)
 def test_reader_reads_json_inside_the_gate_without_yaml(text):
     want = outcome(yaml_read, text)
-    with mock.patch.object(yaml, "safe_load", side_effect=AssertionError("yaml read a document inside the gate")):
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
         assert outcome(cli._read, text) == want
+    # only a key given twice sends a document inside the gate to yaml, which names its line
+    assert load.called == (first_repeated_key(text) is not None)
 
 
 @pytest.mark.parametrize("text,want", [
